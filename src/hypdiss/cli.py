@@ -119,25 +119,15 @@ def _check_config(cfg):
 
 
 def _load_model(args):
-    from .model import (
-        FluidParameters,
-        builtin_barotropic_fluid,
-        builtin_convected_damped_wave,
-        builtin_damped_wave,
-        load_model,
-    )
+    from .model import load_model, model_from_dict
 
     if args.model:
         return load_model(args.model)
-    if args.builtin == "damped-wave":
-        return builtin_damped_wave(args.a, args.d if args.d else 1)
-    if args.builtin == "convected-damped-wave":
-        return builtin_convected_damped_wave(args.a)
-    if args.builtin == "fluid":
-        return builtin_barotropic_fluid(
-            FluidParameters(r=args.r, mu=args.mu, nu=args.nu, eta=args.eta, zeta=args.zeta)
-        )
-    raise SystemExit("no model selected: pass --builtin or --model")
+    if args.builtin is None:
+        raise SystemExit("no model selected: pass --builtin or --model")
+    params = {"a": args.a, "d": args.d or 1, "r": args.r, "mu": args.mu,
+              "nu": args.nu, "eta": args.eta, "zeta": args.zeta}
+    return model_from_dict({"builtin": {"name": args.builtin, "params": params}})
 
 
 def _outdir(args):
@@ -146,7 +136,8 @@ def _outdir(args):
 
 
 def cmd_check(args):
-    from .conditions import CONDITION_ORDER, run_all_checks, write_json_atomic
+    from .conditions import CONDITION_ORDER, run_all_checks
+    from .io import write_json_atomic
 
     out = _outdir(args)
     cfg_dict = _effective_config(args)
@@ -181,9 +172,7 @@ def cmd_check(args):
 
 
 def cmd_dispersion(args):
-    import numpy as np
-
-    from .conditions import write_csv_atomic
+    from .io import write_csv_atomic
     from .grids import radial_loggrid, unit_directions
     from .model import ensure_normalized
     from .symbols import dispersion_roots, sorted_roots
@@ -210,9 +199,7 @@ def cmd_dispersion(args):
 
 
 def cmd_decay(args):
-    import numpy as np
-
-    from .conditions import write_json_atomic
+    from .io import write_json_atomic
     from .linear_spectral import GaussianData, decay_fit, decay_study, default_decay_times
 
     out = _outdir(args)
@@ -228,6 +215,7 @@ def cmd_decay(args):
             "exponent": fit.exponent,
             "amplitude": fit.amplitude,
             "residual": fit.residual,
+            "reliable": fit.reliable,
             "config": cfg,
         }
         write_json_atomic(os.path.join(out, "decay_fit.json"), payload)
@@ -253,6 +241,7 @@ def cmd_decay(args):
         "amplitude": study.fit.amplitude,
         "residual": study.fit.residual,
         "span_decades": study.fit.span_decades,
+        "reliable": study.fit.reliable,
         "fit_window": list(study.fit.fit_window),
         "target_exponent": target,
         "band": args.band,
@@ -272,7 +261,7 @@ def cmd_decay(args):
 
 
 def cmd_simulate(args):
-    from .conditions import write_json_atomic
+    from .io import write_json_atomic
     from .paradiff import Lattice
     from .simulator import PeriodicBumpData, SimConfig, run
 
@@ -308,7 +297,7 @@ def cmd_simulate(args):
 def cmd_paradiff_test(args):
     import numpy as np
 
-    from .conditions import write_json_atomic
+    from .io import write_json_atomic
     from .paradiff import (
         GridFunction,
         Lattice,
@@ -317,7 +306,6 @@ def cmd_paradiff_test(args):
         check_garding,
         lp_decompose,
         make_cutoff,
-        multiplier_symbol,
         separable_symbol,
         smooth_symbol,
     )
@@ -376,7 +364,7 @@ def cmd_paradiff_test(args):
 
 
 def cmd_report(args):
-    from .conditions import write_json_atomic
+    from .io import write_json_atomic
 
     out = _outdir(args)
     found = {}

@@ -25,9 +25,7 @@ structural conditions (HA, HB) a dimensionless violation score (imaginary
 mass + defectiveness + multiplicity jumps, minus the structural tolerance).
 """
 
-import csv
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,6 +41,7 @@ from .errors import (
     PrerequisiteMissing,
 )
 from .grids import radial_loggrid, unit_directions
+from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
     assemble_calA,
@@ -66,7 +65,6 @@ class CheckConfig:
     directions_2d: int = 64
     state_samples: int = 256
     cond_ceiling: float = 1e8
-    cbar_digits: int = 3
     dissipation_threshold: float = 1.0
     trend_xi_min: float = 10.0
     trend_xi_max_low: float = 1e-2
@@ -112,13 +110,15 @@ class EigenStructure:
         return max(float(np.max(np.abs(c.values.imag))) for c in self.clusters)
 
 
-def _cluster_eigenvalues(lam, thr):
-    # connected components of the graph with edges |li - lj| <= thr
-    m = len(lam)
-    order = np.lexsort((lam.imag, lam.real))
-    lam_s = lam[order]
-    dist = np.abs(lam_s[:, None] - lam_s[None, :])
-    parent = list(range(m))
+def _single_linkage(lam, thr):
+    """Connected components of the graph on lam with edges |li - lj| <= thr.
+
+    Returns the components ordered by their means (real part, then
+    imaginary part) and the smallest distance between two components.
+    """
+    lam = lam[np.lexsort((lam.imag, lam.real))]
+    dist = np.abs(lam[:, None] - lam[None, :])
+    parent = list(range(len(lam)))
 
     def find(i):
         while parent[i] != i:
@@ -126,26 +126,26 @@ def _cluster_eigenvalues(lam, thr):
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist[i, j] <= thr:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(g, dtype=int) for g in groups.values()]
-    # inter-cluster separation guard
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            gap = dist[np.ix_(clusters[a], clusters[b])].min()
-            if gap < 10.0 * thr:
-                raise ClusterAmbiguity(
-                    f"clusters separated by {gap:.3e} < 10 x tolerance "
-                    f"{thr:.3e}; refine cluster_tolerance"
-                )
-    means = [lam_s[g].mean() for g in clusters]
+    for i, j in zip(*np.nonzero(np.triu(dist <= thr, 1))):
+        parent[find(i)] = find(j)
+    labels = np.array([find(i) for i in range(len(lam))], dtype=int)
+    apart = labels[:, None] != labels[None, :]
+    gap = float(dist[apart].min()) if apart.any() else np.inf
+    groups = [lam[labels == r] for r in dict.fromkeys(labels.tolist())]
+    means = [g.mean() for g in groups]
     key = np.lexsort((np.imag(means), np.real(means)))
-    return [lam_s[clusters[k]] for k in key]
+    return [groups[k] for k in key], gap
+
+
+def _cluster_eigenvalues(lam, thr):
+    groups, gap = _single_linkage(lam, thr)
+    # inter-cluster separation guard
+    if gap < 10.0 * thr:
+        raise ClusterAmbiguity(
+            f"clusters separated by {gap:.3e} < 10 x tolerance "
+            f"{thr:.3e}; refine cluster_tolerance"
+        )
+    return groups
 
 
 def eigstructure(matrix, cluster_tolerance=1e-7):
@@ -219,7 +219,7 @@ def build_symmetrizer(K, cluster_tolerance=1e-7, structural_tol=1e-8):
     S = S^* >= c I with c = lambda_min(S) > 0 reported, and
     ||S K - (S K)^*|| <= 1e-8 ||S|| ||K||.
     """
-    K = np.asarray(matrix_as_complex(K))
+    K = np.asarray(K, dtype=complex)
     m = K.shape[0]
     es = eigstructure(K, cluster_tolerance)
     scale = 1.0 + es.spectral_radius
@@ -253,10 +253,6 @@ def build_symmetrizer(K, cluster_tolerance=1e-7, structural_tol=1e-8):
     return Symmetrizer(S=S, lower_bound=float(np.min(np.linalg.eigvalsh(S))), structure=es)
 
 
-def matrix_as_complex(a):
-    return np.asarray(a, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -287,57 +283,15 @@ class ConditionReport:
             d["trace"] = self.trace
         return d
 
-    def write_json(self, path):
-        write_json_atomic(path, self.to_json_dict())
-
     def write_margins_csv(self, path):
         write_csv_atomic(path, ["xi", "omega_index", "margin"], self.per_point)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
-def write_json_atomic(path, payload):
-    import os
-
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text + "\n")
-    os.replace(tmp, path)
-
-
-def write_csv_atomic(path, header, rows):
-    import os
-
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["" if v is None else format(v, ".17g") if isinstance(v, float) else v for v in row])
-    os.replace(tmp, path)
-
-
-def _verdict(margin, floor):
-    if margin < -floor:
-        return "pass"
-    if margin > floor:
-        return "fail"
-    return "marginal"
+def _report(condition, margin, witness, grid_spec, config, **extra):
+    """A report whose verdict follows the margin convention of the module."""
+    floor = config.strictness_floor
+    verdict = "pass" if margin < -floor else "fail" if margin > floor else "marginal"
+    return ConditionReport(condition, verdict, float(margin), witness, grid_spec, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +307,8 @@ class StructuralCache:
     by_omega: dict
 
 
-def _structural_score(es, ref_multiset, scale, structural_tol):
-    s = es.max_imag() / scale
+def _structural_score(es, ref_multiset, structural_tol):
+    s = es.max_imag() / (1.0 + es.spectral_radius)
     if not es.all_semi_simple():
         s += 1.0
     if ref_multiset is not None and es.multiplicity_multiset() != ref_multiset:
@@ -371,6 +325,51 @@ def _omega_grid(model, omega_grid, config):
     return omega_grid
 
 
+def _state_grid(model, state_samples, config):
+    us = model.state_samples(config.state_samples) if state_samples is None else np.atleast_2d(state_samples)
+    if us.size == 0:
+        raise GridEmpty("empty state sample set")
+    return us
+
+
+def _structural_scan(name, model, us, omegas, symbol, config):
+    """Real semi-simple spectrum with constant multiplicities of symbol(u, omega).
+
+    Scores every state x direction point against the multiplicities of the
+    first one, and caches per direction the symmetrizer of the symbol at the
+    reference state (None where it is not symmetrizable).
+    """
+    worst = -np.inf
+    witness = {}
+    per_point = []
+    ref_multiset = None
+    degenerate = False
+    by_omega = {}
+    for i, om in enumerate(omegas):
+        for u in us:
+            es = eigstructure(symbol(u, om), config.cluster_tolerance)
+            if ref_multiset is None:
+                ref_multiset = es.multiplicity_multiset()
+            mg = _structural_score(es, ref_multiset, config.structural_tol)
+            degenerate = degenerate or not es.all_semi_simple()
+            per_point.append((None, i, mg))
+            if mg > worst:
+                worst, witness = mg, {"u": u.tolist(), "omega": om.tolist(), "xi": None}
+        try:
+            by_omega[i] = build_symmetrizer(
+                symbol(model.reference_state, om), config.cluster_tolerance, config.structural_tol
+            )
+        except NotSymmetrizable:
+            by_omega[i] = None
+
+    report = _report(
+        name, worst, witness, f"{len(us)} states x {len(omegas)} directions", config,
+        trace={"multiplicities": list(ref_multiset), "degenerate": degenerate},
+        per_point=per_point,
+    )
+    return StructuralCache(report=report, omegas=omegas, by_omega=by_omega)
+
+
 def check_ha(model, state_samples=None, omega_grid=None, config=CheckConfig()):
     """Hyperbolicity of the first-order part.
 
@@ -381,16 +380,9 @@ def check_ha(model, state_samples=None, omega_grid=None, config=CheckConfig()):
     """
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
-    us = model.state_samples(config.state_samples) if state_samples is None else np.atleast_2d(state_samples)
-    if us.size == 0:
-        raise GridEmpty("empty state sample set")
+    us = _state_grid(model, state_samples, config)
 
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    trace = {"part_a": [], "multiplicities": None}
-
-    # part (a)
+    part_a = []
     for u in us:
         A0 = np.asarray(model.A(0, u), dtype=float)
         try:
@@ -399,48 +391,27 @@ def check_ha(model, state_samples=None, omega_grid=None, config=CheckConfig()):
             mg = -float(np.min(np.linalg.eigvalsh(h))) / max(np.linalg.norm(h, 2), 1e-300)
         except NotSymmetrizable:
             es = eigstructure(A0, config.cluster_tolerance)
-            mg = _structural_score(es, None, 1.0 + es.spectral_radius, 0.0)
+            mg = _structural_score(es, None, 0.0)
             mg = max(mg, config.structural_tol * 2)
-        trace["part_a"].append(mg)
-        if mg > worst:
-            worst, witness = mg, {"u": u.tolist(), "omega": None, "xi": None, "part": "a"}
+        part_a.append(mg)
 
-    # part (b)
-    ref_multiset = None
-    by_omega = {}
-    ubar = model.reference_state
-    for i, om in enumerate(omegas):
-        for u in us:
-            A0 = np.asarray(model.A(0, u), dtype=float)
-            A_dir, _, _ = assemble_directional(model, u, om)
-            W0 = np.linalg.solve(A0, A_dir)
-            es = eigstructure(W0, config.cluster_tolerance)
-            if ref_multiset is None:
-                ref_multiset = es.multiplicity_multiset()
-                trace["multiplicities"] = list(ref_multiset)
-            scale = 1.0 + es.spectral_radius
-            mg = _structural_score(es, ref_multiset, scale, config.structural_tol)
-            per_point.append((None, i, mg))
-            if mg > worst:
-                worst, witness = mg, {"u": u.tolist(), "omega": om.tolist(), "xi": None, "part": "b"}
-        A0b = np.asarray(model.A(0, ubar), dtype=float)
-        A_dirb, _, _ = assemble_directional(model, ubar, om)
-        W0b = np.linalg.solve(A0b, A_dirb)
-        try:
-            by_omega[i] = build_symmetrizer(W0b, config.cluster_tolerance, config.structural_tol)
-        except NotSymmetrizable:
-            by_omega[i] = None
+    def w0(u, om):
+        A_dir, _, _ = assemble_directional(model, u, om)
+        return np.linalg.solve(np.asarray(model.A(0, u), dtype=float), A_dir)
 
-    report = ConditionReport(
-        condition="HA",
-        verdict=_verdict(worst, config.strictness_floor),
-        margin=float(worst),
-        witness=witness,
-        grid_spec=f"{len(us)} states x {len(omegas)} directions",
-        trace=trace,
-        per_point=per_point,
+    cache = _structural_scan("HA", model, us, omegas, w0, config)
+    b = cache.report
+    k = int(np.argmax(part_a))
+    if part_a[k] >= b.margin:
+        worst, witness = part_a[k], {"u": us[k].tolist(), "omega": None, "xi": None, "part": "a"}
+    else:
+        worst, witness = b.margin, {**b.witness, "part": "b"}
+    cache.report = _report(
+        "HA", worst, witness, b.grid_spec, config,
+        trace={"part_a": part_a, "multiplicities": b.trace["multiplicities"]},
+        per_point=b.per_point,
     )
-    return StructuralCache(report=report, omegas=omegas, by_omega=by_omega)
+    return cache
 
 
 def check_hb(model, state_samples=None, omega_grid=None, config=CheckConfig()):
@@ -449,86 +420,71 @@ def check_hb(model, state_samples=None, omega_grid=None, config=CheckConfig()):
     direction at the reference state for D2 and the dissipation symbol."""
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
-    us = model.state_samples(config.state_samples) if state_samples is None else np.atleast_2d(state_samples)
-    if us.size == 0:
-        raise GridEmpty("empty state sample set")
-
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    ref_multiset = None
-    by_omega = {}
-    trace = {"multiplicities": None, "degenerate": False}
-
-    for i, om in enumerate(omegas):
-        for u in us:
-            iB = 1j * assemble_calB(model, u, om)
-            es = eigstructure(iB, config.cluster_tolerance)
-            if ref_multiset is None:
-                ref_multiset = es.multiplicity_multiset()
-                trace["multiplicities"] = list(ref_multiset)
-            scale = 1.0 + es.spectral_radius
-            mg = _structural_score(es, ref_multiset, scale, config.structural_tol)
-            if not es.all_semi_simple():
-                trace["degenerate"] = True
-            per_point.append((None, i, mg))
-            if mg > worst:
-                worst, witness = mg, {"u": u.tolist(), "omega": om.tolist(), "xi": None}
-        iBb = 1j * assemble_calB(model, model.reference_state, om)
-        try:
-            by_omega[i] = build_symmetrizer(iBb, config.cluster_tolerance, config.structural_tol)
-        except NotSymmetrizable:
-            by_omega[i] = None
-
-    report = ConditionReport(
-        condition="HB",
-        verdict=_verdict(worst, config.strictness_floor),
-        margin=float(worst),
-        witness=witness,
-        grid_spec=f"{len(us)} states x {len(omegas)} directions",
-        trace=trace,
-        per_point=per_point,
+    us = _state_grid(model, state_samples, config)
+    return _structural_scan(
+        "HB", model, us, omegas, lambda u, om: 1j * assemble_calB(model, u, om), config
     )
-    return StructuralCache(report=report, omegas=omegas, by_omega=by_omega)
 
 
 # ---------------------------------------------------------------------------
 # D1 / D2
 # ---------------------------------------------------------------------------
 
-def _largest_cbar(F, digits):
-    """Largest c with lambda_max(F + c I) <= 0, bisected to `digits` significant digits."""
-    lmax = float(np.max(np.linalg.eigvalsh(F)))
-    if lmax >= 0.0:
-        return 0.0
-    lo, hi = 0.0, -2.0 * lmax
-    # bisection against the definiteness predicate
-    while hi - lo > 10.0 ** (-digits) * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if np.max(np.linalg.eigvalsh(F + mid * np.eye(F.shape[0]))) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _eigenspace_form(W, symmetrizer):
+    """Form Wsym = S W + (S W)^* and its largest eigenvalue on any eigenspace
+    of the symmetrized symbol; returns (margin, Wsym)."""
+    W1 = symmetrizer.S @ W
+    Wsym = W1 + W1.conj().T
+    margin = max(
+        float(np.max(np.linalg.eigvalsh(cl.basis.conj().T @ Wsym @ cl.basis)))
+        for cl in symmetrizer.structure.clusters
+    )
+    return margin, Wsym
 
 
 def d1_form_margin(model, omega, symmetrizer):
     """Worst eigenvalue of the D1 quadratic form over the eigenspaces of W0."""
     model = ensure_normalized(model)
     u = model.reference_state
-    A0 = np.asarray(model.A(0, u), dtype=float)
     A_dir, B_dir, C_dir = assemble_directional(model, u, omega)
-    A0inv = np.linalg.inv(A0)
+    A0inv = np.linalg.inv(np.asarray(model.A(0, u), dtype=float))
     W0A = A0inv @ A_dir
-    Y = A0inv @ (-B_dir + W0A @ W0A + C_dir @ W0A)
-    W1 = symmetrizer.S @ Y
-    Wsym = W1 + W1.conj().T
-    margins = []
-    for cl in symmetrizer.structure.clusters:
-        J = cl.basis
-        F = J.conj().T @ Wsym @ J
-        margins.append(float(np.max(np.linalg.eigvalsh(F))))
-    return max(margins), Wsym
+    return _eigenspace_form(A0inv @ (-B_dir + W0A @ W0A + C_dir @ W0A), symmetrizer)
+
+
+def d2_form_margin(model, omega, symmetrizer):
+    """Worst eigenvalue of the D2 quadratic form over the eigenspaces of calB."""
+    model = ensure_normalized(model)
+    return _eigenspace_form(assemble_calA(model, model.reference_state, omega), symmetrizer)
+
+
+def _eigenspace_check(name, model, cache, form_margin, config):
+    """D1/D2 over the directions of a passed HA/HB cache.
+
+    c_bar is the largest c with form + c I <= 0 on every eigenspace and
+    direction, i.e. max(0, -margin).
+    """
+    prereq = cache.report.condition
+    if cache.report.verdict != "pass":
+        raise PrerequisiteMissing(f"{prereq} did not pass; no symmetrizer cache for {name}")
+    ubar = model.reference_state
+
+    worst = -np.inf
+    witness = {}
+    per_point = []
+    for i, om in enumerate(cache.omegas):
+        sym = cache.by_omega.get(i)
+        if sym is None:
+            raise PrerequisiteMissing(f"no {prereq} symmetrizer for direction index {i}")
+        mg, _ = form_margin(model, om, sym)
+        per_point.append((None, i, mg))
+        if mg > worst:
+            worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": None}
+
+    return _report(
+        name, worst, witness, f"{len(cache.omegas)} directions", config,
+        c_bar=max(0.0, -float(worst)), per_point=per_point,
+    )
 
 
 def check_d1(model, omega_grid=None, ha=None, config=CheckConfig()):
@@ -536,68 +492,7 @@ def check_d1(model, omega_grid=None, ha=None, config=CheckConfig()):
     model = ensure_normalized(model)
     if ha is None:
         ha = check_ha(model, omega_grid=omega_grid, config=config)
-    if ha.report.verdict != "pass":
-        raise PrerequisiteMissing("HA did not pass; no symmetrizer cache for D1")
-    omegas = ha.omegas
-
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    cbars = []
-    for i, om in enumerate(omegas):
-        sym = ha.by_omega.get(i)
-        if sym is None:
-            raise PrerequisiteMissing(f"no W0 symmetrizer for direction index {i}")
-        mg, _ = d1_form_margin(model, om, sym)
-        per_point.append((None, i, mg))
-        cbars.append(_largest_cbar_from_margin(model, om, sym, config))
-        if mg > worst:
-            worst, witness = mg, {"u": model.reference_state.tolist(), "omega": om.tolist(), "xi": None}
-
-    c_bar = min(cbars) if cbars else None
-    report = ConditionReport(
-        condition="D1",
-        verdict=_verdict(worst, config.strictness_floor),
-        margin=float(worst),
-        witness=witness,
-        grid_spec=f"{len(omegas)} directions",
-        c_bar=c_bar,
-        per_point=per_point,
-    )
-    return report
-
-
-def _largest_cbar_from_margin(model, om, sym, config):
-    model = ensure_normalized(model)
-    u = model.reference_state
-    A0 = np.asarray(model.A(0, u), dtype=float)
-    A_dir, B_dir, C_dir = assemble_directional(model, u, om)
-    A0inv = np.linalg.inv(A0)
-    W0A = A0inv @ A_dir
-    Y = A0inv @ (-B_dir + W0A @ W0A + C_dir @ W0A)
-    W1 = sym.S @ Y
-    Wsym = W1 + W1.conj().T
-    cs = []
-    for cl in sym.structure.clusters:
-        J = cl.basis
-        F = J.conj().T @ Wsym @ J
-        cs.append(_largest_cbar(F, config.cbar_digits))
-    return min(cs)
-
-
-def d2_form_margin(model, omega, symmetrizer):
-    """Worst eigenvalue of the D2 quadratic form over the eigenspaces of calB."""
-    model = ensure_normalized(model)
-    u = model.reference_state
-    calA = assemble_calA(model, u, omega)
-    W1 = symmetrizer.S @ calA
-    Wsym = W1 + W1.conj().T
-    margins = []
-    for cl in symmetrizer.structure.clusters:
-        J = cl.basis
-        F = J.conj().T @ Wsym @ J
-        margins.append(float(np.max(np.linalg.eigvalsh(F))))
-    return max(margins), Wsym
+    return _eigenspace_check("D1", model, ha, d1_form_margin, config)
 
 
 def check_d2(model, omega_grid=None, hb=None, config=CheckConfig()):
@@ -605,51 +500,27 @@ def check_d2(model, omega_grid=None, hb=None, config=CheckConfig()):
     model = ensure_normalized(model)
     if hb is None:
         hb = check_hb(model, omega_grid=omega_grid, config=config)
-    if hb.report.verdict != "pass":
-        raise PrerequisiteMissing("HB did not pass; no symmetrizer cache for D2")
-    omegas = hb.omegas
-
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    cbars = []
-    for i, om in enumerate(omegas):
-        sym = hb.by_omega.get(i)
-        if sym is None:
-            raise PrerequisiteMissing(f"no calB symmetrizer for direction index {i}")
-        mg, Wsym = d2_form_margin(model, om, sym)
-        per_point.append((None, i, mg))
-        cs = []
-        for cl in sym.structure.clusters:
-            F = cl.basis.conj().T @ Wsym @ cl.basis
-            cs.append(_largest_cbar(F, config.cbar_digits))
-        cbars.append(min(cs))
-        if mg > worst:
-            worst, witness = mg, {"u": model.reference_state.tolist(), "omega": om.tolist(), "xi": None}
-
-    report = ConditionReport(
-        condition="D2",
-        verdict=_verdict(worst, config.strictness_floor),
-        margin=float(worst),
-        witness=witness,
-        grid_spec=f"{len(omegas)} directions",
-        c_bar=min(cbars) if cbars else None,
-        per_point=per_point,
-    )
-    return report
+    return _eigenspace_check("D2", model, hb, d2_form_margin, config)
 
 
 # ---------------------------------------------------------------------------
 # D3 and uniform dissipativity
 # ---------------------------------------------------------------------------
 
-def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
-    """Strict spectral stability over a log frequency grid (0 excluded)."""
-    model = ensure_normalized(model)
+def _frequency_grid(model, omega_grid, xi_loggrid, config):
+    # directions x log-spaced magnitudes; xi = 0 is excluded (rho(0) = 0)
     omegas = _omega_grid(model, omega_grid, config)
     xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count) if xi_loggrid is None else np.asarray(xi_loggrid, float)
     if np.any(xis <= 0):
         raise InvalidParameter("xi grid must exclude 0")
+    spec = f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions"
+    return omegas, xis, spec
+
+
+def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
+    """Strict spectral stability over a log frequency grid (0 excluded)."""
+    model = ensure_normalized(model)
+    omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
     ubar = model.reference_state
 
     worst = -np.inf
@@ -662,85 +533,40 @@ def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
             if mg > worst:
                 worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": float(x)}
 
-    return ConditionReport(
-        condition="D3",
-        verdict=_verdict(worst, config.strictness_floor),
-        margin=float(worst),
-        witness=witness,
-        grid_spec=f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions",
-        per_point=per_point,
-    )
+    return _report("D3", worst, witness, spec, config, per_point=per_point)
+
+
+def _lyap_solve(M, rho):
+    P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
+    return 0.5 * (P + P.conj().T)
+
+
+def _positive_cond(P, what):
+    w = np.linalg.eigvalsh(P)
+    if w[0] <= 0.0 or not np.all(np.isfinite(w)):
+        raise LyapunovSolveFailure(
+            f"{what} not positive definite (lambda_min = {w[0]:.3e})"
+        )
+    return float(w[-1] / w[0])
 
 
 def lyapunov_certificate(M, rho):
     """Solve P M + M^* P = -rho I for hermitian P; returns (P, cond)."""
-    n2 = M.shape[0]
     try:
-        P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(n2, dtype=complex))
+        P = _lyap_solve(M, rho)
     except Exception as e:  # scipy raises LinAlgError or ValueError
         raise LyapunovSolveFailure(f"Lyapunov solve failed: {e}") from e
-    P = 0.5 * (P + P.conj().T)
-    w = np.linalg.eigvalsh(P)
-    if w[0] <= 0.0 or not np.all(np.isfinite(w)):
-        raise LyapunovSolveFailure(
-            f"Lyapunov solution not positive definite (lambda_min = {w[0]:.3e})"
-        )
-    return P, float(w[-1] / w[0])
+    return P, _positive_cond(P, "Lyapunov solution")
 
 
 def _linkage_groups(lam, theta):
     # single-linkage groups, merged until inter-group gaps are >= 3*theta
-    idx = np.lexsort((lam.imag, lam.real))
-    lam = lam[idx]
-    groups = [[0]]
-    order = np.argsort(lam.real**2 + lam.imag**2, kind="stable")
-    # single linkage on sorted-by-modulus chain is not sufficient in C; use
-    # full pairwise linkage
-    m = len(lam)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     thr = theta
     while True:
-        for i in range(m):
-            parent[i] = i
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(lam[i] - lam[j]) <= thr:
-                    parent[find(i)] = find(j)
-        comp = {}
-        for i in range(m):
-            comp.setdefault(find(i), []).append(i)
-        groups = list(comp.values())
-        ok = True
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                gap = min(
-                    abs(lam[i] - lam[j]) for i in groups[a] for j in groups[b]
-                )
-                if gap < 3.0 * thr:
-                    ok = False
-        if ok or len(groups) == 1:
-            break
+        groups, gap = _single_linkage(lam, thr)
+        if gap >= 3.0 * thr:
+            return groups
         thr *= 2.0
-    out = [lam[np.array(g, dtype=int)] for g in groups]
-    centers = [g.mean() for g in out]
-    key = np.lexsort((np.imag(centers), np.real(centers)))
-    return [out[k] for k in key]
-
-
-def _lyap_unit(M, rho):
-    P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
-    P = 0.5 * (P + P.conj().T)
-    top = float(np.max(np.linalg.eigvalsh(P)))
-    if not np.isfinite(top) or top <= 0.0:
-        raise LyapunovSolveFailure("Lyapunov block solve degenerate")
-    return P / top
 
 
 #: A direct per-point Lyapunov solve is accepted when its conditioning is
@@ -748,8 +574,14 @@ def _lyap_unit(M, rho):
 BALANCE_COND_TARGET = 200.0
 
 
-def _balanced_adaptive(M, rho):
-    P = _lyap_unit(M, rho)
+def _balanced_adaptive(M, rho, P=None):
+    # P, when given, is the direct solution of P M + M^* P = -rho I
+    if P is None:
+        P = _lyap_solve(M, rho)
+    top = float(np.max(np.linalg.eigvalsh(P)))
+    if not np.isfinite(top) or top <= 0.0:
+        raise LyapunovSolveFailure("Lyapunov block solve degenerate")
+    P = P / top
     w = np.linalg.eigvalsh(P)
     if w[0] > 0.0 and w[-1] / w[0] <= BALANCE_COND_TARGET:
         return P
@@ -781,6 +613,15 @@ def _balanced_adaptive(M, rho):
     return 0.5 * (Pb + Pb.conj().T)
 
 
+def _balanced_from(M, rho, P=None):
+    """Balanced certificate (P, cond), grown from the direct solution P if given."""
+    try:
+        P = _balanced_adaptive(M, rho, P)
+    except Exception as e:
+        raise LyapunovSolveFailure(f"balanced certificate failed: {e}") from e
+    return P, _positive_cond(P, "balanced certificate")
+
+
 def balanced_lyapunov_certificate(M, rho):
     """Spectral-gap-balanced decay certificate with bounded conditioning.
 
@@ -798,16 +639,7 @@ def balanced_lyapunov_certificate(M, rho):
         raise LyapunovSolveFailure(
             f"spectral abscissa {np.max(lam.real):.3e} >= 0"
         )
-    try:
-        P = _balanced_adaptive(M, rho)
-    except Exception as e:
-        raise LyapunovSolveFailure(f"balanced certificate failed: {e}") from e
-    w = np.linalg.eigvalsh(P)
-    if w[0] <= 0.0 or not np.all(np.isfinite(w)):
-        raise LyapunovSolveFailure(
-            f"balanced certificate not positive definite (lambda_min = {w[0]:.3e})"
-        )
-    return P, float(w[-1] / w[0])
+    return _balanced_from(M, rho)
 
 
 def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
@@ -820,10 +652,7 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     configured ceiling.
     """
     model = ensure_normalized(model)
-    omegas = _omega_grid(model, omega_grid, config)
-    xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count) if xi_loggrid is None else np.asarray(xi_loggrid, float)
-    if np.any(xis <= 0):
-        raise InvalidParameter("xi grid must exclude 0 (rho(0) = 0)")
+    omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
     ubar = model.reference_state
 
     c_abs = np.inf
@@ -844,8 +673,10 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
                 )
             c_pt = -alpha / r
             c_abs = min(c_abs, c_pt)
-            _, cond_raw = lyapunov_certificate(M, r)
-            _, cond = balanced_lyapunov_certificate(M, r)
+            # one Lyapunov solve: its conditioning is cond_raw, and it seeds
+            # the balanced certificate
+            P, cond_raw = lyapunov_certificate(M, r)
+            _, cond = _balanced_from(M, r, P)
             conds[k, i] = cond
             conds_raw[k, i] = cond_raw
             cond_max = max(cond_max, cond)
@@ -855,34 +686,24 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
                 worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": float(x)}
 
     cond_by_xi = conds.max(axis=1)
-    slope = float(np.polyfit(np.log(xis), np.log(cond_by_xi), 1)[0])
-    tail = xis >= config.trend_xi_min
-    tail_slope = (
-        float(np.polyfit(np.log(xis[tail]), np.log(cond_by_xi[tail]), 1)[0])
-        if np.sum(tail) >= 3
-        else slope
-    )
-    head = xis <= config.trend_xi_max_low
-    head_slope = (
-        float(np.polyfit(np.log(xis[head]), np.log(cond_by_xi[head]), 1)[0])
-        if np.sum(head) >= 3
-        else slope
-    )
+    log_xi, log_cond = np.log(xis), np.log(cond_by_xi)
+    slope = float(np.polyfit(log_xi, log_cond, 1)[0])
+
+    def trend(mask):
+        # log-log slope over the masked points; the full-grid slope below 3
+        return float(np.polyfit(log_xi[mask], log_cond[mask], 1)[0]) if np.sum(mask) >= 3 else slope
+
     ok_cond = cond_max <= config.cond_ceiling
-    margin = float(worst) if ok_cond else float(cond_max / config.cond_ceiling)
-    return ConditionReport(
-        condition="UNIFORM",
-        verdict=_verdict(margin, config.strictness_floor),
-        margin=margin,
-        witness=witness,
-        grid_spec=f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions",
+    margin = worst if ok_cond else cond_max / config.cond_ceiling
+    return _report(
+        "UNIFORM", margin, witness, spec, config,
         c_bar=float(c_abs),
         trace={
             "c_abs": float(c_abs),
             "cond_max": float(cond_max),
             "cond_loglog_slope": slope,
-            "cond_tail_slope": tail_slope,
-            "cond_head_slope": head_slope,
+            "cond_tail_slope": trend(xis >= config.trend_xi_min),
+            "cond_head_slope": trend(xis <= config.trend_xi_max_low),
             "cond_by_xi": cond_by_xi.tolist(),
             "cond_raw_by_xi": conds_raw.max(axis=1).tolist(),
             "xi_grid": xis.tolist(),
@@ -924,10 +745,9 @@ def build_dissipation_symbol(model, u, xi_vec, config=CheckConfig()):
     if alpha >= 0.0:
         raise NotDissipativeAtPoint(f"spectral abscissa {alpha:.3e} >= 0 at xi={xi_vec}")
     try:
-        D = sla.solve_lyapunov(M.conj().T, -np.eye(M.shape[0], dtype=complex))
+        D = _lyap_solve(M, 1.0)
     except Exception as e:
         raise NotDissipativeAtPoint(f"Lyapunov solve failed: {e}") from e
-    D = 0.5 * (D + D.conj().T)
     w = np.linalg.eigvalsh(D)
     if w[0] <= 0.0:
         raise NotDissipativeAtPoint(f"dissipation symbol not positive definite at xi={xi_vec}")
@@ -944,25 +764,16 @@ def dissipation_derivative_bounds(model, u, xi_vec, config=CheckConfig(), rel_st
     """
     from .symbols import xi_bracket
 
+    def largest_derivative(x, h, D_at):
+        # max over coordinates j of || (D(x + h e_j) - D(x - h e_j)) / 2h ||
+        steps = h * np.eye(len(x))
+        return max(np.linalg.norm((D_at(x + e) - D_at(x - e)) / (2 * h), 2) for e in steps)
+
     xi_vec = np.asarray(xi_vec, dtype=float)
     br = xi_bracket(xi_vec)
-    h_xi = rel_step * br
-    d_xi = 0.0
-    for j in range(model.d):
-        e = np.zeros(model.d)
-        e[j] = h_xi
-        Dp = build_dissipation_symbol(model, u, xi_vec + e, config).D
-        Dm = build_dissipation_symbol(model, u, xi_vec - e, config).D
-        d_xi = max(d_xi, np.linalg.norm((Dp - Dm) / (2 * h_xi), 2) * br)
-    d_u = 0.0
-    h_u = rel_step
-    for k in range(model.n):
-        e = np.zeros(model.n)
-        e[k] = h_u
-        Dp = build_dissipation_symbol(model, u + e, xi_vec, config).D
-        Dm = build_dissipation_symbol(model, u - e, xi_vec, config).D
-        d_u = max(d_u, np.linalg.norm((Dp - Dm) / (2 * h_u), 2))
-    return {"dxi_scaled": float(d_xi), "du": float(d_u)}
+    d_xi = largest_derivative(xi_vec, rel_step * br, lambda x: build_dissipation_symbol(model, u, x, config).D)
+    d_u = largest_derivative(u, rel_step, lambda v: build_dissipation_symbol(model, v, xi_vec, config).D)
+    return {"dxi_scaled": float(d_xi * br), "du": float(d_u)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ on a late-time window.  For uniformly dissipative models in d = 3 the
 fitted exponent approaches -d/4 = -0.75.
 """
 
-import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,12 +19,13 @@ import scipy.linalg as sla
 
 from .errors import DegenerateFit, GridMismatch, UnsupportedDataSpec
 from .grids import product_grid, radial_quadrature, unit_directions
+from .io import write_csv_atomic
 from .model import ensure_normalized
 from .profiles import ramp_down
-from .symbols import assemble_M, assemble_Mbar
+from .symbols import assemble_M
 
 #: Eigenvector condition number above which a mode counts as defective and
-#: the propagator falls backawa to scaling-and-squaring exponentials.
+#: the propagator falls back to scaling-and-squaring exponentials.
 DEFECT_COND_LIMIT = 1e8
 
 
@@ -272,25 +272,9 @@ class DecayStudy:
     s: float
 
     def write_csv(self, path):
-        import os
-
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "norm_Hs_u", "norm_Hs1_ut", "combined"])
-            for k in range(len(self.times)):
-                w.writerow(
-                    [
-                        format(float(v), ".17g")
-                        for v in (
-                            self.times[k],
-                            self.norms_u[k],
-                            self.norms_ut[k],
-                            self.combined[k],
-                        )
-                    ]
-                )
-        os.replace(tmp, path)
+        cols = (self.times, self.norms_u, self.norms_ut, self.combined)
+        write_csv_atomic(path, ["t", "norm_Hs_u", "norm_Hs1_ut", "combined"],
+                         np.column_stack(cols).tolist())
 
 
 def default_decay_times(t_max=200.0, count=40):

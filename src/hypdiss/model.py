@@ -12,11 +12,10 @@ must be deterministic; built-ins return copies of precomputed arrays.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidParameter, NotFluidModel, SingularB00
 from .grids import check_unit
@@ -94,11 +93,6 @@ class CoefficientModel:
     fluid_params: Optional[FluidParameters] = None
     normalized: bool = False
 
-    def quadratic_remainder(self, u, du):
-        if self.Q is None:
-            return np.zeros(self.n)
-        return np.asarray(self.Q(u, du), dtype=float)
-
     def state_samples(self, count=STATE_SAMPLES):
         """Deterministic low-discrepancy sample of the state domain."""
         lo, hi = self.state_domain
@@ -106,17 +100,31 @@ class CoefficientModel:
         hi = np.asarray(hi, float)
         if self.constant_coefficients:
             return self.reference_state[None, :].copy()
-        pts = qmc.Halton(d=self.n, scramble=False).random(count)
+        pts = _halton(count, self.n)
         return lo[None, :] + pts * (hi - lo)[None, :]
 
 
-def _const(mat):
-    mat = np.asarray(mat, dtype=float)
+def _halton(count, dim):
+    """The first `count` points of the unscrambled Halton sequence in [0, 1)^dim.
 
-    def ev(u, _m=mat):
-        return _m.copy()
-
-    return ev
+    Coordinate k of point i is the radical inverse of i in the k-th prime,
+    accumulated digit by digit as in scipy.stats.qmc.Halton(scramble=False).
+    """
+    primes = []
+    p = 2
+    while len(primes) < dim:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
+    pts = np.zeros((count, dim))
+    for k, base in enumerate(primes):
+        i = np.arange(count)
+        scale = 1.0 / base
+        while np.any(i > 0):
+            pts[:, k] += (i % base) * scale
+            scale /= base
+            i //= base
+    return pts
 
 
 def _constant_model(n, d, A0, Aj, B, label, ref=None, **kw):
@@ -429,14 +437,29 @@ def _matrix_table(doc, n):
     return evaluate, state_dependent
 
 
+def _reject_non_finite(value, where):
+    # json.load accepts NaN and Infinity; a model with them cannot be checked
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _reject_non_finite(v, f"{where}[{k!r}]")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _reject_non_finite(v, f"{where}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise InvalidParameter(f"model document entry {where} = {value} is not finite")
+
+
 def model_from_dict(doc):
     """Build a model from a JSON document.
 
     Either {"builtin": {"name": ..., "params": {...}}} or explicit dense
     matrices {"n": ..., "d": ..., "reference_state": [...], "A": {...},
     "B": {...}} with entries that are numbers or monomial lists
-    [coeff, e_1, ..., e_n] in the state components.
+    [coeff, e_1, ..., e_n] in the state components.  Every number must be
+    finite.
     """
+    for key, value in doc.items():
+        _reject_non_finite(value, key)
     if "builtin" in doc:
         b = doc["builtin"]
         name = b["name"]

@@ -16,7 +16,6 @@ exactly.
 """
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -29,7 +28,8 @@ from .errors import (
     PowerIterationDivergence,
     PrecheckFailed,
 )
-from .profiles import ramp_down, ramp_up
+from .io import write_atomic, write_json_atomic
+from .profiles import ramp_down
 
 
 @dataclass(frozen=True)
@@ -588,13 +588,13 @@ _MAGIC = b"HYPDBIN1"
 
 
 def _write_container(path, kind, lattice, n, order_m, class_tag, payload):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<qqqq", kind, lattice.d, lattice.N, n))
-        f.write(struct.pack("<dd", lattice.L_box, order_m))
-        f.write(np.ascontiguousarray(payload, dtype=np.complex64).tobytes())
-    os.replace(tmp, path)
+    write_atomic(
+        path,
+        _MAGIC,
+        struct.pack("<qqqq", kind, lattice.d, lattice.N, n),
+        struct.pack("<dd", lattice.L_box, order_m),
+        np.ascontiguousarray(payload, dtype=np.complex64).tobytes(),
+    )
     meta = {
         "kind": "symbol" if kind else "field",
         "d": lattice.d,
@@ -606,11 +606,7 @@ def _write_container(path, kind, lattice, n, order_m, class_tag, payload):
         "dtype": "complex64",
         "layout": "row-major",
     }
-    tmp = str(path) + ".json.tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, str(path) + ".json")
+    write_json_atomic(f"{path}.json", meta)
 
 
 def _read_container(path):

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUp, CFLViolation, DomainExit, PrerequisiteMissing
+from .errors import BlowUp, CFLViolation, DomainExit
+from .io import write_csv_atomic
 from .model import ensure_normalized
 from .paradiff import DiscreteSymbol, GridFunction, Lattice, apply_op, smooth_symbol
 from .profiles import ramp_down, ramp_up
@@ -539,29 +540,17 @@ class EnergyTrace:
     final_state: Optional[FieldState] = None
 
     def write_csv(self, path):
-        import csv
-        import os
-
-        tmp = str(path) + ".tmp"
         ss = sorted(self.norms_u)
-        with open(tmp, "w", newline="") as f:
-            w = csv.writer(f)
-            hdr = ["t"]
-            for s in ss:
-                hdr += [f"norm_H{s + 1:g}_u", f"norm_H{s:g}_ut"]
-            hdr += ["w_norm", "dissipation_integral"]
-            if self.energy is not None:
-                hdr.append("energy_functional")
-            w.writerow(hdr)
-            for k in range(len(self.times)):
-                row = [self.times[k]]
-                for s in ss:
-                    row += [self.norms_u[s][k], self.norms_ut[s][k]]
-                row += [self.w_norm[k], self.dissipation_integral[k]]
-                if self.energy is not None:
-                    row.append(self.energy[k])
-                w.writerow([format(float(v), ".17g") for v in row])
-        os.replace(tmp, path)
+        hdr, cols = ["t"], [self.times]
+        for s in ss:
+            hdr += [f"norm_H{s + 1:g}_u", f"norm_H{s:g}_ut"]
+            cols += [self.norms_u[s], self.norms_ut[s]]
+        hdr += ["w_norm", "dissipation_integral"]
+        cols += [self.w_norm, self.dissipation_integral]
+        if self.energy is not None:
+            hdr.append("energy_functional")
+            cols.append(self.energy)
+        write_csv_atomic(path, hdr, np.column_stack(cols).tolist())
 
 
 def run(model, data_spec, config=SimConfig()):

@@ -151,52 +151,6 @@ def weight_ztilde(xi_mag, n):
 
 
 @dataclass(frozen=True)
-class SymbolBundle:
-    """All symbol matrices assembled at one (state, direction, magnitude).
-
-    Directional symbols are evaluated on the |xi| = 1 slice; the assembled
-    2n x 2n matrices use xi = xi_mag * omega.  K is evaluated at
-    eta = 1/xi_mag (the high-frequency interpolation point) or at eta = 0
-    when xi_mag = 0.
-    """
-
-    u: np.ndarray
-    omega: np.ndarray
-    xi_mag: float
-    A_dir: np.ndarray
-    B_dir: np.ndarray
-    C_dir: np.ndarray
-    calB: np.ndarray
-    calA: np.ndarray
-    Mbar: np.ndarray
-    M: np.ndarray
-    K: np.ndarray
-
-
-def assemble_bundle(model, u, omega, xi_mag):
-    """Assemble every symbol of one mode into a SymbolBundle."""
-    model = _normalized(model)
-    om = check_unit(omega)
-    u = np.asarray(u, dtype=float)
-    xi_vec = xi_mag * om
-    A_dir, B_dir, C_dir = assemble_directional(model, u, om)
-    eta = 1.0 / xi_mag if xi_mag > 0 else 0.0
-    return SymbolBundle(
-        u=u,
-        omega=om,
-        xi_mag=float(xi_mag),
-        A_dir=A_dir,
-        B_dir=B_dir,
-        C_dir=C_dir,
-        calB=assemble_calB(model, u, om),
-        calA=assemble_calA(model, u, om),
-        Mbar=assemble_Mbar(model, u, xi_vec),
-        M=assemble_M(model, u, xi_vec),
-        K=assemble_K(model, u, eta, om),
-    )
-
-
-@dataclass(frozen=True)
 class DispersionRoots:
     """The 2n plane-wave growth rates at a single frequency."""
 

@@ -54,6 +54,14 @@ class TestCheck:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
 
+    def test_non_finite_model_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 1, "d": 1, "A": {"0": [[NaN]]}, '
+                        '"B": {"0,0": [[-1.0]], "1,1": [[1.0]]}}')
+        code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "InvalidParameter" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):
@@ -87,6 +95,7 @@ class TestDecay:
         assert code == EXIT_OK
         fit = json.loads((out / "decay_fit.json").read_text())
         assert fit["in_band"] and fit["asserted"]
+        assert fit["reliable"] is True
         csv_lines = (out / "decay_trajectory.csv").read_text().splitlines()
         assert csv_lines[0] == "t,norm_Hs_u,norm_Hs1_ut,combined"
 

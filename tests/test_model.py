@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,3 +219,71 @@ def test_state_samples_deterministic():
     assert s1.shape == (64, 1)
     # constant-coefficient models sample only the reference state
     assert m.state_samples(64).shape == (1, 1)
+
+
+def _box_model(n):
+    # a model of dimension n on the box [-1, 2]^n that samples its states
+    return CoefficientModel(
+        n=n, d=1, reference_state=np.zeros(n),
+        state_domain=(-np.ones(n), 2.0 * np.ones(n)),
+        A=lambda j, u: np.eye(n), B=lambda j, k, u: -np.eye(n),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
+def test_state_samples_are_scipy_halton(n):
+    from scipy.stats import qmc
+
+    lo, hi = -np.ones(n), 2.0 * np.ones(n)
+    for count in (1, 7, 256, 1000):
+        oracle = lo + qmc.Halton(d=n, scramble=False).random(count) * (hi - lo)
+        assert np.array_equal(_box_model(n).state_samples(count), oracle)
+
+
+def test_import_skips_scipy_stats():
+    import os
+    import subprocess
+    import sys
+
+    import hypdiss
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypdiss.__file__)))
+    code = ("import sys, hypdiss.cli, hypdiss.conditions, hypdiss.simulator, "
+            "hypdiss.linear_spectral, hypdiss.paradiff; print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+class TestNonFiniteEntries:
+    DOC = {
+        "n": 1, "d": 1, "reference_state": [0.0],
+        "A": {"0": [[1.0]], "1": [[[[0.5, 0], [1.0, 1]]]]},
+        "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+    }
+
+    @pytest.mark.parametrize("text,key", [
+        ('"0": [[NaN]]', "A['0'][0][0]"),
+        ('"0": [[Infinity]]', "A['0'][0][0]"),
+    ])
+    def test_load_model_rejects(self, tmp_path, text, key):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.DOC).replace('"0": [[1.0]]', text))
+        with pytest.raises(InvalidParameter, match=re.escape(key)):
+            load_model(path)
+
+    def test_monomial_coefficient_and_reference_state(self):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["A"]["1"][0][0][1][0] = float("nan")
+        with pytest.raises(InvalidParameter, match=re.escape("A['1'][0][0][1][0]")):
+            model_from_dict(doc)
+        doc = dict(self.DOC, reference_state=[float("-inf")])
+        with pytest.raises(InvalidParameter, match="reference_state"):
+            model_from_dict(doc)
+
+    def test_builtin_parameters(self):
+        doc = {"builtin": {"name": "fluid",
+                           "params": {"r": 3, "mu": float("nan"), "nu": 1, "eta": 1}}}
+        with pytest.raises(InvalidParameter, match=re.escape("builtin['params']['mu']")):
+            model_from_dict(doc)
