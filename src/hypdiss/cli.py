@@ -172,24 +172,22 @@ def cmd_check(args):
 
 
 def cmd_dispersion(args):
+    import numpy as np
+
     from .io import write_csv_atomic
-    from .grids import radial_loggrid, unit_directions
+    from .grids import direction_major_grid, radial_loggrid, unit_directions
     from .model import ensure_normalized
-    from .symbols import dispersion_roots, sorted_roots
+    from .symbols import dispersion_root_stack, sorted_roots
 
     out = _outdir(args)
     cfg = _effective_config(args)
     model = ensure_normalized(_load_model(args))
     omegas, _ = unit_directions(model.d)
     xis = radial_loggrid(cfg.get("xi_lo", 1e-3), cfg.get("xi_hi", 1e3), cfg.get("xi_count", 49))
-    rows = []
-    for i, om in enumerate(omegas):
-        for x in xis:
-            roots = sorted_roots(dispersion_roots(model, model.reference_state, x * om).roots)
-            row = [i, float(x)]
-            for lam in roots:
-                row += [float(lam.real), float(lam.imag)]
-            rows.append(row)
+    xi, idx, mags = direction_major_grid(omegas, xis)
+    roots = sorted_roots(dispersion_root_stack(model, model.reference_state, xi))
+    parts = np.stack([roots.real, roots.imag], axis=-1).reshape(len(xi), -1)
+    rows = [[i, x] + r for i, x, r in zip(idx.tolist(), mags.tolist(), parts.tolist())]
     hdr = ["omega_index", "xi"]
     for k in range(2 * model.n):
         hdr += [f"re_{k}", f"im_{k}"]

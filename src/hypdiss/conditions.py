@@ -40,7 +40,7 @@ from .errors import (
     NotSymmetrizable,
     PrerequisiteMissing,
 )
-from .grids import radial_loggrid, unit_directions
+from .grids import direction_major_grid, radial_loggrid, unit_directions
 from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
@@ -48,7 +48,8 @@ from .symbols import (
     assemble_calB,
     assemble_directional,
     assemble_M,
-    dispersion_roots,
+    assemble_M_stack,
+    dispersion_root_stack,
 )
 
 
@@ -523,17 +524,12 @@ def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
     omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
     ubar = model.reference_state
 
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    for i, om in enumerate(omegas):
-        for x in xis:
-            mg = dispersion_roots(model, ubar, x * om).max_real_part
-            per_point.append((float(x), i, mg))
-            if mg > worst:
-                worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": float(x)}
-
-    return _report("D3", worst, witness, spec, config, per_point=per_point)
+    xi, idx, mags = direction_major_grid(omegas, xis)
+    mg = dispersion_root_stack(model, ubar, xi).real.max(axis=1)
+    q = int(np.argmax(mg))
+    witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
+    per_point = list(zip(mags.tolist(), idx.tolist(), mg.tolist()))
+    return _report("D3", float(mg[q]), witness, spec, config, per_point=per_point)
 
 
 def _lyap_solve(M, rho):
@@ -662,10 +658,12 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     per_point = []
     conds = np.zeros((len(xis), len(omegas)))
     conds_raw = np.zeros((len(xis), len(omegas)))
+    Ms = assemble_M_stack(model, ubar, direction_major_grid(omegas, xis)[0])
+    alphas = np.linalg.eigvals(Ms).real.max(axis=1)
     for i, om in enumerate(omegas):
         for k, x in enumerate(xis):
-            M = assemble_M(model, ubar, x * om)
-            alpha = float(np.max(np.linalg.eigvals(M).real))
+            q = i * len(xis) + k
+            M, alpha = Ms[q], float(alphas[q])
             r = float(rho_profile(x))
             if alpha >= 0.0:
                 raise LyapunovSolveFailure(

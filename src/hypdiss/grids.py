@@ -103,6 +103,19 @@ def product_grid(omegas, dir_weights, r, r_weights):
     return xi, w
 
 
+def direction_major_grid(omegas, mags):
+    """Frequencies xi = mags[k] * omegas[i] in row i * len(mags) + k.
+
+    Returns (xi, direction_index, magnitude), each with len(omegas) *
+    len(mags) rows; the order is that of a loop over directions with the
+    magnitudes inside.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    mags = np.asarray(mags, dtype=float)
+    xi = (omegas[:, None, :] * mags[None, :, None]).reshape(-1, omegas.shape[1])
+    return xi, np.repeat(np.arange(len(omegas)), len(mags)), np.tile(mags, len(omegas))
+
+
 def check_unit(omega, tol=1e-12):
     """Validate that omega is a unit vector; returns it as a float array."""
     from .errors import NonUnitDirection

@@ -22,7 +22,7 @@ from .grids import product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import ensure_normalized
 from .profiles import ramp_down
-from .symbols import assemble_M
+from .symbols import assemble_M_stack
 
 #: Eigenvector condition number above which a mode counts as defective and
 #: the propagator falls back to scaling-and-squaring exponentials.
@@ -158,32 +158,32 @@ def evolve_mode_with_forcing(mbar, u0, f_hat, t_grid):
 
 
 class ModePropagator:
-    """Per-mode eigen-decomposition of the weighted symbol, with an expm
-    fallback wherever the mode is numerically defective."""
+    """Eigen-decompositions of the weighted symbol at a stack of modes, with an
+    expm fallback wherever a mode is numerically defective.
+
+    `eig` lists per mode the views (w, V, Vinv) into the stacked
+    decomposition, or None for a defective mode: one whose eigenbasis has
+    cond(V) >= DEFECT_COND_LIMIT (or is not finite).
+    """
 
     def __init__(self, model, xi):
         model = ensure_normalized(model)
-        ubar = model.reference_state
         self.xi = np.asarray(xi, dtype=float)
-        self.mats = []
-        self.eig = []
-        for x in self.xi:
-            M = assemble_M(model, ubar, x)
-            w, V = np.linalg.eig(M)
-            if np.linalg.cond(V) < DEFECT_COND_LIMIT:
-                self.eig.append((w, V, np.linalg.inv(V)))
-            else:
-                self.eig.append(None)
-            self.mats.append(M)
+        self.mats = assemble_M_stack(model, model.reference_state, self.xi)
+        w, V = np.linalg.eig(self.mats)
+        self.defective = ~(np.linalg.cond(V) < DEFECT_COND_LIMIT)
+        # defective modes invert the identity instead; their product is replaced
+        Vinv = np.linalg.inv(np.where(self.defective[:, None, None], np.eye(V.shape[-1]), V))
+        self._w, self._V, self._Vinv = w, V, Vinv
+        self.eig = [None if bad else dec
+                    for bad, dec in zip(self.defective, zip(w, V, Vinv))]
 
     def propagate(self, coeff, dt):
-        out = np.empty_like(coeff)
-        for i, dec in enumerate(self.eig):
-            if dec is None:
-                out[i] = sla.expm(dt * self.mats[i]) @ coeff[i]
-            else:
-                w, V, Vinv = dec
-                out[i] = V @ (np.exp(dt * w) * (Vinv @ coeff[i]))
+        growth = np.exp(dt * self._w) * np.einsum("qij,qj->qi", self._Vinv, coeff)
+        out = np.einsum("qij,qj->qi", self._V, growth)
+        bad = self.defective
+        if np.any(bad):
+            out[bad] = np.einsum("qij,qj->qi", sla.expm(dt * self.mats[bad]), coeff[bad])
         return out
 
 

@@ -389,8 +389,9 @@ _BUILTINS = {
 }
 
 
-def _poly_entry(spec, n):
-    """An entry is a number or a list of monomials [coeff, e_1, ..., e_n]."""
+def _poly_entry(spec, n, where):
+    """An entry is a number or a list of monomials [coeff, e_1, ..., e_n]
+    with integer exponents e_k."""
     if isinstance(spec, (int, float)):
         return None, float(spec)
     terms = []
@@ -399,7 +400,13 @@ def _poly_entry(spec, n):
             raise InvalidParameter(
                 f"monomial needs 1 + n = {n + 1} numbers, got {len(mono)}"
             )
-        terms.append((float(mono[0]), np.array(mono[1:], dtype=int)))
+        exps = np.array(mono[1:], dtype=float)
+        if not np.all(exps == np.round(exps)):
+            raise InvalidParameter(
+                f"model document entry {where} has non-integer exponents "
+                f"{mono[1:]}; monomial exponents must be integers"
+            )
+        terms.append((float(mono[0]), exps.astype(int)))
 
     def ev(u, _t=terms):
         return sum(c * np.prod(u**e) for c, e in _t)
@@ -407,8 +414,9 @@ def _poly_entry(spec, n):
     return ev, None
 
 
-def _matrix_table(doc, n):
-    """Parse {"j" or "j,k": [[entry ...] ...]} into an evaluator."""
+def _matrix_table(doc, n, family):
+    """Parse {"j" or "j,k": [[entry ...] ...]} into an evaluator; family
+    ("A" or "B") names the entries in error messages."""
     table = {}
     state_dependent = False
     for key, rows in doc.items():
@@ -417,7 +425,7 @@ def _matrix_table(doc, n):
         funcs = {}
         for r in range(n):
             for c in range(n):
-                ev, val = _poly_entry(rows[r][c], n)
+                ev, val = _poly_entry(rows[r][c], n, f"{family}[{key!r}][{r}][{c}]")
                 if ev is None:
                     const[r, c] = val
                 else:
@@ -456,7 +464,7 @@ def model_from_dict(doc):
     matrices {"n": ..., "d": ..., "reference_state": [...], "A": {...},
     "B": {...}} with entries that are numbers or monomial lists
     [coeff, e_1, ..., e_n] in the state components.  Every number must be
-    finite.
+    finite and every exponent an integer.
     """
     for key, value in doc.items():
         _reject_non_finite(value, key)
@@ -476,8 +484,8 @@ def model_from_dict(doc):
     ref = np.array(doc.get("reference_state", np.zeros(n)), dtype=float)
     if ref.shape != (n,):
         raise InvalidParameter("reference_state must have length n")
-    A_eval, a_dep = _matrix_table(doc.get("A", {}), n)
-    B_eval, b_dep = _matrix_table(doc.get("B", {}), n)
+    A_eval, a_dep = _matrix_table(doc.get("A", {}), n, "A")
+    B_eval, b_dep = _matrix_table(doc.get("B", {}), n, "B")
     lo = np.array(doc.get("domain_lo", ref - 1.0), dtype=float)
     hi = np.array(doc.get("domain_hi", ref + 1.0), dtype=float)
     return CoefficientModel(

@@ -10,14 +10,81 @@ det(lambda^2 I + lambda (A^0 - iC) + B + iA) = 0.  M(u, xi) is the
 similarity-transformed symbol Z Mbar Z^{-1} with Z = diag(<xi> I, I); the
 interpolation family K(u, eta, omega) connects the high-frequency principal
 symbol calB (at eta = 0) with M (at eta = 1/|xi|).
+
+All symbols come from one assembly: the coefficient tensors (A^0, A^j,
+C^j = B^{0j} + B^{j0}, B^{jk}) are evaluated once per state and contracted
+with a frequency stack xi of shape (Q, d) into (Q, 2n, 2n) symbol stacks
+(`assemble_M_stack`, `assemble_Mbar_stack`); the single-frequency functions
+are Q = 1 calls of the same contraction.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EigensolverFailure
 from .grids import check_unit
+
+
+class CoefficientTensors(NamedTuple):
+    """Coefficients at one state, or at a stack of states (leading axes ...).
+
+    A0 (..., n, n) is A^0; A (..., d, n, n) holds A^1 .. A^d; C (..., d, n, n)
+    holds B^{0j} + B^{j0}; B (..., d, d, n, n) holds B^{jk}, j, k = 1..d.
+    """
+
+    A0: np.ndarray
+    A: np.ndarray
+    C: np.ndarray
+    B: np.ndarray
+
+
+def coefficient_tensors(model, u):
+    """Evaluate the coefficient tensors at a state u of shape (n,), or at each
+    state of a stack of shape (..., n); the result has the same leading axes."""
+    u = np.asarray(u, dtype=float)
+    n, d = model.n, model.d
+    lead = u.shape[:-1]
+    A0 = np.empty(lead + (n, n))
+    A = np.empty(lead + (d, n, n))
+    C = np.empty(lead + (d, n, n))
+    B = np.empty(lead + (d, d, n, n))
+    for p in np.ndindex(lead):
+        up = u[p]
+        A0[p] = model.A(0, up)
+        for j in range(1, d + 1):
+            A[p + (j - 1,)] = model.A(j, up)
+            C[p + (j - 1,)] = model.B(0, j, up) + model.B(j, 0, up)
+            for k in range(1, d + 1):
+                B[p + (j - 1, k - 1)] = model.B(j, k, up)
+    return CoefficientTensors(A0, A, C, B)
+
+
+def frequency_polynomials(tensors, xi):
+    """A(u, xi), B(u, xi), C(u, xi) for a frequency stack xi of shape (Q, d).
+
+    Homogeneous of degrees 1, 2, 1 in xi; each has shape (..., Q, n, n) with
+    the leading state axes of the tensors.  At unit xi these are the
+    directional symbols A_dir, B_dir, C_dir.
+    """
+    xi = np.asarray(xi, dtype=float)
+    A = np.einsum("qj,...jab->...qab", xi, tensors.A)
+    C = np.einsum("qj,...jab->...qab", xi, tensors.C)
+    B = np.einsum("qjk,...jkab->...qab", xi[:, :, None] * xi[:, None, :], tensors.B)
+    return A, B, C
+
+
+def _first_order(top, lower_left, lower_right):
+    # [[0, top I], [lower_left, lower_right]] over the leading axes; top is a
+    # scalar or an array over the frequency axis
+    n = lower_left.shape[-1]
+    shape = np.broadcast_shapes(lower_left.shape, lower_right.shape)[:-2]
+    out = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, n:] = np.asarray(top)[..., None, None] * np.eye(n)
+    out[..., n:, :n] = lower_left
+    out[..., n:, n:] = lower_right
+    return out
 
 
 def xi_bracket(xi_vec):
@@ -26,34 +93,20 @@ def xi_bracket(xi_vec):
     return float(np.sqrt(1.0 + np.dot(xi_vec, xi_vec)))
 
 
+def _directional(model, u, omega):
+    # (A^0, A_dir, B_dir, C_dir) at one state and unit direction
+    T = coefficient_tensors(model, u)
+    A, B, C = frequency_polynomials(T, check_unit(omega)[None, :])
+    return T.A0, A[0], B[0], C[0]
+
+
 def assemble_directional(model, u, omega):
     """Directional symbols at |xi| = 1.
 
     A_dir = sum_j A^j(u) w_j, B_dir = sum_jk B^{jk}(u) w_j w_k (space
     indices only), C_dir = sum_j (B^{0j}(u) + B^{j0}(u)) w_j.
     """
-    om = check_unit(omega)
-    return _assemble_poly(model, u, om)
-
-
-def _assemble_poly(model, u, xi_vec):
-    # frequency polynomials A(u, xi), B(u, xi), C(u, xi); homogeneous of
-    # degrees 1, 2, 1
-    n, d = model.n, model.d
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    C = np.zeros((n, n))
-    for j in range(1, d + 1):
-        xj = xi_vec[j - 1]
-        if xj != 0.0:
-            A += xj * model.A(j, u)
-            C += xj * (model.B(0, j, u) + model.B(j, 0, u))
-        for k in range(1, d + 1):
-            xjk = xj * xi_vec[k - 1]
-            if xjk != 0.0:
-                B += xjk * model.B(j, k, u)
-    return A, B, C
+    return _directional(model, u, omega)[1:]
 
 
 def _normalized(model):
@@ -70,54 +123,53 @@ def assemble_calB(model, u, omega):
     |xi| = 1 slice is canonical.  The model is normalized to B^{00} = -I
     first; the directional symbols entering calB are the normalized ones.
     """
-    model = _normalized(model)
-    A_dir, B_dir, C_dir = assemble_directional(model, u, omega)
-    n = model.n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = -B_dir
-    out[n:, n:] = 1j * C_dir
-    return out
+    _, _, B_dir, C_dir = _directional(_normalized(model), u, omega)
+    return _first_order(1.0, -B_dir, 1j * C_dir)
 
 
 def assemble_calA(model, u, omega):
     """First-order correction symbol calA = [[0, 0], [-i A_dir, -A^0]]."""
-    model = _normalized(model)
-    A_dir, _, _ = assemble_directional(model, u, omega)
-    n = model.n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[n:, :n] = -1j * A_dir
-    out[n:, n:] = -np.asarray(model.A(0, u), dtype=float)
-    return out
+    A0, A_dir, _, _ = _directional(_normalized(model), u, omega)
+    return _first_order(0.0, -1j * A_dir, -A0)
 
 
-def assemble_Mbar(model, u, xi_vec):
-    """Mode matrix of the first-order reduction at frequency xi (xi = 0 allowed)."""
-    model = _normalized(model)
-    A, B, C = _assemble_poly(model, u, xi_vec)
-    n = model.n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = -1j * A - B
-    out[n:, n:] = 1j * C - np.asarray(model.A(0, u), dtype=float)
-    return out
+def assemble_Mbar_stack(model, u, xi):
+    """Mode matrices Mbar(u, xi) for a frequency stack xi of shape (Q, d).
+
+    Returns (Q, 2n, 2n), or (..., Q, 2n, 2n) for a state stack u of shape
+    (..., n); xi = 0 is allowed.
+    """
+    T = coefficient_tensors(_normalized(model), u)
+    A, B, C = frequency_polynomials(T, xi)
+    return _first_order(1.0, -1j * A - B, 1j * C - T.A0[..., None, :, :])
 
 
-def assemble_M(model, u, xi_vec):
-    """Weighted symbol M = Z Mbar Z^{-1}, Z = diag(<xi> I, I).
+def assemble_M_stack(model, u, xi):
+    """Weighted symbols M = Z Mbar Z^{-1}, Z = diag(<xi> I, I), for a frequency
+    stack xi of shape (Q, d); shapes as in `assemble_Mbar_stack`.
 
     Computed blockwise: top-right <xi> I, bottom-left (-iA - B)/<xi>,
     bottom-right unchanged.
     """
-    model = _normalized(model)
-    A, B, C = _assemble_poly(model, u, xi_vec)
-    n = model.n
-    br = xi_bracket(xi_vec)
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = br * np.eye(n)
-    out[n:, :n] = (-1j * A - B) / br
-    out[n:, n:] = 1j * C - np.asarray(model.A(0, u), dtype=float)
-    return out
+    xi = np.asarray(xi, dtype=float)
+    T = coefficient_tensors(_normalized(model), u)
+    A, B, C = frequency_polynomials(T, xi)
+    br = np.sqrt(1.0 + np.sum(xi * xi, axis=1))
+    return _first_order(br, (-1j * A - B) / br[:, None, None], 1j * C - T.A0[..., None, :, :])
+
+
+def _one(xi_vec):
+    return np.asarray(xi_vec, dtype=float).reshape(1, -1)
+
+
+def assemble_Mbar(model, u, xi_vec):
+    """Mode matrix of the first-order reduction at frequency xi (xi = 0 allowed)."""
+    return assemble_Mbar_stack(model, u, _one(xi_vec))[0]
+
+
+def assemble_M(model, u, xi_vec):
+    """Weighted symbol M = Z Mbar Z^{-1} at one frequency xi."""
+    return assemble_M_stack(model, u, _one(xi_vec))[0]
 
 
 def assemble_K(model, u, eta, omega):
@@ -128,14 +180,8 @@ def assemble_K(model, u, eta, omega):
     |xi| K(u, 1/|xi|, omega) = Ztilde^{-1} M(u, xi) Ztilde with
     Ztilde = diag((<xi>/|xi|) I, I).
     """
-    model = _normalized(model)
-    A_dir, B_dir, C_dir = assemble_directional(model, u, omega)
-    n = model.n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = -1j * eta * A_dir - B_dir
-    out[n:, n:] = 1j * C_dir - eta * np.asarray(model.A(0, u), dtype=float)
-    return out
+    A0, A_dir, B_dir, C_dir = _directional(_normalized(model), u, omega)
+    return _first_order(1.0, -1j * eta * A_dir - B_dir, 1j * C_dir - eta * A0)
 
 
 def weight_z(xi_vec, n):
@@ -160,19 +206,25 @@ class DispersionRoots:
 
 
 def sorted_roots(roots):
-    """Canonical (real, imag) lexicographic order, used only for comparisons."""
+    """Canonical (real, imag) lexicographic order along the last axis, used
+    only for comparisons."""
     roots = np.asarray(roots)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
+
+
+def dispersion_root_stack(model, u, xi):
+    """Dispersion roots at every frequency of a stack xi (Q, d): (Q, 2n), the
+    eigenvalues of the stacked Mbar."""
+    try:
+        return np.linalg.eigvals(assemble_Mbar_stack(model, u, xi))
+    except np.linalg.LinAlgError as e:
+        raise EigensolverFailure(f"eigvals failed on {len(xi)} frequencies: {e}") from e
 
 
 def dispersion_roots(model, u, xi_vec):
     """Solve the dispersion relation at xi via the eigenvalues of Mbar."""
-    mbar = assemble_Mbar(model, u, xi_vec)
-    try:
-        roots = np.linalg.eigvals(mbar)
-    except np.linalg.LinAlgError as e:
-        raise EigensolverFailure(f"eigvals failed at xi={xi_vec}: {e}") from e
+    roots = dispersion_root_stack(model, u, _one(xi_vec))[0]
     return DispersionRoots(
         xi_vec=np.asarray(xi_vec, dtype=float),
         roots=roots,

@@ -104,6 +104,31 @@ def dispersion_oracle(model, u, xi_vec):
     return det_interpolation_roots(A0, C, B + 1j * A)
 
 
+def weighted_symbol_oracle(model, u, xi_vec):
+    """(M, Mbar) at one state and frequency, straight from the evaluators.
+
+    Builds the normalized frequency polynomials entry by entry (the -B^{00}
+    normalization through an explicit inverse) and the 2n x 2n blocks by
+    hand, without the library's assembly.
+    """
+    n, d = model.n, model.d
+    xi_vec = np.asarray(xi_vec, dtype=float)
+    inv = np.linalg.inv(-np.asarray(model.B(0, 0, u), dtype=float))
+    A0 = inv @ model.A(0, u)
+    A = np.zeros((n, n))
+    B = np.zeros((n, n))
+    C = np.zeros((n, n))
+    for j in range(1, d + 1):
+        A += xi_vec[j - 1] * (inv @ model.A(j, u))
+        C += xi_vec[j - 1] * (inv @ (model.B(0, j, u) + model.B(j, 0, u)))
+        for k in range(1, d + 1):
+            B += xi_vec[j - 1] * xi_vec[k - 1] * (inv @ model.B(j, k, u))
+    br = np.sqrt(1.0 + xi_vec @ xi_vec)
+    mbar = np.block([[np.zeros((n, n)), np.eye(n)], [-1j * A - B, 1j * C - A0]])
+    Z = np.diag(np.concatenate([np.full(n, br), np.ones(n)]))
+    return Z @ mbar @ np.linalg.inv(Z), mbar
+
+
 def random_stable_model(rng, n=2, d=2):
     """A random constant-coefficient model with symmetric positive B-part.
 

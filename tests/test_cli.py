@@ -62,6 +62,15 @@ class TestCheck:
         assert code == 1
         assert "InvalidParameter" in capsys.readouterr().err
 
+    def test_non_integer_exponent_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "power.json"
+        path.write_text('{"n": 1, "d": 1, "A": {"0": [[1.0]], "1": [[[[1.0, 1.5]]]]}, '
+                        '"B": {"0,0": [[-1.0]], "1,1": [[1.0]]}}')
+        code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and "A['1'][0][0]" in err
+
 
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):

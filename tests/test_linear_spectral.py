@@ -278,3 +278,30 @@ class TestPipelines:
         out = evolve_ensemble(m, ens, 4.0)
         assert out.time == 4.0
         assert sobolev_norm(out, 2.0).combined < sobolev_norm(ens, 2.0).combined
+
+
+class TestModePropagator:
+    """Stacked eigen-propagation against per-mode scipy expm."""
+
+    def test_matches_per_mode_expm_with_defective_mode(self):
+        import scipy.linalg as sla
+
+        from hypdiss.linear_spectral import DEFECT_COND_LIMIT
+        from oracles import weighted_symbol_oracle
+
+        m = builtin_damped_wave(2.0, d=3)
+        rng = np.random.default_rng(4)
+        xi = np.vstack([[1.0, 0.0, 0.0], rng.normal(size=(30, 3)) * 2.0, np.zeros((1, 3))])
+        prop = ModePropagator(m, xi)
+        # the double root -1 at |xi| = 1 is a Jordan block
+        _, V = np.linalg.eig(prop.mats[0])
+        assert np.linalg.cond(V) >= DEFECT_COND_LIMIT
+        assert prop.eig[0] is None
+        assert all(e is not None for e in prop.eig[1:])
+        coeff = rng.normal(size=(len(xi), 2)) + 1j * rng.normal(size=(len(xi), 2))
+        for dt in (0.0, 0.7, 5.0):
+            got = prop.propagate(coeff, dt)
+            for q in range(len(xi)):
+                M, _ = weighted_symbol_oracle(m, m.reference_state, xi[q])
+                want = sla.expm(dt * M) @ coeff[q]
+                assert np.abs(got[q] - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)

@@ -287,3 +287,22 @@ class TestNonFiniteEntries:
                            "params": {"r": 3, "mu": float("nan"), "nu": 1, "eta": 1}}}
         with pytest.raises(InvalidParameter, match=re.escape("builtin['params']['mu']")):
             model_from_dict(doc)
+
+
+class TestMonomialExponents:
+    DOC = {
+        "n": 1, "d": 1, "reference_state": [0.0],
+        "A": {"0": [[1.0]], "1": [[[[1.0, 1.5]]]]},
+        "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+    }
+
+    def test_non_integer_exponent_rejected(self):
+        # u^1.5 used to be truncated to u (4.0 instead of 8.0 at u = 4)
+        with pytest.raises(InvalidParameter, match=re.escape("A['1'][0][0]")):
+            model_from_dict(self.DOC)
+
+    def test_integral_float_exponent_accepted(self):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["A"]["1"] = [[[[1.0, 3.0]]]]
+        m = model_from_dict(doc)
+        assert m.A(1, np.array([2.0]))[0, 0] == 8.0

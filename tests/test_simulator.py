@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hypdiss.errors import BlowUp, CFLViolation, DomainExit
+from hypdiss.errors import BlowUp, CFLViolation, DomainExit, InvalidParameter
 from hypdiss.model import (
     builtin_convected_damped_wave,
     builtin_damped_wave,
@@ -15,6 +15,7 @@ from hypdiss.simulator import (
     PeriodicBumpData,
     SimConfig,
     TrigData,
+    dissipation_symbol_field,
     energy_monitor,
     initial_state,
     low_band_allowance,
@@ -77,6 +78,15 @@ class TestRhs:
         with pytest.raises(DomainExit) as exc:
             rhs(m, st)
         assert exc.value.report["time"] == 0.0
+
+    def test_non_finite_state_leaves_domain(self):
+        # NaN compares False against both box edges
+        m = builtin_convected_damped_wave(0.5)
+        st = initial_state(m, TrigData(amplitude=1e-2), LAT)
+        st.u[5, 0] = np.nan
+        with pytest.raises(DomainExit) as exc:
+            rhs(m, st)
+        assert exc.value.report["finite"] is False
 
 
 class TestStepping:
@@ -218,6 +228,13 @@ class TestRun:
         with pytest.raises(BlowUp):
             run(m, TrigData(amplitude=1e-2, wavenumber=(1,)), cfg)
 
+    @pytest.mark.parametrize("monitor", [False, True])
+    def test_nan_amplitude_raises(self, monitor):
+        m = builtin_convected_damped_wave(0.5)
+        cfg = SimConfig(lattice=LAT, t_final=1.0, snapshots=3, monitor=monitor)
+        with pytest.raises(BlowUp, match="not finite"):
+            run(m, PeriodicBumpData(amplitude=float("nan")), cfg)
+
     def test_csv_output(self, tmp_path):
         m = builtin_convected_damped_wave(0.5)
         cfg = SimConfig(lattice=LAT, t_final=1.0, snapshots=3, monitor=True)
@@ -294,3 +311,77 @@ def test_state_norms_match_grid_functions():
     what = w_hat(m, st, 2.0)
     combined = np.sqrt(np.sum(np.abs(what) ** 2) * LAT.L_box)
     assert combined == pytest.approx(np.sqrt(nu**2 + nut**2), rel=1e-12)
+
+
+class TestDissipationSymbolField:
+    @pytest.mark.xfail(strict=True, reason=(
+        "_batched_lyapunov's Kronecker form solves D M + conj(M) D = -I (entrywise "
+        "conjugate, residual ~0.5 of the true equation) instead of D M + M^* D = -I; "
+        "the benchmark fingerprint pins the energy column of that form"))
+    def test_matches_per_state_lyapunov_oracle(self):
+        # README quasi-linear model: every grid point against scipy's solver
+        from oracles import weighted_symbol_oracle
+
+        m = nonlinear_convected_model(0.5)
+        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        setup = MonitorSetup(s=2.0)
+        vals = dissipation_symbol_field(m, st.u, LAT, setup).values
+        xi = LAT.xi_vectors()
+        mags = np.linalg.norm(xi, axis=1)
+        phi, psi = setup.phi(mags), setup.psi(mags)
+        assert len(np.unique(st.u.real)) > 30
+        eye = np.eye(2)
+        worst = 0.0
+        for p in range(0, LAT.points, 3):
+            for q in range(LAT.points):
+                want = psi[q] * eye
+                if phi[q] > 0.0:
+                    M, _ = weighted_symbol_oracle(m, st.u[p].real, xi[q])
+                    D = sla.solve_continuous_lyapunov(M.conj().T, -eye)
+                    want = want + phi[q] * D
+                worst = max(worst, np.abs(vals[p, q] - want).max() / np.abs(want).max())
+        assert worst < 1e-10
+
+    def test_distinct_states_scatter_to_their_points(self):
+        # one batch over the distinct states equals the field of each point alone
+        m = nonlinear_convected_model(0.5)
+        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        setup = MonitorSetup(s=2.0)
+        vals = dissipation_symbol_field(m, st.u, LAT, setup).values
+        for p in (0, 7, 31, 50):
+            flat = np.tile(st.u[p], (LAT.points, 1))
+            alone = dissipation_symbol_field(m, flat, LAT, setup).values[0]
+            assert np.array_equal(vals[p], alone)
+
+    def test_size_guard_refuses_fluid_n16(self):
+        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+        f = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
+        lat = Lattice(d=3, N=16)
+        u = np.tile(f.reference_state, (lat.points, 1))
+        need = lat.points**2 * 8 * 8 * 16
+        with pytest.raises(InvalidParameter, match=str(need)):
+            dissipation_symbol_field(f, u, lat, MonitorSetup())
+        cfg = SimConfig(lattice=lat, t_final=0.1, snapshots=2, monitor=True)
+        with pytest.raises(InvalidParameter, match=str(need)):
+            run(f, PeriodicBumpData(amplitude=1e-2), cfg)
+
+    def test_size_guard_allocates_nothing(self, monkeypatch):
+        import tracemalloc
+
+        import hypdiss.simulator as sim
+
+        m = builtin_convected_damped_wave(0.5)
+        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), LAT)
+        field_bytes = LAT.points**2 * 2 * 2 * 16
+        monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match=str(field_bytes)):
+                dissipation_symbol_field(m, st.u, LAT, MonitorSetup())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field_bytes // 4
+        monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes)
+        assert dissipation_symbol_field(m, st.u, LAT, MonitorSetup()).values.nbytes == field_bytes

@@ -14,7 +14,9 @@ from hypdiss.symbols import (
     assemble_directional,
     assemble_K,
     assemble_M,
+    assemble_M_stack,
     assemble_Mbar,
+    assemble_Mbar_stack,
     dispersion_roots,
     weight_ztilde,
     xi_bracket,
@@ -220,16 +222,61 @@ class TestInvariants:
             assert multiset_distance(w1, w2) / scale < 1e-10
 
     def test_homogeneity(self):
-        from hypdiss.symbols import _assemble_poly
+        from hypdiss.symbols import coefficient_tensors, frequency_polynomials
 
         f = ensure_normalized(builtin_barotropic_fluid(FLUID))
         rng = np.random.default_rng(9)
-        u = f.reference_state
+        T = coefficient_tensors(f, f.reference_state)
         for _ in range(20):
             xi = rng.normal(size=3)
             c = rng.uniform(0.1, 10.0)
-            A1, B1, C1 = _assemble_poly(f, u, xi)
-            A2, B2, C2 = _assemble_poly(f, u, c * xi)
+            (A1, B1, C1), (A2, B2, C2) = (
+                [p[0] for p in frequency_polynomials(T, x[None, :])] for x in (xi, c * xi)
+            )
             assert np.allclose(A2, c * A1, rtol=1e-12, atol=1e-12)
             assert np.allclose(B2, c**2 * B1, rtol=1e-12, atol=1e-12)
             assert np.allclose(C2, c * C1, rtol=1e-12, atol=1e-12)
+
+
+class TestStackedSymbols:
+    """The stacked assembly against an independent per-point one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_models_match_oracle(self, n, d):
+        from oracles import weighted_symbol_oracle
+
+        rng = np.random.default_rng(100 * n + d)
+        m = random_stable_model(rng, n=n, d=d)
+        xi = rng.normal(size=(17, d)) * rng.uniform(0.01, 20.0, size=(17, 1))
+        xi[0] = 0.0
+        M = assemble_M_stack(m, m.reference_state, xi)
+        Mbar = assemble_Mbar_stack(m, m.reference_state, xi)
+        assert M.shape == Mbar.shape == (17, 2 * n, 2 * n)
+        for q in range(len(xi)):
+            want_M, want_Mbar = weighted_symbol_oracle(m, m.reference_state, xi[q])
+            scale = max(np.abs(want_Mbar).max(), 1.0)
+            assert np.abs(M[q] - want_M).max() / scale < 1e-12
+            assert np.abs(Mbar[q] - want_Mbar).max() / scale < 1e-12
+            assert np.array_equal(M[q], assemble_M(m, m.reference_state, xi[q]))
+
+    def test_state_stack_matches_oracle(self):
+        from hypdiss.model import model_from_dict
+        from oracles import weighted_symbol_oracle
+
+        m = model_from_dict({
+            "n": 2, "d": 2, "reference_state": [0.0, 0.0],
+            "A": {"0": [[2.0, [[0.5, 1, 0]]], [0.0, 1.0]], "2": [[[[1.0, 0, 2]], 0.0], [0.0, 0.5]]},
+            "B": {"0,0": [[[[-1.0, 0, 0], [-0.3, 1, 1]], 0.0], [0.0, -1.0]],
+                  "1,1": [[1.0, 0.0], [0.0, [[1.0, 0, 0], [0.2, 2, 0]]]], "2,2": [[1.0, 0.0], [0.0, 1.0]],
+                  "0,1": [[0.0, [[0.4, 0, 1]]], [0.0, 0.0]]},
+        })
+        rng = np.random.default_rng(5)
+        states = rng.uniform(-0.5, 0.5, size=(4, 2))
+        xi = rng.normal(size=(6, 2)) * 3.0
+        M = assemble_M_stack(m, states, xi)
+        assert M.shape == (4, 6, 4, 4)
+        for s_ in range(4):
+            for q in range(6):
+                want, _ = weighted_symbol_oracle(m, states[s_], xi[q])
+                assert np.abs(M[s_, q] - want).max() / np.abs(want).max() < 1e-12
