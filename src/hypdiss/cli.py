@@ -339,7 +339,7 @@ def cmd_paradiff_test(args):
     results["product_slope"] = rep.product_slope
 
     Fs = SeparableFamily(lambda uv: 1j * uv[:, 0], bracket, 1.0)
-    grep = check_garding(Fs, u0, chi, samples=24, seed=cfg["seed"] or 11,
+    grep = check_garding(Fs, u0, chi, samples=24, seed=cfg["seed"],
                          exact=args.n_grid <= 128)
     results["garding_negativity_slope"] = grep.negativity_slope
     results["garding_constant_slope"] = grep.constant_slope

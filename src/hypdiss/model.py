@@ -6,9 +6,9 @@ with built-in damped-wave models and a barotropic relativistic viscous
 fluid frozen at its rest state.
 
 A model is a pair of evaluators ``A(j, u)`` and ``B(j, k, u)`` returning real
-n x n matrices (index 0 is time), together with the reference state, a box
-state domain, and an optional quadratic remainder ``Q(u, du)``.  Evaluators
-must be deterministic; built-ins return copies of precomputed arrays.
+n x n matrices (index 0 is time), together with the reference state and a box
+state domain.  Evaluators must be deterministic; built-ins return copies of
+precomputed arrays.
 """
 
 import json
@@ -74,8 +74,6 @@ class CoefficientModel:
     reference_state : the homogeneous state the analysis linearizes at
     A : evaluator (j, u) -> n x n array, j = 0..d
     B : evaluator (j, k, u) -> n x n array, j, k = 0..d
-    Q : optional evaluator (u, du) -> n-vector quadratic remainder, with du
-        the (d+1, n) array of time and space derivatives; None means zero
     constant_coefficients : evaluators ignore u (enables fast paths)
     is_fluid : carries the longitudinal/transverse decomposition structure
     """
@@ -86,7 +84,6 @@ class CoefficientModel:
     state_domain: tuple
     A: Callable[[int, np.ndarray], np.ndarray]
     B: Callable[[int, int, np.ndarray], np.ndarray]
-    Q: Optional[Callable] = None
     label: str = "model"
     constant_coefficients: bool = False
     is_fluid: bool = False
@@ -282,7 +279,7 @@ def normalize_b00(model, samples=STATE_SAMPLES, cond_ceiling=B00_COND_CEILING):
         )
         return replace(norm, state_domain=model.state_domain)
 
-    A_old, B_old, Q_old = model.A, model.B, model.Q
+    A_old, B_old = model.A, model.B
 
     def inv_factor(u):
         return np.linalg.inv(-np.asarray(B_old(0, 0, u), float))
@@ -293,13 +290,8 @@ def normalize_b00(model, samples=STATE_SAMPLES, cond_ceiling=B00_COND_CEILING):
     def B_new(j, k, u):
         return inv_factor(u) @ np.asarray(B_old(j, k, u), float)
 
-    Q_new = None
-    if Q_old is not None:
-        def Q_new(u, du):
-            return inv_factor(u) @ np.asarray(Q_old(u, du), float)
-
     return replace(
-        model, A=A_new, B=B_new, Q=Q_new, normalized=True,
+        model, A=A_new, B=B_new, normalized=True,
         label=model.label + "|b00-normalized",
     )
 

@@ -67,13 +67,8 @@ class Lattice:
         return np.sqrt(1.0 + self.xi_mags() ** 2)
 
     def phase_matrix(self):
-        # e^{i x_j . xi_k}; P x P, cached per lattice
-        key = (self.d, self.N, self.L_box)
-        if key not in _PHASE_CACHE:
-            x = self.x_vectors()
-            xi = self.xi_vectors()
-            _PHASE_CACHE[key] = np.exp(1j * (x @ xi.T))
-        return _PHASE_CACHE[key]
+        # e^{i x_j . xi_k}; P x P, computed per call so nothing outlives it
+        return np.exp(1j * (self.x_vectors() @ self.xi_vectors().T))
 
     def fft(self, values):
         """Fourier coefficients of lattice samples, shape preserved (P, n)."""
@@ -87,9 +82,6 @@ class Lattice:
         shp = (self.N,) * self.d + c.shape[1:]
         out = np.fft.ifftn(c.reshape(shp), axes=tuple(range(self.d)))
         return out.reshape(c.shape) * self.points
-
-
-_PHASE_CACHE = {}
 
 
 @dataclass

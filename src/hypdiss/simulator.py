@@ -21,15 +21,28 @@ import numpy as np
 from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter
 from .io import write_csv_atomic
 from .model import ensure_normalized
-from .paradiff import DiscreteSymbol, GridFunction, Lattice, apply_op, smooth_symbol
+from .paradiff import (
+    DiscreteSymbol,
+    GridFunction,
+    Lattice,
+    apply_op,
+    make_cutoff,
+    smooth_symbol,
+)
 from .profiles import ramp_down, ramp_up
 from .symbols import assemble_M_stack, assemble_Mbar_stack, coefficient_tensors
 
 #: RK4 absolute-stability radius along the imaginary axis.
 RK4_IMAG_LIMIT = 2.8
 
-#: Nonlinear slack constant in the energy-inequality budget.
+#: Nonlinear slack constant K in the energy-inequality budget.
 ENERGY_BUDGET_SLACK = 10.0
+
+#: Decay constant c in the energy inequality; also the margin added to C_low.
+C_MONITOR = 0.25
+
+#: Admissible cut-off of the energy functional's para-operator.
+CHI = make_cutoff(0.2, 0.5)
 
 #: Largest dissipation-symbol field (P x P x 2n x 2n complex values on a
 #: lattice of P points) the energy monitor builds; 256 MiB.
@@ -168,7 +181,7 @@ def rhs(model, state):
     """Time derivative (u_t, v_t) of the first-order system.
 
     v_t = sum_j (B^{j0}+B^{0j})(u) v_{x_j} + sum_jk B^{jk}(u) u_{x_j x_k}
-          - A^0(u) v - sum_j A^j(u) u_{x_j} + Q(u, Du)
+          - A^0(u) v - sum_j A^j(u) u_{x_j}
     with spectral derivatives and dealiased physical-space products.
     """
     model = ensure_normalized(model)
@@ -196,9 +209,6 @@ def rhs(model, state):
         vt = vt + _matvec(T.C[..., j, :, :], v_x[j]) - _matvec(T.A[..., j, :, :], u_x[j])
         for k in range(d):
             vt = vt + _matvec(T.B[..., j, k, :, :], u_xx[(j, k)])
-    if model.Q is not None:
-        du = np.stack([state.ut] + u_x, axis=1)
-        vt = vt + model.Q(state.u, du)
     ut = state.ut.copy()
     ut = apply_mask(lat, ut, state.dealias_mask)
     vt = apply_mask(lat, vt, state.dealias_mask)
@@ -271,25 +281,14 @@ def w_hat(model, state, s):
 # Energy monitor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonitorSetup:
-    """Frequency layout of the energy functional.
+def _phi(mags):
+    """Weight of the dissipation symbol: active for |xi| >= 2, fully from 3."""
+    return ramp_up(mags, 2.0, 3.0)
 
-    The dissipation symbol is active for |xi| >= 2r (fully from 3r) and the
-    identity patch covers |xi| <= 4r (gone from 5r), with the same
-    polynomial smoothstep profile used by the cut-offs.
-    """
 
-    r: float = 1.0
-    s: float = 2.0
-    c_monitor_fraction: float = 0.25
-    slack: float = ENERGY_BUDGET_SLACK
-
-    def phi(self, mags):
-        return ramp_up(mags, 2.0 * self.r, 3.0 * self.r)
-
-    def psi(self, mags):
-        return ramp_down(mags, 4.0 * self.r, 5.0 * self.r)
+def _psi(mags):
+    """Weight of the identity patch: covers |xi| <= 4, gone from 5."""
+    return ramp_down(mags, 4.0, 5.0)
 
 
 def _batched_lyapunov(Ms):
@@ -324,7 +323,7 @@ def _require_field_fits(n, lattice):
         )
 
 
-def _dissipation_values(model, states, lattice, setup):
+def _dissipation_values(model, states, lattice):
     """phi(xi) D(u, xi) + psi(xi) I for a state stack (S, n): (S, Q, 2n, 2n).
 
     D solves D M + M^* D = -I at every (state, active frequency) pair of one
@@ -332,10 +331,10 @@ def _dissipation_values(model, states, lattice, setup):
     """
     xi = lattice.xi_vectors()
     mags = np.linalg.norm(xi, axis=1)
-    phi = setup.phi(mags)
+    phi = _phi(mags)
     n2 = 2 * model.n
     out = np.zeros((len(states), len(xi), n2, n2), dtype=complex)
-    out += setup.psi(mags)[:, None, None] * np.eye(n2)
+    out += _psi(mags)[:, None, None] * np.eye(n2)
     active = phi > 0.0
     if np.any(active):
         Ms = assemble_M_stack(model, states, xi[active])
@@ -344,7 +343,7 @@ def _dissipation_values(model, states, lattice, setup):
     return out
 
 
-def dissipation_symbol_field(model, u_phys, lattice, setup):
+def dissipation_symbol_field(model, u_phys, lattice):
     """D-tilde(u(x), xi) = phi(xi) D(u(x), xi) + psi(xi) I on the lattice.
 
     The symbol is computed once per distinct state and scattered to the
@@ -358,8 +357,59 @@ def dissipation_symbol_field(model, u_phys, lattice, setup):
         back = np.zeros(u_phys.shape[0], dtype=int)
     else:
         states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
-    vals = _dissipation_values(model, states, lattice, setup)[back.reshape(-1)]
+    vals = _dissipation_values(model, states, lattice)[back.reshape(-1)]
     return DiscreteSymbol(lattice, vals, order_m=0.0, class_tag="Gamma_k")
+
+
+class EnergyForm:
+    """The quadratic form <G_u W, W> of one model on one lattice.
+
+    G_u = Op_chi[D-tilde(u, .)] + op[(1 - chi(0, xi)) D-tilde(ubar, xi)]: the
+    para-operator of the dissipation symbol at the current state plus the
+    multiplier correction at the reference state, which is built here once.
+    low_band marks the frequencies where the dissipation symbol is not fully
+    active.  A lattice whose symbol field exceeds SYMBOL_FIELD_MAX_BYTES is
+    refused.
+    """
+
+    def __init__(self, model, lattice):
+        self.model = ensure_normalized(model)
+        self.lattice = lattice
+        _require_field_fits(self.model.n, lattice)
+        ref_state = self.model.reference_state[None, :]
+        self.reference = _dissipation_values(self.model, ref_state, lattice)[0]
+        mags = lattice.xi_mags()
+        self.correction = self.reference * (1.0 - CHI(np.zeros_like(mags), mags))[:, None, None]
+        self.low_band = _phi(mags) < 1.0
+
+    def operator(self, u_phys):
+        """The smoothed symbol of Op_chi[D-tilde(u, .)]."""
+        return smooth_symbol(dissipation_symbol_field(self.model, u_phys, self.lattice), CHI)
+
+    def apply(self, op, values, hat):
+        """<G W, W> from the lattice values of W and its Fourier coefficients."""
+        lat = self.lattice
+        opw = apply_op(op, GridFunction(lat, values))
+        voln = lat.L_box**lat.d / lat.points
+        val = float(np.real(np.sum(np.conj(values) * opw.values)) * voln)
+        corr = np.einsum("qab,qb->qa", self.correction, hat)
+        return val + float(np.real(np.sum(np.conj(hat) * corr)) * lat.L_box**lat.d)
+
+    def value(self, state, s):
+        """<G_u W, W> with W = <D>^s (<D>(u - ubar), u_t) of the state."""
+        what = w_hat(self.model, state, s)
+        return self.apply(self.operator(state.u), self.lattice.ifft(what), what)
+
+    def low_band_allowance(self):
+        """Computed allowance C_low: the worst positive drift of the quadratic
+        form on frequencies where the dissipation symbol is not fully active."""
+        sel = self.low_band
+        if not np.any(sel):
+            return 0.0
+        xi = self.lattice.xi_vectors()[sel]
+        H = self.reference[sel] @ assemble_M_stack(self.model, self.model.reference_state, xi)
+        lam = np.linalg.eigvalsh(H + np.conj(np.swapaxes(H, 1, 2))).max(axis=1) / 2.0
+        return max(0.0, float(np.max(lam)) + C_MONITOR)
 
 
 @dataclass
@@ -377,130 +427,54 @@ class MonitorResult:
         return self.lhs <= self.budget
 
 
-def _g_form_value(model, state, s, chi, setup, symbol_ref=None):
-    """<G_u W, W> with G_u the symmetrized para-operator of D-tilde."""
-    lat = state.lattice
-    what = w_hat(model, state, s)
-    W = GridFunction(lat, lat.ifft(what))
-    sym = dissipation_symbol_field(model, state.u, lat, setup)
-    opw = apply_op(smooth_symbol(sym, chi), W)
-    voln = lat.L_box**lat.d / lat.points
-    val = float(np.real(np.sum(np.conj(W.values) * opw.values)) * voln)
-    # multiplier correction op[D_ref] - Op_chi[D_ref] (reference-state symbol)
-    ref = symbol_ref
-    if ref is None:
-        ref = _reference_multiplier(model, lat, setup)
-    mags = lat.xi_mags()
-    chi0 = chi(np.zeros_like(mags), mags)
-    corr_mult = ref * (1.0 - chi0)[:, None, None]
-    corr = float(
-        np.real(
-            np.sum(np.conj(what) * np.einsum("qab,qb->qa", corr_mult, what))
-        )
-        * lat.L_box**lat.d
-    )
-    return val + corr
-
-
-def _reference_multiplier(model, lattice, setup):
-    model = ensure_normalized(model)
-    return _dissipation_values(model, model.reference_state[None, :], lattice, setup)[0]
-
-
-def low_band_allowance(model, lattice, setup, symbol_ref=None):
-    """Computed allowance C_low: the worst positive drift of the quadratic
-    form on frequencies where the dissipation symbol is not fully active.
-
-    symbol_ref is the reference multiplier when the caller already has it.
-    """
-    model = ensure_normalized(model)
-    ref = _reference_multiplier(model, lattice, setup) if symbol_ref is None else symbol_ref
-    xi = lattice.xi_vectors()
-    sel = setup.phi(np.linalg.norm(xi, axis=1)) < 1.0
-    if not np.any(sel):
-        return 0.0
-    H = ref[sel] @ assemble_M_stack(model, model.reference_state, xi[sel])
-    lam = np.linalg.eigvalsh(H + np.conj(np.swapaxes(H, 1, 2))).max(axis=1) / 2.0
-    return max(0.0, float(np.max(lam)) + setup.c_monitor_fraction)
-
-
-def energy_monitor(model, state, s=2.0, chi=None, setup=None, dt_fd=1e-3,
-                   dt_max=None):
+def energy_monitor(model, state, s=2.0, dt_fd=1e-3, dt_max=None):
     """Value and decay test of the para-differential energy functional.
 
     Returns the quadratic form <G_u W, W>, a centered finite-difference time
     derivative (stepping the full nonlinear dynamics), and the budget test
     1/2 d/dt + c ||W||^2 <= C_low ||W_low||^2 + K ||W||^3.
     """
-    from .paradiff import make_cutoff
-
     model = ensure_normalized(model)
-    chi = make_cutoff(0.2, 0.5) if chi is None else chi
-    setup = MonitorSetup(s=s) if setup is None else setup
+    lat = state.lattice
     if dt_max is None:
-        dt_max = max_stable_dt(model, state.lattice)
+        dt_max = max_stable_dt(model, lat)
     h = min(dt_fd, 0.25 * dt_max)
 
-    ref = _reference_multiplier(model, state.lattice, setup)
-    val0 = _g_form_value(model, state, s, chi, setup, ref)
+    form = EnergyForm(model, lat)
+    val0 = form.value(state, s)
     fwd = step_rk4(model, state, h, dt_max)
     bwd = step_rk4(model, state, -h, dt_max)
-    valp = _g_form_value(model, fwd, s, chi, setup, ref)
-    valm = _g_form_value(model, bwd, s, chi, setup, ref)
-    deriv = (valp - valm) / (2.0 * h)
+    deriv = (form.value(fwd, s) - form.value(bwd, s)) / (2.0 * h)
 
-    lat = state.lattice
     what = w_hat(model, state, s)
     voln = lat.L_box**lat.d
     w2 = float(np.sum(np.abs(what) ** 2) * voln)
-    mags = lat.xi_mags()
-    low = setup.phi(mags) < 1.0
-    wlow2 = float(np.sum(np.abs(what[low]) ** 2) * voln)
-    c_mon = setup.c_monitor_fraction
-    c_low = low_band_allowance(model, lat, setup, ref)
-    budget = c_low * wlow2 + setup.slack * w2**1.5
-    lhs = 0.5 * deriv + c_mon * w2
+    wlow2 = float(np.sum(np.abs(what[form.low_band]) ** 2) * voln)
+    budget = form.low_band_allowance() * wlow2 + ENERGY_BUDGET_SLACK * w2**1.5
     return MonitorResult(
         value=val0,
         derivative=deriv,
         w_norm2=w2,
         w_low_norm2=wlow2,
-        c_monitor=c_mon,
+        c_monitor=C_MONITOR,
         budget=budget,
-        lhs=lhs,
+        lhs=0.5 * deriv + C_MONITOR * w2,
     )
 
 
-def monitor_rayleigh_floor(model, state, s=2.0, chi=None, setup=None, count=50, seed=3):
+def monitor_rayleigh_floor(model, state, count=50, seed=3):
     """Sampled positivity of G_u: min <G w, w>/<w, w> over random fields."""
-    from .paradiff import make_cutoff
-
-    model = ensure_normalized(model)
-    chi = make_cutoff(0.2, 0.5) if chi is None else chi
-    setup = MonitorSetup(s=s) if setup is None else setup
     lat = state.lattice
-    sym = dissipation_symbol_field(model, state.u, lat, setup)
-    smoothed = smooth_symbol(sym, chi)
-    ref = _reference_multiplier(model, lat, setup)
-    mags = lat.xi_mags()
-    chi0 = chi(np.zeros_like(mags), mags)
-    corr_mult = ref * (1.0 - chi0)[:, None, None]
+    form = EnergyForm(model, lat)
+    op = form.operator(state.u)
     rng = np.random.default_rng(seed)
-    n2 = 2 * model.n
+    n2 = 2 * form.model.n
     voln = lat.L_box**lat.d / lat.points
     floor = np.inf
     for _ in range(count):
         vals = rng.normal(size=(lat.points, n2)) + 1j * rng.normal(size=(lat.points, n2))
-        W = GridFunction(lat, vals)
-        opw = apply_op(smoothed, W)
-        num = float(np.real(np.sum(np.conj(vals) * opw.values)) * voln)
-        what = lat.fft(vals)
-        num += float(
-            np.real(np.sum(np.conj(what) * np.einsum("qab,qb->qa", corr_mult, what)))
-            * lat.L_box**lat.d
-        )
         den = float(np.sum(np.abs(vals) ** 2) * voln)
-        floor = min(floor, num / den)
+        floor = min(floor, form.apply(op, vals, lat.fft(vals)) / den)
     return floor
 
 
@@ -510,35 +484,33 @@ def monitor_rayleigh_floor(model, state, s=2.0, chi=None, setup=None, count=50, 
 
 @dataclass
 class SimConfig:
+    """Run settings; s is the Sobolev index of the norms, W and the monitor."""
+
     lattice: Lattice = field(default_factory=lambda: Lattice(d=1, N=128))
     dt: Optional[float] = None
     t_final: float = 10.0
     snapshots: int = 41
     cfl_factor: float = 0.9
-    s_values: tuple = (2.0,)
+    s: float = 2.0
     norm_ceiling_factor: float = 10.0
     monitor: bool = False
-    monitor_s: float = 2.0
 
 
 @dataclass
 class EnergyTrace:
     times: np.ndarray
-    norms_u: dict
-    norms_ut: dict
+    norms_u: np.ndarray
+    norms_ut: np.ndarray
     w_norm: np.ndarray
     dissipation_integral: np.ndarray
+    s: float
     energy: Optional[np.ndarray] = None
     final_state: Optional[FieldState] = None
 
     def write_csv(self, path):
-        ss = sorted(self.norms_u)
-        hdr, cols = ["t"], [self.times]
-        for s in ss:
-            hdr += [f"norm_H{s + 1:g}_u", f"norm_H{s:g}_ut"]
-            cols += [self.norms_u[s], self.norms_ut[s]]
-        hdr += ["w_norm", "dissipation_integral"]
-        cols += [self.w_norm, self.dissipation_integral]
+        hdr = ["t", f"norm_H{self.s + 1:g}_u", f"norm_H{self.s:g}_ut", "w_norm",
+               "dissipation_integral"]
+        cols = [self.times, self.norms_u, self.norms_ut, self.w_norm, self.dissipation_integral]
         if self.energy is not None:
             hdr.append("energy_functional")
             cols.append(self.energy)
@@ -551,11 +523,8 @@ def run(model, data_spec, config=SimConfig()):
     Raises BlowUp when the W-norm is not finite or exceeds the configured
     multiple of its initial value, DomainExit when the state leaves the
     model's box (or stops being finite), CFLViolation for an unstable step
-    size.  With the monitor on, the reference-state multiplier is computed
-    once per run.
+    size.  With the monitor on, the energy form is built once per run.
     """
-    from .paradiff import make_cutoff
-
     model = ensure_normalized(model)
     lat = config.lattice
     state = initial_state(model, data_spec, lat)
@@ -564,34 +533,26 @@ def run(model, data_spec, config=SimConfig()):
     if dt > dt_max:
         raise CFLViolation(f"configured dt = {dt:g} exceeds bound {dt_max:g}")
 
+    s = config.s
     snap_times = np.linspace(0.0, config.t_final, config.snapshots)
-    chi = make_cutoff(0.2, 0.5)
-    setup = MonitorSetup(s=config.monitor_s)
-    symbol_ref = None
-    if config.monitor:
-        _require_field_fits(model.n, lat)
-        symbol_ref = _reference_multiplier(model, lat, setup)
-
-    norms_u = {s: np.zeros(config.snapshots) for s in config.s_values}
-    norms_ut = {s: np.zeros(config.snapshots) for s in config.s_values}
+    form = EnergyForm(model, lat) if config.monitor else None
+    norms_u = np.zeros(config.snapshots)
+    norms_ut = np.zeros(config.snapshots)
     wn = np.zeros(config.snapshots)
     diss = np.zeros(config.snapshots)
     energy = np.zeros(config.snapshots) if config.monitor else None
 
     def record(k, st):
-        for s in config.s_values:
-            nu, nut = state_norms(model, st, s)
-            norms_u[s][k] = nu
-            norms_ut[s][k] = nut
-        what = w_hat(model, st, config.monitor_s)
+        norms_u[k], norms_ut[k] = state_norms(model, st, s)
+        what = w_hat(model, st, s)
         wn[k] = np.sqrt(np.sum(np.abs(what) ** 2) * lat.L_box**lat.d)
         if not np.isfinite(wn[k]):
             raise BlowUp(f"W-norm is not finite at t={st.time:g}")
         if k > 0:
             dtk = snap_times[k] - snap_times[k - 1]
             diss[k] = diss[k - 1] + 0.5 * dtk * (wn[k] ** 2 + wn[k - 1] ** 2)
-        if config.monitor:
-            energy[k] = _g_form_value(model, st, config.monitor_s, chi, setup, symbol_ref)
+        if form is not None:
+            energy[k] = form.value(st, s)
 
     record(0, state)
     ceiling = config.norm_ceiling_factor * max(wn[0], 1e-300)
@@ -611,6 +572,7 @@ def run(model, data_spec, config=SimConfig()):
         norms_ut=norms_ut,
         w_norm=wn,
         dissipation_integral=diss,
+        s=s,
         energy=energy,
         final_state=state,
     )

@@ -151,6 +151,22 @@ class TestOtherCommands:
         rep = json.loads((out / "paradiff_report.json").read_text())
         assert rep["all_green"]
 
+    def test_paradiff_seed_zero_passed_through(self, tmp_path, monkeypatch):
+        import types
+
+        import hypdiss.paradiff as paradiff
+
+        seeds = []
+
+        def fake_garding(*args, seed, **kwargs):
+            seeds.append(seed)
+            return types.SimpleNamespace(negativity_slope=1.0, constant_slope=0.5)
+
+        monkeypatch.setattr(paradiff, "check_garding", fake_garding)
+        main(["paradiff-test", "--seed", "0", "--n-grid", "32",
+              "--output-dir", str(tmp_path / "out")])
+        assert seeds == [0]
+
     def test_report_rerender(self, tmp_path):
         out = tmp_path / "out"
         main(["check", "--builtin", "damped-wave", "--a", "2", "--output-dir", str(out)])

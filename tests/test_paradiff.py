@@ -174,6 +174,23 @@ class TestApplyOp:
         with pytest.raises(GridMismatch):
             apply_op(a, f)
 
+    def test_phase_matrix_not_retained(self):
+        # once apply_op returns, no P x P phase matrix is held anywhere
+        import tracemalloc
+
+        lat = Lattice(d=2, N=16)
+        P = lat.points
+        a = multiplier_symbol(lat, lambda v: np.ones(len(v)))
+        f = GridFunction(lat, np.ones((P, 1)) + 0j)
+        tracemalloc.start()
+        try:
+            out = apply_op(a, f)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(out.values - f.values).max() < 1e-12
+        assert held < P**2 * 16
+
 
 class TestParaOp:
     def test_constant_symbol_high_frequencies_exact(self):

@@ -11,14 +11,13 @@ from hypdiss.model import (
 )
 from hypdiss.paradiff import Lattice
 from hypdiss.simulator import (
-    MonitorSetup,
+    EnergyForm,
     PeriodicBumpData,
     SimConfig,
     TrigData,
     dissipation_symbol_field,
     energy_monitor,
     initial_state,
-    low_band_allowance,
     max_stable_dt,
     monitor_rayleigh_floor,
     rhs,
@@ -251,19 +250,13 @@ class TestEnergyMonitor:
     def test_constant_coefficient_multiplier_exactness(self):
         # at the reference state the functional is a Fourier multiplier:
         # <G W, W> = sum_xi What^* Dtilde(ubar, xi) What exactly
-        from hypdiss.simulator import _reference_multiplier
-
         m = builtin_convected_damped_wave(0.5)
         st = initial_state(m, TrigData(amplitude=0.0), LAT)
         # put energy into u_t only so u stays at the reference state
         st2 = initial_state(m, TrigData(amplitude=1e-3, wavenumber=(2,), target="u1"), LAT)
-        setup = MonitorSetup(s=2.0)
-        from hypdiss.paradiff import make_cutoff
-        from hypdiss.simulator import _g_form_value
-
-        chi = make_cutoff(0.2, 0.5)
-        val = _g_form_value(m, st2, 2.0, chi, setup)
-        ref = _reference_multiplier(m, LAT, setup)
+        form = EnergyForm(m, LAT)
+        val = form.value(st2, 2.0)
+        ref = form.reference
         what = w_hat(m, st2, 2.0)
         want = float(
             np.real(np.sum(np.conj(what) * np.einsum("qab,qb->qa", ref, what)))
@@ -298,9 +291,18 @@ class TestEnergyMonitor:
         floor = monitor_rayleigh_floor(m, st, count=50)
         assert floor > 0.01
 
+    def test_one_form_serves_monitor_and_run(self):
+        # README quasi-linear model: the state-dependent symbol is built by the
+        # same form whether energy_monitor or run asks for it
+        m = nonlinear_convected_model(0.5)
+        data = PeriodicBumpData(amplitude=1e-2)
+        res = energy_monitor(m, initial_state(m, data, LAT), s=2.0)
+        cfg = SimConfig(lattice=LAT, t_final=0.1, snapshots=2, monitor=True)
+        assert res.value == run(m, data, cfg).energy[0]
+
     def test_low_band_allowance_finite(self):
         m = builtin_convected_damped_wave(0.5)
-        c_low = low_band_allowance(m, LAT, MonitorSetup(s=2.0))
+        c_low = EnergyForm(m, LAT).low_band_allowance()
         assert 0.0 <= c_low < 10.0
 
 
@@ -322,13 +324,14 @@ class TestDissipationSymbolField:
         # README quasi-linear model: every grid point against scipy's solver
         from oracles import weighted_symbol_oracle
 
+        from hypdiss.simulator import _phi, _psi
+
         m = nonlinear_convected_model(0.5)
         st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
-        setup = MonitorSetup(s=2.0)
-        vals = dissipation_symbol_field(m, st.u, LAT, setup).values
+        vals = dissipation_symbol_field(m, st.u, LAT).values
         xi = LAT.xi_vectors()
         mags = np.linalg.norm(xi, axis=1)
-        phi, psi = setup.phi(mags), setup.psi(mags)
+        phi, psi = _phi(mags), _psi(mags)
         assert len(np.unique(st.u.real)) > 30
         eye = np.eye(2)
         worst = 0.0
@@ -346,11 +349,10 @@ class TestDissipationSymbolField:
         # one batch over the distinct states equals the field of each point alone
         m = nonlinear_convected_model(0.5)
         st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
-        setup = MonitorSetup(s=2.0)
-        vals = dissipation_symbol_field(m, st.u, LAT, setup).values
+        vals = dissipation_symbol_field(m, st.u, LAT).values
         for p in (0, 7, 31, 50):
             flat = np.tile(st.u[p], (LAT.points, 1))
-            alone = dissipation_symbol_field(m, flat, LAT, setup).values[0]
+            alone = dissipation_symbol_field(m, flat, LAT).values[0]
             assert np.array_equal(vals[p], alone)
 
     def test_size_guard_refuses_fluid_n16(self):
@@ -361,7 +363,7 @@ class TestDissipationSymbolField:
         u = np.tile(f.reference_state, (lat.points, 1))
         need = lat.points**2 * 8 * 8 * 16
         with pytest.raises(InvalidParameter, match=str(need)):
-            dissipation_symbol_field(f, u, lat, MonitorSetup())
+            dissipation_symbol_field(f, u, lat)
         cfg = SimConfig(lattice=lat, t_final=0.1, snapshots=2, monitor=True)
         with pytest.raises(InvalidParameter, match=str(need)):
             run(f, PeriodicBumpData(amplitude=1e-2), cfg)
@@ -378,10 +380,10 @@ class TestDissipationSymbolField:
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameter, match=str(field_bytes)):
-                dissipation_symbol_field(m, st.u, LAT, MonitorSetup())
+                dissipation_symbol_field(m, st.u, LAT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < field_bytes // 4
         monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes)
-        assert dissipation_symbol_field(m, st.u, LAT, MonitorSetup()).values.nbytes == field_bytes
+        assert dissipation_symbol_field(m, st.u, LAT).values.nbytes == field_bytes
