@@ -1,9 +1,12 @@
 """Pseudo-spectral time integration of the nonlinear first-order system.
 
-The state is U = (u, u_t) on a periodic lattice; spatial derivatives are
-exact in Fourier space, coefficient products are formed pointwise in
-physical space with 2/3-rule dealiasing, and time stepping is classical
-RK4 under a spectral-radius CFL bound.  An energy monitor assembles the
+The state is U = (u, u_t) on a periodic lattice with 2/3-rule dealiasing.
+The right-hand side splits at the reference state ubar: the
+constant-coefficient part acts on the Fourier coefficients mode by mode
+through Mbar(ubar, xi), and a state-dependent model adds the remainder
+[coeffs(u) - coeffs(ubar)] . derivatives, with spectral derivatives and
+pointwise products in physical space.  Time stepping is classical RK4 under
+a spectral-radius CFL bound.  An energy monitor assembles the
 symmetrized para-differential quadratic form built from the per-frequency
 dissipation symbol and checks the decay inequality
 
@@ -45,7 +48,8 @@ C_MONITOR = 0.25
 CHI = make_cutoff(0.2, 0.5)
 
 #: Largest dissipation-symbol field (P x P x 2n x 2n complex values on a
-#: lattice of P points) the energy monitor builds; 256 MiB.
+#: lattice of P points) the energy monitor builds, and largest RK4 working
+#: set a simulation may hold; 256 MiB.
 SYMBOL_FIELD_MAX_BYTES = 2**28
 
 #: Size of one slice of Kronecker-form Lyapunov systems; 32 MiB.
@@ -118,8 +122,27 @@ class PeriodicBumpData:
     mean_free: bool = True
 
 
+def _require_lattice_fits(model, lattice):
+    # an RK4 step holds about 16 (P, n) complex arrays (the state, four
+    # stages, a stage input and its transforms); a state-dependent model adds
+    # its (1 + d)^2 coefficient blocks and their remainder at every point
+    P, n = lattice.points, model.n
+    need = 16 * P * n * np.dtype(complex).itemsize
+    if not model.constant_coefficients:
+        need += 2 * P * (1 + lattice.d) ** 2 * n * n * np.dtype(float).itemsize
+    if need > SYMBOL_FIELD_MAX_BYTES:
+        raise InvalidParameter(
+            f"an RK4 step on {lattice.points} lattice points with {n} components "
+            f"needs about {need} bytes, above the limit of {SYMBOL_FIELD_MAX_BYTES} "
+            f"bytes; use a coarser lattice"
+        )
+
+
 def initial_state(model, data_spec, lattice):
+    """Dealiased initial data on the lattice; refuses a lattice whose RK4
+    working set exceeds SYMBOL_FIELD_MAX_BYTES before allocating."""
     model = ensure_normalized(model)
+    _require_lattice_fits(model, lattice)
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     x = lattice.x_vectors()
     u = np.tile(model.reference_state.astype(complex), (lattice.points, 1))
@@ -151,10 +174,9 @@ def initial_state(model, data_spec, lattice):
 # Right-hand side and stepping
 # ---------------------------------------------------------------------------
 
-def _matvec(mat, vec):
-    if mat.ndim == 2:
-        return vec @ mat.T
-    return np.einsum("pij,pj->pi", mat, vec)
+def _matvec(mats, vecs):
+    # one (n, n) matrix per grid point times one n-vector per grid point
+    return np.einsum("pij,pj->pi", mats, vecs)
 
 
 def _check_domain(model, u_phys, time):
@@ -177,42 +199,78 @@ def _check_domain(model, u_phys, time):
         )
 
 
-def rhs(model, state):
-    """Time derivative (u_t, v_t) of the first-order system.
+class LinearPart:
+    """The constant-coefficient system at the reference state on one lattice.
+
+    Every Fourier mode of the linearized system evolves by Mbar(ubar, xi).
+    `rows` holds its bottom n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at
+    the dealiased frequencies `mask` (two_thirds_mask), shape (Q, n, 2n);
+    `tensors` are the coefficient tensors at ubar, which the remainder of a
+    state-dependent model subtracts.  `run` builds one per run and
+    `energy_monitor` one per call.
+    """
+
+    def __init__(self, model, lattice):
+        self.model = ensure_normalized(model)
+        self.mask = two_thirds_mask(lattice)
+        self.xi = lattice.xi_vectors()
+        ubar = self.model.reference_state
+        rows = assemble_Mbar_stack(self.model, ubar, self.xi[self.mask])[:, self.model.n:, :]
+        self.rows = np.ascontiguousarray(rows)
+        self.tensors = coefficient_tensors(self.model, ubar)
+
+
+def _remainder(linear, state, uhat, vhat):
+    """[coeffs(u) - coeffs(ubar)] . derivatives, in physical space.
+
+    The d(d+1)/2 distinct second derivatives carry B^{jk} + B^{kj}.
+    """
+    lat = state.lattice
+    xi = linear.xi
+    T = coefficient_tensors(linear.model, state.u.real)
+    R = linear.tensors
+    out = -_matvec(T.A0 - R.A0, state.ut)
+    for j in range(lat.d):
+        u_x = lat.ifft(1j * xi[:, j : j + 1] * uhat)
+        v_x = lat.ifft(1j * xi[:, j : j + 1] * vhat)
+        out += _matvec(T.C[:, j] - R.C[j], v_x) - _matvec(T.A[:, j] - R.A[j], u_x)
+        for k in range(j, lat.d):
+            B = T.B[:, j, k] - R.B[j, k]
+            if k > j:
+                B = B + T.B[:, k, j] - R.B[k, j]
+            out += _matvec(B, lat.ifft(-xi[:, j : j + 1] * xi[:, k : k + 1] * uhat))
+    return out
+
+
+def rhs(model, state, linear=None):
+    """Time derivative (u_t, v_t) of the first-order system, dealiased.
 
     v_t = sum_j (B^{j0}+B^{0j})(u) v_{x_j} + sum_jk B^{jk}(u) u_{x_j x_k}
-          - A^0(u) v - sum_j A^j(u) u_{x_j}
-    with spectral derivatives and dealiased physical-space products.
+          - A^0(u) v - sum_j A^j(u) u_{x_j}.
+    The part at the reference state is applied to the Fourier coefficients
+    as the bottom rows of Mbar(ubar, xi) (`LinearPart`, built here unless
+    given); a state-dependent model adds the remainder
+    [coeffs(u) - coeffs(ubar)] . derivatives, formed in physical space and
+    transformed once.  Two forward and two inverse transforms for a
+    constant-coefficient model.
     """
-    model = ensure_normalized(model)
+    linear = LinearPart(model, state.lattice) if linear is None else linear
+    model = linear.model
     lat = state.lattice
-    d = model.d
+    mask = linear.mask
     _check_domain(model, state.u, state.time)
 
-    xi = lat.xi_vectors()
     uhat = lat.fft(state.u)
     vhat = lat.fft(state.ut)
-    u_x = [lat.ifft(1j * xi[:, j : j + 1] * uhat) for j in range(d)]
-    v_x = [lat.ifft(1j * xi[:, j : j + 1] * vhat) for j in range(d)]
-    u_xx = {
-        (j, k): lat.ifft(-xi[:, j : j + 1] * xi[:, k : k + 1] * uhat)
-        for j in range(d)
-        for k in range(d)
-    }
-
-    # (n, n) blocks for constant models, a leading grid axis otherwise
-    T = coefficient_tensors(
-        model, model.reference_state if model.constant_coefficients else state.u.real
-    )
-    vt = -_matvec(T.A0, state.ut)
-    for j in range(d):
-        vt = vt + _matvec(T.C[..., j, :, :], v_x[j]) - _matvec(T.A[..., j, :, :], u_x[j])
-        for k in range(d):
-            vt = vt + _matvec(T.B[..., j, k, :, :], u_xx[(j, k)])
-    ut = state.ut.copy()
-    ut = apply_mask(lat, ut, state.dealias_mask)
-    vt = apply_mask(lat, vt, state.dealias_mask)
-    return ut, vt
+    if model.constant_coefficients:
+        vt_hat = np.zeros_like(vhat)
+    else:
+        vt_hat = lat.fft(_remainder(linear, state, uhat, vhat))
+    uv = np.concatenate([uhat[mask], vhat[mask]], axis=1)
+    vt_hat[mask] += np.matmul(linear.rows, uv[:, :, None])[:, :, 0]
+    vt_hat[~mask] = 0.0
+    vhat[~mask] = 0.0  # u_t is the dealiased v
+    return lat.ifft(vhat), lat.ifft(vt_hat)
 
 
 def spectral_radius_bound(model, lattice, mask=None):
@@ -230,16 +288,19 @@ def max_stable_dt(model, lattice, cfl_factor=0.9):
     return cfl_factor * RK4_IMAG_LIMIT / spectral_radius_bound(model, lattice)
 
 
-def step_rk4(model, state, dt, dt_max=None):
-    """One classical RK4 step; raises CFLViolation above the stability bound."""
+def step_rk4(model, state, dt, dt_max=None, linear=None):
+    """One classical RK4 step (dt may be negative); raises CFLViolation when
+    |dt| is above the stability bound.  `linear` is the `LinearPart` its four
+    stages share, built here unless given."""
     if dt_max is None:
         dt_max = max_stable_dt(model, state.lattice)
-    if dt > dt_max:
-        raise CFLViolation(f"dt = {dt:g} exceeds stability bound {dt_max:g}")
+    if abs(dt) > dt_max:
+        raise CFLViolation(f"|dt| = {abs(dt):g} exceeds stability bound {dt_max:g}")
+    linear = LinearPart(model, state.lattice) if linear is None else linear
 
     def f(u, ut, t):
         s = FieldState(state.lattice, u, ut, t, state.dealias_mask)
-        return rhs(model, s)
+        return rhs(model, s, linear)
 
     u, v, t = state.u, state.ut, state.time
     k1u, k1v = f(u, v, t)
@@ -441,9 +502,10 @@ def energy_monitor(model, state, s=2.0, dt_fd=1e-3, dt_max=None):
     h = min(dt_fd, 0.25 * dt_max)
 
     form = EnergyForm(model, lat)
+    linear = LinearPart(model, lat)
     val0 = form.value(state, s)
-    fwd = step_rk4(model, state, h, dt_max)
-    bwd = step_rk4(model, state, -h, dt_max)
+    fwd = step_rk4(model, state, h, dt_max, linear)
+    bwd = step_rk4(model, state, -h, dt_max, linear)
     deriv = (form.value(fwd, s) - form.value(bwd, s)) / (2.0 * h)
 
     what = w_hat(model, state, s)
@@ -530,12 +592,15 @@ def run(model, data_spec, config=SimConfig()):
     state = initial_state(model, data_spec, lat)
     dt_max = max_stable_dt(model, lat, config.cfl_factor)
     dt = dt_max if config.dt is None else config.dt
+    if not dt > 0.0:
+        raise InvalidParameter(f"configured dt = {dt:g} must be positive")
     if dt > dt_max:
         raise CFLViolation(f"configured dt = {dt:g} exceeds bound {dt_max:g}")
 
     s = config.s
     snap_times = np.linspace(0.0, config.t_final, config.snapshots)
     form = EnergyForm(model, lat) if config.monitor else None
+    linear = LinearPart(model, lat)
     norms_u = np.zeros(config.snapshots)
     norms_ut = np.zeros(config.snapshots)
     wn = np.zeros(config.snapshots)
@@ -560,7 +625,7 @@ def run(model, data_spec, config=SimConfig()):
         t_target = snap_times[k]
         while state.time < t_target - 1e-12:
             step = min(dt, t_target - state.time)
-            state = step_rk4(model, state, step, dt_max)
+            state = step_rk4(model, state, step, dt_max, linear)
         record(k, state)
         if wn[k] > ceiling:
             raise BlowUp(

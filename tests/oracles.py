@@ -153,3 +153,43 @@ def random_stable_model(rng, n=2, d=2):
     doc["A"] = A
     doc["B"] = B
     return model_from_dict(doc)
+
+
+def physical_rhs_oracle(model, state):
+    """(u_t, v_t) of the first-order system with every product in physical space.
+
+    The right-hand side before its spectral split: all d first derivatives of
+    u and of u_t and all d^2 second derivatives of u by spectral
+    differentiation, every coefficient evaluated at every grid point, the
+    products summed pointwise and both outputs dealiased with the state's
+    mask.
+    """
+    from hypdiss.model import ensure_normalized
+
+    model = ensure_normalized(model)
+    lat = state.lattice
+    n, d = model.n, model.d
+    xi = lat.xi_vectors()
+    uhat = lat.fft(state.u)
+    vhat = lat.fft(state.ut)
+    u_x = [lat.ifft(1j * xi[:, j : j + 1] * uhat) for j in range(d)]
+    v_x = [lat.ifft(1j * xi[:, j : j + 1] * vhat) for j in range(d)]
+    u_xx = [[lat.ifft(-xi[:, j : j + 1] * xi[:, k : k + 1] * uhat) for k in range(d)]
+            for j in range(d)]
+    vt = np.zeros((lat.points, n), dtype=complex)
+    for p in range(lat.points):
+        up = state.u[p].real
+        acc = -model.A(0, up) @ state.ut[p]
+        for j in range(1, d + 1):
+            acc = acc + (model.B(0, j, up) + model.B(j, 0, up)) @ v_x[j - 1][p]
+            acc = acc - model.A(j, up) @ u_x[j - 1][p]
+            for k in range(1, d + 1):
+                acc = acc + model.B(j, k, up) @ u_xx[j - 1][k - 1][p]
+        vt[p] = acc
+
+    def dealias(values):
+        hat = lat.fft(values)
+        hat[~state.dealias_mask] = 0.0
+        return lat.ifft(hat)
+
+    return dealias(state.ut), dealias(vt)

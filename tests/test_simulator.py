@@ -44,6 +44,39 @@ def nonlinear_convected_model(a=0.5):
     )
 
 
+def coupled_state_dependent_model():
+    # n = d = 2; monomials [c, e_1, e_2] stand for c u_1^e_1 u_2^e_2
+    def lin(c, a1, a2):
+        return [[c, 0, 0], [a1, 1, 0], [a2, 0, 1]]
+
+    return model_from_dict(
+        {
+            "n": 2, "d": 2, "reference_state": [0.0, 0.0],
+            "A": {"0": [[lin(1.0, 0.2, 0.0), 0.1], [0.0, lin(1.0, 0.0, 0.3)]],
+                  "1": [[lin(0.5, 1.0, 0.0), 0.0], [0.2, lin(0.3, 0.0, 0.5)]],
+                  "2": [[0.1, 0.0], [[[0.4, 1, 1]], 0.2]]},
+            "B": {"0,0": [[lin(-1.0, 0.0, -0.1), 0.0], [0.0, -1.0]],
+                  "1,1": [[lin(1.0, 0.3, 0.0), 0.0], [0.0, 1.0]],
+                  "2,2": [[1.0, 0.0], [0.0, [[1.0, 0, 0], [0.2, 0, 2]]]],
+                  "1,2": [[lin(0.1, 0.0, 0.4), 0.0], [0.0, 0.1]],
+                  "2,1": [[0.0, lin(0.0, 0.2, 0.0)], [0.1, 0.0]],
+                  "0,1": [[lin(0.0, 0.0, 0.2), 0.0], [0.0, 0.1]],
+                  "2,0": [[0.1, 0.0], [lin(0.0, 0.3, 0.0), 0.0]]},
+            "label": "coupled-state-dependent",
+        }
+    )
+
+
+def assert_rhs_matches_oracle(m, st):
+    # the physical-space right-hand side, to 1e-12 of its largest value
+    from oracles import physical_rhs_oracle
+
+    got, want = rhs(m, st), physical_rhs_oracle(m, st)
+    scale = max(np.abs(w).max() for w in want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * scale
+
+
 class TestRhs:
     def test_equilibrium(self):
         m = builtin_convected_damped_wave(0.5)
@@ -77,6 +110,40 @@ class TestRhs:
         with pytest.raises(DomainExit) as exc:
             rhs(m, st)
         assert exc.value.report["time"] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_physical_space_oracle(self, n, d):
+        # random fields with energy in every mode, the dealiased band included
+        from oracles import random_stable_model
+
+        from hypdiss.simulator import FieldState
+
+        rng = np.random.default_rng(10 * n + d)
+        m = random_stable_model(rng, n=n, d=d)
+        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d])
+        st = FieldState(lat, 0.05 * rng.normal(size=(lat.points, n)),
+                        0.05 * rng.normal(size=(lat.points, n)))
+        assert_rhs_matches_oracle(m, st)
+
+    @pytest.mark.parametrize("which", ["readme", "coupled-2d"])
+    def test_state_dependent_remainder_matches_oracle(self, which):
+        # the remainder carries coeffs(u) - coeffs(ubar); the d=2 model has
+        # B^{12} != B^{21} and a state-dependent B^{00}
+        from hypdiss.simulator import FieldState
+
+        if which == "readme":
+            m = nonlinear_convected_model(0.5)
+            st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+            assert len(np.unique(st.u.real)) > 30
+        else:
+            m = coupled_state_dependent_model()
+            lat = Lattice(d=2, N=8)
+            rng = np.random.default_rng(5)
+            st = FieldState(lat, 0.1 * rng.normal(size=(lat.points, 2)),
+                            0.1 * rng.normal(size=(lat.points, 2)))
+        assert not m.constant_coefficients
+        assert_rhs_matches_oracle(m, st)
 
     def test_non_finite_state_leaves_domain(self):
         # NaN compares False against both box edges
@@ -123,6 +190,50 @@ class TestStepping:
         st = initial_state(m, TrigData(amplitude=0.1), LAT)
         with pytest.raises(CFLViolation):
             step_rk4(m, st, 1.0)
+
+    def test_cfl_guard_negative_step(self):
+        # the bound is on |dt|; a backward step is as unstable as a forward one
+        m = builtin_damped_wave(2.0, d=1)
+        st = initial_state(m, TrigData(amplitude=0.1), LAT)
+        dt_max = max_stable_dt(m, LAT)
+        with pytest.raises(CFLViolation):
+            step_rk4(m, st, -1.0)
+        with pytest.raises(CFLViolation):
+            step_rk4(m, st, -1.01 * dt_max, dt_max)
+        step_rk4(m, st, -0.25 * dt_max, dt_max)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_run_refuses_non_positive_dt(self, dt):
+        m = builtin_damped_wave(2.0, d=1)
+        cfg = SimConfig(lattice=LAT, dt=dt, t_final=1.0, snapshots=3)
+        with pytest.raises(InvalidParameter, match="must be positive"):
+            run(m, TrigData(amplitude=0.1), cfg)
+
+    @pytest.mark.parametrize("which, limit", [("fluid", 20), ("quasilinear", 40)])
+    def test_transforms_per_step(self, monkeypatch, which, limit):
+        # constant coefficients: two forward and two inverse transforms per
+        # stage plus the final dealiasing; the README quasi-linear model adds
+        # its remainder's derivatives
+        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+        if which == "fluid":
+            m = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
+            lat = Lattice(d=3, N=8)
+        else:
+            m, lat = nonlinear_convected_model(0.5), LAT
+        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), lat)
+        dt_max = max_stable_dt(m, lat)
+        calls = []
+        for name in ("fft", "ifft"):
+            orig = getattr(Lattice, name)
+
+            def counted(self, values, _orig=orig):
+                calls.append(1)
+                return _orig(self, values)
+
+            monkeypatch.setattr(Lattice, name, counted)
+        step_rk4(m, st, 0.5 * dt_max, dt_max)
+        assert 0 < len(calls) <= limit
 
     def test_reality_preservation(self):
         m = builtin_convected_damped_wave(0.5)
@@ -313,6 +424,45 @@ def test_state_norms_match_grid_functions():
     what = w_hat(m, st, 2.0)
     combined = np.sqrt(np.sum(np.abs(what) ** 2) * LAT.L_box)
     assert combined == pytest.approx(np.sqrt(nu**2 + nut**2), rel=1e-12)
+
+
+class TestLatticeGuard:
+    def test_refuses_fluid_n128_without_allocating(self):
+        # the CLI's default --n-grid 128 in d=3: 2.1 M points, 128 MiB per
+        # (P, n) complex array
+        import tracemalloc
+
+        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+        f = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
+        lat = Lattice(d=3, N=128)
+        array_bytes = lat.points * f.n * 16
+        cfg = SimConfig(lattice=lat, t_final=0.1, snapshots=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match=str(16 * array_bytes)):
+                run(f, PeriodicBumpData(amplitude=1e-2), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < array_bytes // 100
+
+    def test_cli_refuses_default_fluid_lattice(self, tmp_path, capsys):
+        from hypdiss.cli import EXIT_ERROR, main
+
+        code = main(["simulate", "--builtin", "fluid", "--output-dir", str(tmp_path)])
+        assert code == EXIT_ERROR
+        assert "InvalidParameter" in capsys.readouterr().err
+
+    def test_largest_fluid_lattice_allowed(self):
+        # N = 64 in d=3 needs exactly the limit and is still accepted
+        import hypdiss.simulator as sim
+        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+        f = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
+        sim._require_lattice_fits(f, Lattice(d=3, N=64))
+        with pytest.raises(InvalidParameter):
+            sim._require_lattice_fits(f, Lattice(d=3, N=65))
 
 
 class TestDissipationSymbolField:
