@@ -79,7 +79,9 @@ def build_parser():
     _add_common_args(p)
     p.add_argument("--epsilon", type=float, default=1e-2)
     p.add_argument("--t-final", type=float, default=10.0)
-    p.add_argument("--n-grid", type=int, default=128)
+    p.add_argument("--n-grid", type=int, default=None,
+                   help="lattice points per axis (default: the largest power of two "
+                        "<= 128 that the simulator accepts for the model)")
     p.add_argument("--snapshots", type=int, default=41)
     p.add_argument("--monitor", action="store_true")
 
@@ -261,13 +263,13 @@ def cmd_decay(args):
 def cmd_simulate(args):
     from .io import write_json_atomic
     from .paradiff import Lattice
-    from .simulator import PeriodicBumpData, SimConfig, run
+    from .simulator import PeriodicBumpData, SimConfig, default_lattice, run
 
     out = _outdir(args)
     cfg = _effective_config(args)
     model = _load_model(args)
     sim_cfg = SimConfig(
-        lattice=Lattice(d=model.d, N=args.n_grid),
+        lattice=default_lattice(model) if args.n_grid is None else Lattice(d=model.d, N=args.n_grid),
         t_final=args.t_final,
         snapshots=args.snapshots,
         monitor=args.monitor,

@@ -44,6 +44,7 @@ from .grids import direction_major_grid, radial_loggrid, unit_directions
 from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
+    DEFECT_COND_LIMIT,
     assemble_calA,
     assemble_calB,
     assemble_directional,
@@ -111,6 +112,13 @@ class EigenStructure:
         return max(float(np.max(np.abs(c.values.imag))) for c in self.clusters)
 
 
+def _closure(adj):
+    # transitive closure of reflexive relations (..., m, m) by repeated squaring
+    for _ in range(max(1, (adj.shape[-1] - 1).bit_length())):
+        adj = np.matmul(adj.astype(float), adj.astype(float)) > 0.0
+    return adj
+
+
 def _single_linkage(lam, thr):
     """Connected components of the graph on lam with edges |li - lj| <= thr.
 
@@ -119,20 +127,9 @@ def _single_linkage(lam, thr):
     """
     lam = lam[np.lexsort((lam.imag, lam.real))]
     dist = np.abs(lam[:, None] - lam[None, :])
-    parent = list(range(len(lam)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(*np.nonzero(np.triu(dist <= thr, 1))):
-        parent[find(i)] = find(j)
-    labels = np.array([find(i) for i in range(len(lam))], dtype=int)
-    apart = labels[:, None] != labels[None, :]
-    gap = float(dist[apart].min()) if apart.any() else np.inf
-    groups = [lam[labels == r] for r in dict.fromkeys(labels.tolist())]
+    same = _closure(dist <= thr)
+    gap = float(dist[~same].min()) if not same.all() else np.inf
+    groups = [lam[same[i]] for i in dict.fromkeys(np.argmax(same, axis=1).tolist())]
     means = [g.mean() for g in groups]
     key = np.lexsort((np.imag(means), np.real(means)))
     return [groups[k] for k in key], gap
@@ -512,6 +509,8 @@ def _frequency_grid(model, omega_grid, xi_loggrid, config):
     # directions x log-spaced magnitudes; xi = 0 is excluded (rho(0) = 0)
     omegas = _omega_grid(model, omega_grid, config)
     xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count) if xi_loggrid is None else np.asarray(xi_loggrid, float)
+    if xis.size == 0:
+        raise GridEmpty("empty radial frequency grid")
     if np.any(xis <= 0):
         raise InvalidParameter("xi grid must exclude 0")
     spec = f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions"
@@ -532,90 +531,214 @@ def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
     return _report("D3", float(mg[q]), witness, spec, config, per_point=per_point)
 
 
-def _lyap_solve(M, rho):
-    P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
-    return 0.5 * (P + P.conj().T)
+def _herm(A):
+    return A.conj().swapaxes(-1, -2)
 
 
-def _positive_cond(P, what):
-    w = np.linalg.eigvalsh(P)
-    if w[0] <= 0.0 or not np.all(np.isfinite(w)):
+def _stacked(fn, A, pts, what):
+    """fn(A) over a stack; a LinAlgError names the first point it fails on."""
+    try:
+        return fn(A)
+    except np.linalg.LinAlgError as e:
+        for q in range(len(A)):
+            try:
+                fn(A[q:q + 1])
+            except np.linalg.LinAlgError:
+                break
+        else:
+            q = 0
+        raise LyapunovSolveFailure(f"stacked {what} failed: {e}", index=int(pts[q])) from e
+
+
+def _positive_cond(P, what, pts):
+    """cond(P) over a hermitian stack; raises at the first point that is not
+    positive definite."""
+    w = _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
+    bad = ~((w[:, 0] > 0.0) & np.all(np.isfinite(w), axis=1))
+    if bad.any():
+        q = int(np.argmax(bad))
         raise LyapunovSolveFailure(
-            f"{what} not positive definite (lambda_min = {w[0]:.3e})"
+            f"{what} not positive definite (lambda_min = {w[q, 0]:.3e})", index=int(pts[q])
         )
-    return float(w[-1] / w[0])
+    return w[:, -1] / w[:, 0]
 
 
 def lyapunov_certificate(M, rho):
-    """Solve P M + M^* P = -rho I for hermitian P; returns (P, cond)."""
+    """Solve P M + M^* P = -rho I for hermitian P at one point with scipy's
+    Schur method (Bartels-Stewart); returns (P, cond).
+
+    This is the per-point fallback of `lyapunov_stack`.
+    """
     try:
-        P = _lyap_solve(M, rho)
+        P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
     except Exception as e:  # scipy raises LinAlgError or ValueError
         raise LyapunovSolveFailure(f"Lyapunov solve failed: {e}") from e
-    return P, _positive_cond(P, "Lyapunov solution")
+    P = 0.5 * (P + P.conj().T)
+    return P, float(_positive_cond(P[None], "Lyapunov solution", [0])[0])
 
 
-def _linkage_groups(lam, theta):
-    # single-linkage groups, merged until inter-group gaps are >= 3*theta
-    thr = theta
-    while True:
-        groups, gap = _single_linkage(lam, thr)
-        if gap >= 3.0 * thr:
-            return groups
-        thr *= 2.0
+def _eig_solve(Ms, rho, pts):
+    """Solutions of P M + M^* P = -rho I over a stack, in the eigenbasis.
+
+    With M = V diag(w) V^{-1}, P = V^{-*} X V^{-1} where
+    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point whose cond(V) is not
+    below DEFECT_COND_LIMIT is solved by `lyapunov_certificate` instead.
+    Returns (P, w, V, ok) with ok the points solved in the eigenbasis; pts
+    are the points' indices, used to name a failing one.
+    """
+    w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
+    ok = _stacked(np.linalg.cond, V, pts, "cond") < DEFECT_COND_LIMIT
+    P = np.empty_like(V)
+    if ok.any():
+        Vo, wo = V[ok], w[ok]
+        Vinv = _stacked(np.linalg.inv, Vo, pts[ok], "inv")
+        X = -rho[ok, None, None] * (_herm(Vo) @ Vo) / (wo.conj()[:, :, None] + wo[:, None, :])
+        P[ok] = _herm(Vinv) @ X @ Vinv
+    for q in np.flatnonzero(~ok):
+        try:
+            P[q] = lyapunov_certificate(Ms[q], rho[q])[0]
+        except LyapunovSolveFailure as e:
+            raise LyapunovSolveFailure(str(e), index=int(pts[q])) from e
+    return 0.5 * (P + _herm(P)), w, V, ok
 
 
-#: A direct per-point Lyapunov solve is accepted when its conditioning is
-#: below this value; otherwise the spectrum is split at its gaps.
+def lyapunov_stack(Ms, rho):
+    """Hermitian solutions P of P M + M^* P = -rho I for a stack (Q, m, m) of
+    stable M; rho is a scalar or one value per point.  One stacked `eig`
+    solves every point whose eigenbasis is well conditioned (see `_eig_solve`).
+    """
+    Ms = np.asarray(Ms, dtype=complex)
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), Ms.shape[:1])
+    return _eig_solve(Ms, rho, np.arange(len(Ms)))[0]
+
+
+def _first_group(lam):
+    """Mask of the first single-linkage group of each row of lam (T, m).
+
+    Eigenvalues at most thr apart are linked; thr starts at 3 min(-Re lam)
+    and doubles until the groups are at least 3 thr apart.  The first group
+    has the smallest mean (real part, then imaginary part).  A row that is a
+    single group is all True.
+    """
+    T, m = lam.shape
+    order = np.lexsort((lam.imag, lam.real), axis=-1)
+    ls = np.take_along_axis(lam, order, axis=1)
+    dist = np.abs(ls[:, :, None] - ls[:, None, :])
+    thr = 3.0 * np.min(-ls.real, axis=1)
+    same = np.empty((T, m, m), dtype=bool)
+    pending = np.arange(T)
+    while pending.size:
+        linked = _closure(dist[pending] <= thr[pending, None, None])
+        gap = np.where(linked, np.inf, dist[pending]).min(axis=(1, 2))
+        done = ~(gap < 3.0 * thr[pending])
+        same[pending[done]] = linked[done]
+        thr[pending[~done]] *= 2.0
+        pending = pending[~done]
+    means = (same * ls[:, None, :]).sum(axis=2) / same.sum(axis=2)
+    lowest = means.real == means.real.min(axis=1, keepdims=True)
+    first = np.argmin(np.where(lowest, means.imag, np.inf), axis=1)
+    mask = np.empty((T, m), dtype=bool)
+    np.put_along_axis(mask, order, same[np.arange(T), first], axis=1)
+    return mask
+
+
+def _schur_split(M, lam, first):
+    """(Q1, B2, Z2) of one point from a sorted Schur form, or None when the
+    sort selects another number of eigenvalues than the group has."""
+    g, rest = lam[first], lam[~first]
+
+    def sel(x):
+        return bool(np.min(np.abs(x - g)) < np.min(np.abs(x - rest)))
+
+    T, Z, k = sla.schur(M, output="complex", sort=sel)
+    if k != len(g):
+        return None
+    # Z [[I, R], [0, I]] block-diagonalizes M: T11 R - R T22 = -T12
+    R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], -T[:k, k:])
+    return Z[:, :k], Z[:, :k] @ R + Z[:, k:], Z[:, k:]
+
+
+def _invariant_bases(Ms, lam, V, ok, first, pts):
+    """Bases of the invariant subspaces of the first group (k eigenvalues at
+    every point) and of the rest.
+
+    Q1 (m, k) is orthonormal, Z2 (m, m - k) its orthogonal complement, and
+    B2 = E2 (Z2^* E2)^{-1}, with E2 the eigenvectors of the rest, is the basis
+    of the second subspace with Z2^* B2 = I: the one a sorted Schur form and
+    a Sylvester solve give.  Points outside ok take that per-point Schur
+    path.  Returns (keep, Q1, B2, Z2); keep is False where the Schur sort
+    could not realize the group.
+    """
+    n_pts, m = first.shape
+    k = int(first[0].sum())
+    Q1 = np.empty((n_pts, m, k), dtype=complex)
+    B2 = np.empty((n_pts, m, m - k), dtype=complex)
+    Z2 = np.empty((n_pts, m, m - k), dtype=complex)
+    if ok.any():
+        order = np.argsort(~first[ok], axis=1, kind="stable")
+        E = np.take_along_axis(V[ok], order[:, None, :], axis=2)
+        Qf = _stacked(lambda A: np.linalg.qr(A, mode="complete")[0], E[:, :, :k], pts[ok], "qr")
+        Q1[ok], Z2[ok] = Qf[:, :, :k], Qf[:, :, k:]
+        B2[ok] = E[:, :, k:] @ _stacked(np.linalg.inv, _herm(Qf[:, :, k:]) @ E[:, :, k:],
+                                        pts[ok], "inv")
+    keep = np.ones(n_pts, dtype=bool)
+    for j in np.flatnonzero(~ok):
+        split = _schur_split(Ms[j], lam[j], first[j])
+        if split is None:
+            keep[j] = False
+        else:
+            Q1[j], B2[j], Z2[j] = split
+    return keep, Q1, B2, Z2
+
+
+#: Size of the symbol stacks UNIFORM certifies at once; the certificates
+#: hold about ten stacks of this size.
+CERTIFICATE_CHUNK_BYTES = 2**18
+
+#: A direct Lyapunov solve is accepted when its conditioning is below this
+#: value; otherwise the spectrum is split at its gaps.
 BALANCE_COND_TARGET = 200.0
 
 
-def _balanced_adaptive(M, rho, P=None):
-    # P, when given, is the direct solution of P M + M^* P = -rho I
-    if P is None:
-        P = _lyap_solve(M, rho)
-    top = float(np.max(np.linalg.eigvalsh(P)))
-    if not np.isfinite(top) or top <= 0.0:
-        raise LyapunovSolveFailure("Lyapunov block solve degenerate")
-    P = P / top
-    w = np.linalg.eigvalsh(P)
-    if w[0] > 0.0 and w[-1] / w[0] <= BALANCE_COND_TARGET:
+def _balanced_stack(Ms, rho, P, lam, V, ok, pts):
+    """Balanced certificates of a stack of stable blocks from their direct
+    solutions P (with the eigenvalues lam and the output V, ok of `_eig_solve`).
+
+    Each P is scaled to unit norm.  Where its conditioning exceeds
+    BALANCE_COND_TARGET, the spectrum is split into its first single-linkage
+    group and the rest; the points that split into groups of equal sizes are
+    certified together on the blocks T11 = Q1^* M Q1 and T22 = Z2^* M B2, and
+    the blocks are joined as V^{-*} blockdiag(P1, P2) V^{-1} with V = [Q1, B2],
+    whose inverse has the rows Q1^* (I - B2 Z2^*) and Z2^*.
+    """
+    w = _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
+    top = w[:, -1]
+    bad = ~(np.isfinite(top) & (top > 0.0))
+    if bad.any():
+        raise LyapunovSolveFailure("Lyapunov block solve degenerate", index=int(pts[np.argmax(bad)]))
+    P = P / top[:, None, None]
+    todo = np.flatnonzero(~((w[:, 0] > 0.0) & (w[:, -1] / w[:, 0] <= BALANCE_COND_TARGET)))
+    if todo.size == 0:
         return P
-    lam = np.linalg.eigvals(M)
-    theta = 3.0 * float(np.min(-lam.real))
-    groups = _linkage_groups(lam, theta)
-    if len(groups) == 1:
-        return P
-    g = groups[0]
-    rest = np.concatenate(groups[1:])
-
-    def sel(x, _g=g, _r=rest):
-        return bool(np.min(np.abs(x - _g)) < np.min(np.abs(x - _r)))
-
-    T, Z, sdim = sla.schur(M, output="complex", sort=sel)
-    if sdim != len(g):
-        # grouping not realizable in this factorization; keep the direct solve
-        return P
-    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-    # V = Z [[I, R], [0, I]] block-diagonalizes M: T11 R - R T22 = -T12
-    R = sla.solve_sylvester(T11, -T22, -T12)
-    W = np.eye(M.shape[0], dtype=complex)
-    W[:sdim, sdim:] = R
-    V = Z @ W
-    P1 = _balanced_adaptive(T11, rho)
-    P2 = _balanced_adaptive(T22, rho)
-    Vinv = np.linalg.inv(V)
-    Pb = Vinv.conj().T @ sla.block_diag(P1, P2) @ Vinv
-    return 0.5 * (Pb + Pb.conj().T)
+    m = Ms.shape[-1]
+    first = _first_group(lam[todo])
+    sizes = first.sum(axis=1)
+    for k in np.unique(sizes[sizes < m]):
+        at = todo[sizes == k]
+        keep, Q1, B2, Z2 = _invariant_bases(Ms[at], lam[at], V[at], ok[at], first[sizes == k], pts[at])
+        at, Q1, B2, Z2 = at[keep], Q1[keep], B2[keep], Z2[keep]
+        P1 = _certify(_herm(Q1) @ Ms[at] @ Q1, rho[at], pts[at])
+        P2 = _certify(_herm(Z2) @ Ms[at] @ B2, rho[at], pts[at])
+        Y1 = _herm(Q1) - (_herm(Q1) @ B2) @ _herm(Z2)
+        Pb = _herm(Y1) @ P1 @ Y1 + Z2 @ P2 @ _herm(Z2)
+        P[at] = 0.5 * (Pb + _herm(Pb))
+    return P
 
 
-def _balanced_from(M, rho, P=None):
-    """Balanced certificate (P, cond), grown from the direct solution P if given."""
-    try:
-        P = _balanced_adaptive(M, rho, P)
-    except Exception as e:
-        raise LyapunovSolveFailure(f"balanced certificate failed: {e}") from e
-    return P, _positive_cond(P, "balanced certificate")
+def _certify(Ms, rho, pts):
+    """Balanced certificates of a stack of stable blocks."""
+    P, w, V, ok = _eig_solve(Ms, rho, pts)
+    return _balanced_stack(Ms, rho, P, w, V, ok, pts)
 
 
 def balanced_lyapunov_certificate(M, rho):
@@ -635,7 +758,8 @@ def balanced_lyapunov_certificate(M, rho):
         raise LyapunovSolveFailure(
             f"spectral abscissa {np.max(lam.real):.3e} >= 0"
         )
-    return _balanced_from(M, rho)
+    P = _certify(np.asarray(M, dtype=complex)[None], np.array([float(rho)]), np.zeros(1, int))
+    return P[0], float(_positive_cond(P, "balanced certificate", [0])[0])
 
 
 def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
@@ -645,45 +769,45 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     with alpha the spectral abscissa of M(0, xi); (ii) Lyapunov certificate
     P M + M^* P = -rho(xi) I with P positive definite and uniformly bounded
     condition number.  Pass iff c_abs > 0 and sup cond(P) stays below the
-    configured ceiling.
+    configured ceiling.  All grid points are certified together: one stacked
+    solve gives cond_raw, and the balanced certificates grow from it.
     """
     model = ensure_normalized(model)
     omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
+    radii = len(np.unique(xis))
+    if radii < 2:
+        raise InvalidParameter(
+            f"UNIFORM fits conditioning slopes over |xi| and needs at least 2 distinct "
+            f"radii; got {radii}"
+        )
     ubar = model.reference_state
 
-    c_abs = np.inf
-    cond_max = 0.0
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    conds = np.zeros((len(xis), len(omegas)))
-    conds_raw = np.zeros((len(xis), len(omegas)))
-    Ms = assemble_M_stack(model, ubar, direction_major_grid(omegas, xis)[0])
-    alphas = np.linalg.eigvals(Ms).real.max(axis=1)
-    for i, om in enumerate(omegas):
-        for k, x in enumerate(xis):
-            q = i * len(xis) + k
-            M, alpha = Ms[q], float(alphas[q])
-            r = float(rho_profile(x))
-            if alpha >= 0.0:
-                raise LyapunovSolveFailure(
-                    f"spectral abscissa {alpha:.3e} >= 0 at xi={x:g}, omega index {i}"
-                )
-            c_pt = -alpha / r
-            c_abs = min(c_abs, c_pt)
-            # one Lyapunov solve: its conditioning is cond_raw, and it seeds
-            # the balanced certificate
-            P, cond_raw = lyapunov_certificate(M, r)
-            _, cond = _balanced_from(M, r, P)
-            conds[k, i] = cond
-            conds_raw[k, i] = cond_raw
-            cond_max = max(cond_max, cond)
-            mg = -c_pt
-            per_point.append((float(x), i, mg))
-            if mg > worst:
-                worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": float(x)}
+    xi, idx, mags = direction_major_grid(omegas, xis)
+    Ms = assemble_M_stack(model, ubar, xi)
+    pts = np.arange(len(Ms))
+    try:
+        alphas = _stacked(np.linalg.eigvals, Ms, pts, "eigvals").real.max(axis=1)
+        unstable = alphas >= 0.0
+        if unstable.any():
+            q = int(np.argmax(unstable))
+            raise LyapunovSolveFailure(f"spectral abscissa {alphas[q]:.3e} >= 0", index=q)
+        rho = rho_profile(mags)
+        cond_raw, cond = np.empty(len(Ms)), np.empty(len(Ms))
+        for at in np.array_split(pts, max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
+            P, w, V, ok = _eig_solve(Ms[at], rho[at], at)
+            cond_raw[at] = _positive_cond(P, "Lyapunov solution", at)
+            P = _balanced_stack(Ms[at], rho[at], P, w, V, ok, at)
+            cond[at] = _positive_cond(P, "balanced certificate", at)
+    except LyapunovSolveFailure as e:
+        raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
 
-    cond_by_xi = conds.max(axis=1)
+    c_pts = -alphas / rho
+    c_abs = float(c_pts.min())
+    q = int(np.argmax(-c_pts))
+    witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
+    per_point = list(zip(mags.tolist(), idx.tolist(), (-c_pts).tolist()))
+    cond_by_xi = cond.reshape(len(omegas), len(xis)).max(axis=0)
+    cond_max = float(cond_by_xi.max())
     log_xi, log_cond = np.log(xis), np.log(cond_by_xi)
     slope = float(np.polyfit(log_xi, log_cond, 1)[0])
 
@@ -692,18 +816,18 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
         return float(np.polyfit(log_xi[mask], log_cond[mask], 1)[0]) if np.sum(mask) >= 3 else slope
 
     ok_cond = cond_max <= config.cond_ceiling
-    margin = worst if ok_cond else cond_max / config.cond_ceiling
+    margin = -c_pts[q] if ok_cond else cond_max / config.cond_ceiling
     return _report(
         "UNIFORM", margin, witness, spec, config,
-        c_bar=float(c_abs),
+        c_bar=c_abs,
         trace={
-            "c_abs": float(c_abs),
-            "cond_max": float(cond_max),
+            "c_abs": c_abs,
+            "cond_max": cond_max,
             "cond_loglog_slope": slope,
             "cond_tail_slope": trend(xis >= config.trend_xi_min),
             "cond_head_slope": trend(xis <= config.trend_xi_max_low),
             "cond_by_xi": cond_by_xi.tolist(),
-            "cond_raw_by_xi": conds_raw.max(axis=1).tolist(),
+            "cond_raw_by_xi": cond_raw.reshape(len(omegas), len(xis)).max(axis=0).tolist(),
             "xi_grid": xis.tolist(),
         },
         per_point=per_point,
@@ -743,8 +867,8 @@ def build_dissipation_symbol(model, u, xi_vec, config=CheckConfig()):
     if alpha >= 0.0:
         raise NotDissipativeAtPoint(f"spectral abscissa {alpha:.3e} >= 0 at xi={xi_vec}")
     try:
-        D = _lyap_solve(M, 1.0)
-    except Exception as e:
+        D = lyapunov_stack(M[None], 1.0)[0]
+    except LyapunovSolveFailure as e:
         raise NotDissipativeAtPoint(f"Lyapunov solve failed: {e}") from e
     w = np.linalg.eigvalsh(D)
     if w[0] <= 0.0:

@@ -49,7 +49,15 @@ class PrerequisiteMissing(HypdissError):
 
 
 class LyapunovSolveFailure(HypdissError):
-    pass
+    """A Lyapunov certificate could not be formed.
+
+    A stacked solve sets ``index`` to the position of the failing point in
+    its stack.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotDissipativeAtPoint(HypdissError):

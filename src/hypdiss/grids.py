@@ -6,7 +6,7 @@ produce identical sampling points and quadrature weights.
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import GridEmpty, InvalidParameter
 
 #: Default number of equi-angular directions in d=2.
 EQUIANGULAR_POINTS_2D = 64
@@ -73,6 +73,8 @@ def radial_loggrid(lo=1e-3, hi=1e3, count=49):
     """Log-spaced frequency magnitudes in [lo, hi]."""
     if not (0 < lo < hi):
         raise InvalidParameter("need 0 < lo < hi")
+    if int(count) < 1:
+        raise GridEmpty(f"radial grid of {int(count)} points")
     return np.logspace(np.log10(lo), np.log10(hi), int(count))
 
 

@@ -22,11 +22,7 @@ from .grids import product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import ensure_normalized
 from .profiles import ramp_down
-from .symbols import assemble_M_stack
-
-#: Eigenvector condition number above which a mode counts as defective and
-#: the propagator falls back to scaling-and-squaring exponentials.
-DEFECT_COND_LIMIT = 1e8
+from .symbols import DEFECT_COND_LIMIT, assemble_M_stack
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class PeriodicBumpData:
     mean_free: bool = True
 
 
-def _require_lattice_fits(model, lattice):
+def _rk4_bytes(model, lattice):
     # an RK4 step holds about 16 (P, n) complex arrays (the state, four
     # stages, a stage input and its transforms); a state-dependent model adds
     # its (1 + d)^2 coefficient blocks and their remainder at every point
@@ -130,12 +130,26 @@ def _require_lattice_fits(model, lattice):
     need = 16 * P * n * np.dtype(complex).itemsize
     if not model.constant_coefficients:
         need += 2 * P * (1 + lattice.d) ** 2 * n * n * np.dtype(float).itemsize
+    return need
+
+
+def _require_lattice_fits(model, lattice):
+    need = _rk4_bytes(model, lattice)
     if need > SYMBOL_FIELD_MAX_BYTES:
         raise InvalidParameter(
-            f"an RK4 step on {lattice.points} lattice points with {n} components "
+            f"an RK4 step on {lattice.points} lattice points with {model.n} components "
             f"needs about {need} bytes, above the limit of {SYMBOL_FIELD_MAX_BYTES} "
             f"bytes; use a coarser lattice"
         )
+
+
+def default_lattice(model):
+    """The finest lattice with N = 128, 64, ... (2 at the least) whose RK4
+    working set fits SYMBOL_FIELD_MAX_BYTES."""
+    N = 128
+    while N > 2 and _rk4_bytes(model, Lattice(d=model.d, N=N)) > SYMBOL_FIELD_MAX_BYTES:
+        N //= 2
+    return Lattice(d=model.d, N=N)
 
 
 def initial_state(model, data_spec, lattice):

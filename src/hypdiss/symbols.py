@@ -26,6 +26,11 @@ import numpy as np
 from .errors import EigensolverFailure
 from .grids import check_unit
 
+#: Eigenvector condition number from which a stacked eigen-decomposition is
+#: not trusted at a point: `ModePropagator` propagates such a mode with expm,
+#: and `conditions.lyapunov_stack` solves it with scipy's Schur method.
+DEFECT_COND_LIMIT = 1e8
+
 
 class CoefficientTensors(NamedTuple):
     """Coefficients at one state, or at a stack of states (leading axes ...).

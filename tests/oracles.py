@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the library's own code paths: dispersion
 roots come from determinant interpolation (or the scalar quadratic formula),
-spectra are compared as multisets via optimal assignment.
+spectra are compared as multisets via optimal assignment.  The UNIFORM oracle
+shares the library's frequency grid, symbol stack and report, and certifies
+one grid point at a time with scipy's solvers and a union-find linkage.
 """
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 
@@ -193,3 +196,154 @@ def physical_rhs_oracle(model, state):
         return lat.ifft(hat)
 
     return dealias(state.ut), dealias(vt)
+
+
+def _lyap_solve(M, rho):
+    P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
+    return 0.5 * (P + P.conj().T)
+
+
+def _positive_cond(P, what):
+    from hypdiss.errors import LyapunovSolveFailure
+
+    w = np.linalg.eigvalsh(P)
+    if w[0] <= 0.0 or not np.all(np.isfinite(w)):
+        raise LyapunovSolveFailure(f"{what} not positive definite (lambda_min = {w[0]:.3e})")
+    return float(w[-1] / w[0])
+
+
+def _single_linkage(lam, thr):
+    # union-find components of |li - lj| <= thr, ordered by their means, and
+    # the smallest distance between two components
+    lam = lam[np.lexsort((lam.imag, lam.real))]
+    dist = np.abs(lam[:, None] - lam[None, :])
+    parent = list(range(len(lam)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(dist <= thr, 1))):
+        parent[find(i)] = find(j)
+    labels = np.array([find(i) for i in range(len(lam))], dtype=int)
+    apart = labels[:, None] != labels[None, :]
+    gap = float(dist[apart].min()) if apart.any() else np.inf
+    groups = [lam[labels == r] for r in dict.fromkeys(labels.tolist())]
+    means = [g.mean() for g in groups]
+    key = np.lexsort((np.imag(means), np.real(means)))
+    return [groups[k] for k in key], gap
+
+
+def _linkage_groups(lam, theta):
+    # single-linkage groups, merged until inter-group gaps are >= 3*theta
+    thr = theta
+    while True:
+        groups, gap = _single_linkage(lam, thr)
+        if gap >= 3.0 * thr:
+            return groups
+        thr *= 2.0
+
+
+def _balanced_adaptive(M, rho, P=None):
+    # P, when given, is the direct solution of P M + M^* P = -rho I
+    from hypdiss.conditions import BALANCE_COND_TARGET
+    from hypdiss.errors import LyapunovSolveFailure
+
+    if P is None:
+        P = _lyap_solve(M, rho)
+    top = float(np.max(np.linalg.eigvalsh(P)))
+    if not np.isfinite(top) or top <= 0.0:
+        raise LyapunovSolveFailure("Lyapunov block solve degenerate")
+    P = P / top
+    w = np.linalg.eigvalsh(P)
+    if w[0] > 0.0 and w[-1] / w[0] <= BALANCE_COND_TARGET:
+        return P
+    lam = np.linalg.eigvals(M)
+    theta = 3.0 * float(np.min(-lam.real))
+    groups = _linkage_groups(lam, theta)
+    if len(groups) == 1:
+        return P
+    g = groups[0]
+    rest = np.concatenate(groups[1:])
+
+    def sel(x, _g=g, _r=rest):
+        return bool(np.min(np.abs(x - _g)) < np.min(np.abs(x - _r)))
+
+    T, Z, sdim = sla.schur(M, output="complex", sort=sel)
+    if sdim != len(g):
+        # grouping not realizable in this factorization; keep the direct solve
+        return P
+    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
+    # V = Z [[I, R], [0, I]] block-diagonalizes M: T11 R - R T22 = -T12
+    R = sla.solve_sylvester(T11, -T22, -T12)
+    W = np.eye(M.shape[0], dtype=complex)
+    W[:sdim, sdim:] = R
+    V = Z @ W
+    P1 = _balanced_adaptive(T11, rho)
+    P2 = _balanced_adaptive(T22, rho)
+    Vinv = np.linalg.inv(V)
+    Pb = Vinv.conj().T @ sla.block_diag(P1, P2) @ Vinv
+    return 0.5 * (Pb + Pb.conj().T)
+
+
+def uniform_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
+    """The UNIFORM certificate one grid point at a time.
+
+    Per point, in direction-major order: the abscissa test, one scipy
+    Lyapunov solve (Bartels-Stewart) for cond_raw, and the balanced
+    certificate grown from it by sorted-Schur spectral splits.  Returns the
+    report of `hypdiss.conditions._report`, as the library checker does.
+    """
+    from hypdiss.conditions import CheckConfig, _frequency_grid, _report, rho_profile
+    from hypdiss.errors import LyapunovSolveFailure
+    from hypdiss.grids import direction_major_grid
+    from hypdiss.model import ensure_normalized
+    from hypdiss.symbols import assemble_M_stack
+
+    config = CheckConfig() if config is None else config
+    model = ensure_normalized(model)
+    omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
+    ubar = model.reference_state
+    c_abs = np.inf
+    worst = -np.inf
+    witness = {}
+    per_point = []
+    conds = np.zeros((len(xis), len(omegas)))
+    conds_raw = np.zeros((len(xis), len(omegas)))
+    Ms = assemble_M_stack(model, ubar, direction_major_grid(omegas, xis)[0])
+    alphas = np.linalg.eigvals(Ms).real.max(axis=1)
+    for i, om in enumerate(omegas):
+        for k, x in enumerate(xis):
+            q = i * len(xis) + k
+            M, alpha = Ms[q], float(alphas[q])
+            r = float(rho_profile(x))
+            if alpha >= 0.0:
+                raise LyapunovSolveFailure(
+                    f"spectral abscissa {alpha:.3e} >= 0 at xi={x:g}, omega index {i}"
+                )
+            c_pt = -alpha / r
+            c_abs = min(c_abs, c_pt)
+            P = _lyap_solve(M, r)
+            conds_raw[k, i] = _positive_cond(P, "Lyapunov solution")
+            conds[k, i] = _positive_cond(_balanced_adaptive(M, r, P), "balanced certificate")
+            mg = -c_pt
+            per_point.append((float(x), i, mg))
+            if mg > worst:
+                worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": float(x)}
+
+    cond_by_xi = conds.max(axis=1)
+    cond_max = float(cond_by_xi.max())
+    ok_cond = cond_max <= config.cond_ceiling
+    margin = worst if ok_cond else cond_max / config.cond_ceiling
+    return _report(
+        "UNIFORM", margin, witness, spec, config, c_bar=float(c_abs),
+        trace={
+            "c_abs": float(c_abs),
+            "cond_max": cond_max,
+            "cond_by_xi": cond_by_xi.tolist(),
+            "cond_raw_by_xi": conds_raw.max(axis=1).tolist(),
+        },
+        per_point=per_point,
+    )

@@ -72,6 +72,14 @@ class TestCheck:
         assert "InvalidParameter" in err and "A['1'][0][0]" in err
 
 
+    @pytest.mark.parametrize("count,error", [("0", "GridEmpty"), ("1", "InvalidParameter")])
+    def test_degenerate_radial_grid_exit_one(self, tmp_path, capsys, count, error):
+        code = main(["check", "--builtin", "fluid", "--xi-count", count,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {error}:" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -21,6 +21,7 @@ from hypdiss.conditions import (
 )
 from hypdiss.errors import (
     ClusterAmbiguity,
+    GridEmpty,
     InvalidParameter,
     LyapunovSolveFailure,
     NotDissipativeAtPoint,
@@ -109,6 +110,22 @@ class TestEigstructure:
         for c in es.clusters:
             assert np.abs(c.projection @ c.projection - c.projection).max() < 1e-8
             assert c.projection.shape == (5, 5)
+
+    def test_single_linkage_matches_union_find(self):
+        from hypdiss.conditions import _single_linkage
+
+        from oracles import _single_linkage as union_find
+
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            lam = np.round(rng.normal(size=m), 1) + 1j * np.round(rng.normal(size=m), 1)
+            thr = float(rng.choice([1e-7, 0.1, 0.3]))
+            got, gap = _single_linkage(lam, thr)
+            want, want_gap = union_find(lam, thr)
+            assert gap == want_gap
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_cluster_ambiguity(self):
         with pytest.raises(ClusterAmbiguity):
@@ -458,3 +475,143 @@ class TestMergedIdentities:
                 assert w[0] > 0
                 conds.append(w[-1] / w[0])
             assert got == pytest.approx(max(conds), rel=1e-8)
+
+
+def _uniform_models():
+    from oracles import random_stable_model
+
+    cases = [(f"fluid-{k}", builtin_barotropic_fluid(p)) for k, p in enumerate(FLUID_SETS)]
+    cases += [("dw-d1", builtin_damped_wave(2.0, d=1)), ("dw-d3", builtin_damped_wave(2.0, d=3))]
+    cases += [(f"cdw-{a}", builtin_convected_damped_wave(a)) for a in (0.0, 0.5, 1.5)]
+    cases += [(f"random-n{n}-d{d}", random_stable_model(np.random.default_rng(10 * n + d), n=n, d=d))
+              for n in (1, 2, 3) for d in (1, 2, 3)]
+    return cases
+
+
+UNIFORM_MODELS = _uniform_models()
+
+
+def _uniform_or_error(check, model, **kw):
+    try:
+        return check(model, **kw)
+    except LyapunovSolveFailure as e:
+        return e
+
+
+def _assert_same_uniform(got, want):
+    # cond profiles within 1e-8 relative, c_abs bit-equal, same verdict
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.verdict == want.verdict
+    assert got.margin == want.margin and got.witness == want.witness
+    assert got.trace["c_abs"] == want.trace["c_abs"]
+    assert got.per_point == want.per_point
+    for key in ("cond_by_xi", "cond_raw_by_xi"):
+        np.testing.assert_allclose(got.trace[key], want.trace[key], rtol=1e-8, atol=0)
+
+
+class TestBatchedUniform:
+    """The stacked UNIFORM certificate against the per-point oracle."""
+
+    @pytest.mark.parametrize("model", [m for _, m in UNIFORM_MODELS],
+                             ids=[name for name, _ in UNIFORM_MODELS])
+    def test_matches_per_point_oracle(self, model):
+        from oracles import uniform_oracle
+
+        want = _uniform_or_error(uniform_oracle, model)
+        _assert_same_uniform(_uniform_or_error(check_uniform_dissipativity, model), want)
+
+    def test_antidamped_first_point_message(self):
+        from oracles import uniform_oracle
+
+        with pytest.raises(LyapunovSolveFailure) as want:
+            uniform_oracle(antidamped_model())
+        with pytest.raises(LyapunovSolveFailure) as got:
+            check_uniform_dissipativity(antidamped_model())
+        assert str(got.value) == str(want.value)
+        assert "omega index 0" in str(got.value)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_defective_points_take_the_per_point_solve(self, monkeypatch, d):
+        # at |xi| = 1 the damped wave's symbol is a Jordan block (cond(V) = inf)
+        import hypdiss.conditions as cond
+
+        from oracles import uniform_oracle
+
+        calls = []
+        solve = cond.lyapunov_certificate
+        monkeypatch.setattr(cond, "lyapunov_certificate", lambda M, r: calls.append(r) or solve(M, r))
+        model = builtin_damped_wave(2.0, d=d)
+        rep = check_uniform_dissipativity(model)
+        assert len(calls) > 0
+        assert len(calls) == len(rep.per_point) // len(rep.trace["xi_grid"])
+        _assert_same_uniform(rep, uniform_oracle(model))
+
+    @pytest.mark.parametrize("name", ["fluid-0", "dw-d1", "cdw-0.5", "random-n3-d1"])
+    def test_forced_per_point_paths_match_oracle(self, monkeypatch, name):
+        # with the eigenbasis guard at 0 every solve and every split takes the
+        # per-point scipy / sorted-Schur path
+        import hypdiss.conditions as cond
+
+        from oracles import uniform_oracle
+
+        model = dict(UNIFORM_MODELS)[name]
+        monkeypatch.setattr(cond, "DEFECT_COND_LIMIT", 0.0)
+        splits = []
+        schur = cond._schur_split
+        monkeypatch.setattr(cond, "_schur_split", lambda *a: splits.append(1) or schur(*a))
+        xis = np.logspace(-3, 3, 13)
+        rep = check_uniform_dissipativity(model, xi_loggrid=xis)
+        assert len(splits) > 0
+        _assert_same_uniform(rep, uniform_oracle(model, xi_loggrid=xis))
+
+    @pytest.mark.parametrize("what", ["eig", "inv", "qr"])
+    def test_stacked_linalg_failure_names_the_point(self, monkeypatch, what):
+        from hypdiss.grids import direction_major_grid, unit_directions
+
+        m = ensure_normalized(builtin_barotropic_fluid(FLUID))
+        xis = np.logspace(-3, 3, 13)
+        xi, idx, mags = direction_major_grid(unit_directions(3)[0], xis)
+        q = 40
+        target = assemble_M(m, m.reference_state, xi[q])
+        real = getattr(np.linalg, what)
+
+        def failing(A, *args, **kwargs):
+            # eig fails on any stack that holds point q; inv and qr always fail
+            if what != "eig" or np.any(np.all(A == target, axis=(-2, -1))):
+                raise np.linalg.LinAlgError("injected")
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, what, failing)
+        with pytest.raises(LyapunovSolveFailure, match=r"at xi=\S+, omega index \d+$") as err:
+            check_uniform_dissipativity(m, xi_loggrid=xis)
+        causes = [err.value]
+        while causes[-1].__cause__ is not None:
+            causes.append(causes[-1].__cause__)
+        assert isinstance(causes[-1], np.linalg.LinAlgError)
+        assert f"stacked {what} failed" in str(err.value)
+        if what == "eig":
+            assert str(err.value).endswith(f"at xi={mags[q]:g}, omega index {idx[q]}")
+
+
+class TestDegenerateGrids:
+    @pytest.mark.parametrize("check", [check_d3, check_uniform_dissipativity])
+    def test_empty_radial_grid(self, check):
+        with pytest.raises(GridEmpty):
+            check(builtin_damped_wave(2.0, d=1), xi_loggrid=np.array([]))
+
+    def test_empty_configured_grid(self):
+        with pytest.raises(GridEmpty):
+            check_d3(builtin_damped_wave(2.0, d=1), config=CheckConfig(xi_count=0))
+
+    @pytest.mark.parametrize("xis", [[1.0], [2.0, 2.0, 2.0]])
+    def test_uniform_needs_two_radii(self, xis):
+        # the conditioning slopes are fitted over |xi|
+        with pytest.raises(InvalidParameter, match="2 distinct radii"):
+            check_uniform_dissipativity(builtin_damped_wave(2.0, d=1), xi_loggrid=np.array(xis))
+
+    def test_two_radii_suffice(self):
+        rep = check_uniform_dissipativity(builtin_damped_wave(2.0, d=1), xi_loggrid=[0.1, 10.0])
+        assert rep.verdict == "pass"

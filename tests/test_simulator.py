@@ -447,12 +447,37 @@ class TestLatticeGuard:
             tracemalloc.stop()
         assert peak < array_bytes // 100
 
-    def test_cli_refuses_default_fluid_lattice(self, tmp_path, capsys):
+    def test_cli_refuses_fluid_n128(self, tmp_path, capsys):
         from hypdiss.cli import EXIT_ERROR, main
 
-        code = main(["simulate", "--builtin", "fluid", "--output-dir", str(tmp_path)])
+        code = main(["simulate", "--builtin", "fluid", "--n-grid", "128",
+                     "--output-dir", str(tmp_path)])
         assert code == EXIT_ERROR
         assert "InvalidParameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,lattice", [
+        (["--builtin", "fluid"], Lattice(d=3, N=64)),
+        (["--builtin", "damped-wave", "--d", "3"], Lattice(d=3, N=64)),
+        (["--builtin", "damped-wave", "--d", "2"], Lattice(d=2, N=128)),
+        (["--builtin", "convected-damped-wave", "--a", "0.5"], Lattice(d=1, N=128)),
+        (["--builtin", "fluid", "--n-grid", "16"], Lattice(d=3, N=16)),
+    ])
+    def test_cli_default_lattice_per_dimension(self, tmp_path, monkeypatch, argv, lattice):
+        # the largest power of two <= 128 that the guard accepts; run is
+        # replaced, so nothing is simulated
+        import hypdiss.simulator as sim
+        from hypdiss.cli import EXIT_ERROR, main
+
+        seen = []
+
+        def fake_run(model, data_spec, config):
+            sim._require_lattice_fits(model, config.lattice)
+            seen.append(config.lattice)
+            raise RuntimeError("not simulated")
+
+        monkeypatch.setattr(sim, "run", fake_run)
+        assert main(["simulate", *argv, "--output-dir", str(tmp_path)]) == EXIT_ERROR
+        assert seen == [lattice]
 
     def test_largest_fluid_lattice_allowed(self):
         # N = 64 in d=3 needs exactly the limit and is still accepted
