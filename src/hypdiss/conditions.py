@@ -146,6 +146,14 @@ def _cluster_eigenvalues(lam, thr):
     return groups
 
 
+def _schur_block(K, select):
+    """Sorted Schur form K = Z T Z^* with the k selected eigenvalues leading:
+    (Z, k, R), R solving T11 R - R T22 = T12 (None when k is 0 or all)."""
+    T, Z, k = sla.schur(K, output="complex", sort=select)
+    R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:]) if 0 < k < len(K) else None
+    return Z, k, R
+
+
 def eigstructure(matrix, cluster_tolerance=1e-7):
     """Cluster the spectrum and compute per-cluster spectral projections.
 
@@ -172,14 +180,12 @@ def eigstructure(matrix, cluster_tolerance=1e-7):
             def select(x, _c=center, _t=thr):
                 return bool(abs(x - _c) <= max(5.0 * _t, 1e-300))
 
-            T, Z, sdim = sla.schur(K, output="complex", sort=select)
+            Z, sdim, R = _schur_block(K, select)
             if sdim != mult:
                 raise ClusterAmbiguity(
                     f"Schur reordering selected {sdim} eigenvalues for a "
                     f"cluster of size {mult}"
                 )
-            T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-            R = sla.solve_sylvester(T11, -T22, T12)
             P_t = np.zeros((m, m), dtype=complex)
             P_t[:sdim, :sdim] = np.eye(sdim)
             P_t[:sdim, sdim:] = R
@@ -582,11 +588,16 @@ def _eig_solve(Ms, rho, pts):
 
     With M = V diag(w) V^{-1}, P = V^{-*} X V^{-1} where
     X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point whose cond(V) is not
-    below DEFECT_COND_LIMIT is solved by `lyapunov_certificate` instead.
-    Returns (P, w, V, ok) with ok the points solved in the eigenbasis; pts
-    are the points' indices, used to name a failing one.
+    below DEFECT_COND_LIMIT is solved by `lyapunov_certificate` instead; the
+    first point whose spectral abscissa is not negative is refused.  Returns
+    (P, w, V, ok) with ok the points solved in the eigenbasis; pts are the
+    points' indices, used to name a failing one.
     """
     w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
+    alpha = w.real.max(axis=1)
+    if np.any(alpha >= 0.0):
+        q = int(np.argmax(alpha >= 0.0))
+        raise LyapunovSolveFailure(f"spectral abscissa {alpha[q]:.3e} >= 0", index=int(pts[q]))
     ok = _stacked(np.linalg.cond, V, pts, "cond") < DEFECT_COND_LIMIT
     P = np.empty_like(V)
     if ok.any():
@@ -604,8 +615,8 @@ def _eig_solve(Ms, rho, pts):
 
 def lyapunov_stack(Ms, rho):
     """Hermitian solutions P of P M + M^* P = -rho I for a stack (Q, m, m) of
-    stable M; rho is a scalar or one value per point.  One stacked `eig`
-    solves every point whose eigenbasis is well conditioned (see `_eig_solve`).
+    stable M (else LyapunovSolveFailure); rho is a scalar or one value per
+    point.  One stacked `eig` solves every well-conditioned point (`_eig_solve`).
     """
     Ms = np.asarray(Ms, dtype=complex)
     rho = np.broadcast_to(np.asarray(rho, dtype=float), Ms.shape[:1])
@@ -650,12 +661,10 @@ def _schur_split(M, lam, first):
     def sel(x):
         return bool(np.min(np.abs(x - g)) < np.min(np.abs(x - rest)))
 
-    T, Z, k = sla.schur(M, output="complex", sort=sel)
+    Z, k, R = _schur_block(M, sel)
     if k != len(g):
         return None
-    # Z [[I, R], [0, I]] block-diagonalizes M: T11 R - R T22 = -T12
-    R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], -T[:k, k:])
-    return Z[:, :k], Z[:, :k] @ R + Z[:, k:], Z[:, k:]
+    return Z[:, :k], Z[:, k:] - Z[:, :k] @ R, Z[:, k:]
 
 
 def _invariant_bases(Ms, lam, V, ok, first, pts):
@@ -751,13 +760,8 @@ def balanced_lyapunov_certificate(M, rho):
     solved per group, and each block is rescaled to unit norm; the result is
     an equally valid decay certificate P M + M^* P <= -c rho P whose
     conditioning stays bounded uniformly in xi exactly when the mode decay
-    is uniform.  Returns (P, cond).
+    is uniform.  Returns (P, cond); an unstable M raises LyapunovSolveFailure.
     """
-    lam = np.linalg.eigvals(M)
-    if np.max(lam.real) >= 0.0:
-        raise LyapunovSolveFailure(
-            f"spectral abscissa {np.max(lam.real):.3e} >= 0"
-        )
     P = _certify(np.asarray(M, dtype=complex)[None], np.array([float(rho)]), np.zeros(1, int))
     return P[0], float(_positive_cond(P, "balanced certificate", [0])[0])
 
@@ -785,16 +789,12 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     xi, idx, mags = direction_major_grid(omegas, xis)
     Ms = assemble_M_stack(model, ubar, xi)
     pts = np.arange(len(Ms))
+    rho = rho_profile(mags)
+    alphas, cond_raw, cond = np.empty(len(Ms)), np.empty(len(Ms)), np.empty(len(Ms))
     try:
-        alphas = _stacked(np.linalg.eigvals, Ms, pts, "eigvals").real.max(axis=1)
-        unstable = alphas >= 0.0
-        if unstable.any():
-            q = int(np.argmax(unstable))
-            raise LyapunovSolveFailure(f"spectral abscissa {alphas[q]:.3e} >= 0", index=q)
-        rho = rho_profile(mags)
-        cond_raw, cond = np.empty(len(Ms)), np.empty(len(Ms))
         for at in np.array_split(pts, max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
             P, w, V, ok = _eig_solve(Ms[at], rho[at], at)
+            alphas[at] = w.real.max(axis=1)
             cond_raw[at] = _positive_cond(P, "Lyapunov solution", at)
             P = _balanced_stack(Ms[at], rho[at], P, w, V, ok, at)
             cond[at] = _positive_cond(P, "balanced certificate", at)

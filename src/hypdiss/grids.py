@@ -85,6 +85,8 @@ def radial_quadrature(lo, hi, count, d):
     i.e. int g(r) r^d dlog r.  Returns (r, w) with sum(w * f(r)) the
     quadrature of f against the radial measure r^{d-1} dr.
     """
+    if int(count) < 2:
+        raise InvalidParameter(f"radial quadrature needs at least 2 radii; got {int(count)}")
     r = radial_loggrid(lo, hi, count)
     t = np.log(r)
     wt = np.zeros_like(t)

@@ -44,12 +44,15 @@ ENERGY_BUDGET_SLACK = 10.0
 #: Decay constant c in the energy inequality; also the margin added to C_low.
 C_MONITOR = 0.25
 
+#: Fraction of the RK4 stability bound taken as the default step.
+CFL_FACTOR = 0.9
+
 #: Admissible cut-off of the energy functional's para-operator.
 CHI = make_cutoff(0.2, 0.5)
 
-#: Largest dissipation-symbol field (P x P x 2n x 2n complex values on a
-#: lattice of P points) the energy monitor builds, and largest RK4 working
-#: set a simulation may hold; 256 MiB.
+#: Largest working set a simulation may hold (the RK4 step, the energy
+#: form's multiplier or its P x P x 2n x 2n dissipation-symbol field on a
+#: lattice of P points); 256 MiB.
 SYMBOL_FIELD_MAX_BYTES = 2**28
 
 #: Size of one slice of Kronecker-form Lyapunov systems; 32 MiB.
@@ -64,23 +67,12 @@ class FieldState:
     u: np.ndarray
     ut: np.ndarray
     time: float = 0.0
-    dealias_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         iif = np.asarray(self.u, dtype=complex)
         self.u = iif if iif.ndim == 2 else iif[:, None]
         vt = np.asarray(self.ut, dtype=complex)
         self.ut = vt if vt.ndim == 2 else vt[:, None]
-        if self.dealias_mask is None:
-            self.dealias_mask = two_thirds_mask(self.lattice)
-
-    @property
-    def n(self):
-        return self.u.shape[1]
-
-    def copy(self):
-        return FieldState(self.lattice, self.u.copy(), self.ut.copy(), self.time,
-                          self.dealias_mask)
 
 
 def two_thirds_mask(lattice):
@@ -133,14 +125,15 @@ def _rk4_bytes(model, lattice):
     return need
 
 
-def _require_lattice_fits(model, lattice):
-    need = _rk4_bytes(model, lattice)
+def _refuse_above_limit(need, what):
     if need > SYMBOL_FIELD_MAX_BYTES:
-        raise InvalidParameter(
-            f"an RK4 step on {lattice.points} lattice points with {model.n} components "
-            f"needs about {need} bytes, above the limit of {SYMBOL_FIELD_MAX_BYTES} "
-            f"bytes; use a coarser lattice"
-        )
+        raise InvalidParameter(f"{what} needs about {need} bytes, above the limit of "
+                               f"{SYMBOL_FIELD_MAX_BYTES} bytes; use a coarser lattice")
+
+
+def _require_lattice_fits(model, lattice):
+    what = f"an RK4 step on {lattice.points} lattice points with {model.n} components"
+    _refuse_above_limit(_rk4_bytes(model, lattice), what)
 
 
 def default_lattice(model):
@@ -178,10 +171,8 @@ def initial_state(model, data_spec, lattice):
             u[:, spec.component] += vals
         else:
             ut[:, spec.component] += vals
-    state = FieldState(lattice, u, ut)
-    state.u = apply_mask(lattice, state.u, state.dealias_mask)
-    state.ut = apply_mask(lattice, state.ut, state.dealias_mask)
-    return state
+    mask = two_thirds_mask(lattice)
+    return FieldState(lattice, apply_mask(lattice, u, mask), apply_mask(lattice, ut, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +278,18 @@ def rhs(model, state, linear=None):
     return lat.ifft(vhat), lat.ifft(vt_hat)
 
 
-def spectral_radius_bound(model, lattice, mask=None):
+def spectral_radius_bound(model, lattice):
     """Upper bound for |spec(Mbar)| over the resolved (dealiased) frequencies."""
     model = ensure_normalized(model)
-    mask = two_thirds_mask(lattice) if mask is None else mask
-    xi = lattice.xi_vectors()[mask]
+    xi = lattice.xi_vectors()[two_thirds_mask(lattice)]
     mags = np.linalg.norm(xi, axis=1)
     probes = [np.argmax(mags)] + [np.argmax(np.abs(xi[:, j])) for j in range(lattice.d)]
     mbar = assemble_Mbar_stack(model, model.reference_state, xi[probes])
     return 1.05 * float(np.max(np.abs(np.linalg.eigvals(mbar))))
 
 
-def max_stable_dt(model, lattice, cfl_factor=0.9):
-    return cfl_factor * RK4_IMAG_LIMIT / spectral_radius_bound(model, lattice)
+def max_stable_dt(model, lattice):
+    return CFL_FACTOR * RK4_IMAG_LIMIT / spectral_radius_bound(model, lattice)
 
 
 def step_rk4(model, state, dt, dt_max=None, linear=None):
@@ -313,8 +303,7 @@ def step_rk4(model, state, dt, dt_max=None, linear=None):
     linear = LinearPart(model, state.lattice) if linear is None else linear
 
     def f(u, ut, t):
-        s = FieldState(state.lattice, u, ut, t, state.dealias_mask)
-        return rhs(model, s, linear)
+        return rhs(model, FieldState(state.lattice, u, ut, t), linear)
 
     u, v, t = state.u, state.ut, state.time
     k1u, k1v = f(u, v, t)
@@ -323,9 +312,9 @@ def step_rk4(model, state, dt, dt_max=None, linear=None):
     k4u, k4v = f(u + dt * k3u, v + dt * k3v, t + dt)
     un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
     vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    un = apply_mask(state.lattice, un, state.dealias_mask)
-    vn = apply_mask(state.lattice, vn, state.dealias_mask)
-    return FieldState(state.lattice, un, vn, t + dt, state.dealias_mask)
+    un = apply_mask(state.lattice, un, linear.mask)
+    vn = apply_mask(state.lattice, vn, linear.mask)
+    return FieldState(state.lattice, un, vn, t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +378,20 @@ def _batched_lyapunov(Ms):
 
 
 def _require_field_fits(n, lattice):
-    need = lattice.points**2 * (2 * n) ** 2 * np.dtype(complex).itemsize
-    if need > SYMBOL_FIELD_MAX_BYTES:
-        raise InvalidParameter(
-            f"the dissipation-symbol field on {lattice.points} lattice points with "
-            f"{2 * n}x{2 * n} symbols needs {need} bytes, above the limit of "
-            f"{SYMBOL_FIELD_MAX_BYTES} bytes; use a coarser lattice"
-        )
+    P, m = lattice.points, 2 * n
+    what = f"the dissipation-symbol field on {P} lattice points with {m}x{m} symbols"
+    _refuse_above_limit(P * P * m * m * np.dtype(complex).itemsize, what)
+
+
+def _require_multiplier_fits(n, lattice):
+    # building the (P, 2n, 2n) multiplier holds about four stacks of its size
+    # and three Kronecker-form Lyapunov slices of (2n)^4 values a point
+    # (tracemalloc peaks of EnergyForm: 0.86-0.96 of this on the builtins
+    # with 1024 to 65536 lattice points)
+    P, m, item = lattice.points, 2 * n, np.dtype(complex).itemsize
+    slice_points = min(P, max(1, LYAPUNOV_BATCH_BYTES // (m**4 * item)))
+    what = f"the energy multiplier on {P} lattice points with {m}x{m} symbols"
+    _refuse_above_limit(item * (4 * P * m * m + 3 * slice_points * m**4), what)
 
 
 def _dissipation_values(model, states, lattice):
@@ -427,11 +423,7 @@ def dissipation_symbol_field(model, u_phys, lattice):
     """
     model = ensure_normalized(model)
     _require_field_fits(model.n, lattice)
-    if model.constant_coefficients:
-        states = model.reference_state[None, :]
-        back = np.zeros(u_phys.shape[0], dtype=int)
-    else:
-        states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
+    states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
     vals = _dissipation_values(model, states, lattice)[back.reshape(-1)]
     return DiscreteSymbol(lattice, vals, order_m=0.0, class_tag="Gamma_k")
 
@@ -439,36 +431,44 @@ def dissipation_symbol_field(model, u_phys, lattice):
 class EnergyForm:
     """The quadratic form <G_u W, W> of one model on one lattice.
 
-    G_u = Op_chi[D-tilde(u, .)] + op[(1 - chi(0, xi)) D-tilde(ubar, xi)]: the
-    para-operator of the dissipation symbol at the current state plus the
-    multiplier correction at the reference state, which is built here once.
-    low_band marks the frequencies where the dissipation symbol is not fully
-    active.  A lattice whose symbol field exceeds SYMBOL_FIELD_MAX_BYTES is
-    refused.
+    G_u = Op_chi[D-tilde(u, .)] splits at the reference state: Op_chi of an
+    x-independent symbol a is the multiplier chi(0, xi) a(xi), so G_u =
+    op[D-tilde(ubar, xi)] + Op_chi[D-tilde(u, .) - D-tilde(ubar, .)].  The
+    multiplier `reference` is built here once; only a state-dependent model
+    has the remainder, on the (P, P) field.  low_band marks the frequencies
+    where the dissipation symbol is not fully active.  A lattice on which
+    building the multiplier (or, through `dissipation_symbol_field`, the
+    field) would exceed SYMBOL_FIELD_MAX_BYTES is refused.
     """
 
     def __init__(self, model, lattice):
         self.model = ensure_normalized(model)
         self.lattice = lattice
-        _require_field_fits(self.model.n, lattice)
+        _require_multiplier_fits(self.model.n, lattice)
         ref_state = self.model.reference_state[None, :]
         self.reference = _dissipation_values(self.model, ref_state, lattice)[0]
-        mags = lattice.xi_mags()
-        self.correction = self.reference * (1.0 - CHI(np.zeros_like(mags), mags))[:, None, None]
-        self.low_band = _phi(mags) < 1.0
+        self.low_band = _phi(lattice.xi_mags()) < 1.0
 
     def operator(self, u_phys):
-        """The smoothed symbol of Op_chi[D-tilde(u, .)]."""
-        return smooth_symbol(dissipation_symbol_field(self.model, u_phys, self.lattice), CHI)
+        """The smoothed symbol of Op_chi[D-tilde(u, .) - D-tilde(ubar, .)];
+        None for a constant-coefficient model, whose remainder is zero."""
+        if self.model.constant_coefficients:
+            return None
+        field = dissipation_symbol_field(self.model, u_phys, self.lattice)
+        field.values -= self.reference
+        return smooth_symbol(field, CHI)
 
     def apply(self, op, values, hat):
-        """<G W, W> from the lattice values of W and its Fourier coefficients."""
+        """<G W, W> from the lattice values of W and its Fourier coefficients;
+        op is what `operator` returned for the state."""
         lat = self.lattice
-        opw = apply_op(op, GridFunction(lat, values))
-        voln = lat.L_box**lat.d / lat.points
-        val = float(np.real(np.sum(np.conj(values) * opw.values)) * voln)
-        corr = np.einsum("qab,qb->qa", self.correction, hat)
-        return val + float(np.real(np.sum(np.conj(hat) * corr)) * lat.L_box**lat.d)
+        vol = lat.L_box**lat.d
+        Dw = np.einsum("qab,qb->qa", self.reference, hat)
+        val = float(np.real(np.sum(np.conj(hat) * Dw)) * vol)
+        if op is not None:
+            opw = apply_op(op, GridFunction(lat, values))
+            val += float(np.real(np.sum(np.conj(values) * opw.values)) * vol / lat.points)
+        return val
 
     def value(self, state, s):
         """<G_u W, W> with W = <D>^s (<D>(u - ubar), u_t) of the state."""
@@ -493,7 +493,6 @@ class MonitorResult:
     derivative: float
     w_norm2: float
     w_low_norm2: float
-    c_monitor: float
     budget: float
     lhs: float
 
@@ -532,7 +531,6 @@ def energy_monitor(model, state, s=2.0, dt_fd=1e-3, dt_max=None):
         derivative=deriv,
         w_norm2=w2,
         w_low_norm2=wlow2,
-        c_monitor=C_MONITOR,
         budget=budget,
         lhs=0.5 * deriv + C_MONITOR * w2,
     )
@@ -566,7 +564,6 @@ class SimConfig:
     dt: Optional[float] = None
     t_final: float = 10.0
     snapshots: int = 41
-    cfl_factor: float = 0.9
     s: float = 2.0
     norm_ceiling_factor: float = 10.0
     monitor: bool = False
@@ -604,7 +601,7 @@ def run(model, data_spec, config=SimConfig()):
     model = ensure_normalized(model)
     lat = config.lattice
     state = initial_state(model, data_spec, lat)
-    dt_max = max_stable_dt(model, lat, config.cfl_factor)
+    dt_max = max_stable_dt(model, lat)
     dt = dt_max if config.dt is None else config.dt
     if not dt > 0.0:
         raise InvalidParameter(f"configured dt = {dt:g} must be positive")

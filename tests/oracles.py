@@ -164,10 +164,11 @@ def physical_rhs_oracle(model, state):
     The right-hand side before its spectral split: all d first derivatives of
     u and of u_t and all d^2 second derivatives of u by spectral
     differentiation, every coefficient evaluated at every grid point, the
-    products summed pointwise and both outputs dealiased with the state's
+    products summed pointwise and both outputs dealiased with the two-thirds
     mask.
     """
     from hypdiss.model import ensure_normalized
+    from hypdiss.simulator import two_thirds_mask
 
     model = ensure_normalized(model)
     lat = state.lattice
@@ -192,10 +193,42 @@ def physical_rhs_oracle(model, state):
 
     def dealias(values):
         hat = lat.fft(values)
-        hat[~state.dealias_mask] = 0.0
+        hat[~two_thirds_mask(lat)] = 0.0
         return lat.ifft(hat)
 
     return dealias(state.ut), dealias(vt)
+
+
+def energy_form_oracle(model, u_phys, lattice, values):
+    """<G_u W, W> for W given by its lattice values, with the full para-operator
+
+        G_u = Op_chi[D-tilde(u, .)] + op[(1 - chi(0, xi)) D-tilde(ubar, xi)]:
+
+    the (P, P) dissipation-symbol field (one symbol per distinct state; the
+    reference symbol everywhere for a constant-coefficient model), smoothed
+    and quantized with the phase matrix, plus the multiplier correction at
+    the reference state.  This is the form before its split at ubar.
+    """
+    from hypdiss.model import ensure_normalized
+    from hypdiss.paradiff import DiscreteSymbol, GridFunction, apply_op, smooth_symbol
+    from hypdiss.simulator import CHI, _dissipation_values
+
+    model = ensure_normalized(model)
+    lat, P = lattice, lattice.points
+    ref = _dissipation_values(model, model.reference_state[None, :], lat)[0]
+    if model.constant_coefficients:
+        field = np.broadcast_to(ref, (P,) + ref.shape).copy()
+    else:
+        states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
+        field = _dissipation_values(model, states, lat)[back.reshape(-1)]
+    op = smooth_symbol(DiscreteSymbol(lat, field), CHI)
+    opw = apply_op(op, GridFunction(lat, values)).values
+    val = float(np.real(np.sum(np.conj(values) * opw)) * lat.L_box**lat.d / P)
+    mags = lat.xi_mags()
+    corr = ref * (1.0 - CHI(np.zeros_like(mags), mags))[:, None, None]
+    hat = lat.fft(values)
+    Dw = np.einsum("qab,qb->qa", corr, hat)
+    return val + float(np.real(np.sum(np.conj(hat) * Dw)) * lat.L_box**lat.d)
 
 
 def _lyap_solve(M, rho):

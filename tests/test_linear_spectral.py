@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypdiss.conditions import check_uniform_dissipativity, rho_profile
-from hypdiss.errors import DegenerateFit, GridMismatch, UnsupportedDataSpec
+from hypdiss.errors import DegenerateFit, GridMismatch, InvalidParameter, UnsupportedDataSpec
 from hypdiss.linear_spectral import (
     FourierBumpData,
     GaussianData,
@@ -41,6 +41,13 @@ class TestGrid:
         xi, w = SpectralGrid().build(1)
         assert xi.shape[1] == 1
         assert np.any(xi[:, 0] > 0) and np.any(xi[:, 0] < 0)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_radii_refused(self, count):
+        # the trapezoid weights in log r need two radii
+        with pytest.raises(InvalidParameter, match="at least 2 radii"):
+            SpectralGrid(radial_count=count).build(3)
+        assert len(SpectralGrid(radial_count=2).build(3)[1]) == 2 * 26
 
 
 class TestInitEnsemble:

@@ -251,7 +251,7 @@ class TestStepping:
         for _ in range(100):
             st = step_rk4(m, st, 0.02)
         hat = LAT.fft(st.u)
-        assert np.abs(hat[~st.dealias_mask]).max() < 1e-15
+        assert np.abs(hat[~two_thirds_mask(LAT)]).max() < 1e-15
 
 
 class TestLinearConsistency:
@@ -417,6 +417,135 @@ class TestEnergyMonitor:
         assert 0.0 <= c_low < 10.0
 
 
+def readme_fluid():
+    from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+    return builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
+
+
+def assert_form_matches_oracle(m, st, s=2.0):
+    # the split form against the full (P, P) para-operator plus correction
+    from oracles import energy_form_oracle
+
+    lat = st.lattice
+    want = energy_form_oracle(m, st.u, lat, lat.ifft(w_hat(m, st, s)))
+    got = EnergyForm(m, lat).value(st, s)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestEnergyFormSplit:
+    @pytest.mark.parametrize("which", ["convected-0.5", "quasilinear", "fluid", "damped-wave-d3"])
+    def test_value_matches_full_field_oracle(self, which):
+        m, lat = {
+            "convected-0.5": (builtin_convected_damped_wave(0.5), LAT),
+            "quasilinear": (nonlinear_convected_model(0.5), LAT),
+            "fluid": (readme_fluid(), Lattice(d=3, N=4)),
+            "damped-wave-d3": (builtin_damped_wave(2.0, d=3), Lattice(d=3, N=4)),
+        }[which]
+        # not dealiased, so that the active band |xi| >= 2 of N = 4 is populated
+        from hypdiss.simulator import FieldState
+
+        rng = np.random.default_rng(7)
+        shape = (lat.points, m.n)
+        st = FieldState(lat, m.reference_state + 0.05 * rng.normal(size=shape),
+                        0.05 * rng.normal(size=shape))
+        assert_form_matches_oracle(m, st)
+
+    def test_quasilinear_along_a_run(self):
+        m = nonlinear_convected_model(0.5)
+        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        dt_max = max_stable_dt(m, LAT)
+        for _ in range(4):
+            assert_form_matches_oracle(m, st)
+            for _ in range(10):
+                st = step_rk4(m, st, 0.02, dt_max)
+        assert st.time > 0.7
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_models_match_oracle(self, n, d):
+        from oracles import random_stable_model
+
+        from hypdiss.simulator import FieldState
+
+        rng = np.random.default_rng(100 + 10 * n + d)
+        m = random_stable_model(rng, n=n, d=d)
+        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 4}[d])
+        st = FieldState(lat, 0.05 * rng.normal(size=(lat.points, n)),
+                        0.05 * rng.normal(size=(lat.points, n)))
+        assert_form_matches_oracle(m, st)
+
+    @pytest.mark.parametrize("which", ["convected-0.5", "quasilinear"])
+    def test_rayleigh_floor_matches_oracle(self, which):
+        # the same random fields through the full para-operator
+        from oracles import energy_form_oracle
+
+        if which == "quasilinear":
+            m = nonlinear_convected_model(0.5)
+        else:
+            m = builtin_convected_damped_wave(0.5)
+        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        rng = np.random.default_rng(3)
+        want = np.inf
+        for _ in range(10):
+            vals = rng.normal(size=(LAT.points, 2)) + 1j * rng.normal(size=(LAT.points, 2))
+            den = float(np.sum(np.abs(vals) ** 2) * LAT.L_box / LAT.points)
+            want = min(want, energy_form_oracle(m, st.u, LAT, vals) / den)
+        got = monitor_rayleigh_floor(m, st, count=10)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("which", ["convected-0.5", "fluid", "quasilinear"])
+    def test_constant_model_builds_no_field(self, monkeypatch, which):
+        # a constant model's form is a Fourier multiplier: no (P, P) field, no
+        # smoothing and no phase matrix; the quasi-linear model is the control
+        import hypdiss.simulator as sim
+
+        m, lat = {
+            "convected-0.5": (builtin_convected_damped_wave(0.5), LAT),
+            "fluid": (readme_fluid(), Lattice(d=3, N=4)),
+            "quasilinear": (nonlinear_convected_model(0.5), LAT),
+        }[which]
+        calls = []
+        for name in ("dissipation_symbol_field", "smooth_symbol", "apply_op"):
+            def counted(*args, _name=name, _orig=getattr(sim, name)):
+                calls.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(sim, name, counted)
+        phase = Lattice.phase_matrix
+        monkeypatch.setattr(Lattice, "phase_matrix",
+                            lambda self: calls.append("phase") or phase(self))
+        data = PeriodicBumpData(amplitude=1e-2)
+        energy_monitor(m, initial_state(m, data, lat), s=2.0)
+        monitor_rayleigh_floor(m, initial_state(m, data, lat), count=2)
+        tr = run(m, data, SimConfig(lattice=lat, t_final=0.1, snapshots=2, monitor=True))
+        assert np.all(np.isfinite(tr.energy))
+        if m.constant_coefficients:
+            assert calls == []
+        else:
+            assert {"dissipation_symbol_field", "smooth_symbol", "apply_op", "phase"} <= set(calls)
+
+    def test_multiplier_guard_refuses_fluid_n64_up_front(self):
+        # fluid, d=3, N=64: P = 262144 points, 8x8 symbols; four (P, 8, 8)
+        # complex stacks plus three Kronecker slices of 512 points x 8^4
+        # values need 16 (4 P 64 + 3 512 4096) = 1174405120 bytes
+        import tracemalloc
+
+        import hypdiss.simulator as sim
+
+        f = readme_fluid()
+        lat = Lattice(d=3, N=64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match="needs about 1174405120 bytes"):
+                EnergyForm(f, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lat.points * 8 * 8 * 16 // 100
+        sim._require_multiplier_fits(f.n, Lattice(d=3, N=32))
+
+
 def test_state_norms_match_grid_functions():
     m = builtin_convected_damped_wave(0.5)
     st = initial_state(m, TrigData(amplitude=0.1, wavenumber=(2,)), LAT)
@@ -539,9 +668,10 @@ class TestDissipationSymbolField:
         need = lat.points**2 * 8 * 8 * 16
         with pytest.raises(InvalidParameter, match=str(need)):
             dissipation_symbol_field(f, u, lat)
+        # the monitor's form of a constant model builds no field
         cfg = SimConfig(lattice=lat, t_final=0.1, snapshots=2, monitor=True)
-        with pytest.raises(InvalidParameter, match=str(need)):
-            run(f, PeriodicBumpData(amplitude=1e-2), cfg)
+        tr = run(f, PeriodicBumpData(amplitude=1e-2), cfg)
+        assert np.all(np.isfinite(tr.energy)) and tr.energy[0] > 0.0
 
     def test_size_guard_allocates_nothing(self, monkeypatch):
         import tracemalloc
