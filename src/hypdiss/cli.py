@@ -182,10 +182,10 @@ def cmd_dispersion(args):
     from .symbols import dispersion_root_stack, sorted_roots
 
     out = _outdir(args)
-    cfg = _effective_config(args)
+    config = _check_config(_effective_config(args))
     model = ensure_normalized(_load_model(args))
-    omegas, _ = unit_directions(model.d)
-    xis = radial_loggrid(cfg.get("xi_lo", 1e-3), cfg.get("xi_hi", 1e3), cfg.get("xi_count", 49))
+    omegas, _ = unit_directions(model.d, config.directions_2d)
+    xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count)
     xi, idx, mags = direction_major_grid(omegas, xis)
     roots = sorted_roots(dispersion_root_stack(model, model.reference_state, xi))
     parts = np.stack([roots.real, roots.imag], axis=-1).reshape(len(xi), -1)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DegenerateFit, GridMismatch, UnsupportedDataSpec
+from .errors import DegenerateFit, EigensolverFailure, GridMismatch, UnsupportedDataSpec
 from .grids import product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import ensure_normalized
@@ -159,17 +159,21 @@ class ModePropagator:
 
     `eig` lists per mode the views (w, V, Vinv) into the stacked
     decomposition, or None for a defective mode: one whose eigenbasis has
-    cond(V) >= DEFECT_COND_LIMIT (or is not finite).
+    cond(V) >= DEFECT_COND_LIMIT (or is not finite).  A symbol stack the
+    stacked solvers refuse (non-finite entries) raises EigensolverFailure.
     """
 
     def __init__(self, model, xi):
         model = ensure_normalized(model)
         self.xi = np.asarray(xi, dtype=float)
         self.mats = assemble_M_stack(model, model.reference_state, self.xi)
-        w, V = np.linalg.eig(self.mats)
-        self.defective = ~(np.linalg.cond(V) < DEFECT_COND_LIMIT)
-        # defective modes invert the identity instead; their product is replaced
-        Vinv = np.linalg.inv(np.where(self.defective[:, None, None], np.eye(V.shape[-1]), V))
+        try:
+            w, V = np.linalg.eig(self.mats)
+            self.defective = ~(np.linalg.cond(V) < DEFECT_COND_LIMIT)
+            # defective modes invert the identity instead; their product is replaced
+            Vinv = np.linalg.inv(np.where(self.defective[:, None, None], np.eye(V.shape[-1]), V))
+        except np.linalg.LinAlgError as e:
+            raise EigensolverFailure(f"eig failed on {len(self.xi)} frequencies: {e}") from e
         self._w, self._V, self._Vinv = w, V, Vinv
         self.eig = [None if bad else dec
                     for bad, dec in zip(self.defective, zip(w, V, Vinv))]

@@ -226,15 +226,9 @@ def smooth_symbol(symbol, chi):
     it realizes the restricted symbol class membership exactly on the lattice.
     """
     lat = symbol.lattice
-    P = lat.points
-    eta = lat.xi_mags()
-    ximag = lat.xi_mags()
-    mask = chi(eta[:, None], ximag[None, :])
-    v = symbol.values
-    shp = (lat.N,) * lat.d + v.shape[1:]
-    hat = np.fft.fftn(v.reshape(shp), axes=tuple(range(lat.d))).reshape(v.shape)
-    hat = hat * mask[:, :, None, None]
-    out = np.fft.ifftn(hat.reshape(shp), axes=tuple(range(lat.d))).reshape(v.shape)
+    mags = lat.xi_mags()
+    mask = chi(mags[:, None], mags[None, :])
+    out = lat.ifft(lat.fft(symbol.values) * mask[:, :, None, None])
     return DiscreteSymbol(lat, out, order_m=symbol.order_m, class_tag="smoothed")
 
 

@@ -33,7 +33,8 @@ from .paradiff import (
     smooth_symbol,
 )
 from .profiles import ramp_down, ramp_up
-from .symbols import assemble_M_stack, assemble_Mbar_stack, coefficient_tensors
+from .symbols import (assemble_M_stack, assemble_Mbar_stack, coefficient_tensors,
+                      frequency_polynomials)
 
 #: RK4 absolute-stability radius along the imaginary axis.
 RK4_IMAG_LIMIT = 2.8
@@ -46,6 +47,9 @@ C_MONITOR = 0.25
 
 #: Fraction of the RK4 stability bound taken as the default step.
 CFL_FACTOR = 0.9
+
+#: Largest step of the monitor's centered time difference.
+DT_FD = 1e-3
 
 #: Admissible cut-off of the energy functional's para-operator.
 CHI = make_cutoff(0.2, 0.5)
@@ -61,7 +65,7 @@ LYAPUNOV_BATCH_BYTES = 2**25
 
 @dataclass
 class FieldState:
-    """Periodic-grid physical state (u, u_t)."""
+    """Periodic-grid physical state (u, u_t); a 1-D array is one component."""
 
     lattice: Lattice
     u: np.ndarray
@@ -69,22 +73,14 @@ class FieldState:
     time: float = 0.0
 
     def __post_init__(self):
-        iif = np.asarray(self.u, dtype=complex)
-        self.u = iif if iif.ndim == 2 else iif[:, None]
-        vt = np.asarray(self.ut, dtype=complex)
-        self.ut = vt if vt.ndim == 2 else vt[:, None]
+        self.u = np.asarray(self.u, dtype=complex).reshape(len(self.u), -1)
+        self.ut = np.asarray(self.ut, dtype=complex).reshape(len(self.ut), -1)
 
 
 def two_thirds_mask(lattice):
     mags = np.abs(lattice.xi_vectors())
     cut = (2.0 / 3.0) * np.max(np.abs(lattice.axis_xi()))
     return np.all(mags <= cut + 1e-12, axis=1)
-
-
-def apply_mask(lattice, values, mask):
-    hat = lattice.fft(values)
-    hat[~mask] = 0.0
-    return lattice.ifft(hat)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +141,9 @@ def default_lattice(model):
     return Lattice(d=model.d, N=N)
 
 
-def initial_state(model, data_spec, lattice):
-    """Dealiased initial data on the lattice; refuses a lattice whose RK4
-    working set exceeds SYMBOL_FIELD_MAX_BYTES before allocating."""
-    model = ensure_normalized(model)
-    _require_lattice_fits(model, lattice)
+def initial_state(linear, data_spec):
+    """Dealiased initial data on the lattice of a `LinearPart`."""
+    model, lattice = linear.model, linear.lattice
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     x = lattice.x_vectors()
     u = np.tile(model.reference_state.astype(complex), (lattice.points, 1))
@@ -171,8 +165,7 @@ def initial_state(model, data_spec, lattice):
             u[:, spec.component] += vals
         else:
             ut[:, spec.component] += vals
-    mask = two_thirds_mask(lattice)
-    return FieldState(lattice, apply_mask(lattice, u, mask), apply_mask(lattice, ut, mask))
+    return FieldState(lattice, linear.dealias(u), linear.dealias(ut))
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +198,38 @@ def _check_domain(model, u_phys, time):
 
 
 class LinearPart:
-    """The constant-coefficient system at the reference state on one lattice.
+    """The constant-coefficient system at the reference state on one lattice;
+    every stepping and monitor call takes it.
 
     Every Fourier mode of the linearized system evolves by Mbar(ubar, xi).
     `rows` holds its bottom n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at
     the dealiased frequencies `mask` (two_thirds_mask), shape (Q, n, 2n);
     `tensors` are the coefficient tensors at ubar, which the remainder of a
-    state-dependent model subtracts.  `run` builds one per run and
-    `energy_monitor` one per call.
+    state-dependent model subtracts.  `dt_max` is the RK4 step bound from
+    |spec(Mbar)| at the largest dealiased frequencies.  A lattice whose RK4
+    working set exceeds SYMBOL_FIELD_MAX_BYTES is refused before allocating.
     """
 
     def __init__(self, model, lattice):
-        self.model = ensure_normalized(model)
+        model = ensure_normalized(model)
+        _require_lattice_fits(model, lattice)
+        self.model, self.lattice = model, lattice
         self.mask = two_thirds_mask(lattice)
         self.xi = lattice.xi_vectors()
-        ubar = self.model.reference_state
-        rows = assemble_Mbar_stack(self.model, ubar, self.xi[self.mask])[:, self.model.n:, :]
-        self.rows = np.ascontiguousarray(rows)
-        self.tensors = coefficient_tensors(self.model, ubar)
+        ubar, xi = model.reference_state, self.xi[self.mask]
+        self.tensors = T = coefficient_tensors(model, ubar)
+        A, B, C = frequency_polynomials(T, xi)
+        self.rows = np.concatenate([-1j * A - B, 1j * C - T.A0], axis=-1)
+        mags = np.linalg.norm(xi, axis=1)
+        probes = [np.argmax(mags)] + [np.argmax(np.abs(xi[:, j])) for j in range(lattice.d)]
+        mbar = assemble_Mbar_stack(model, ubar, xi[probes])
+        radius = 1.05 * float(np.max(np.abs(np.linalg.eigvals(mbar))))
+        self.dt_max = CFL_FACTOR * RK4_IMAG_LIMIT / radius
+
+    def dealias(self, values):
+        hat = self.lattice.fft(values)
+        hat[~self.mask] = 0.0
+        return self.lattice.ifft(hat)
 
 
 def _remainder(linear, state, uhat, vhat):
@@ -247,27 +254,24 @@ def _remainder(linear, state, uhat, vhat):
     return out
 
 
-def rhs(model, state, linear=None):
+def rhs(linear, state):
     """Time derivative (u_t, v_t) of the first-order system, dealiased.
 
     v_t = sum_j (B^{j0}+B^{0j})(u) v_{x_j} + sum_jk B^{jk}(u) u_{x_j x_k}
           - A^0(u) v - sum_j A^j(u) u_{x_j}.
     The part at the reference state is applied to the Fourier coefficients
-    as the bottom rows of Mbar(ubar, xi) (`LinearPart`, built here unless
-    given); a state-dependent model adds the remainder
-    [coeffs(u) - coeffs(ubar)] . derivatives, formed in physical space and
-    transformed once.  Two forward and two inverse transforms for a
-    constant-coefficient model.
+    as the bottom rows of Mbar(ubar, xi) (`linear`); a state-dependent model
+    adds the remainder [coeffs(u) - coeffs(ubar)] . derivatives, formed in
+    physical space and transformed once.  Two forward and two inverse
+    transforms for a constant-coefficient model.
     """
-    linear = LinearPart(model, state.lattice) if linear is None else linear
-    model = linear.model
     lat = state.lattice
     mask = linear.mask
-    _check_domain(model, state.u, state.time)
+    _check_domain(linear.model, state.u, state.time)
 
     uhat = lat.fft(state.u)
     vhat = lat.fft(state.ut)
-    if model.constant_coefficients:
+    if linear.model.constant_coefficients:
         vt_hat = np.zeros_like(vhat)
     else:
         vt_hat = lat.fft(_remainder(linear, state, uhat, vhat))
@@ -278,32 +282,14 @@ def rhs(model, state, linear=None):
     return lat.ifft(vhat), lat.ifft(vt_hat)
 
 
-def spectral_radius_bound(model, lattice):
-    """Upper bound for |spec(Mbar)| over the resolved (dealiased) frequencies."""
-    model = ensure_normalized(model)
-    xi = lattice.xi_vectors()[two_thirds_mask(lattice)]
-    mags = np.linalg.norm(xi, axis=1)
-    probes = [np.argmax(mags)] + [np.argmax(np.abs(xi[:, j])) for j in range(lattice.d)]
-    mbar = assemble_Mbar_stack(model, model.reference_state, xi[probes])
-    return 1.05 * float(np.max(np.abs(np.linalg.eigvals(mbar))))
-
-
-def max_stable_dt(model, lattice):
-    return CFL_FACTOR * RK4_IMAG_LIMIT / spectral_radius_bound(model, lattice)
-
-
-def step_rk4(model, state, dt, dt_max=None, linear=None):
+def step_rk4(linear, state, dt):
     """One classical RK4 step (dt may be negative); raises CFLViolation when
-    |dt| is above the stability bound.  `linear` is the `LinearPart` its four
-    stages share, built here unless given."""
-    if dt_max is None:
-        dt_max = max_stable_dt(model, state.lattice)
-    if abs(dt) > dt_max:
-        raise CFLViolation(f"|dt| = {abs(dt):g} exceeds stability bound {dt_max:g}")
-    linear = LinearPart(model, state.lattice) if linear is None else linear
+    |dt| is above the stability bound `linear.dt_max`."""
+    if abs(dt) > linear.dt_max:
+        raise CFLViolation(f"|dt| = {abs(dt):g} exceeds stability bound {linear.dt_max:g}")
 
     def f(u, ut, t):
-        return rhs(model, FieldState(state.lattice, u, ut, t), linear)
+        return rhs(linear, FieldState(state.lattice, u, ut, t))
 
     u, v, t = state.u, state.ut, state.time
     k1u, k1v = f(u, v, t)
@@ -312,9 +298,7 @@ def step_rk4(model, state, dt, dt_max=None, linear=None):
     k4u, k4v = f(u + dt * k3u, v + dt * k3v, t + dt)
     un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
     vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    un = apply_mask(state.lattice, un, linear.mask)
-    vn = apply_mask(state.lattice, vn, linear.mask)
-    return FieldState(state.lattice, un, vn, t + dt)
+    return FieldState(state.lattice, linear.dealias(un), linear.dealias(vn), t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +413,8 @@ def dissipation_symbol_field(model, u_phys, lattice):
 
 
 class EnergyForm:
-    """The quadratic form <G_u W, W> of one model on one lattice.
+    """The quadratic form <G_u W, W> of the model on the lattice of a
+    `LinearPart`, which the monitor steps with.
 
     G_u = Op_chi[D-tilde(u, .)] splits at the reference state: Op_chi of an
     x-independent symbol a is the multiplier chi(0, xi) a(xi), so G_u =
@@ -441,13 +426,13 @@ class EnergyForm:
     field) would exceed SYMBOL_FIELD_MAX_BYTES is refused.
     """
 
-    def __init__(self, model, lattice):
-        self.model = ensure_normalized(model)
-        self.lattice = lattice
-        _require_multiplier_fits(self.model.n, lattice)
+    def __init__(self, linear):
+        self.linear = linear
+        self.model, self.lattice = linear.model, linear.lattice
+        _require_multiplier_fits(self.model.n, self.lattice)
         ref_state = self.model.reference_state[None, :]
-        self.reference = _dissipation_values(self.model, ref_state, lattice)[0]
-        self.low_band = _phi(lattice.xi_mags()) < 1.0
+        self.reference = _dissipation_values(self.model, ref_state, self.lattice)[0]
+        self.low_band = _phi(self.lattice.xi_mags()) < 1.0
 
     def operator(self, u_phys):
         """The smoothed symbol of Op_chi[D-tilde(u, .) - D-tilde(ubar, .)];
@@ -501,27 +486,22 @@ class MonitorResult:
         return self.lhs <= self.budget
 
 
-def energy_monitor(model, state, s=2.0, dt_fd=1e-3, dt_max=None):
+def energy_monitor(form, state, s=2.0):
     """Value and decay test of the para-differential energy functional.
 
     Returns the quadratic form <G_u W, W>, a centered finite-difference time
-    derivative (stepping the full nonlinear dynamics), and the budget test
+    derivative (stepping the full nonlinear dynamics with the form's
+    `LinearPart`), and the budget test
     1/2 d/dt + c ||W||^2 <= C_low ||W_low||^2 + K ||W||^3.
     """
-    model = ensure_normalized(model)
     lat = state.lattice
-    if dt_max is None:
-        dt_max = max_stable_dt(model, lat)
-    h = min(dt_fd, 0.25 * dt_max)
-
-    form = EnergyForm(model, lat)
-    linear = LinearPart(model, lat)
+    h = min(DT_FD, 0.25 * form.linear.dt_max)
     val0 = form.value(state, s)
-    fwd = step_rk4(model, state, h, dt_max, linear)
-    bwd = step_rk4(model, state, -h, dt_max, linear)
+    fwd = step_rk4(form.linear, state, h)
+    bwd = step_rk4(form.linear, state, -h)
     deriv = (form.value(fwd, s) - form.value(bwd, s)) / (2.0 * h)
 
-    what = w_hat(model, state, s)
+    what = w_hat(form.model, state, s)
     voln = lat.L_box**lat.d
     w2 = float(np.sum(np.abs(what) ** 2) * voln)
     wlow2 = float(np.sum(np.abs(what[form.low_band]) ** 2) * voln)
@@ -536,10 +516,9 @@ def energy_monitor(model, state, s=2.0, dt_fd=1e-3, dt_max=None):
     )
 
 
-def monitor_rayleigh_floor(model, state, count=50, seed=3):
+def monitor_rayleigh_floor(form, state, count=50, seed=3):
     """Sampled positivity of G_u: min <G w, w>/<w, w> over random fields."""
     lat = state.lattice
-    form = EnergyForm(model, lat)
     op = form.operator(state.u)
     rng = np.random.default_rng(seed)
     n2 = 2 * form.model.n
@@ -596,22 +575,22 @@ def run(model, data_spec, config=SimConfig()):
     Raises BlowUp when the W-norm is not finite or exceeds the configured
     multiple of its initial value, DomainExit when the state leaves the
     model's box (or stops being finite), CFLViolation for an unstable step
-    size.  With the monitor on, the energy form is built once per run.
+    size.  One `LinearPart` (and, with the monitor on, one energy form) is
+    built per run.
     """
-    model = ensure_normalized(model)
     lat = config.lattice
-    state = initial_state(model, data_spec, lat)
-    dt_max = max_stable_dt(model, lat)
-    dt = dt_max if config.dt is None else config.dt
+    linear = LinearPart(model, lat)
+    model = linear.model
+    state = initial_state(linear, data_spec)
+    dt = linear.dt_max if config.dt is None else config.dt
     if not dt > 0.0:
         raise InvalidParameter(f"configured dt = {dt:g} must be positive")
-    if dt > dt_max:
-        raise CFLViolation(f"configured dt = {dt:g} exceeds bound {dt_max:g}")
+    if dt > linear.dt_max:
+        raise CFLViolation(f"configured dt = {dt:g} exceeds bound {linear.dt_max:g}")
 
     s = config.s
     snap_times = np.linspace(0.0, config.t_final, config.snapshots)
-    form = EnergyForm(model, lat) if config.monitor else None
-    linear = LinearPart(model, lat)
+    form = EnergyForm(linear) if config.monitor else None
     norms_u = np.zeros(config.snapshots)
     norms_ut = np.zeros(config.snapshots)
     wn = np.zeros(config.snapshots)
@@ -636,7 +615,7 @@ def run(model, data_spec, config=SimConfig()):
         t_target = snap_times[k]
         while state.time < t_target - 1e-12:
             step = min(dt, t_target - state.time)
-            state = step_rk4(model, state, step, dt_max, linear)
+            state = step_rk4(linear, state, step)
         record(k, state)
         if wn[k] > ceiling:
             raise BlowUp(

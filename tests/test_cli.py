@@ -143,6 +143,18 @@ class TestOtherCommands:
         assert res[0] == pytest.approx(-1.0 - np.sqrt(1 - xi**2), abs=1e-9)
         assert res[1] == pytest.approx(-1.0 + np.sqrt(1 - xi**2), abs=1e-9)
 
+    def test_dispersion_reads_check_config(self, tmp_path):
+        # a --config file sets the same frequency grid for dispersion as for check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"directions_2d": 8}))
+        out = tmp_path / "out"
+        code = main(["dispersion", "--builtin", "damped-wave", "--d", "2",
+                     "--config", str(cfg), "--output-dir", str(out)])
+        assert code == EXIT_OK
+        lines = (out / "dispersion.csv").read_text().splitlines()
+        assert len(lines) == 1 + 8 * 49
+        assert {line.split(",")[0] for line in lines[1:]} == {str(k) for k in range(8)}
+
     def test_simulate_flat_trace_for_zero_amplitude(self, tmp_path):
         out = tmp_path / "out"
         code = main(["simulate", "--builtin", "convected-damped-wave", "--a", "0.5",

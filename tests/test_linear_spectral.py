@@ -290,6 +290,27 @@ class TestPipelines:
 class TestModePropagator:
     """Stacked eigen-propagation against per-mode scipy expm."""
 
+    def test_non_finite_symbol_raises_eigensolver_failure(self):
+        # a constant model whose A^1 is NaN: numpy's stacked eig refuses it
+        from hypdiss.errors import EigensolverFailure
+        from hypdiss.model import CoefficientModel
+        from hypdiss.symbols import dispersion_root_stack
+
+        def A(j, u):
+            return np.full((1, 1), np.nan) if j == 1 else np.eye(1)
+
+        def B(j, k, u):
+            return {(0, 0): -np.eye(1), (1, 1): np.eye(1)}.get((j, k), np.zeros((1, 1)))
+
+        m = CoefficientModel(n=1, d=1, reference_state=np.zeros(1),
+                             state_domain=(-np.ones(1), np.ones(1)), A=A, B=B,
+                             constant_coefficients=True)
+        xi = np.array([[1.0], [2.0]])
+        with pytest.raises(EigensolverFailure):
+            dispersion_root_stack(m, m.reference_state, xi)
+        with pytest.raises(EigensolverFailure, match="eig failed on 2 frequencies"):
+            ModePropagator(m, xi)
+
     def test_matches_per_mode_expm_with_defective_mode(self):
         import scipy.linalg as sla
 

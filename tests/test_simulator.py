@@ -12,13 +12,13 @@ from hypdiss.model import (
 from hypdiss.paradiff import Lattice
 from hypdiss.simulator import (
     EnergyForm,
+    LinearPart,
     PeriodicBumpData,
     SimConfig,
     TrigData,
     dissipation_symbol_field,
     energy_monitor,
     initial_state,
-    max_stable_dt,
     monitor_rayleigh_floor,
     rhs,
     run,
@@ -71,7 +71,7 @@ def assert_rhs_matches_oracle(m, st):
     # the physical-space right-hand side, to 1e-12 of its largest value
     from oracles import physical_rhs_oracle
 
-    got, want = rhs(m, st), physical_rhs_oracle(m, st)
+    got, want = rhs(LinearPart(m, st.lattice), st), physical_rhs_oracle(m, st)
     scale = max(np.abs(w).max() for w in want)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * scale
@@ -79,17 +79,18 @@ def assert_rhs_matches_oracle(m, st):
 
 class TestRhs:
     def test_equilibrium(self):
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, TrigData(amplitude=0.0), LAT)
-        ut, vt = rhs(m, st)
+        lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+        st = initial_state(lin, TrigData(amplitude=0.0))
+        ut, vt = rhs(lin, st)
         assert np.abs(ut).max() == 0.0
         assert np.abs(vt).max() < 1e-14
 
     def test_single_mode_matches_symbol(self):
         m = builtin_damped_wave(2.0, d=1)
-        st = initial_state(m, [TrigData(amplitude=1.0, wavenumber=(3,)),
-                              TrigData(amplitude=0.3, wavenumber=(3,), target="u1")], LAT)
-        ut, vt = rhs(m, st)
+        lin = LinearPart(m, LAT)
+        st = initial_state(lin, [TrigData(amplitude=1.0, wavenumber=(3,)),
+                                 TrigData(amplitude=0.3, wavenumber=(3,), target="u1")])
+        ut, vt = rhs(lin, st)
         k = int(np.argmin(np.abs(LAT.xi_vectors()[:, 0] - 3.0)))
         U = np.array([LAT.fft(st.u)[k, 0], LAT.fft(st.ut)[k, 0]])
         dU = assemble_Mbar(m, m.reference_state, np.array([3.0])) @ U
@@ -98,17 +99,17 @@ class TestRhs:
 
     def test_damped_wave_sine(self):
         # u = sin x, v = 0: v_t = u_xx = -sin x
-        m = builtin_damped_wave(2.0, d=1)
-        st = initial_state(m, TrigData(amplitude=1.0, wavenumber=(1,)), LAT)
-        _, vt = rhs(m, st)
+        lin = LinearPart(builtin_damped_wave(2.0, d=1), LAT)
+        st = initial_state(lin, TrigData(amplitude=1.0, wavenumber=(1,)))
+        _, vt = rhs(lin, st)
         x = LAT.x_vectors()[:, 0]
         assert np.abs(vt[:, 0] + np.sin(x)).max() < 1e-12
 
     def test_domain_exit(self):
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, TrigData(amplitude=5.0), LAT)  # outside [-1, 1] box
+        lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+        st = initial_state(lin, TrigData(amplitude=5.0))  # outside [-1, 1] box
         with pytest.raises(DomainExit) as exc:
-            rhs(m, st)
+            rhs(lin, st)
         assert exc.value.report["time"] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -134,7 +135,7 @@ class TestRhs:
 
         if which == "readme":
             m = nonlinear_convected_model(0.5)
-            st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+            st = initial_state(LinearPart(m, LAT), PeriodicBumpData(amplitude=0.2))
             assert len(np.unique(st.u.real)) > 30
         else:
             m = coupled_state_dependent_model()
@@ -147,11 +148,11 @@ class TestRhs:
 
     def test_non_finite_state_leaves_domain(self):
         # NaN compares False against both box edges
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, TrigData(amplitude=1e-2), LAT)
+        lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+        st = initial_state(lin, TrigData(amplitude=1e-2))
         st.u[5, 0] = np.nan
         with pytest.raises(DomainExit) as exc:
-            rhs(m, st)
+            rhs(lin, st)
         assert exc.value.report["finite"] is False
 
 
@@ -162,45 +163,45 @@ class TestStepping:
         mbar = assemble_Mbar(m, m.reference_state, np.array([3.0]))
         errs = []
         for dt in (1e-2, 5e-3, 2.5e-3):
-            st = initial_state(m, TrigData(amplitude=1.0, wavenumber=(3,)), LAT)
+            lin = LinearPart(m, LAT)
+            st = initial_state(lin, TrigData(amplitude=1.0, wavenumber=(3,)))
             U0 = np.array([LAT.fft(st.u)[k, 0], LAT.fft(st.ut)[k, 0]])
-            dt_max = max_stable_dt(m, LAT)
             for _ in range(int(round(1.0 / dt))):
-                st = step_rk4(m, st, dt, dt_max)
+                st = step_rk4(lin, st, dt)
             U = np.array([LAT.fft(st.u)[k, 0], LAT.fft(st.ut)[k, 0]])
             errs.append(np.abs(U - sla.expm(mbar) @ U0).max())
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(slopes - 4.0) <= 0.2)
 
     def test_zero_data_stays_zero(self):
-        m = builtin_damped_wave(2.0, d=1)
-        st = initial_state(m, TrigData(amplitude=0.0), LAT)
+        lin = LinearPart(builtin_damped_wave(2.0, d=1), LAT)
+        st = initial_state(lin, TrigData(amplitude=0.0))
         for _ in range(10):
-            st = step_rk4(m, st, 0.01)
+            st = step_rk4(lin, st, 0.01)
         assert np.abs(st.u).max() == 0.0 and np.abs(st.ut).max() == 0.0
 
     def test_equilibrium_unchanged(self):
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, TrigData(amplitude=0.0), LAT)
-        st2 = step_rk4(m, st, 0.01)
+        lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+        st = initial_state(lin, TrigData(amplitude=0.0))
+        st2 = step_rk4(lin, st, 0.01)
         assert np.abs(st2.u - st.u).max() < 1e-14
 
     def test_cfl_guard(self):
-        m = builtin_damped_wave(2.0, d=1)
-        st = initial_state(m, TrigData(amplitude=0.1), LAT)
+        lin = LinearPart(builtin_damped_wave(2.0, d=1), LAT)
+        st = initial_state(lin, TrigData(amplitude=0.1))
         with pytest.raises(CFLViolation):
-            step_rk4(m, st, 1.0)
+            step_rk4(lin, st, 1.0)
 
     def test_cfl_guard_negative_step(self):
         # the bound is on |dt|; a backward step is as unstable as a forward one
-        m = builtin_damped_wave(2.0, d=1)
-        st = initial_state(m, TrigData(amplitude=0.1), LAT)
-        dt_max = max_stable_dt(m, LAT)
+        lin = LinearPart(builtin_damped_wave(2.0, d=1), LAT)
+        st = initial_state(lin, TrigData(amplitude=0.1))
+        dt_max = lin.dt_max
         with pytest.raises(CFLViolation):
-            step_rk4(m, st, -1.0)
+            step_rk4(lin, st, -1.0)
         with pytest.raises(CFLViolation):
-            step_rk4(m, st, -1.01 * dt_max, dt_max)
-        step_rk4(m, st, -0.25 * dt_max, dt_max)
+            step_rk4(lin, st, -1.01 * dt_max)
+        step_rk4(lin, st, -0.25 * dt_max)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_run_refuses_non_positive_dt(self, dt):
@@ -221,8 +222,8 @@ class TestStepping:
             lat = Lattice(d=3, N=8)
         else:
             m, lat = nonlinear_convected_model(0.5), LAT
-        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), lat)
-        dt_max = max_stable_dt(m, lat)
+        lin = LinearPart(m, lat)
+        st = initial_state(lin, PeriodicBumpData(amplitude=1e-2))
         calls = []
         for name in ("fft", "ifft"):
             orig = getattr(Lattice, name)
@@ -232,24 +233,24 @@ class TestStepping:
                 return _orig(self, values)
 
             monkeypatch.setattr(Lattice, name, counted)
-        step_rk4(m, st, 0.5 * dt_max, dt_max)
+        step_rk4(lin, st, 0.5 * lin.dt_max)
         assert 0 < len(calls) <= limit
 
     def test_reality_preservation(self):
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=0.05), LAT)
+        lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+        st = initial_state(lin, PeriodicBumpData(amplitude=0.05))
         for _ in range(200):
-            st = step_rk4(m, st, 0.02)
+            st = step_rk4(lin, st, 0.02)
         assert np.abs(st.u.imag).max() < 1e-10
         assert np.abs(st.ut.imag).max() < 1e-10
 
     def test_dealiased_band_stays_zero(self):
         # the masked band is zeroed spectrally after every step; physical
         # storage reintroduces at most transform roundoff
-        m = nonlinear_convected_model()
-        st = initial_state(m, TrigData(amplitude=0.05, wavenumber=(2,)), LAT)
+        lin = LinearPart(nonlinear_convected_model(), LAT)
+        st = initial_state(lin, TrigData(amplitude=0.05, wavenumber=(2,)))
         for _ in range(100):
-            st = step_rk4(m, st, 0.02)
+            st = step_rk4(lin, st, 0.02)
         hat = LAT.fft(st.u)
         assert np.abs(hat[~two_thirds_mask(LAT)]).max() < 1e-15
 
@@ -258,17 +259,16 @@ class TestLinearConsistency:
     def test_per_mode_agreement_with_exponential(self):
         # frozen coefficients: every lattice mode follows exp(t Mbar)
         m = builtin_convected_damped_wave(0.5)
+        lin = LinearPart(m, LAT)
         st = initial_state(
-            m,
+            lin,
             [TrigData(amplitude=1e-2, wavenumber=(1,)),
              TrigData(amplitude=5e-3, wavenumber=(4,))],
-            LAT,
         )
         u0hat, v0hat = LAT.fft(st.u), LAT.fft(st.ut)
         dt = 1e-3
-        dt_max = max_stable_dt(m, LAT)
         for _ in range(1000):
-            st = step_rk4(m, st, dt, dt_max)
+            st = step_rk4(lin, st, dt)
         uhat, vhat = LAT.fft(st.u), LAT.fft(st.ut)
         xi = LAT.xi_vectors()
         for k in range(LAT.points):
@@ -362,10 +362,11 @@ class TestEnergyMonitor:
         # at the reference state the functional is a Fourier multiplier:
         # <G W, W> = sum_xi What^* Dtilde(ubar, xi) What exactly
         m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, TrigData(amplitude=0.0), LAT)
+        lin = LinearPart(m, LAT)
+        st = initial_state(lin, TrigData(amplitude=0.0))
         # put energy into u_t only so u stays at the reference state
-        st2 = initial_state(m, TrigData(amplitude=1e-3, wavenumber=(2,), target="u1"), LAT)
-        form = EnergyForm(m, LAT)
+        st2 = initial_state(lin, TrigData(amplitude=1e-3, wavenumber=(2,), target="u1"))
+        form = EnergyForm(lin)
         val = form.value(st2, 2.0)
         ref = form.reference
         what = w_hat(m, st2, 2.0)
@@ -376,30 +377,30 @@ class TestEnergyMonitor:
         assert val == pytest.approx(want, rel=1e-10)
 
     def test_inequality_along_run(self):
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), LAT)
+        form = EnergyForm(LinearPart(builtin_convected_damped_wave(0.5), LAT))
+        st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
         checked = 0
         for _ in range(20):
-            res = energy_monitor(m, st, s=2.0)
+            res = energy_monitor(form, st, s=2.0)
             assert res.satisfied, (res.lhs, res.budget)
             checked += 1
             for _ in range(10):
-                st = step_rk4(m, st, 0.02)
+                st = step_rk4(form.linear, st, 0.02)
         assert checked == 20
 
     def test_nonlinear_inequality(self):
-        m = nonlinear_convected_model(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), LAT)
+        form = EnergyForm(LinearPart(nonlinear_convected_model(0.5), LAT))
+        st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
         for _ in range(5):
-            res = energy_monitor(m, st, s=2.0)
+            res = energy_monitor(form, st, s=2.0)
             assert res.satisfied
             for _ in range(10):
-                st = step_rk4(m, st, 0.02)
+                st = step_rk4(form.linear, st, 0.02)
 
     def test_rayleigh_positivity(self):
-        m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), LAT)
-        floor = monitor_rayleigh_floor(m, st, count=50)
+        form = EnergyForm(LinearPart(builtin_convected_damped_wave(0.5), LAT))
+        st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
+        floor = monitor_rayleigh_floor(form, st, count=50)
         assert floor > 0.01
 
     def test_one_form_serves_monitor_and_run(self):
@@ -407,14 +408,48 @@ class TestEnergyMonitor:
         # same form whether energy_monitor or run asks for it
         m = nonlinear_convected_model(0.5)
         data = PeriodicBumpData(amplitude=1e-2)
-        res = energy_monitor(m, initial_state(m, data, LAT), s=2.0)
+        form = EnergyForm(LinearPart(m, LAT))
+        res = energy_monitor(form, initial_state(form.linear, data), s=2.0)
         cfg = SimConfig(lattice=LAT, t_final=0.1, snapshots=2, monitor=True)
         assert res.value == run(m, data, cfg).energy[0]
 
     def test_low_band_allowance_finite(self):
         m = builtin_convected_damped_wave(0.5)
-        c_low = EnergyForm(m, LAT).low_band_allowance()
+        c_low = EnergyForm(LinearPart(m, LAT)).low_band_allowance()
         assert 0.0 <= c_low < 10.0
+
+
+class TestDerivedOnce:
+    def test_raw_model_normalized_once(self, monkeypatch):
+        # the B^{00} scan of a state-dependent model runs when its LinearPart
+        # is built, not on every step
+        import hypdiss.model as model_module
+
+        calls = []
+        orig = model_module.normalize_b00
+        monkeypatch.setattr(model_module, "normalize_b00",
+                            lambda m: calls.append(1) or orig(m))
+        m = nonlinear_convected_model(0.5)
+        assert not m.normalized and not m.constant_coefficients
+        lin = LinearPart(m, LAT)
+        st = initial_state(lin, PeriodicBumpData(amplitude=1e-2))
+        for _ in range(10):
+            st = step_rk4(lin, st, 0.02)
+        assert len(calls) == 1
+
+    def test_one_form_serves_many_monitor_calls(self, monkeypatch):
+        # the reference multiplier is built with the form, not per call
+        import hypdiss.simulator as sim
+
+        calls = []
+        orig = sim._dissipation_values
+        monkeypatch.setattr(sim, "_dissipation_values",
+                            lambda *args: calls.append(1) or orig(*args))
+        form = EnergyForm(LinearPart(builtin_convected_damped_wave(0.5), LAT))
+        st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
+        for _ in range(3):
+            assert energy_monitor(form, st, s=2.0).satisfied
+        assert len(calls) == 1
 
 
 def readme_fluid():
@@ -429,7 +464,7 @@ def assert_form_matches_oracle(m, st, s=2.0):
 
     lat = st.lattice
     want = energy_form_oracle(m, st.u, lat, lat.ifft(w_hat(m, st, s)))
-    got = EnergyForm(m, lat).value(st, s)
+    got = EnergyForm(LinearPart(m, lat)).value(st, s)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -453,12 +488,12 @@ class TestEnergyFormSplit:
 
     def test_quasilinear_along_a_run(self):
         m = nonlinear_convected_model(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
-        dt_max = max_stable_dt(m, LAT)
+        lin = LinearPart(m, LAT)
+        st = initial_state(lin, PeriodicBumpData(amplitude=0.2))
         for _ in range(4):
             assert_form_matches_oracle(m, st)
             for _ in range(10):
-                st = step_rk4(m, st, 0.02, dt_max)
+                st = step_rk4(lin, st, 0.02)
         assert st.time > 0.7
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -484,14 +519,15 @@ class TestEnergyFormSplit:
             m = nonlinear_convected_model(0.5)
         else:
             m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        form = EnergyForm(LinearPart(m, LAT))
+        st = initial_state(form.linear, PeriodicBumpData(amplitude=0.2))
         rng = np.random.default_rng(3)
         want = np.inf
         for _ in range(10):
             vals = rng.normal(size=(LAT.points, 2)) + 1j * rng.normal(size=(LAT.points, 2))
             den = float(np.sum(np.abs(vals) ** 2) * LAT.L_box / LAT.points)
             want = min(want, energy_form_oracle(m, st.u, LAT, vals) / den)
-        got = monitor_rayleigh_floor(m, st, count=10)
+        got = monitor_rayleigh_floor(form, st, count=10)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("which", ["convected-0.5", "fluid", "quasilinear"])
@@ -516,8 +552,9 @@ class TestEnergyFormSplit:
         monkeypatch.setattr(Lattice, "phase_matrix",
                             lambda self: calls.append("phase") or phase(self))
         data = PeriodicBumpData(amplitude=1e-2)
-        energy_monitor(m, initial_state(m, data, lat), s=2.0)
-        monitor_rayleigh_floor(m, initial_state(m, data, lat), count=2)
+        form = EnergyForm(LinearPart(m, lat))
+        energy_monitor(form, initial_state(form.linear, data), s=2.0)
+        monitor_rayleigh_floor(form, initial_state(form.linear, data), count=2)
         tr = run(m, data, SimConfig(lattice=lat, t_final=0.1, snapshots=2, monitor=True))
         assert np.all(np.isfinite(tr.energy))
         if m.constant_coefficients:
@@ -535,10 +572,11 @@ class TestEnergyFormSplit:
 
         f = readme_fluid()
         lat = Lattice(d=3, N=64)
+        lin = LinearPart(f, lat)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameter, match="needs about 1174405120 bytes"):
-                EnergyForm(f, lat)
+                EnergyForm(lin)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -548,7 +586,7 @@ class TestEnergyFormSplit:
 
 def test_state_norms_match_grid_functions():
     m = builtin_convected_damped_wave(0.5)
-    st = initial_state(m, TrigData(amplitude=0.1, wavenumber=(2,)), LAT)
+    st = initial_state(LinearPart(m, LAT), TrigData(amplitude=0.1, wavenumber=(2,)))
     nu, nut = state_norms(m, st, 2.0)
     what = w_hat(m, st, 2.0)
     combined = np.sqrt(np.sum(np.abs(what) ** 2) * LAT.L_box)
@@ -631,7 +669,7 @@ class TestDissipationSymbolField:
         from hypdiss.simulator import _phi, _psi
 
         m = nonlinear_convected_model(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        st = initial_state(LinearPart(m, LAT), PeriodicBumpData(amplitude=0.2))
         vals = dissipation_symbol_field(m, st.u, LAT).values
         xi = LAT.xi_vectors()
         mags = np.linalg.norm(xi, axis=1)
@@ -652,7 +690,7 @@ class TestDissipationSymbolField:
     def test_distinct_states_scatter_to_their_points(self):
         # one batch over the distinct states equals the field of each point alone
         m = nonlinear_convected_model(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=0.2), LAT)
+        st = initial_state(LinearPart(m, LAT), PeriodicBumpData(amplitude=0.2))
         vals = dissipation_symbol_field(m, st.u, LAT).values
         for p in (0, 7, 31, 50):
             flat = np.tile(st.u[p], (LAT.points, 1))
@@ -679,7 +717,7 @@ class TestDissipationSymbolField:
         import hypdiss.simulator as sim
 
         m = builtin_convected_damped_wave(0.5)
-        st = initial_state(m, PeriodicBumpData(amplitude=1e-2), LAT)
+        st = initial_state(LinearPart(m, LAT), PeriodicBumpData(amplitude=1e-2))
         field_bytes = LAT.points**2 * 2 * 2 * 16
         monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes - 1)
         tracemalloc.start()
