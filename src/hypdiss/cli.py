@@ -29,7 +29,7 @@ def _add_model_args(p):
     p.add_argument("--builtin", choices=["damped-wave", "convected-damped-wave", "fluid"])
     p.add_argument("--model", help="path to a model JSON document")
     p.add_argument("--a", type=float, default=2.0, help="damping / convection coefficient")
-    p.add_argument("--d", type=int, default=None, help="space dimension for damped-wave")
+    p.add_argument("--d", type=int, default=1, help="space dimension for damped-wave")
     p.add_argument("--r", type=float, default=3.0)
     p.add_argument("--mu", type=float, default=2.0)
     p.add_argument("--nu", type=float, default=1.0)
@@ -127,7 +127,7 @@ def _load_model(args):
         return load_model(args.model)
     if args.builtin is None:
         raise SystemExit("no model selected: pass --builtin or --model")
-    params = {"a": args.a, "d": args.d or 1, "r": args.r, "mu": args.mu,
+    params = {"a": args.a, "d": args.d, "r": args.r, "mu": args.mu,
               "nu": args.nu, "eta": args.eta, "zeta": args.zeta}
     return model_from_dict({"builtin": {"name": args.builtin, "params": params}})
 

@@ -87,7 +87,6 @@ class EigenCluster:
     value: complex
     values: np.ndarray
     multiplicity: int
-    projection: np.ndarray
     basis: np.ndarray
     semi_simple: bool
 
@@ -146,19 +145,12 @@ def _cluster_eigenvalues(lam, thr):
     return groups
 
 
-def _schur_block(K, select):
-    """Sorted Schur form K = Z T Z^* with the k selected eigenvalues leading:
-    (Z, k, R), R solving T11 R - R T22 = T12 (None when k is 0 or all)."""
-    T, Z, k = sla.schur(K, output="complex", sort=select)
-    R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:]) if 0 < k < len(K) else None
-    return Z, k, R
-
-
 def eigstructure(matrix, cluster_tolerance=1e-7):
-    """Cluster the spectrum and compute per-cluster spectral projections.
+    """Cluster the spectrum and compute an orthonormal basis of each
+    cluster's invariant subspace.
 
     Eigenvalues closer than cluster_tolerance * (1 + spectral radius) are
-    merged; projections come from reordered Schur factorizations, so they
+    merged; the bases come from reordered Schur factorizations, so they
     are reliable also for defective clusters.  Semi-simplicity is decided
     by the numerical kernel dimension of (K - lambda I).
     """
@@ -174,22 +166,17 @@ def eigstructure(matrix, cluster_tolerance=1e-7):
         mult = len(vals)
         center = complex(vals.mean())
         if mult == m:
-            proj = np.eye(m, dtype=complex)
             basis = np.eye(m, dtype=complex)
         else:
             def select(x, _c=center, _t=thr):
                 return bool(abs(x - _c) <= max(5.0 * _t, 1e-300))
 
-            Z, sdim, R = _schur_block(K, select)
+            _, Z, sdim = sla.schur(K, output="complex", sort=select)
             if sdim != mult:
                 raise ClusterAmbiguity(
                     f"Schur reordering selected {sdim} eigenvalues for a "
                     f"cluster of size {mult}"
                 )
-            P_t = np.zeros((m, m), dtype=complex)
-            P_t[:sdim, :sdim] = np.eye(sdim)
-            P_t[:sdim, sdim:] = R
-            proj = Z @ P_t @ Z.conj().T
             basis = Z[:, :sdim]
         # geometric multiplicity from the numerical rank of K - center*I
         sv = np.linalg.svd(K - center * np.eye(m), compute_uv=False)
@@ -199,7 +186,6 @@ def eigstructure(matrix, cluster_tolerance=1e-7):
                 value=center,
                 values=vals,
                 multiplicity=mult,
-                projection=proj,
                 basis=basis,
                 semi_simple=(geo == mult),
             )
@@ -661,9 +647,10 @@ def _schur_split(M, lam, first):
     def sel(x):
         return bool(np.min(np.abs(x - g)) < np.min(np.abs(x - rest)))
 
-    Z, k, R = _schur_block(M, sel)
+    T, Z, k = sla.schur(M, output="complex", sort=sel)
     if k != len(g):
         return None
+    R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
     return Z[:, :k], Z[:, k:] - Z[:, :k] @ R, Z[:, k:]
 
 

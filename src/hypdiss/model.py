@@ -5,10 +5,10 @@
 with built-in damped-wave models and a barotropic relativistic viscous
 fluid frozen at its rest state.
 
-A model is a pair of evaluators ``A(j, u)`` and ``B(j, k, u)`` returning real
-n x n matrices (index 0 is time), together with the reference state and a box
-state domain.  Evaluators must be deterministic; built-ins return copies of
-precomputed arrays.
+A model is a pair of evaluators ``A(j, u)`` and ``B(j, k, u)`` (index 0 is
+time) taking a state stack u (..., n) to real matrices (..., n, n) in one call,
+together with the reference state and a box state domain.  Evaluators must be
+deterministic; constant-coefficient built-ins return copies of one n x n array.
 """
 
 import json
@@ -72,8 +72,8 @@ class CoefficientModel:
     n, d : state and space dimensions
     state_domain : (lo, hi) arrays bounding the admissible states
     reference_state : the homogeneous state the analysis linearizes at
-    A : evaluator (j, u) -> n x n array, j = 0..d
-    B : evaluator (j, k, u) -> n x n array, j, k = 0..d
+    A : evaluator (j, u) -> (..., n, n) array for u of shape (..., n), j = 0..d
+    B : evaluator (j, k, u) -> (..., n, n) array, j, k = 0..d
     constant_coefficients : evaluators ignore u (enables fast paths)
     is_fluid : carries the longitudinal/transverse decomposition structure
     """
@@ -92,13 +92,10 @@ class CoefficientModel:
 
     def state_samples(self, count=STATE_SAMPLES):
         """Deterministic low-discrepancy sample of the state domain."""
-        lo, hi = self.state_domain
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
         if self.constant_coefficients:
             return self.reference_state[None, :].copy()
-        pts = _halton(count, self.n)
-        return lo[None, :] + pts * (hi - lo)[None, :]
+        lo, hi = (np.asarray(b, float) for b in self.state_domain)
+        return lo + _halton(count, self.n) * (hi - lo)
 
 
 def _halton(count, dim):
@@ -160,6 +157,8 @@ def builtin_damped_wave(a, d=1):
     """Scalar damped wave u_tt + a u_t = Laplace(u), a > 0."""
     if a <= 0:
         raise InvalidParameter(f"damping coefficient must be positive, got {a}")
+    if d < 1:
+        raise InvalidParameter(f"space dimension must be at least 1, got {d}")
     B = {(0, 0): [[-1.0]]}
     for j in range(1, d + 1):
         B[(j, j)] = [[1.0]]
@@ -236,31 +235,40 @@ def builtin_barotropic_fluid(p: FluidParameters):
     )
 
 
-def normalize_b00(model, samples=STATE_SAMPLES, cond_ceiling=B00_COND_CEILING):
+def evaluate_stack(model, family, *index, u):
+    """model.A(*index, u) or model.B(*index, u) (family "A" or "B") at states u
+    (..., n); InvalidParameter unless it has shape (..., n, n) or, from a
+    constant-coefficient model, (n, n)."""
+    m = getattr(model, family)(*index, u)
+    want = np.shape(u)[:-1] + (model.n, model.n)
+    if np.shape(m) != want and not (model.constant_coefficients and np.shape(m) == want[-2:]):
+        raise InvalidParameter(f"{family}{list(index)} evaluator returned shape {np.shape(m)} "
+                               f"for states of shape {np.shape(u)}; expected {want}")
+    return m
+
+
+def normalize_b00(model):
     """Left-multiply all coefficients by (-B^{00}(u))^{-1} so B^{00} = -I.
 
     The transformed system has the same solutions and the same dispersion
-    roots at every (u, xi).  Raises SingularB00 when -B^{00}(u) is singular
-    or worse conditioned than cond_ceiling at any sampled state.
+    roots at every (u, xi).  B^{00} is evaluated once on the STATE_SAMPLES
+    sampled states; SingularB00 names the first sample at which -B^{00}(u)
+    is not finite, singular or worse conditioned than B00_COND_CEILING.
     """
-    us = model.state_samples(samples)
+    us = model.state_samples()
     ident = np.eye(model.n)
-    already = True
-    for u in us:
-        b00 = model.B(0, 0, u)
-        if not np.all(np.isfinite(b00)):
-            raise SingularB00("B^{00} evaluated to non-finite entries")
-        c = np.linalg.cond(-b00)
-        if not np.isfinite(c) or c > cond_ceiling:
-            raise SingularB00(
-                f"-B^(00) condition number {c:.3e} exceeds ceiling at u={u}"
-            )
-        if not np.allclose(b00, -ident, rtol=0.0, atol=1e-14):
-            already = False
-    if already and model.normalized:
-        return model
-    if already:
-        return replace(model, normalized=True)
+    b00 = np.broadcast_to(evaluate_stack(model, "B", 0, 0, u=us), us.shape[:-1] + ident.shape)
+    finite = np.isfinite(b00).all(axis=(1, 2))
+    c = np.where(finite, np.linalg.cond(np.where(finite[:, None, None], -b00, ident)), np.inf)
+    bad = np.flatnonzero(c > B00_COND_CEILING)
+    if bad.size:
+        i = bad[0]
+        raise SingularB00(
+            f"-B^(00) condition number {c[i]:.3e} exceeds ceiling at u={us[i]}"
+            if finite[i] else f"B^(00) evaluated to non-finite entries at u={us[i]}"
+        )
+    if np.allclose(b00, -ident, rtol=0.0, atol=1e-14):
+        return model if model.normalized else replace(model, normalized=True)
 
     if model.constant_coefficients:
         u0 = model.reference_state
@@ -401,14 +409,14 @@ def _poly_entry(spec, n, where):
         terms.append((float(mono[0]), exps.astype(int)))
 
     def ev(u, _t=terms):
-        return sum(c * np.prod(u**e) for c, e in _t)
+        return sum(c * np.prod(u**e, axis=-1) for c, e in _t)
 
     return ev, None
 
 
 def _matrix_table(doc, n, family):
-    """Parse {"j" or "j,k": [[entry ...] ...]} into an evaluator; family
-    ("A" or "B") names the entries in error messages."""
+    """Parse {"j" or "j,k": [[entry ...] ...]} into a state-stack evaluator;
+    family ("A" or "B") names the entries in error messages."""
     table = {}
     state_dependent = False
     for key, rows in doc.items():
@@ -426,12 +434,10 @@ def _matrix_table(doc, n, family):
         table[idx] = (const, funcs)
 
     def evaluate(idx, u):
-        if idx not in table:
-            return np.zeros((n, n))
-        const, funcs = table[idx]
-        m = const.copy()
+        const, funcs = table.get(idx, (np.zeros((n, n)), {}))
+        m = np.broadcast_to(const, np.shape(u)[:-1] + (n, n)).copy()
         for (r, c), ev in funcs.items():
-            m[r, c] += ev(u)
+            m[..., r, c] += ev(u)
         return m
 
     return evaluate, state_dependent

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     GridMismatch,
     InvalidEpsilon,
+    InvalidParameter,
     PowerIterationDivergence,
     PrecheckFailed,
 )
@@ -39,6 +40,11 @@ class Lattice:
     d: int = 1
     N: int = 256
     L_box: float = 2.0 * np.pi
+
+    def __post_init__(self):
+        if self.N < 2 or self.d < 1:
+            raise InvalidParameter(f"a lattice needs N >= 2 points per axis and d >= 1, "
+                                   f"got N={self.N}, d={self.d}")
 
     @property
     def points(self):

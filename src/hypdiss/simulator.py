@@ -496,12 +496,12 @@ def energy_monitor(form, state, s=2.0):
     """
     lat = state.lattice
     h = min(DT_FD, 0.25 * form.linear.dt_max)
-    val0 = form.value(state, s)
+    what = w_hat(form.model, state, s)
+    val0 = form.apply(form.operator(state.u), lat.ifft(what), what)
     fwd = step_rk4(form.linear, state, h)
     bwd = step_rk4(form.linear, state, -h)
     deriv = (form.value(fwd, s) - form.value(bwd, s)) / (2.0 * h)
 
-    what = w_hat(form.model, state, s)
     voln = lat.L_box**lat.d
     w2 = float(np.sum(np.abs(what) ** 2) * voln)
     wlow2 = float(np.sum(np.abs(what[form.low_band]) ** 2) * voln)
@@ -575,9 +575,14 @@ def run(model, data_spec, config=SimConfig()):
     Raises BlowUp when the W-norm is not finite or exceeds the configured
     multiple of its initial value, DomainExit when the state leaves the
     model's box (or stops being finite), CFLViolation for an unstable step
-    size.  One `LinearPart` (and, with the monitor on, one energy form) is
-    built per run.
+    size, and InvalidParameter for fewer than one snapshot or a t_final that
+    is negative or not finite.  One `LinearPart` (and, with the monitor on,
+    one energy form) is built per run.
     """
+    if config.snapshots < 1:
+        raise InvalidParameter(f"need at least one snapshot, got {config.snapshots}")
+    if not 0.0 <= config.t_final < np.inf:
+        raise InvalidParameter(f"t_final = {config.t_final:g} must be finite and nonnegative")
     lat = config.lattice
     linear = LinearPart(model, lat)
     model = linear.model
@@ -607,7 +612,7 @@ def run(model, data_spec, config=SimConfig()):
             dtk = snap_times[k] - snap_times[k - 1]
             diss[k] = diss[k - 1] + 0.5 * dtk * (wn[k] ** 2 + wn[k - 1] ** 2)
         if form is not None:
-            energy[k] = form.value(st, s)
+            energy[k] = form.apply(form.operator(st.u), lat.ifft(what), what)
 
     record(0, state)
     ceiling = config.norm_ceiling_factor * max(wn[0], 1e-300)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import EigensolverFailure
 from .grids import check_unit
+from .model import ensure_normalized, evaluate_stack
 
 #: Eigenvector condition number from which a stacked eigen-decomposition is
 #: not trusted at a point: `ModePropagator` propagates such a mode with expm,
@@ -46,8 +47,9 @@ class CoefficientTensors(NamedTuple):
 
 
 def coefficient_tensors(model, u):
-    """Evaluate the coefficient tensors at a state u of shape (n,), or at each
-    state of a stack of shape (..., n); the result has the same leading axes."""
+    """Evaluate the coefficient tensors at a state u of shape (n,), or at a
+    state stack of shape (..., n) with one evaluator call per coefficient
+    index; the result has the same leading axes."""
     u = np.asarray(u, dtype=float)
     n, d = model.n, model.d
     lead = u.shape[:-1]
@@ -55,14 +57,13 @@ def coefficient_tensors(model, u):
     A = np.empty(lead + (d, n, n))
     C = np.empty(lead + (d, n, n))
     B = np.empty(lead + (d, d, n, n))
-    for p in np.ndindex(lead):
-        up = u[p]
-        A0[p] = model.A(0, up)
-        for j in range(1, d + 1):
-            A[p + (j - 1,)] = model.A(j, up)
-            C[p + (j - 1,)] = model.B(0, j, up) + model.B(j, 0, up)
-            for k in range(1, d + 1):
-                B[p + (j - 1, k - 1)] = model.B(j, k, up)
+    A0[...] = evaluate_stack(model, "A", 0, u=u)
+    for j in range(1, d + 1):
+        A[..., j - 1, :, :] = evaluate_stack(model, "A", j, u=u)
+        C[..., j - 1, :, :] = (evaluate_stack(model, "B", 0, j, u=u)
+                               + evaluate_stack(model, "B", j, 0, u=u))
+        for k in range(1, d + 1):
+            B[..., j - 1, k - 1, :, :] = evaluate_stack(model, "B", j, k, u=u)
     return CoefficientTensors(A0, A, C, B)
 
 
@@ -114,13 +115,6 @@ def assemble_directional(model, u, omega):
     return _directional(model, u, omega)[1:]
 
 
-def _normalized(model):
-    # the 2n x 2n symbols below presume B^{00} = -I
-    from .model import ensure_normalized
-
-    return ensure_normalized(model)
-
-
 def assemble_calB(model, u, omega):
     """Principal high-frequency symbol calB = [[0, I], [-B_dir, i C_dir]].
 
@@ -128,13 +122,13 @@ def assemble_calB(model, u, omega):
     |xi| = 1 slice is canonical.  The model is normalized to B^{00} = -I
     first; the directional symbols entering calB are the normalized ones.
     """
-    _, _, B_dir, C_dir = _directional(_normalized(model), u, omega)
+    _, _, B_dir, C_dir = _directional(ensure_normalized(model), u, omega)
     return _first_order(1.0, -B_dir, 1j * C_dir)
 
 
 def assemble_calA(model, u, omega):
     """First-order correction symbol calA = [[0, 0], [-i A_dir, -A^0]]."""
-    A0, A_dir, _, _ = _directional(_normalized(model), u, omega)
+    A0, A_dir, _, _ = _directional(ensure_normalized(model), u, omega)
     return _first_order(0.0, -1j * A_dir, -A0)
 
 
@@ -144,7 +138,7 @@ def assemble_Mbar_stack(model, u, xi):
     Returns (Q, 2n, 2n), or (..., Q, 2n, 2n) for a state stack u of shape
     (..., n); xi = 0 is allowed.
     """
-    T = coefficient_tensors(_normalized(model), u)
+    T = coefficient_tensors(ensure_normalized(model), u)
     A, B, C = frequency_polynomials(T, xi)
     return _first_order(1.0, -1j * A - B, 1j * C - T.A0[..., None, :, :])
 
@@ -157,7 +151,7 @@ def assemble_M_stack(model, u, xi):
     bottom-right unchanged.
     """
     xi = np.asarray(xi, dtype=float)
-    T = coefficient_tensors(_normalized(model), u)
+    T = coefficient_tensors(ensure_normalized(model), u)
     A, B, C = frequency_polynomials(T, xi)
     br = np.sqrt(1.0 + np.sum(xi * xi, axis=1))
     return _first_order(br, (-1j * A - B) / br[:, None, None], 1j * C - T.A0[..., None, :, :])
@@ -185,7 +179,7 @@ def assemble_K(model, u, eta, omega):
     |xi| K(u, 1/|xi|, omega) = Ztilde^{-1} M(u, xi) Ztilde with
     Ztilde = diag((<xi>/|xi|) I, I).
     """
-    A0, A_dir, B_dir, C_dir = _directional(_normalized(model), u, omega)
+    A0, A_dir, B_dir, C_dir = _directional(ensure_normalized(model), u, omega)
     return _first_order(1.0, -1j * eta * A_dir - B_dir, 1j * C_dir - eta * A0)
 
 

@@ -132,6 +132,29 @@ def weighted_symbol_oracle(model, u, xi_vec):
     return Z @ mbar @ np.linalg.inv(Z), mbar
 
 
+def coefficient_tensors_oracle(model, u):
+    """The coefficient tensors of `hypdiss.symbols.coefficient_tensors`, with
+    every evaluator called on one state at a time."""
+    from hypdiss.symbols import CoefficientTensors
+
+    u = np.asarray(u, dtype=float)
+    n, d = model.n, model.d
+    lead = u.shape[:-1]
+    A0 = np.empty(lead + (n, n))
+    A = np.empty(lead + (d, n, n))
+    C = np.empty(lead + (d, n, n))
+    B = np.empty(lead + (d, d, n, n))
+    for p in np.ndindex(lead):
+        up = u[p]
+        A0[p] = model.A(0, up)
+        for j in range(1, d + 1):
+            A[p + (j - 1,)] = model.A(j, up)
+            C[p + (j - 1,)] = model.B(0, j, up) + model.B(j, 0, up)
+            for k in range(1, d + 1):
+                B[p + (j - 1, k - 1)] = model.B(j, k, up)
+    return CoefficientTensors(A0, A, C, B)
+
+
 def random_stable_model(rng, n=2, d=2):
     """A random constant-coefficient model with symmetric positive B-part.
 

@@ -80,6 +80,24 @@ class TestCheck:
         assert f"error: {error}:" in capsys.readouterr().err
 
 
+class TestInputGuards:
+    SIM = ["simulate", "--builtin", "convected-damped-wave", "--a", "0.5", "--n-grid", "16",
+           "--t-final", "0.1"]
+
+    @pytest.mark.parametrize("argv", [
+        SIM + ["--snapshots", "0"],
+        SIM + ["--t-final", "-1"],
+        SIM + ["--t-final", "nan"],
+        SIM + ["--n-grid", "0"],
+        SIM + ["--n-grid", "1"],
+        ["check", "--builtin", "damped-wave", "--d", "0"],
+    ], ids=["snapshots-0", "t-final-negative", "t-final-nan", "n-grid-0", "n-grid-1", "d-0"])
+    def test_refused_with_invalid_parameter(self, tmp_path, capsys, argv):
+        code = main(argv + ["--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: InvalidParameter:" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -101,15 +101,17 @@ class TestEigstructure:
         vals = sorted(np.round(c.value.imag, 10) for c in es.clusters)
         assert vals == pytest.approx([-1.0, 1.0])
 
-    def test_projections_sum_and_idempotent(self):
+    def test_bases_orthonormal_and_invariant(self):
         rng = np.random.default_rng(0)
         K = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         es = eigstructure(K)
-        total = sum(c.projection for c in es.clusters)
-        assert np.abs(total - np.eye(5)).max() < 1e-8
+        assert sum(es.multiplicities) == 5
         for c in es.clusters:
-            assert np.abs(c.projection @ c.projection - c.projection).max() < 1e-8
-            assert c.projection.shape == (5, 5)
+            Q = c.basis
+            assert Q.shape == (5, c.multiplicity)
+            assert np.abs(Q.conj().T @ Q - np.eye(c.multiplicity)).max() < 1e-12
+            # K maps span(Q) into itself
+            assert np.abs(K @ Q - Q @ (Q.conj().T @ K @ Q)).max() < 1e-8
 
     def test_single_linkage_matches_union_find(self):
         from hypdiss.conditions import _single_linkage

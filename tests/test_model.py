@@ -135,6 +135,24 @@ class TestNormalization:
         with pytest.raises(SingularB00):
             normalize_b00(model_from_dict(doc))
 
+    @pytest.mark.parametrize("b00,message", [
+        # u^2 - 1/4 vanishes at the Halton samples u = -0.5 (index 2) and
+        # u = 0.5 (index 3) of the box [-1, 1]
+        ([[-0.25, 0], [1.0, 2]], r"condition number inf exceeds ceiling at u=\[-0\.5\]"),
+        # -1 - u^-2 is infinite at the sample u = 0 (index 1)
+        ([[-1.0, 0], [-1.0, -2]], r"non-finite entries at u=\[0\.\]"),
+    ])
+    def test_singular_b00_names_first_offending_sample(self, b00, message):
+        doc = {
+            "n": 1, "d": 1, "reference_state": [0.0],
+            "A": {"0": [[1.0]]},
+            "B": {"0,0": [[b00]], "1,1": [[1.0]]},
+        }
+        m = model_from_dict(doc)
+        assert list(m.state_samples()[:4, 0]) == [-1.0, 0.0, -0.5, 0.5]
+        with np.errstate(divide="ignore"), pytest.raises(SingularB00, match=message):
+            normalize_b00(m)
+
 
 class TestBlockDecomposition:
     def test_transverse_damped_wave_identification(self):

@@ -238,6 +238,82 @@ class TestInvariants:
             assert np.allclose(C2, c * C1, rtol=1e-12, atol=1e-12)
 
 
+#: n = 2, d = 2 with B^{00} != -I and monomials in B^{00}, A^0, A^j and B^{jk}.
+NONNORMALIZED_DOC = {
+    "n": 2, "d": 2, "reference_state": [0.1, -0.2], "label": "nonnormalized-n2-d2",
+    "A": {"0": [[[[2.0, 0, 0], [0.3, 1, 0]], 0.1], [0.0, [[1.5, 0, 0], [0.2, 0, 2]]]],
+          "1": [[[[0.5, 0, 0], [1.0, 1, 1]], 0.0], [0.2, -0.4]],
+          "2": [[0.1, 0.0], [[[1.0, 2, 0]], 0.3]]},
+    "B": {"0,0": [[[[-2.0, 0, 0], [0.3, 1, 0]], 0.1], [0.05, [[-1.5, 0, 0], [0.2, 0, 1]]]],
+          "1,1": [[[[1.0, 0, 0], [0.1, 0, 2]], 0.0], [0.0, 1.0]],
+          "2,2": [[1.0, 0.0], [0.0, [[1.2, 0, 0], [-0.1, 3, 0]]]],
+          "0,1": [[0.1, [[0.2, 1, 1]]], [0.0, 0.1]],
+          "2,0": [[0.0, 0.1], [[[0.3, 0, 1]], 0.0]],
+          "1,2": [[0.2, 0.0], [0.0, 0.2]]},
+}
+
+
+def _stacked_models():
+    from hypdiss.model import model_from_dict
+
+    readme = model_from_dict({"n": 1, "d": 1, "reference_state": [0.0], "label": "readme",
+                              "A": {"0": [[1.0]], "1": [[[[0.5, 0], [1.0, 1]]]]},
+                              "B": {"0,0": [[-1.0]], "1,1": [[1.0]]}})
+    raw = model_from_dict(NONNORMALIZED_DOC)
+    drawn = [random_stable_model(np.random.default_rng(40 + k), n=n, d=d)
+             for k, (n, d) in enumerate([(1, 1), (2, 2), (3, 3), (2, 3)])]
+    return [readme, raw, ensure_normalized(raw)] + drawn
+
+
+class TestCoefficientTensors:
+    """One evaluator call per coefficient index for a whole state stack."""
+
+    @pytest.mark.parametrize("model", _stacked_models(), ids=lambda m: m.label)
+    def test_bit_equal_to_per_state_oracle(self, model):
+        from hypdiss.symbols import coefficient_tensors
+        from oracles import coefficient_tensors_oracle
+
+        lo, hi = model.state_domain
+        u = lo + np.random.default_rng(37).random((37, model.n)) * (hi - lo)
+        for states in (u, u[0], u.reshape(37, 1, model.n)):
+            got = coefficient_tensors(model, states)
+            want = coefficient_tensors_oracle(model, states)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_pointwise_evaluator_refused_for_a_stack(self):
+        from hypdiss.errors import InvalidParameter
+        from hypdiss.model import CoefficientModel
+        from hypdiss.symbols import coefficient_tensors
+
+        def pointwise(*args):
+            return (1.0 + np.sum(args[-1]) ** 2) * np.eye(2)
+
+        m = CoefficientModel(n=2, d=1, reference_state=np.zeros(2),
+                             state_domain=(-np.ones(2), np.ones(2)), A=pointwise, B=pointwise)
+        assert coefficient_tensors(m, np.zeros(2)).A0.shape == (2, 2)
+        with pytest.raises(InvalidParameter, match=r"A\[0\].*\(2, 2\).*\(5, 2, 2\)"):
+            coefficient_tensors(m, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("count", [1, 64])
+    @pytest.mark.parametrize("model", _stacked_models()[:3]
+                             + [builtin_barotropic_fluid(FLUID)], ids=lambda m: m.label)
+    def test_evaluator_calls_per_assembly(self, model, count):
+        from dataclasses import replace
+
+        from hypdiss.symbols import coefficient_tensors
+
+        calls = []
+
+        def counted(f):
+            return lambda *args: calls.append(1) or f(*args)
+
+        m = replace(model, A=counted(model.A), B=counted(model.B))
+        T = coefficient_tensors(m, np.tile(model.reference_state, (count, 1)))
+        assert len(calls) == 1 + 3 * m.d + m.d**2
+        assert T.B.shape == (count, m.d, m.d, m.n, m.n)
+
+
 class TestStackedSymbols:
     """The stacked assembly against an independent per-point one."""
 
