@@ -40,9 +40,10 @@ def _add_model_args(p):
 def _add_common_args(p):
     p.add_argument("--output-dir", default="hypdiss-out")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON file with tolerance/grid overrides")
-    p.add_argument("--floor", type=float, default=None, help="strictness floor")
-    p.add_argument("--cluster-tol", type=float, default=None)
+
+
+def _add_config_args(p):
+    p.add_argument("--config", help="JSON file of CheckConfig fields (tolerances and grids)")
     p.add_argument("--xi-lo", type=float, default=None)
     p.add_argument("--xi-hi", type=float, default=None)
     p.add_argument("--xi-count", type=int, default=None)
@@ -55,10 +56,14 @@ def build_parser():
     p = sub.add_parser("check", help="run all condition checkers")
     _add_model_args(p)
     _add_common_args(p)
+    _add_config_args(p)
+    p.add_argument("--floor", type=float, default=None, help="strictness floor")
+    p.add_argument("--cluster-tol", type=float, default=None)
 
     p = sub.add_parser("dispersion", help="write dispersion root curves")
     _add_model_args(p)
     _add_common_args(p)
+    _add_config_args(p)
 
     p = sub.add_parser("decay", help="linear decay-rate study")
     _add_model_args(p)
@@ -89,16 +94,22 @@ def build_parser():
     _add_common_args(p)
     p.add_argument("--n-grid", type=int, default=128)
 
-    p = sub.add_parser("report", help="summarize reports in an output directory")
-    _add_common_args(p)
+    p = sub.add_parser("report", help="rewrite summary.json from the reports of a check run")
+    p.add_argument("--output-dir", default="hypdiss-out")
     return ap
 
 
 def _effective_config(args):
     cfg = {}
     if getattr(args, "config", None):
+        from .conditions import CheckConfig
+        from .errors import InvalidParameter
+
         with open(args.config) as f:
             cfg.update(json.load(f))
+        unknown = sorted(set(cfg) - set(CheckConfig.__dataclass_fields__))
+        if unknown:
+            raise InvalidParameter(f"--config keys {unknown} are not CheckConfig fields")
     for key, attr in (
         ("strictness_floor", "floor"),
         ("cluster_tolerance", "cluster_tol"),
@@ -109,15 +120,14 @@ def _effective_config(args):
         val = getattr(args, attr, None)
         if val is not None:
             cfg[key] = val
-    cfg["seed"] = getattr(args, "seed", 0)
+    cfg["seed"] = args.seed
     return cfg
 
 
 def _check_config(cfg):
     from .conditions import CheckConfig
 
-    fields = {k: v for k, v in cfg.items() if k in CheckConfig.__dataclass_fields__}
-    return CheckConfig(**fields)
+    return CheckConfig(**{k: v for k, v in cfg.items() if k != "seed"})
 
 
 def _load_model(args):
@@ -135,6 +145,16 @@ def _load_model(args):
 def _outdir(args):
     os.makedirs(args.output_dir, exist_ok=True)
     return args.output_dir
+
+
+def _write_summary(out, model_label, verdicts, cfg):
+    """summary.json of a check run; True when every verdict is a pass."""
+    from .io import write_json_atomic
+
+    all_pass = all(v == "pass" for v in verdicts.values())
+    write_json_atomic(os.path.join(out, "summary.json"), {
+        "model": model_label, "verdicts": verdicts, "all_pass": all_pass, "config": cfg})
+    return all_pass
 
 
 def cmd_check(args):
@@ -157,13 +177,7 @@ def cmd_check(args):
         if rep.per_point:
             rep.write_margins_csv(os.path.join(out, f"margins_{name}.csv"))
         verdicts[name] = rep.verdict
-    summary = {
-        "model": model.label,
-        "verdicts": verdicts,
-        "all_pass": all(v == "pass" for v in verdicts.values()),
-        "config": cfg_dict,
-    }
-    write_json_atomic(os.path.join(out, "summary.json"), summary)
+    _write_summary(out, model.label, verdicts, cfg_dict)
     for name in CONDITION_ORDER:
         print(f"{name}: {verdicts[name]}")
     if any(v == "fail" for v in verdicts.values()):
@@ -364,20 +378,19 @@ def cmd_paradiff_test(args):
 
 
 def cmd_report(args):
-    from .io import write_json_atomic
-
-    out = _outdir(args)
-    found = {}
+    out = args.output_dir
+    reports = []
     for name in sorted(os.listdir(out)):
         if name.startswith("report_") and name.endswith(".json"):
             with open(os.path.join(out, name)) as f:
-                rep = json.load(f)
-            found[rep.get("condition", name)] = rep.get("verdict")
-    summary = {"verdicts": found, "all_pass": all(v == "pass" for v in found.values())}
-    write_json_atomic(os.path.join(out, "summary.json"), summary)
-    for k, v in found.items():
+                reports.append(json.load(f))
+    if not reports:
+        raise FileNotFoundError(f"no report_*.json in {out}")
+    verdicts = {rep["condition"]: rep["verdict"] for rep in reports}
+    all_pass = _write_summary(out, reports[0]["model"], verdicts, reports[0]["config"])
+    for k, v in verdicts.items():
         print(f"{k}: {v}")
-    return EXIT_OK if summary["all_pass"] else EXIT_FAIL
+    return EXIT_OK if all_pass else EXIT_FAIL
 
 
 def main(argv=None):

@@ -65,7 +65,6 @@ class CheckConfig:
     xi_hi: float = 1e3
     xi_count: int = 49
     directions_2d: int = 64
-    state_samples: int = 256
     cond_ceiling: float = 1e8
     dissipation_threshold: float = 1.0
     trend_xi_min: float = 10.0
@@ -315,13 +314,6 @@ def _omega_grid(model, omega_grid, config):
     return omega_grid
 
 
-def _state_grid(model, state_samples, config):
-    us = model.state_samples(config.state_samples) if state_samples is None else np.atleast_2d(state_samples)
-    if us.size == 0:
-        raise GridEmpty("empty state sample set")
-    return us
-
-
 def _structural_scan(name, model, us, omegas, symbol, config):
     """Real semi-simple spectrum with constant multiplicities of symbol(u, omega).
 
@@ -360,7 +352,7 @@ def _structural_scan(name, model, us, omegas, symbol, config):
     return StructuralCache(report=report, omegas=omegas, by_omega=by_omega)
 
 
-def check_ha(model, state_samples=None, omega_grid=None, config=CheckConfig()):
+def check_ha(model, omega_grid=None, config=CheckConfig()):
     """Hyperbolicity of the first-order part.
 
     (a) A^0(u) is diagonalizable with positive real spectrum at every
@@ -370,7 +362,7 @@ def check_ha(model, state_samples=None, omega_grid=None, config=CheckConfig()):
     """
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
-    us = _state_grid(model, state_samples, config)
+    us = model.state_samples()
 
     part_a = []
     for u in us:
@@ -404,13 +396,13 @@ def check_ha(model, state_samples=None, omega_grid=None, config=CheckConfig()):
     return cache
 
 
-def check_hb(model, state_samples=None, omega_grid=None, config=CheckConfig()):
+def check_hb(model, omega_grid=None, config=CheckConfig()):
     """Hyperbolicity of the second-order part: i calB(u, omega) is real
     semi-simple with constant multiplicities; symmetrizers cached per
     direction at the reference state for D2 and the dissipation symbol."""
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
-    us = _state_grid(model, state_samples, config)
+    us = model.state_samples()
     return _structural_scan(
         "HB", model, us, omegas, lambda u, om: 1j * assemble_calB(model, u, om), config
     )

@@ -20,7 +20,7 @@ import scipy.linalg as sla
 from .errors import DegenerateFit, EigensolverFailure, GridMismatch, UnsupportedDataSpec
 from .grids import product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
-from .model import ensure_normalized
+from .model import check_placement, ensure_normalized
 from .profiles import ramp_down
 from .symbols import DEFECT_COND_LIMIT, assemble_M_stack
 
@@ -96,10 +96,7 @@ def _transform_at(spec, xi, n):
         raise UnsupportedDataSpec(
             f"data spec {type(spec).__name__} has no closed-form transform"
         )
-    if not 0 <= spec.component < n:
-        raise UnsupportedDataSpec(f"component {spec.component} outside 0..{n - 1}")
-    if spec.target not in ("u0", "u1"):
-        raise UnsupportedDataSpec(f"target must be 'u0' or 'u1', got {spec.target!r}")
+    check_placement(spec, n)
     return vals
 
 

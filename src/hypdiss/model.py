@@ -13,11 +13,11 @@ deterministic; constant-coefficient built-ins return copies of one n x n array.
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, NotFluidModel, SingularB00
+from .errors import InvalidParameter, NotFluidModel, SingularB00, UnsupportedDataSpec
 from .grids import check_unit
 
 #: Number of low-discrepancy state samples used by domain-wide checks.
@@ -87,7 +87,6 @@ class CoefficientModel:
     label: str = "model"
     constant_coefficients: bool = False
     is_fluid: bool = False
-    fluid_params: Optional[FluidParameters] = None
     normalized: bool = False
 
     def state_samples(self, count=STATE_SAMPLES):
@@ -121,7 +120,7 @@ def _halton(count, dim):
     return pts
 
 
-def _constant_model(n, d, A0, Aj, B, label, ref=None, **kw):
+def _constant_model(n, d, A0, Aj, B, label, ref=None, is_fluid=False):
     """Build a constant-coefficient model from explicit matrix tables.
 
     Aj is a list of d matrices (space part); B a dict keyed by (j, k) over
@@ -149,7 +148,7 @@ def _constant_model(n, d, A0, Aj, B, label, ref=None, **kw):
         B=B_eval,
         label=label,
         constant_coefficients=True,
-        **kw,
+        is_fluid=is_fluid,
     )
 
 
@@ -162,10 +161,7 @@ def builtin_damped_wave(a, d=1):
     B = {(0, 0): [[-1.0]]}
     for j in range(1, d + 1):
         B[(j, j)] = [[1.0]]
-    return _constant_model(
-        1, d, [[a]], [[[0.0]]] * d, B, label=f"damped-wave(a={a},d={d})",
-        normalized=True,
-    )
+    return _constant_model(1, d, [[a]], [[[0.0]]] * d, B, label=f"damped-wave(a={a},d={d})")
 
 
 def builtin_convected_damped_wave(a_conv):
@@ -175,10 +171,8 @@ def builtin_convected_damped_wave(a_conv):
     |a_conv| < 1 (sub-characteristic condition).
     """
     B = {(0, 0): [[-1.0]], (1, 1): [[1.0]]}
-    return _constant_model(
-        1, 1, [[1.0]], [[[float(a_conv)]]], B,
-        label=f"convected-damped-wave(a={a_conv})", normalized=True,
-    )
+    return _constant_model(1, 1, [[1.0]], [[[float(a_conv)]]], B,
+                           label=f"convected-damped-wave(a={a_conv})")
 
 
 def builtin_barotropic_fluid(p: FluidParameters):
@@ -228,11 +222,8 @@ def builtin_barotropic_fluid(p: FluidParameters):
             B[(i + 1, j + 1)] = m
 
     ref = np.array([1.0, 0.0, 0.0, 0.0])  # rest frame at unit temperature
-    return _constant_model(
-        n, d, A0, Aj, B,
-        label=f"fluid(r={r},mu={mu},nu={nu},eta={eta},zeta={zeta})",
-        ref=ref, is_fluid=True, fluid_params=p,
-    )
+    return _constant_model(n, d, A0, Aj, B, ref=ref, is_fluid=True,
+                           label=f"fluid(r={r},mu={mu},nu={nu},eta={eta},zeta={zeta})")
 
 
 def evaluate_stack(model, family, *index, u):
@@ -245,6 +236,15 @@ def evaluate_stack(model, family, *index, u):
         raise InvalidParameter(f"{family}{list(index)} evaluator returned shape {np.shape(m)} "
                                f"for states of shape {np.shape(u)}; expected {want}")
     return m
+
+
+def check_placement(spec, n):
+    """UnsupportedDataSpec unless initial data `spec` names a component in
+    0..n-1 and the target "u0" (the state) or "u1" (its time derivative)."""
+    if not 0 <= spec.component < n:
+        raise UnsupportedDataSpec(f"component {spec.component} outside 0..{n - 1}")
+    if spec.target not in ("u0", "u1"):
+        raise UnsupportedDataSpec(f"target must be 'u0' or 'u1', got {spec.target!r}")
 
 
 def normalize_b00(model):
@@ -279,13 +279,9 @@ def normalize_b00(model):
             for j in range(model.d + 1)
             for k in range(model.d + 1)
         }
-        norm = _constant_model(
-            model.n, model.d, Aj[0], Aj[1:], Bm,
-            label=model.label + "|b00-normalized", ref=u0,
-            is_fluid=model.is_fluid, fluid_params=model.fluid_params,
-            normalized=True,
-        )
-        return replace(norm, state_domain=model.state_domain)
+        norm = _constant_model(model.n, model.d, Aj[0], Aj[1:], Bm, ref=u0, is_fluid=model.is_fluid,
+                               label=model.label + "|b00-normalized")
+        return replace(norm, state_domain=model.state_domain, normalized=True)
 
     A_old, B_old = model.A, model.B
 

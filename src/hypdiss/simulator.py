@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter
+from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter, UnsupportedDataSpec
 from .io import write_csv_atomic
-from .model import ensure_normalized
+from .model import check_placement, ensure_normalized
 from .paradiff import (
     DiscreteSymbol,
     GridFunction,
@@ -141,8 +141,16 @@ def default_lattice(model):
     return Lattice(d=model.d, N=N)
 
 
+def _length_d(value, what, d):
+    v = np.array(value, dtype=float)
+    if v.shape != (d,):
+        raise UnsupportedDataSpec(f"{what} {value!r} must have length d = {d}")
+    return v
+
+
 def initial_state(linear, data_spec):
-    """Dealiased initial data on the lattice of a `LinearPart`."""
+    """Dealiased initial data on the lattice of a `LinearPart`; UnsupportedDataSpec
+    for data that does not fit the model's components or the lattice's dimension."""
     model, lattice = linear.model, linear.lattice
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     x = lattice.x_vectors()
@@ -150,17 +158,21 @@ def initial_state(linear, data_spec):
     ut = np.zeros((lattice.points, model.n), dtype=complex)
     for spec in specs:
         if isinstance(spec, TrigData):
-            k = np.array(spec.wavenumber, dtype=float) * 2.0 * np.pi / lattice.L_box
+            if spec.phase not in ("sin", "cos"):
+                raise UnsupportedDataSpec(f"phase must be 'sin' or 'cos', got {spec.phase!r}")
+            k = _length_d(spec.wavenumber, "wavenumber", lattice.d) * 2.0 * np.pi / lattice.L_box
             ph = x @ k
             vals = spec.amplitude * (np.sin(ph) if spec.phase == "sin" else np.cos(ph))
         elif isinstance(spec, PeriodicBumpData):
-            c = np.full(lattice.d, 0.5 * lattice.L_box) if spec.center is None else np.array(spec.center)
+            c = (np.full(lattice.d, 0.5 * lattice.L_box) if spec.center is None
+                 else _length_d(spec.center, "center", lattice.d))
             r2 = np.sum((x - c[None, :]) ** 2, axis=1)
             vals = spec.amplitude * np.exp(-r2 / (2.0 * spec.width**2))
             if spec.mean_free:
                 vals = vals - vals.mean()
         else:
-            raise TypeError(f"unsupported simulator data spec {type(spec).__name__}")
+            raise UnsupportedDataSpec(f"unsupported simulator data spec {type(spec).__name__}")
+        check_placement(spec, model.n)
         if spec.target == "u0":
             u[:, spec.component] += vals
         else:
@@ -305,12 +317,15 @@ def step_rk4(linear, state, dt):
 # Sobolev norms on the lattice
 # ---------------------------------------------------------------------------
 
+def _block_norms(what, lattice):
+    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) from the two blocks of `w_hat`."""
+    sq = lattice.L_box**lattice.d * np.sum(np.abs(what) ** 2, axis=0)
+    return tuple(float(np.sqrt(np.sum(b))) for b in np.split(sq, 2))
+
+
 def state_norms(model, state, s):
     """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) on the lattice."""
-    ubar = ensure_normalized(model).reference_state
-    du = GridFunction(state.lattice, state.u - ubar[None, :])
-    vt = GridFunction(state.lattice, state.ut)
-    return du.sobolev_norm(s + 1.0), vt.sobolev_norm(s)
+    return _block_norms(w_hat(model, state, s), state.lattice)
 
 
 def w_hat(model, state, s):
@@ -603,8 +618,8 @@ def run(model, data_spec, config=SimConfig()):
     energy = np.zeros(config.snapshots) if config.monitor else None
 
     def record(k, st):
-        norms_u[k], norms_ut[k] = state_norms(model, st, s)
         what = w_hat(model, st, s)
+        norms_u[k], norms_ut[k] = _block_norms(what, lat)
         wn[k] = np.sqrt(np.sum(np.abs(what) ** 2) * lat.L_box**lat.d)
         if not np.isfinite(wn[k]):
             raise BlowUp(f"W-norm is not finite at t={st.time:g}")

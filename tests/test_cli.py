@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hypdiss.cli import EXIT_FAIL, EXIT_OK, main
+from hypdiss.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, main
 
 
 def read_dir_bytes(path):
@@ -96,6 +96,33 @@ class TestInputGuards:
         code = main(argv + ["--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert "error: InvalidParameter:" in capsys.readouterr().err
+
+
+class TestFlagScope:
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--builtin", "damped-wave", "--floor", "1"],
+        ["simulate", "--builtin", "convected-damped-wave", "--floor", "1"],
+        ["paradiff-test", "--floor", "1"],
+        ["dispersion", "--builtin", "damped-wave", "--cluster-tol", "1"],
+        ["report", "--seed", "1"],
+    ], ids=["decay-floor", "simulate-floor", "paradiff-floor", "dispersion-cluster-tol",
+            "report-seed"])
+    def test_flag_a_command_does_not_read_is_refused(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["state_samples", "xi_cout"])
+    def test_config_key_that_is_no_check_setting_is_refused(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 64 if key == "state_samples" else 5}))
+        code = main(["check", "--builtin", "damped-wave", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and key in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestDeterminism:
@@ -212,3 +239,22 @@ class TestOtherCommands:
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["all_pass"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "damped-wave", "--a", "2"],
+        ["--builtin", "convected-damped-wave", "--a", "1.5", "--xi-count", "9", "--seed", "4"],
+    ], ids=["pass", "fail"])
+    def test_report_writes_checks_summary(self, tmp_path, argv):
+        out = tmp_path / "out"
+        code = main(["check"] + argv + ["--output-dir", str(out)])
+        written = (out / "summary.json").read_bytes()
+        (out / "summary.json").unlink()
+        assert main(["report", "--output-dir", str(out)]) == (EXIT_OK if code == EXIT_OK else EXIT_FAIL)
+        assert (out / "summary.json").read_bytes() == written
+
+    def test_report_without_reports_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["report", "--output-dir", str(out)]) == EXIT_ERROR
+        assert "report_" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

@@ -28,7 +28,9 @@ from hypdiss.errors import (
     NotSymmetrizable,
     PrerequisiteMissing,
 )
+from hypdiss.grids import unit_directions
 from hypdiss.model import (
+    STATE_SAMPLES,
     FluidParameters,
     builtin_barotropic_fluid,
     builtin_convected_damped_wave,
@@ -196,6 +198,19 @@ class TestHB:
         res = check_hb(builtin_barotropic_fluid(FLUID))
         assert res.report.verdict == "pass"
         assert res.report.trace["multiplicities"] == [1, 1, 1, 1, 2, 2]
+
+    def test_scans_the_models_state_samples(self):
+        # one per-point row per (direction, state sample): the samples that
+        # normalize_b00 validates B^{00} on
+        m = model_from_dict({
+            "n": 1, "d": 1, "reference_state": [0.0],
+            "A": {"0": [[1.0]], "1": [[[[0.5, 0], [1.0, 1]]]]},
+            "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+        })
+        omegas, _ = unit_directions(1, CheckConfig().directions_2d)
+        res = check_hb(m)
+        assert len(res.report.per_point) == len(omegas) * STATE_SAMPLES
+        assert res.report.grid_spec == f"{STATE_SAMPLES} states x {len(omegas)} directions"
 
     def test_boundary_viscosity_degenerate(self):
         # mu = eta_tilde: the longitudinal second-order block is singular and

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from hypdiss.errors import BlowUp, CFLViolation, DomainExit, InvalidParameter
+from hypdiss.errors import (BlowUp, CFLViolation, DomainExit, InvalidParameter,
+                            UnsupportedDataSpec)
+from hypdiss.linear_spectral import GaussianData
 from hypdiss.model import (
     builtin_convected_damped_wave,
     builtin_damped_wave,
     ensure_normalized,
     model_from_dict,
 )
-from hypdiss.paradiff import Lattice
+from hypdiss.paradiff import GridFunction, Lattice
 from hypdiss.simulator import (
     EnergyForm,
+    FieldState,
     LinearPart,
     PeriodicBumpData,
     SimConfig,
@@ -585,12 +588,42 @@ class TestEnergyFormSplit:
 
 
 def test_state_norms_match_grid_functions():
-    m = builtin_convected_damped_wave(0.5)
-    st = initial_state(LinearPart(m, LAT), TrigData(amplitude=0.1, wavenumber=(2,)))
-    nu, nut = state_norms(m, st, 2.0)
-    what = w_hat(m, st, 2.0)
-    combined = np.sqrt(np.sum(np.abs(what) ** 2) * LAT.L_box)
-    assert combined == pytest.approx(np.sqrt(nu**2 + nut**2), rel=1e-12)
+    # the block norms of w_hat against the H^{s+1} and H^s norms of
+    # GridFunctions of u - ubar and u_t, computed independently
+    cases = [
+        (builtin_convected_damped_wave(0.5), TrigData(amplitude=0.1, wavenumber=(2,)), LAT),
+        (nonlinear_convected_model(), [PeriodicBumpData(amplitude=0.05),
+                                       TrigData(amplitude=0.02, target="u1", phase="cos")], LAT),
+        (coupled_state_dependent_model(), [PeriodicBumpData(amplitude=0.05, component=1),
+                                           TrigData(amplitude=0.02, wavenumber=(1, 2))],
+         Lattice(d=2, N=16)),
+    ]
+    for model, data, lat in cases:
+        st = initial_state(LinearPart(model, lat), data)
+        st = FieldState(lat, st.u + 0.01 * np.cos(lat.x_vectors()[:, :1]), st.ut)
+        nu, nut = state_norms(model, st, 2.0)
+        ubar = ensure_normalized(model).reference_state
+        assert nu == pytest.approx(GridFunction(lat, st.u - ubar).sobolev_norm(3.0), rel=1e-13)
+        assert nut == pytest.approx(GridFunction(lat, st.ut).sobolev_norm(2.0), rel=1e-13)
+        what = w_hat(model, st, 2.0)
+        combined = np.sqrt(np.sum(np.abs(what) ** 2) * lat.L_box**lat.d)
+        assert combined == pytest.approx(np.sqrt(nu**2 + nut**2), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    TrigData(amplitude=0.1, component=3),
+    TrigData(amplitude=0.1, component=-1),
+    TrigData(amplitude=0.1, target="u2"),
+    TrigData(amplitude=0.1, phase="tan"),
+    TrigData(amplitude=0.1, wavenumber=(1, 2)),
+    PeriodicBumpData(amplitude=0.1, center=(1.0, 2.0)),
+    GaussianData(amplitude=0.1),
+], ids=["component-3", "component-negative", "target-u2", "phase-tan", "wavenumber-length",
+        "center-length", "unknown-spec"])
+def test_initial_state_refuses_data_it_cannot_place(spec):
+    linear = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+    with pytest.raises(UnsupportedDataSpec):
+        initial_state(linear, spec)
 
 
 class TestLatticeGuard:
