@@ -323,7 +323,12 @@ def cmd_paradiff_test(args):
         separable_symbol,
         smooth_symbol,
     )
+    from .simulator import _refuse_above_limit
 
+    # the battery holds dense P x P complex symbols and operator matrices:
+    # about 27 of them at its tracemalloc peak for N = 64 ... 512
+    _refuse_above_limit(32 * args.n_grid**2 * np.dtype(complex).itemsize,
+                        f"the paradiff-test battery on {args.n_grid} lattice points")
     out = _outdir(args)
     cfg = _effective_config(args)
     lat = Lattice(d=1, N=args.n_grid)

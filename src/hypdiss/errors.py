@@ -80,10 +80,6 @@ class InvalidEpsilon(HypdissError):
     pass
 
 
-class PowerIterationDivergence(HypdissError):
-    pass
-
-
 class PrecheckFailed(HypdissError):
     pass
 

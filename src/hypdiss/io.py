@@ -1,9 +1,9 @@
 """Atomic output files.
 
-Every file hypdiss writes goes through `write_atomic`: the bytes land in
-`<path>.tmp`, which `os.replace` then moves over `<path>`, so a reader never
-sees a half-written report.  JSON is written with sorted keys and CSV floats
-with 17 significant digits, so identical runs give identical bytes.
+Every file hypdiss writes is text and goes through `write_atomic`: the UTF-8
+bytes land in `<path>.tmp`, which `os.replace` then moves over `<path>`, so a
+reader never sees a half-written report.  JSON is written with sorted keys and
+CSV floats with 17 significant digits, so identical runs give identical bytes.
 """
 
 import csv
@@ -14,12 +14,11 @@ import os
 import numpy as np
 
 
-def write_atomic(path, *chunks):
-    """Write str (UTF-8) and bytes chunks to path via a temporary file."""
+def write_atomic(path, text):
+    """Write text (UTF-8) to path via a temporary file."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
-        for chunk in chunks:
-            f.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        f.write(text.encode())
     os.replace(tmp, path)
 
 

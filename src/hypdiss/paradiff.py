@@ -5,18 +5,16 @@ frequency lattice.  An admissible cut-off chi(eta, xi) localizes a symbol's
 x-dependence to frequencies |eta| small against <xi>; applying it through
 the first-variable discrete Fourier transform realizes symbol smoothing,
 and the para-differential operator is the quantization of the smoothed
-symbol.  Dyadic Littlewood-Paley masks, dense operator matrices, Sobolev
-operator norms by power iteration, and the quantitative checks (adjoint and
-product error scaling, sharp lower bounds of nonnegative symbols) complete
-the toolbox.
+symbol.  Dyadic Littlewood-Paley masks, dense operator matrices, exact
+Sobolev operator norms (the 2-norm of the weighted dense matrix), and the
+quantitative checks (adjoint and product error scaling, sharp lower bounds of
+nonnegative symbols) complete the toolbox.
 
 Lattice orders follow numpy's FFT layout; Fourier coefficients are the DFT
 divided by the point count, so a(x, xi) = 1 quantizes to the identity map
 exactly.
 """
 
-import json
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,10 +24,8 @@ from .errors import (
     GridMismatch,
     InvalidEpsilon,
     InvalidParameter,
-    PowerIterationDivergence,
     PrecheckFailed,
 )
-from .io import write_atomic, write_json_atomic
 from .profiles import ramp_down
 
 
@@ -164,14 +160,12 @@ def make_cutoff(eps1, eps2, order=7):
 class DiscreteSymbol:
     """Matrix symbol sampled on (x-lattice) x (dual lattice).
 
-    values has shape (P, P, n, n); order_m is the nominal symbol order and
-    class_tag one of 'Gamma_k', 'S_11', 'smoothed'.
+    values has shape (P, P, n, n); order_m is the nominal symbol order.
     """
 
     lattice: Lattice
     values: np.ndarray
     order_m: float = 0.0
-    class_tag: str = "Gamma_k"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -235,7 +229,7 @@ def smooth_symbol(symbol, chi):
     mags = lat.xi_mags()
     mask = chi(mags[:, None], mags[None, :])
     out = lat.ifft(lat.fft(symbol.values) * mask[:, :, None, None])
-    return DiscreteSymbol(lat, out, order_m=symbol.order_m, class_tag="smoothed")
+    return DiscreteSymbol(lat, out, order_m=symbol.order_m)
 
 
 def apply_op(symbol, f):
@@ -277,43 +271,13 @@ def sobolev_weight_matrix(lattice, s, n=1):
     return np.kron(W, np.eye(n))
 
 
-def operator_norm_power(G, tol=1e-9, maxit=2000, seed=7, block=8):
-    """Largest singular value of G by subspace (block power) iteration.
-
-    Iterates an orthonormal block under G^H G and reads the top Ritz value
-    off the projected block; the block absorbs clustered top singular
-    values, which a single power vector cannot separate.
-    """
-    rng = np.random.default_rng(seed)
-    m = G.shape[1]
-    block = min(block, m)
-    V = rng.normal(size=(m, block)) + 1j * rng.normal(size=(m, block))
-    V, _ = np.linalg.qr(V)
-    prev = -1.0
-    for _ in range(maxit):
-        W = G @ V
-        s = np.linalg.norm(W, axis=0)
-        cur = float(np.max(s))
-        if cur == 0.0:
-            return 0.0
-        V, _ = np.linalg.qr(G.conj().T @ W)
-        if abs(cur - prev) <= tol * max(cur, 1e-30):
-            return cur
-        prev = cur
-    if abs(cur - prev) <= 1e-6 * max(cur, 1e-30):
-        # clustered top singular values: the value has settled even though
-        # the strict tolerance was not met
-        return cur
-    raise PowerIterationDivergence(
-        f"block power iteration did not converge in {maxit} steps (last {prev:.6e})"
-    )
-
-
 def operator_sobolev_norm(T, lattice, s_out, s_in, n=1):
     """||T|| between H^{s_in} and H^{s_out} on the lattice."""
+    if not np.all(np.isfinite(T)):
+        raise InvalidParameter("the operator matrix is not finite (NaN or inf entries)")
     Wout = sobolev_weight_matrix(lattice, s_out, n)
     Win = sobolev_weight_matrix(lattice, -s_in, n)
-    return operator_norm_power(Wout @ T @ Win)
+    return float(np.linalg.norm(Wout @ T @ Win, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +308,9 @@ def lp_masks(lattice, order=7):
 
 def lp_decompose(symbol, order=7):
     """Split a symbol into dyadic frequency annuli; exact reconstruction."""
-    masks = lp_masks(symbol.lattice, order)
-    out = []
-    for nu, mk in enumerate(masks, start=-1):
-        vals = symbol.values * mk[None, :, None, None]
-        out.append(DiscreteSymbol(symbol.lattice, vals, order_m=symbol.order_m,
-                                  class_tag=symbol.class_tag))
-    return out
+    return [DiscreteSymbol(symbol.lattice, symbol.values * mk[None, :, None, None],
+                           order_m=symbol.order_m)
+            for mk in lp_masks(symbol.lattice, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -569,73 +529,4 @@ def check_garding(F, u_base, chi, amplitudes=(1.0, 0.5, 0.25, 0.125), samples=32
         smoothing_constant=c0,
         any_negativity=any_neg,
         exact=exact,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Binary container
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"HYPDBIN1"
-
-
-def _write_container(path, kind, lattice, n, order_m, class_tag, payload):
-    write_atomic(
-        path,
-        _MAGIC,
-        struct.pack("<qqqq", kind, lattice.d, lattice.N, n),
-        struct.pack("<dd", lattice.L_box, order_m),
-        np.ascontiguousarray(payload, dtype=np.complex64).tobytes(),
-    )
-    meta = {
-        "kind": "symbol" if kind else "field",
-        "d": lattice.d,
-        "N": lattice.N,
-        "n": n,
-        "L_box": lattice.L_box,
-        "order_m": order_m,
-        "class_tag": class_tag,
-        "dtype": "complex64",
-        "layout": "row-major",
-    }
-    write_json_atomic(f"{path}.json", meta)
-
-
-def _read_container(path):
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise GridMismatch(f"{path} is not a hypdiss binary container")
-        kind, d, N, n = struct.unpack("<qqqq", f.read(32))
-        L_box, order_m = struct.unpack("<dd", f.read(16))
-        payload = np.frombuffer(f.read(), dtype=np.complex64)
-    with open(str(path) + ".json") as f:
-        meta = json.load(f)
-    return kind, Lattice(d=d, N=N, L_box=L_box), n, order_m, meta, payload
-
-
-def save_field(path, f):
-    _write_container(path, 0, f.lattice, f.n, 0.0, "", f.values)
-
-
-def load_field(path):
-    kind, lat, n, _, _, payload = _read_container(path)
-    if kind != 0:
-        raise GridMismatch("container holds a symbol, not a field")
-    return GridFunction(lat, payload.reshape(lat.points, n).astype(complex))
-
-
-def save_symbol(path, sym):
-    _write_container(path, 1, sym.lattice, sym.n, sym.order_m, sym.class_tag, sym.values)
-
-
-def load_symbol(path):
-    kind, lat, n, order_m, meta, payload = _read_container(path)
-    if kind != 1:
-        raise GridMismatch("container holds a field, not a symbol")
-    P = lat.points
-    return DiscreteSymbol(
-        lat,
-        payload.reshape(P, P, n, n).astype(complex),
-        order_m=order_m,
-        class_tag=meta.get("class_tag", "Gamma_k"),
     )

@@ -424,7 +424,7 @@ def dissipation_symbol_field(model, u_phys, lattice):
     _require_field_fits(model.n, lattice)
     states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
     vals = _dissipation_values(model, states, lattice)[back.reshape(-1)]
-    return DiscreteSymbol(lattice, vals, order_m=0.0, class_tag="Gamma_k")
+    return DiscreteSymbol(lattice, vals, order_m=0.0)
 
 
 class EnergyForm:

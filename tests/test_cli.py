@@ -232,6 +232,46 @@ class TestOtherCommands:
               "--output-dir", str(tmp_path / "out")])
         assert seeds == [0]
 
+    def test_paradiff_refuses_large_lattice_without_allocating(self, tmp_path, capsys):
+        # N = 4096 holds 256 MiB per dense P x P complex array
+        import tracemalloc
+
+        array_bytes = 4096**2 * 16
+        tracemalloc.start()
+        try:
+            code = main(["paradiff-test", "--n-grid", "4096", "--output-dir", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and str(32 * array_bytes) in err
+        assert peak < array_bytes // 100
+        assert not (tmp_path / "out").exists()
+
+    def test_paradiff_estimate_bounds_measured_peak(self, tmp_path, monkeypatch, capsys):
+        # at N = 64 the guard refuses just below its estimate, and the
+        # battery's traced peak stays under that estimate
+        import tracemalloc
+
+        import hypdiss.conditions  # noqa: F401  (imported outside the trace)
+        import hypdiss.simulator as sim
+
+        estimate = 32 * 64**2 * 16
+        argv = ["paradiff-test", "--n-grid", "64", "--output-dir", str(tmp_path / "out")]
+        monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", estimate - 1)
+        assert main(argv) == EXIT_ERROR
+        assert str(estimate) in capsys.readouterr().err
+        monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", estimate)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= estimate
+
     def test_report_rerender(self, tmp_path):
         out = tmp_path / "out"
         main(["check", "--builtin", "damped-wave", "--a", "2", "--output-dir", str(out)])

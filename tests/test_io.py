@@ -5,12 +5,12 @@ import numpy as np
 from hypdiss.io import write_atomic, write_csv_atomic, write_json_atomic
 
 
-def test_write_atomic_chunks_and_no_leftover(tmp_path):
-    path = tmp_path / "out.bin"
+def test_write_atomic_text_and_no_leftover(tmp_path):
+    path = tmp_path / "out.txt"
     path.write_bytes(b"old contents")
-    write_atomic(path, b"HEAD", "text\n", np.arange(2, dtype="<i2").tobytes())
-    assert path.read_bytes() == b"HEADtext\n\x00\x00\x01\x00"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    write_atomic(path, "text \u00e9\n")
+    assert path.read_bytes() == b"text \xc3\xa9\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 def test_json_sorted_and_numpy_scalars(tmp_path):
