@@ -24,6 +24,11 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_MARGINAL = 3
 
+#: paradiff-test's Littlewood-Paley reconstruction gate, in rounding units
+#: eps * max|a| of the tested symbol (the error is 0 to 0.74 of one on
+#: lattices of 16 to 512 points)
+LP_RECONSTRUCTION_ULPS = 2
+
 
 def _add_model_args(p):
     p.add_argument("--builtin", choices=["damped-wave", "convected-damped-wave", "fluid"])
@@ -341,6 +346,8 @@ def cmd_paradiff_test(args):
     parts = lp_decompose(sym)
     rec_err = float(np.abs(sum(p.values for p in parts) - sym.values).max())
     results["lp_reconstruction_error"] = rec_err
+    # rounding alone: the symbol grows like <xi>, so the gate is relative
+    rec_bound = LP_RECONSTRUCTION_ULPS * np.finfo(float).eps * float(np.abs(sym.values).max())
 
     sm = smooth_symbol(sym, chi)
     eta = lat.xi_mags()
@@ -366,7 +373,7 @@ def cmd_paradiff_test(args):
     results["garding_constant_slope"] = grep.constant_slope
 
     ok = (
-        rec_err < 1e-13
+        rec_err <= rec_bound
         and supp_err < 1e-12
         and abs(rep.adjoint_slope - 1.0) <= 0.2
         and abs(rep.product_slope - 1.0) <= 0.2

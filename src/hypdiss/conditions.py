@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ClusterAmbiguity,
@@ -167,6 +166,8 @@ def eigstructure(matrix, cluster_tolerance=1e-7):
         if mult == m:
             basis = np.eye(m, dtype=complex)
         else:
+            import scipy.linalg as sla
+
             def select(x, _c=center, _t=thr):
                 return bool(abs(x - _c) <= max(5.0 * _t, 1e-300))
 
@@ -553,6 +554,8 @@ def lyapunov_certificate(M, rho):
 
     This is the per-point fallback of `lyapunov_stack`.
     """
+    import scipy.linalg as sla
+
     try:
         P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
     except Exception as e:  # scipy raises LinAlgError or ValueError
@@ -634,6 +637,8 @@ def _first_group(lam):
 def _schur_split(M, lam, first):
     """(Q1, B2, Z2) of one point from a sorted Schur form, or None when the
     sort selects another number of eigenvalues than the group has."""
+    import scipy.linalg as sla
+
     g, rest = lam[first], lam[~first]
 
     def sel(x):

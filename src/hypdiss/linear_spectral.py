@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegenerateFit, EigensolverFailure, GridMismatch, UnsupportedDataSpec
 from .grids import product_grid, radial_quadrature, unit_directions
@@ -119,6 +118,8 @@ def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
 
 def evolve_mode(mbar, u0, t):
     """Propagate one mode: exp(t mbar) @ u0 (scaling-and-squaring)."""
+    import scipy.linalg as sla
+
     if t < 0:
         raise ValueError("t must be nonnegative")
     return sla.expm(t * np.asarray(mbar, dtype=complex)) @ np.asarray(u0, dtype=complex)
@@ -131,6 +132,8 @@ def evolve_mode_with_forcing(mbar, u0, f_hat, t_grid):
     trajectory with the same leading shape.  Second-order accurate in the
     step size.
     """
+    import scipy.linalg as sla
+
     t_grid = np.asarray(t_grid, dtype=float)
     f_hat = np.asarray(f_hat, dtype=complex)
     if f_hat.shape[0] != len(t_grid):
@@ -180,6 +183,8 @@ class ModePropagator:
         out = np.einsum("qij,qj->qi", self._V, growth)
         bad = self.defective
         if np.any(bad):
+            import scipy.linalg as sla
+
             out[bad] = np.einsum("qij,qj->qi", sla.expm(dt * self.mats[bad]), coeff[bad])
         return out
 

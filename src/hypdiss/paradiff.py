@@ -57,9 +57,13 @@ class Lattice:
         grids = np.meshgrid(*([ax] * self.d), indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
 
-    def xi_vectors(self):
-        ax = self.axis_xi()
-        grids = np.meshgrid(*([ax] * self.d), indexing="ij")
+    def xi_vectors(self, half=False):
+        """Frequency vectors (P, d) in FFT order; half=True gives the half
+        spectrum of `fft(..., half=True)`, whose last component is >= 0."""
+        axes = [self.axis_xi()] * self.d
+        if half:
+            axes[-1] = 2.0 * np.pi / self.L_box * self.N * np.fft.rfftfreq(self.N)
+        grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
 
     def xi_mags(self):
@@ -72,15 +76,33 @@ class Lattice:
         # e^{i x_j . xi_k}; P x P, computed per call so nothing outlives it
         return np.exp(1j * (self.x_vectors() @ self.xi_vectors().T))
 
-    def fft(self, values):
-        """Fourier coefficients of lattice samples, shape preserved (P, n)."""
+    def fft(self, values, half=False):
+        """Fourier coefficients of lattice samples, shape preserved (P, n).
+
+        half=True takes real samples with the components leading, (m, P), and
+        returns their half spectrum (m, Q) at `xi_vectors(half=True)`; the
+        other frequencies carry the complex conjugates.
+        """
         v = np.asarray(values)
+        if half:
+            lead = v.shape[:-1]
+            out = np.fft.rfftn(v.reshape(lead + (self.N,) * self.d),
+                               axes=tuple(range(-self.d, 0)), norm="forward")
+            return out.reshape(lead + (-1,))
         shp = (self.N,) * self.d + v.shape[1:]
         out = np.fft.fftn(v.reshape(shp), axes=tuple(range(self.d)))
         return out.reshape(v.shape) / self.points
 
-    def ifft(self, coeff):
+    def ifft(self, coeff, half=False):
+        """Lattice samples of Fourier coefficients; half=True inverts
+        `fft(..., half=True)` to real samples (m, P)."""
         c = np.asarray(coeff)
+        if half:
+            lead = c.shape[:-1]
+            shp = lead + (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
+            out = np.fft.irfftn(c.reshape(shp), s=(self.N,) * self.d,
+                                axes=tuple(range(-self.d, 0)), norm="forward")
+            return out.reshape(lead + (-1,))
         shp = (self.N,) * self.d + c.shape[1:]
         out = np.fft.ifftn(c.reshape(shp), axes=tuple(range(self.d)))
         return out.reshape(c.shape) * self.points

@@ -1,9 +1,11 @@
 """Pseudo-spectral time integration of the nonlinear first-order system.
 
-The state is U = (u, u_t) on a periodic lattice with 2/3-rule dealiasing.
-The right-hand side splits at the reference state ubar: the
-constant-coefficient part acts on the Fourier coefficients mode by mode
-through Mbar(ubar, xi), and a state-dependent model adds the remainder
+The state is U = (u, u_t), real samples on a periodic lattice with
+2/3-rule dealiasing.  An RK4 step works on the dealiased half spectrum of the
+state (real transforms, `Lattice.fft(..., half=True)`), so all four stages
+stay in Fourier space.  The right-hand side splits at the reference state
+ubar: the constant-coefficient part acts on the Fourier coefficients mode by
+mode through Mbar(ubar, xi), and a state-dependent model adds the remainder
 [coeffs(u) - coeffs(ubar)] . derivatives, with spectral derivatives and
 pointwise products in physical space.  Time stepping is classical RK4 under
 a spectral-radius CFL bound.  An energy monitor assembles the
@@ -65,7 +67,8 @@ LYAPUNOV_BATCH_BYTES = 2**25
 
 @dataclass
 class FieldState:
-    """Periodic-grid physical state (u, u_t); a 1-D array is one component."""
+    """Periodic-grid physical state (u, u_t) as real samples of shape (P, n);
+    a 1-D array is one component, and complex samples keep their real part."""
 
     lattice: Lattice
     u: np.ndarray
@@ -73,12 +76,18 @@ class FieldState:
     time: float = 0.0
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=complex).reshape(len(self.u), -1)
-        self.ut = np.asarray(self.ut, dtype=complex).reshape(len(self.ut), -1)
+        self.u = _real_samples(self.u)
+        self.ut = _real_samples(self.ut)
 
 
-def two_thirds_mask(lattice):
-    mags = np.abs(lattice.xi_vectors())
+def _real_samples(values):
+    v = np.asarray(values)
+    return np.asarray(v.real, dtype=float).reshape(len(v), -1)
+
+
+def two_thirds_mask(lattice, half=False):
+    """The dealiased frequencies of `lattice.xi_vectors(half)`."""
+    mags = np.abs(lattice.xi_vectors(half))
     cut = (2.0 / 3.0) * np.max(np.abs(lattice.axis_xi()))
     return np.all(mags <= cut + 1e-12, axis=1)
 
@@ -111,14 +120,19 @@ class PeriodicBumpData:
 
 
 def _rk4_bytes(model, lattice):
-    # an RK4 step holds about 16 (P, n) complex arrays (the state, four
-    # stages, a stage input and its transforms); a state-dependent model adds
-    # its (1 + d)^2 coefficient blocks and their remainder at every point
-    P, n = lattice.points, model.n
-    need = 16 * P * n * np.dtype(complex).itemsize
+    # an RK4 step holds about 16 + n real (P, n) arrays at its peak: the
+    # reference rows (about n of them), the zero-padded half spectra, the
+    # state in and out, and a real transform's input, complex intermediates
+    # and output (tracemalloc of a `LinearPart` and one step: 0.69-0.80 of
+    # this on the builtins, 0.64 on a state-dependent n = d = 2 model); a
+    # state-dependent model adds four arrays for each of
+    # its 2 + 2d + d(d+1)/2 transformed fields, and its (1 + d)^2
+    # coefficient blocks and their remainder at every point
+    P, n, d = lattice.points, model.n, lattice.d
+    arrays = 16 + n
     if not model.constant_coefficients:
-        need += 2 * P * (1 + lattice.d) ** 2 * n * n * np.dtype(float).itemsize
-    return need
+        arrays += 4 * (2 + 2 * d + d * (d + 1) // 2) + 2 * (1 + d) ** 2 * n
+    return arrays * P * n * np.dtype(float).itemsize
 
 
 def _refuse_above_limit(need, what):
@@ -154,8 +168,8 @@ def initial_state(linear, data_spec):
     model, lattice = linear.model, linear.lattice
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     x = lattice.x_vectors()
-    u = np.tile(model.reference_state.astype(complex), (lattice.points, 1))
-    ut = np.zeros((lattice.points, model.n), dtype=complex)
+    u = np.tile(model.reference_state.astype(float), (lattice.points, 1))
+    ut = np.zeros((lattice.points, model.n))
     for spec in specs:
         if isinstance(spec, TrigData):
             if spec.phase not in ("sin", "cos"):
@@ -185,8 +199,8 @@ def initial_state(linear, data_spec):
 # ---------------------------------------------------------------------------
 
 def _matvec(mats, vecs):
-    # one (n, n) matrix per grid point times one n-vector per grid point
-    return np.einsum("pij,pj->pi", mats, vecs)
+    # one (n, n) matrix per grid point times the (n, P) samples of a field
+    return np.einsum("pij,jp->ip", mats, vecs)
 
 
 def _check_domain(model, u_phys, time):
@@ -213,9 +227,15 @@ class LinearPart:
     """The constant-coefficient system at the reference state on one lattice;
     every stepping and monitor call takes it.
 
-    Every Fourier mode of the linearized system evolves by Mbar(ubar, xi).
-    `rows` holds its bottom n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at
-    the dealiased frequencies `mask` (two_thirds_mask), shape (Q, n, 2n);
+    Stepping works on the half spectrum of the real state: `mask` marks the
+    dealiased frequencies (two_thirds_mask) among `lattice.xi_vectors(half=
+    True)`, `xi` (Q, d) lists them, and `spectrum`/`samples` move between
+    real samples (m, P) and coefficients there (m, Q).  Every Fourier mode of
+    the linearized system evolves by Mbar(ubar, xi); `rows` holds its bottom
+    n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at `xi`, shape (Q, n, 2n),
+    and Mbar(ubar, -xi) = conj(Mbar(ubar, xi)) covers the other half.  The
+    zero-padded spectra behind `samples` are reused, so one LinearPart
+    serves one caller at a time.
     `tensors` are the coefficient tensors at ubar, which the remainder of a
     state-dependent model subtracts.  `dt_max` is the RK4 step bound from
     |spec(Mbar)| at the largest dealiased frequencies.  A lattice whose RK4
@@ -226,91 +246,131 @@ class LinearPart:
         model = ensure_normalized(model)
         _require_lattice_fits(model, lattice)
         self.model, self.lattice = model, lattice
-        self.mask = two_thirds_mask(lattice)
-        self.xi = lattice.xi_vectors()
-        ubar, xi = model.reference_state, self.xi[self.mask]
+        ubar = model.reference_state
         self.tensors = T = coefficient_tensors(model, ubar)
-        A, B, C = frequency_polynomials(T, xi)
-        self.rows = np.concatenate([-1j * A - B, 1j * C - T.A0], axis=-1)
-        mags = np.linalg.norm(xi, axis=1)
-        probes = [np.argmax(mags)] + [np.argmax(np.abs(xi[:, j])) for j in range(lattice.d)]
-        mbar = assemble_Mbar_stack(model, ubar, xi[probes])
+        full = lattice.xi_vectors()[two_thirds_mask(lattice)]
+        mags = np.linalg.norm(full, axis=1)
+        probes = [np.argmax(mags)] + [np.argmax(np.abs(full[:, j])) for j in range(lattice.d)]
+        mbar = assemble_Mbar_stack(model, ubar, full[probes])
         radius = 1.05 * float(np.max(np.abs(np.linalg.eigvals(mbar))))
         self.dt_max = CFL_FACTOR * RK4_IMAG_LIMIT / radius
+        self.mask = two_thirds_mask(lattice, half=True)
+        self.xi = lattice.xi_vectors(half=True)[self.mask]
+        A, B, C = frequency_polynomials(T, self.xi)
+        self.rows = np.concatenate([-1j * A - B, 1j * C - T.A0], axis=-1)
+        self._padded = {}
+
+    def spectrum(self, values):
+        """Dealiased half-spectrum coefficients (m, Q) of real samples (m, P)."""
+        return self.lattice.fft(values, half=True)[:, self.mask]
+
+    def samples(self, hat):
+        """Real samples (m, P) of dealiased coefficients (m, Q)."""
+        m = len(hat)
+        if m not in self._padded:
+            self._padded[m] = np.zeros((m, len(self.mask)), dtype=complex)
+        buf = self._padded[m]
+        buf[:, self.mask] = hat
+        return self.lattice.ifft(buf, half=True)
 
     def dealias(self, values):
-        hat = self.lattice.fft(values)
-        hat[~self.mask] = 0.0
-        return self.lattice.ifft(hat)
+        """The dealiased part of real samples (P, n)."""
+        return self.samples(self.spectrum(np.transpose(values))).T
 
 
-def _remainder(linear, state, uhat, vhat):
-    """[coeffs(u) - coeffs(ubar)] . derivatives, in physical space.
+def _remainder(linear, y, time):
+    """[coeffs(u) - coeffs(ubar)] . derivatives in physical space, (n, P), at
+    the stage y = (u_hat, v_hat); u is checked against the domain box before
+    any coefficient is evaluated.
 
-    The d(d+1)/2 distinct second derivatives carry B^{jk} + B^{kj}.
+    u, v, their d first derivatives and the d(d+1)/2 distinct second
+    derivatives of u come from one inverse transform; the second derivatives
+    carry B^{jk} + B^{kj}.
     """
-    lat = state.lattice
-    xi = linear.xi
-    T = coefficient_tensors(linear.model, state.u.real)
+    d, n = linear.lattice.d, linear.model.n
+    uh, vh = y[:n], y[n:]
+    xi = linear.xi.T
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    hats = ([uh, vh] + [1j * xi[j] * uh for j in range(d)]
+            + [1j * xi[j] * vh for j in range(d)] + [-xi[j] * xi[k] * uh for j, k in pairs])
+    u, v, *fields = linear.samples(np.concatenate(hats)).reshape(len(hats), n, -1)
+    _check_domain(linear.model, u.T, time)
+    u_x, v_x, u_xx = fields[:d], fields[d:2 * d], fields[2 * d:]
+    T = coefficient_tensors(linear.model, u.T)
     R = linear.tensors
-    out = -_matvec(T.A0 - R.A0, state.ut)
-    for j in range(lat.d):
-        u_x = lat.ifft(1j * xi[:, j : j + 1] * uhat)
-        v_x = lat.ifft(1j * xi[:, j : j + 1] * vhat)
-        out += _matvec(T.C[:, j] - R.C[j], v_x) - _matvec(T.A[:, j] - R.A[j], u_x)
-        for k in range(j, lat.d):
-            B = T.B[:, j, k] - R.B[j, k]
-            if k > j:
-                B = B + T.B[:, k, j] - R.B[k, j]
-            out += _matvec(B, lat.ifft(-xi[:, j : j + 1] * xi[:, k : k + 1] * uhat))
+    out = -_matvec(T.A0 - R.A0, v)
+    for j in range(d):
+        out += _matvec(T.C[:, j] - R.C[j], v_x[j]) - _matvec(T.A[:, j] - R.A[j], u_x[j])
+    for (j, k), w in zip(pairs, u_xx):
+        B = T.B[:, j, k] - R.B[j, k]
+        if k > j:
+            B = B + T.B[:, k, j] - R.B[k, j]
+        out += _matvec(B, w)
     return out
 
 
+def _stage(linear, y, time, u=None):
+    """Time derivative of the dealiased coefficients y = (u_hat, v_hat),
+    shape (2n, Q).  A constant-coefficient model checks the stage's u
+    against the domain box: the samples u (P, n) when given, else the
+    transform of y; a state-dependent model checks the u of its remainder."""
+    model = linear.model
+    n = model.n
+    k = np.empty_like(y)
+    k[:n] = y[n:]
+    k[n:] = np.einsum("qij,jq->iq", linear.rows, y)
+    if model.constant_coefficients:
+        _check_domain(model, linear.samples(y[:n]).T if u is None else u, time)
+    else:
+        k[n:] += linear.spectrum(_remainder(linear, y, time))
+    return k
+
+
+def _spectrum(linear, state):
+    # one forward transform of the stacked (u, u_t) samples
+    return linear.spectrum(np.concatenate([state.u.T, state.ut.T]))
+
+
 def rhs(linear, state):
-    """Time derivative (u_t, v_t) of the first-order system, dealiased.
+    """Time derivative (u_t, v_t) of the first-order system at the dealiased
+    part of the state, as real samples (P, n).
 
     v_t = sum_j (B^{j0}+B^{0j})(u) v_{x_j} + sum_jk B^{jk}(u) u_{x_j x_k}
           - A^0(u) v - sum_j A^j(u) u_{x_j}.
-    The part at the reference state is applied to the Fourier coefficients
-    as the bottom rows of Mbar(ubar, xi) (`linear`); a state-dependent model
-    adds the remainder [coeffs(u) - coeffs(ubar)] . derivatives, formed in
-    physical space and transformed once.  Two forward and two inverse
-    transforms for a constant-coefficient model.
+    The part at the reference state is applied to the half-spectrum
+    coefficients as the bottom rows of Mbar(ubar, xi) (`linear`); a
+    state-dependent model adds the remainder [coeffs(u) - coeffs(ubar)] .
+    derivatives, formed in physical space and transformed once.
     """
-    lat = state.lattice
-    mask = linear.mask
-    _check_domain(linear.model, state.u, state.time)
-
-    uhat = lat.fft(state.u)
-    vhat = lat.fft(state.ut)
-    if linear.model.constant_coefficients:
-        vt_hat = np.zeros_like(vhat)
-    else:
-        vt_hat = lat.fft(_remainder(linear, state, uhat, vhat))
-    uv = np.concatenate([uhat[mask], vhat[mask]], axis=1)
-    vt_hat[mask] += np.matmul(linear.rows, uv[:, :, None])[:, :, 0]
-    vt_hat[~mask] = 0.0
-    vhat[~mask] = 0.0  # u_t is the dealiased v
-    return lat.ifft(vhat), lat.ifft(vt_hat)
+    n = linear.model.n
+    k = _stage(linear, _spectrum(linear, state), state.time, state.u)
+    out = linear.samples(k)
+    return out[:n].T, out[n:].T
 
 
 def step_rk4(linear, state, dt):
-    """One classical RK4 step (dt may be negative); raises CFLViolation when
-    |dt| is above the stability bound `linear.dt_max`."""
+    """One classical RK4 step (dt may be negative) of the dealiased part of
+    the state; raises CFLViolation when |dt| is above the stability bound
+    `linear.dt_max`.
+
+    All four stages stay on the dealiased half spectrum.  Physical samples
+    are formed only for each stage's domain check (the state's own samples
+    at the first stage), for a state-dependent remainder, and for the new
+    state: one forward and four inverse real transforms per step for a
+    constant-coefficient model.
+    """
     if abs(dt) > linear.dt_max:
         raise CFLViolation(f"|dt| = {abs(dt):g} exceeds stability bound {linear.dt_max:g}")
-
-    def f(u, ut, t):
-        return rhs(linear, FieldState(state.lattice, u, ut, t))
-
-    u, v, t = state.u, state.ut, state.time
-    k1u, k1v = f(u, v, t)
-    k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, t + 0.5 * dt)
-    k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, t + 0.5 * dt)
-    k4u, k4v = f(u + dt * k3u, v + dt * k3v, t + dt)
-    un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return FieldState(state.lattice, linear.dealias(un), linear.dealias(vn), t + dt)
+    n, t = linear.model.n, state.time
+    y0 = _spectrum(linear, state)
+    k = _stage(linear, y0, t, state.u)
+    acc = k.copy()
+    for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k = _stage(linear, y0 + (c * dt) * k, t + c * dt)
+        acc += w * k
+    y0 += (dt / 6.0) * acc
+    out = linear.samples(y0)
+    return FieldState(state.lattice, out[:n].T, out[n:].T, t + dt)
 
 
 # ---------------------------------------------------------------------------

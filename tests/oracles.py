@@ -222,6 +222,75 @@ def physical_rhs_oracle(model, state):
     return dealias(state.ut), dealias(vt)
 
 
+def _split_rhs(model, lat, u, ut):
+    # bottom rows of Mbar(ubar, xi) on the full complex spectrum, plus the
+    # remainder [coeffs(u) - coeffs(ubar)] . derivatives in physical space
+    from hypdiss.simulator import two_thirds_mask
+    from hypdiss.symbols import coefficient_tensors, frequency_polynomials
+
+    mask = two_thirds_mask(lat)
+    xi = lat.xi_vectors()
+    R = coefficient_tensors(model, model.reference_state)
+    A, B, C = frequency_polynomials(R, xi[mask])
+    rows = np.concatenate([-1j * A - B, 1j * C - R.A0], axis=-1)
+    uhat, vhat = lat.fft(u), lat.fft(ut)
+    vt = np.zeros_like(vhat)
+    if not model.constant_coefficients:
+        def matvec(mats, vecs):
+            return np.einsum("pij,pj->pi", mats, vecs)
+
+        T = coefficient_tensors(model, u.real)
+        rem = -matvec(T.A0 - R.A0, ut)
+        for j in range(lat.d):
+            u_x = lat.ifft(1j * xi[:, j : j + 1] * uhat)
+            v_x = lat.ifft(1j * xi[:, j : j + 1] * vhat)
+            rem += matvec(T.C[:, j] - R.C[j], v_x) - matvec(T.A[:, j] - R.A[j], u_x)
+            for k in range(j, lat.d):
+                Bjk = T.B[:, j, k] - R.B[j, k]
+                if k > j:
+                    Bjk = Bjk + T.B[:, k, j] - R.B[k, j]
+                rem += matvec(Bjk, lat.ifft(-xi[:, j : j + 1] * xi[:, k : k + 1] * uhat))
+        vt = lat.fft(rem)
+    uv = np.concatenate([uhat[mask], vhat[mask]], axis=1)
+    vt[mask] += np.matmul(rows, uv[:, :, None])[:, :, 0]
+    vt[~mask] = 0.0
+    vhat[~mask] = 0.0
+    return lat.ifft(vhat), lat.ifft(vt)
+
+
+def rk4_step_oracle(model, state, dt):
+    """(u, u_t) after one classical RK4 step in physical space.
+
+    The step before it moved to the half spectrum: every stage input and
+    derivative is a complex lattice field, the split right-hand side goes
+    through complex full-spectrum transforms (two forward and two inverse a
+    stage, plus a state-dependent remainder's derivatives), and the new
+    state is dealiased with the two-thirds mask at the end.
+    """
+    from hypdiss.model import ensure_normalized
+    from hypdiss.simulator import two_thirds_mask
+
+    model = ensure_normalized(model)
+    lat = state.lattice
+
+    def f(u, ut):
+        return _split_rhs(model, lat, u, ut)
+
+    def dealias(values):
+        hat = lat.fft(values)
+        hat[~two_thirds_mask(lat)] = 0.0
+        return lat.ifft(hat)
+
+    u, v = state.u.astype(complex), state.ut.astype(complex)
+    k1u, k1v = f(u, v)
+    k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+    k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+    k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+    un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+    vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return dealias(un), dealias(vn)
+
+
 def energy_form_oracle(model, u_phys, lattice, values):
     """<G_u W, W> for W given by its lattice values, with the full para-operator
 

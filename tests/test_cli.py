@@ -216,6 +216,16 @@ class TestOtherCommands:
         rep = json.loads((out / "paradiff_report.json").read_text())
         assert rep["all_green"]
 
+    def test_paradiff_fine_lattice_passes_reconstruction_gate(self, tmp_path):
+        # at N = 512 rounding alone puts the reconstruction error at one ulp of
+        # max|a| (about 696), above the old absolute 1e-13 gate
+        out = tmp_path / "out"
+        code = main(["paradiff-test", "--n-grid", "512", "--output-dir", str(out)])
+        assert code == EXIT_OK
+        rep = json.loads((out / "paradiff_report.json").read_text())
+        assert rep["all_green"]
+        assert 1e-13 < rep["lp_reconstruction_error"] <= 2 * 2.0**-52 * 700
+
     def test_paradiff_seed_zero_passed_through(self, tmp_path, monkeypatch):
         import types
 
@@ -298,3 +308,33 @@ class TestOtherCommands:
         assert main(["report", "--output-dir", str(out)]) == EXIT_ERROR
         assert "report_" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+def test_readme_lines_leave_scipy_unimported(tmp_path):
+    # scipy.linalg is imported only where a defective mode, a per-point
+    # Lyapunov solve or a sorted Schur split needs it
+    import subprocess
+    import sys
+
+    import hypdiss
+
+    lines = [
+        ["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3"],
+        ["decay", "--self-test"],
+        ["dispersion", "--builtin", "damped-wave", "--a", "2"],
+        ["simulate", "--builtin", "convected-damped-wave", "--a", "0.5", "--epsilon", "1e-2",
+         "--t-final", "10", "--monitor"],
+    ]
+    script = (
+        "import sys\n"
+        "from hypdiss.cli import main\n"
+        f"for k, argv in enumerate({lines!r}):\n"
+        f"    assert main(argv + ['--output-dir', {str(tmp_path)!r} + f'/out{{k}}']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypdiss.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -399,3 +399,19 @@ def test_grid_function_roundtrip_fft():
     vals = rng.normal(size=(LAT.points, 3)) + 1j * rng.normal(size=(LAT.points, 3))
     back = LAT.ifft(LAT.fft(vals))
     assert np.abs(back - vals).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, N", [(1, 16), (1, 15), (2, 8), (3, 5), (3, 6)])
+def test_half_spectrum_is_the_full_transform_with_nonnegative_last_index(d, N):
+    # components leading; the last lattice axis keeps indices 0 .. N // 2,
+    # which xi_vectors(half=True) labels as nonnegative (an even N's Nyquist too)
+    lat = Lattice(d=d, N=N)
+    v = np.random.default_rng(N).normal(size=(2, lat.points))
+    half = lat.fft(v, half=True)
+    full = lat.fft(v.T).T.reshape((2,) + (N,) * d)[..., : N // 2 + 1].reshape(2, -1)
+    assert np.abs(half - full).max() < 1e-15
+    xi = lat.xi_vectors().T.reshape((d,) + (N,) * d)[..., : N // 2 + 1].reshape(d, -1).T
+    assert np.array_equal(np.abs(lat.xi_vectors(half=True)), np.abs(xi))
+    assert np.all(lat.xi_vectors(half=True)[:, -1] >= 0.0)
+    back = lat.ifft(half, half=True)
+    assert back.dtype == float and np.abs(back - v).max() < 1e-14

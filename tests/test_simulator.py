@@ -70,6 +70,14 @@ def coupled_state_dependent_model():
     )
 
 
+def dealiased_random_state(linear, scale, seed):
+    # random samples with energy in every dealiased mode and none above
+    rng = np.random.default_rng(seed)
+    shape = (linear.lattice.points, linear.model.n)
+    return FieldState(linear.lattice, linear.dealias(scale * rng.normal(size=shape)),
+                      linear.dealias(scale * rng.normal(size=shape)))
+
+
 def assert_rhs_matches_oracle(m, st):
     # the physical-space right-hand side, to 1e-12 of its largest value
     from oracles import physical_rhs_oracle
@@ -134,20 +142,28 @@ class TestRhs:
     def test_state_dependent_remainder_matches_oracle(self, which):
         # the remainder carries coeffs(u) - coeffs(ubar); the d=2 model has
         # B^{12} != B^{21} and a state-dependent B^{00}
-        from hypdiss.simulator import FieldState
-
         if which == "readme":
             m = nonlinear_convected_model(0.5)
             st = initial_state(LinearPart(m, LAT), PeriodicBumpData(amplitude=0.2))
             assert len(np.unique(st.u.real)) > 30
         else:
             m = coupled_state_dependent_model()
-            lat = Lattice(d=2, N=8)
-            rng = np.random.default_rng(5)
-            st = FieldState(lat, 0.1 * rng.normal(size=(lat.points, 2)),
-                            0.1 * rng.normal(size=(lat.points, 2)))
+            st = dealiased_random_state(LinearPart(m, Lattice(d=2, N=8)), 0.1, seed=5)
         assert not m.constant_coefficients
         assert_rhs_matches_oracle(m, st)
+
+    def test_state_dependent_rhs_acts_on_the_dealiased_state(self):
+        # the remainder is formed from the dealiased part of the state, as
+        # every state of a run is; the oracle's full-spectrum derivatives of a
+        # random field would carry its (even-N Nyquist: imaginary) band
+        m = coupled_state_dependent_model()
+        lin = LinearPart(m, Lattice(d=2, N=8))
+        rng = np.random.default_rng(5)
+        raw = FieldState(lin.lattice, 0.1 * rng.normal(size=(lin.lattice.points, 2)),
+                         0.1 * rng.normal(size=(lin.lattice.points, 2)))
+        clean = FieldState(lin.lattice, lin.dealias(raw.u), lin.dealias(raw.ut))
+        for g, w in zip(rhs(lin, raw), rhs(lin, clean)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
     def test_non_finite_state_leaves_domain(self):
         # NaN compares False against both box edges
@@ -213,11 +229,12 @@ class TestStepping:
         with pytest.raises(InvalidParameter, match="must be positive"):
             run(m, TrigData(amplitude=0.1), cfg)
 
-    @pytest.mark.parametrize("which, limit", [("fluid", 20), ("quasilinear", 40)])
+    @pytest.mark.parametrize("which, limit", [("fluid", 5), ("quasilinear", 10)])
     def test_transforms_per_step(self, monkeypatch, which, limit):
-        # constant coefficients: two forward and two inverse transforms per
-        # stage plus the final dealiasing; the README quasi-linear model adds
-        # its remainder's derivatives
+        # constant coefficients: one forward transform of the state, one
+        # inverse for the domain check of stages 2-4 and one for the new
+        # state; the README quasi-linear model transforms every stage's
+        # derivatives and its remainder instead
         from hypdiss.model import FluidParameters, builtin_barotropic_fluid
 
         if which == "fluid":
@@ -231,9 +248,9 @@ class TestStepping:
         for name in ("fft", "ifft"):
             orig = getattr(Lattice, name)
 
-            def counted(self, values, _orig=orig):
+            def counted(self, values, _orig=orig, **kwargs):
                 calls.append(1)
-                return _orig(self, values)
+                return _orig(self, values, **kwargs)
 
             monkeypatch.setattr(Lattice, name, counted)
         step_rk4(lin, st, 0.5 * lin.dt_max)
@@ -256,6 +273,51 @@ class TestStepping:
             st = step_rk4(lin, st, 0.02)
         hat = LAT.fft(st.u)
         assert np.abs(hat[~two_thirds_mask(LAT)]).max() < 1e-15
+
+
+class TestStepOracle:
+    """step_rk4 on the half spectrum against the complex physical-space step
+    it replaced (tests/oracles.py), to 1e-12 of the largest state value."""
+
+    @staticmethod
+    def assert_steps_match(m, linear, st, steps=4):
+        from oracles import rk4_step_oracle
+
+        dt = 0.5 * linear.dt_max
+        ref = st
+        for _ in range(steps):
+            st = step_rk4(linear, st, dt)
+            ref = FieldState(st.lattice, *rk4_step_oracle(m, ref, dt), st.time)
+            scale = max(np.abs(ref.u).max(), np.abs(ref.ut).max())
+            for g, w in zip((st.u, st.ut), (ref.u, ref.ut)):
+                assert np.abs(g - w).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_stable_models(self, n, d):
+        # constant coefficients: random fields with energy in every mode
+        from oracles import random_stable_model
+
+        rng = np.random.default_rng(100 + 10 * n + d)
+        m = random_stable_model(rng, n=n, d=d)
+        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d])
+        shape = (lat.points, n)
+        st = FieldState(lat, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
+        self.assert_steps_match(m, LinearPart(m, lat), st)
+
+    @pytest.mark.parametrize("N", [64, 15])
+    @pytest.mark.parametrize("which", ["convected", "quasilinear"])
+    def test_readme_models(self, which, N):
+        m = (builtin_convected_damped_wave(0.5) if which == "convected"
+             else nonlinear_convected_model(0.5))
+        lin = LinearPart(m, Lattice(d=1, N=N))
+        self.assert_steps_match(m, lin, initial_state(lin, PeriodicBumpData(amplitude=0.2)))
+
+    @pytest.mark.parametrize("N", [8, 15])
+    def test_coupled_state_dependent_model(self, N):
+        m = coupled_state_dependent_model()
+        lin = LinearPart(m, Lattice(d=2, N=N))
+        self.assert_steps_match(m, lin, dealiased_random_state(lin, 0.1, seed=N))
 
 
 class TestLinearConsistency:
@@ -629,7 +691,7 @@ def test_initial_state_refuses_data_it_cannot_place(spec):
 class TestLatticeGuard:
     def test_refuses_fluid_n128_without_allocating(self):
         # the CLI's default --n-grid 128 in d=3: 2.1 M points, 128 MiB per
-        # (P, n) complex array
+        # (P, n) complex array; the step would hold 16 + n real ones
         import tracemalloc
 
         from hypdiss.model import FluidParameters, builtin_barotropic_fluid
@@ -640,7 +702,7 @@ class TestLatticeGuard:
         cfg = SimConfig(lattice=lat, t_final=0.1, snapshots=2)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidParameter, match=str(16 * array_bytes)):
+            with pytest.raises(InvalidParameter, match=str((16 + f.n) * array_bytes // 2)):
                 run(f, PeriodicBumpData(amplitude=1e-2), cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -680,14 +742,41 @@ class TestLatticeGuard:
         assert seen == [lattice]
 
     def test_largest_fluid_lattice_allowed(self):
-        # N = 64 in d=3 needs exactly the limit and is still accepted
+        # 20 real (P, 4) arrays: N = 74 in d=3 fits, N = 75 does not; a
+        # working set of exactly the limit is still accepted
         import hypdiss.simulator as sim
         from hypdiss.model import FluidParameters, builtin_barotropic_fluid
 
         f = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
         sim._require_lattice_fits(f, Lattice(d=3, N=64))
+        sim._require_lattice_fits(f, Lattice(d=3, N=74))
         with pytest.raises(InvalidParameter):
-            sim._require_lattice_fits(f, Lattice(d=3, N=65))
+            sim._require_lattice_fits(f, Lattice(d=3, N=75))
+        sim._refuse_above_limit(sim.SYMBOL_FIELD_MAX_BYTES, "exactly the limit")
+        with pytest.raises(InvalidParameter):
+            sim._refuse_above_limit(sim.SYMBOL_FIELD_MAX_BYTES + 1, "one byte above")
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_estimate_bounds_measured_step(self, N):
+        # a LinearPart and one step of the d=3 fluid, the zero-padded work
+        # spectra included, peak at about 0.7 of the guard's estimate
+        import tracemalloc
+
+        import hypdiss.simulator as sim
+        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+        f = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
+        lat = Lattice(d=3, N=N)
+        tracemalloc.start()
+        try:
+            lin = LinearPart(f, lat)
+            st = initial_state(lin, PeriodicBumpData(amplitude=1e-2))
+            tracemalloc.reset_peak()
+            step_rk4(lin, st, lin.dt_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 <= peak / sim._rk4_bytes(lin.model, lat) <= 1.0
 
 
 class TestDissipationSymbolField:
