@@ -44,11 +44,11 @@ from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
     DEFECT_COND_LIMIT,
-    assemble_calA,
-    assemble_calB,
-    assemble_directional,
+    assemble_calA_stack,
+    assemble_calB_stack,
     assemble_M,
     assemble_M_stack,
+    directional_stack,
     dispersion_root_stack,
 )
 
@@ -116,81 +116,171 @@ def _closure(adj):
     return adj
 
 
-def _single_linkage(lam, thr):
-    """Connected components of the graph on lam with edges |li - lj| <= thr.
+def _linkage(lam, thr):
+    """Single-linkage clusters of the rows of lam (P, m): eigenvalues of row
+    p at most thr[p] apart are linked.
 
-    Returns the components ordered by their means (real part, then
-    imaginary part) and the smallest distance between two components.
+    Returns (order, gap, point, value, members).  order sorts each row by
+    real and then imaginary part; gap (P,) is the smallest distance between
+    two clusters of a row (inf for a single cluster).  The clusters are
+    ordered by row and then by mean (real part, then imaginary part); each
+    has its row `point`, its mean `value` and a mask `members` (C, m) over
+    its sorted row.  A mean is that of the cluster's values alone, in their
+    sorted order.
     """
-    lam = lam[np.lexsort((lam.imag, lam.real))]
-    dist = np.abs(lam[:, None] - lam[None, :])
-    same = _closure(dist <= thr)
-    gap = float(dist[~same].min()) if not same.all() else np.inf
-    groups = [lam[same[i]] for i in dict.fromkeys(np.argmax(same, axis=1).tolist())]
-    means = [g.mean() for g in groups]
-    key = np.lexsort((np.imag(means), np.real(means)))
-    return [groups[k] for k in key], gap
+    P, m = lam.shape
+    order = np.lexsort((lam.imag, lam.real), axis=-1)
+    ls = np.take_along_axis(lam, order, axis=1)
+    dist = np.abs(ls[:, :, None] - ls[:, None, :])
+    same = _closure(dist <= thr[:, None, None])
+    gap = np.where(same, np.inf, dist).min(axis=(1, 2))
+    point, lead = np.nonzero(np.argmax(same, axis=2) == np.arange(m))
+    members = same[point, lead]
+    mult = members.sum(axis=1)
+    value = np.empty(len(point), dtype=complex)
+    for k in np.unique(mult):
+        c = mult == k
+        cols = np.nonzero(members[c])[1].reshape(-1, k)
+        value[c] = np.take_along_axis(ls[point[c]], cols, axis=1).mean(axis=1)
+    key = np.lexsort((value.imag, value.real, point))
+    return order, gap, point[key], value[key], members[key]
 
 
-def _cluster_eigenvalues(lam, thr):
-    groups, gap = _single_linkage(lam, thr)
-    # inter-cluster separation guard
-    if gap < 10.0 * thr:
+def _cluster_columns(point, mult, m):
+    # first column of each cluster in its point's side-by-side bases
+    return np.cumsum(mult) - mult - m * point
+
+
+@dataclass(frozen=True)
+class SpectralStack:
+    """Clustered spectra of a matrix stack (P, m, m), flattened over clusters.
+
+    lam (P, m) holds each point's eigenvalues in (real, imag) order, radius
+    (P,) its spectral radius and basis (P, m, m) its orthonormal cluster
+    bases side by side.  Cluster c belongs to point point[c], holds the
+    eigenvalues lam[point[c], members[c]] with mean value[c], and spans
+    mult[c] columns of the basis; the clusters are ordered by point and then
+    by mean.
+    """
+
+    lam: np.ndarray
+    radius: np.ndarray
+    cluster_tolerance: float
+    point: np.ndarray
+    value: np.ndarray
+    members: np.ndarray
+    mult: np.ndarray
+    semi_simple: np.ndarray
+    basis: np.ndarray
+
+    def defective(self):
+        """(P,) True where some cluster is not semi-simple."""
+        return np.bincount(self.point[~self.semi_simple], minlength=len(self.lam)) > 0
+
+    def take(self, pts):
+        """The stack of the points pts (increasing)."""
+        new = np.full(len(self.lam), -1)
+        new[pts] = np.arange(len(pts))
+        c = new[self.point] >= 0
+        return SpectralStack(self.lam[pts], self.radius[pts], self.cluster_tolerance,
+                             new[self.point[c]], self.value[c], self.members[c],
+                             self.mult[c], self.semi_simple[c], self.basis[pts])
+
+    def structure(self, p):
+        """EigenStructure of point p."""
+        cs = np.flatnonzero(self.point == p)
+        cols = _cluster_columns(self.point, self.mult, self.lam.shape[1])
+        return EigenStructure(tuple(
+            EigenCluster(
+                value=complex(self.value[c]),
+                values=self.lam[p][self.members[c]],
+                multiplicity=int(self.mult[c]),
+                basis=self.basis[p][:, cols[c]:cols[c] + self.mult[c]],
+                semi_simple=bool(self.semi_simple[c]),
+            ) for c in cs
+        ), self.cluster_tolerance, float(self.radius[p]))
+
+
+def _schur_bases(K, value, mult, cols, thr, basis):
+    """Orthonormal cluster bases of one matrix from sorted Schur forms, for
+    the clusters smaller than the spectrum; written into basis (m, m)."""
+    import scipy.linalg as sla
+
+    for center, k, j in zip(value.tolist(), mult.tolist(), cols.tolist()):
+        if k == len(K):
+            continue
+
+        def select(x, _c=center):
+            return bool(abs(x - _c) <= max(5.0 * thr, 1e-300))
+
+        _, Z, sdim = sla.schur(K, output="complex", sort=select)
+        if sdim != k:
+            raise ClusterAmbiguity(
+                f"Schur reordering selected {sdim} eigenvalues for a cluster of size {k}"
+            )
+        basis[:, j:j + k] = Z[:, :k]
+
+
+def spectral_stack(K, cluster_tolerance=1e-7):
+    """Cluster the spectrum of every matrix of a stack K (P, m, m) and compute
+    an orthonormal basis of each cluster's invariant subspace.
+
+    One stacked eig gives the eigenvalues and eigenvectors.  Eigenvalues
+    closer than thr = cluster_tolerance * (1 + spectral radius) are merged;
+    clusters closer than 10 thr raise ClusterAmbiguity whose ``index`` is the
+    first such point.  A cluster's basis is a QR of its eigenvectors (the
+    identity for a cluster holding the whole spectrum).  A point whose
+    eigenvector matrix has cond >= DEFECT_COND_LIMIT takes its bases from
+    sorted Schur forms instead, which stay reliable for defective clusters.
+    Semi-simplicity is decided by the numerical kernel dimension of
+    K - value I, from one stacked SVD.
+    """
+    K = np.asarray(K, dtype=complex)
+    m = K.shape[-1]
+    w, V = np.linalg.eig(K)
+    radius = np.abs(w).max(axis=1)
+    thr = cluster_tolerance * (1.0 + radius)
+    order, gap, point, value, members = _linkage(w, thr)
+    amb = gap < 10.0 * thr
+    if amb.any():
+        q = int(np.argmax(amb))
         raise ClusterAmbiguity(
-            f"clusters separated by {gap:.3e} < 10 x tolerance "
-            f"{thr:.3e}; refine cluster_tolerance"
+            f"clusters separated by {gap[q]:.3e} < 10 x tolerance "
+            f"{thr[q]:.3e}; refine cluster_tolerance", index=q,
         )
-    return groups
+    mult = members.sum(axis=1)
+    sv = np.linalg.svd(K[point] - value[:, None, None] * np.eye(m), compute_uv=False)
+    semi_simple = np.sum(sv <= thr[point, None], axis=1) == mult
+
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    ok = np.linalg.cond(V) < DEFECT_COND_LIMIT
+    cols = _cluster_columns(point, mult, m)
+    basis = np.broadcast_to(np.eye(m, dtype=complex), K.shape).copy()
+    for k in np.unique(mult[(mult < m) & ok[point]]):
+        c = (mult == k) & ok[point]
+        vecs = np.nonzero(members[c])[1].reshape(-1, k)
+        E = np.take_along_axis(V[point[c]], vecs[:, None, :], axis=2)
+        Q = np.linalg.qr(E)[0]
+        basis[point[c][:, None], :, cols[c][:, None] + np.arange(k)] = Q.swapaxes(1, 2)
+    for p in np.flatnonzero(~ok):
+        at = point == p
+        try:
+            _schur_bases(K[p], value[at], mult[at], cols[at], thr[p], basis[p])
+        except ClusterAmbiguity as e:
+            raise ClusterAmbiguity(str(e), index=int(p)) from e
+    ls = np.take_along_axis(w, order, axis=1)
+    return SpectralStack(ls, radius, cluster_tolerance, point, value, members, mult,
+                         semi_simple, basis)
 
 
 def eigstructure(matrix, cluster_tolerance=1e-7):
-    """Cluster the spectrum and compute an orthonormal basis of each
-    cluster's invariant subspace.
+    """Clusters of one matrix's spectrum with an orthonormal basis of each
+    cluster's invariant subspace: the one-point `spectral_stack`.
 
-    Eigenvalues closer than cluster_tolerance * (1 + spectral radius) are
-    merged; the bases come from reordered Schur factorizations, so they
-    are reliable also for defective clusters.  Semi-simplicity is decided
-    by the numerical kernel dimension of (K - lambda I).
+    The bases come from the eigenvectors, or from sorted Schur forms where
+    the eigenvector matrix is too ill-conditioned to trust.
     """
-    K = np.asarray(matrix, dtype=complex)
-    m = K.shape[0]
-    lam = np.linalg.eigvals(K)
-    radius = float(np.max(np.abs(lam))) if m else 0.0
-    thr = cluster_tolerance * (1.0 + radius)
-    groups = _cluster_eigenvalues(lam, thr)
-
-    clusters = []
-    for vals in groups:
-        mult = len(vals)
-        center = complex(vals.mean())
-        if mult == m:
-            basis = np.eye(m, dtype=complex)
-        else:
-            import scipy.linalg as sla
-
-            def select(x, _c=center, _t=thr):
-                return bool(abs(x - _c) <= max(5.0 * _t, 1e-300))
-
-            _, Z, sdim = sla.schur(K, output="complex", sort=select)
-            if sdim != mult:
-                raise ClusterAmbiguity(
-                    f"Schur reordering selected {sdim} eigenvalues for a "
-                    f"cluster of size {mult}"
-                )
-            basis = Z[:, :sdim]
-        # geometric multiplicity from the numerical rank of K - center*I
-        sv = np.linalg.svd(K - center * np.eye(m), compute_uv=False)
-        geo = int(np.sum(sv <= thr))
-        clusters.append(
-            EigenCluster(
-                value=center,
-                values=vals,
-                multiplicity=mult,
-                basis=basis,
-                semi_simple=(geo == mult),
-            )
-        )
-    return EigenStructure(tuple(clusters), cluster_tolerance, radius)
+    return spectral_stack(np.asarray(matrix)[None], cluster_tolerance).structure(0)
 
 
 @dataclass(frozen=True)
@@ -202,45 +292,53 @@ class Symmetrizer:
     structure: EigenStructure
 
 
-def build_symmetrizer(K, cluster_tolerance=1e-7, structural_tol=1e-8):
-    """Construct S = (V^{-1})^* V^{-1} from an eigenbasis V of K.
+def symmetrizer_stack(K, st, structural_tol=1e-8):
+    """Symmetrizers S = V^{-*} V^{-1} of a stack K (P, m, m) whose clustered
+    spectra are st, with V the side-by-side orthonormal cluster bases.
 
-    Requires a real semi-simple spectrum.  The returned S satisfies
-    S = S^* >= c I with c = lambda_min(S) > 0 reported, and
-    ||S K - (S K)^*|| <= 1e-8 ||S|| ||K||.
+    S is the sum of P_c^* P_c over the cluster projectors P_c, so it does
+    not depend on the basis chosen inside a cluster.  It requires a real
+    semi-simple spectrum and meets the contract S = S^* >= c I with
+    c = lambda_min(S) > 0 and ||S K - (S K)^*|| <= 1e-8 ||S|| ||K||.
+    Returns (S, lower_bound, why): why[p] is None, or the reason point p is
+    not symmetrizable; S and lower_bound are NaN where the spectrum is not
+    real and semi-simple.
     """
     K = np.asarray(K, dtype=complex)
-    m = K.shape[0]
-    es = eigstructure(K, cluster_tolerance)
-    scale = 1.0 + es.spectral_radius
-    if es.max_imag() > structural_tol * scale:
-        raise NotSymmetrizable(
-            f"spectrum not real: max |Im| = {es.max_imag():.3e}"
-        )
-    if not es.all_semi_simple():
-        raise NotSymmetrizable("spectrum defective beyond tolerance")
+    max_imag = np.abs(st.lam.imag).max(axis=1)
+    real = max_imag <= structural_tol * (1.0 + st.radius)
+    defective = st.defective()
+    why = [None if r and not d else "spectrum defective beyond tolerance" if r
+           else f"spectrum not real: max |Im| = {x:.3e}"
+           for r, d, x in zip(real.tolist(), defective.tolist(), max_imag.tolist())]
+    S = np.full(K.shape, np.nan, dtype=complex)
+    lower = np.full(len(K), np.nan)
+    at = np.flatnonzero(real & ~defective)
+    if at.size:
+        Vinv = np.linalg.inv(st.basis[at])
+        Sa = _herm(Vinv) @ Vinv
+        Sa = 0.5 * (Sa + _herm(Sa))
+        SK = Sa @ K[at]
+        # both norms of hermitian matrices: their largest |eigenvalue|
+        defect = np.abs(np.linalg.eigvalsh(1j * (SK - _herm(SK)))).max(axis=1)
+        w = np.linalg.eigvalsh(Sa)
+        bound = 1e-8 * w[:, -1] * np.maximum(np.linalg.norm(K[at], 2, axis=(1, 2)), 1e-300)
+        for q in np.flatnonzero(defect > bound):
+            why[at[q]] = f"symmetrizer residual {defect[q]:.3e} exceeds contract {bound[q]:.3e}"
+        S[at] = Sa
+        lower[at] = w[:, 0]
+    return S, lower, why
 
-    blocks = []
-    for c in es.clusters:
-        Q = c.basis
-        if c.multiplicity == 1:
-            blocks.append(Q)
-            continue
-        Mc = Q.conj().T @ K @ Q
-        w, Vc = np.linalg.eig(Mc)
-        Vc = Vc / np.linalg.norm(Vc, axis=0, keepdims=True)
-        blocks.append(Q @ Vc)
-    V = np.concatenate(blocks, axis=1)
-    Vinv = np.linalg.inv(V)
-    S = Vinv.conj().T @ Vinv
-    S = 0.5 * (S + S.conj().T)
-    herm_defect = np.linalg.norm(S @ K - (S @ K).conj().T, 2)
-    bound = 1e-8 * np.linalg.norm(S, 2) * max(np.linalg.norm(K, 2), 1e-300)
-    if herm_defect > bound:
-        raise NotSymmetrizable(
-            f"symmetrizer residual {herm_defect:.3e} exceeds contract {bound:.3e}"
-        )
-    return Symmetrizer(S=S, lower_bound=float(np.min(np.linalg.eigvalsh(S))), structure=es)
+
+def build_symmetrizer(K, cluster_tolerance=1e-7, structural_tol=1e-8):
+    """Symmetrizer of one matrix K: the one-point `symmetrizer_stack`;
+    NotSymmetrizable where K has none."""
+    K = np.asarray(K, dtype=complex)[None]
+    st = spectral_stack(K, cluster_tolerance)
+    S, lower, why = symmetrizer_stack(K, st, structural_tol)
+    if why[0] is not None:
+        raise NotSymmetrizable(why[0])
+    return Symmetrizer(S=S[0], lower_bound=float(lower[0]), structure=st.structure(0))
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +388,40 @@ def _report(condition, margin, witness, grid_spec, config, **extra):
 
 @dataclass
 class StructuralCache:
-    """Per-direction symmetrizers and eigenstructures built at the reference state."""
+    """Symmetrizers of the symbol at the reference state, one per direction.
+
+    spectra holds the clustered spectra of the reference-state symbols, S
+    (Q, m, m) their symmetrizers and symmetrizable (Q,) where S exists.
+    """
 
     report: ConditionReport
     omegas: np.ndarray
-    by_omega: dict
+    spectra: SpectralStack
+    S: np.ndarray
+    lower_bound: np.ndarray
+    symmetrizable: np.ndarray
+
+    @property
+    def by_omega(self):
+        """{direction index: Symmetrizer, or None where there is none}."""
+        return {
+            i: Symmetrizer(self.S[i], float(self.lower_bound[i]), self.spectra.structure(i))
+            if ok else None
+            for i, ok in enumerate(self.symmetrizable.tolist())
+        }
 
 
-def _structural_score(es, ref_multiset, structural_tol):
-    s = es.max_imag() / (1.0 + es.spectral_radius)
-    if not es.all_semi_simple():
-        s += 1.0
-    if ref_multiset is not None and es.multiplicity_multiset() != ref_multiset:
-        s += 1.0
+def _structural_scores(st, structural_tol, constant_multiplicities=True):
+    """Violation score per point: imaginary mass over (1 + spectral radius),
+    plus 1 if some cluster is defective, plus 1 if the multiplicities differ
+    from the first point's, minus the structural tolerance."""
+    s = np.abs(st.lam.imag).max(axis=1) / (1.0 + st.radius)
+    s = s + np.where(st.defective(), 1.0, 0.0)
+    if constant_multiplicities:
+        P, m = st.lam.shape
+        counts = np.zeros((P, m + 1), dtype=int)
+        np.add.at(counts, (st.point, st.mult), 1)
+        s = s + np.where(np.any(counts != counts[0], axis=1), 1.0, 0.0)
     return s - structural_tol
 
 
@@ -315,42 +434,71 @@ def _omega_grid(model, omega_grid, config):
     return omega_grid
 
 
-def _structural_scan(name, model, us, omegas, symbol, config):
-    """Real semi-simple spectrum with constant multiplicities of symbol(u, omega).
+def _scan_states(model):
+    """The state samples and the states to evaluate symbols at: the samples,
+    followed by the reference state unless it is one of them; and the
+    reference state's index among the latter."""
+    us = model.state_samples()
+    at = np.flatnonzero(np.all(us == model.reference_state, axis=1))
+    if at.size:
+        return us, us, int(at[0])
+    return us, np.vstack([us, model.reference_state]), len(us)
 
-    Scores every state x direction point against the multiplicities of the
-    first one, and caches per direction the symmetrizer of the symbol at the
-    reference state (None where it is not symmetrizable).
+
+def _structural_scan(name, us, ref, omegas, K, config):
+    """Real semi-simple spectrum with constant multiplicities of the symbols
+    K (S', Q, m, m) at states x directions, whose first len(us) states are
+    the samples us and whose state ref is the reference state.
+
+    One `spectral_stack` decomposes every symbol.  Every sample x direction
+    point is scored against the multiplicities of the first one; the
+    reference-state symbols give the symmetrizer of each direction.
     """
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    ref_multiset = None
-    degenerate = False
-    by_omega = {}
-    for i, om in enumerate(omegas):
-        for u in us:
-            es = eigstructure(symbol(u, om), config.cluster_tolerance)
-            if ref_multiset is None:
-                ref_multiset = es.multiplicity_multiset()
-            mg = _structural_score(es, ref_multiset, config.structural_tol)
-            degenerate = degenerate or not es.all_semi_simple()
-            per_point.append((None, i, mg))
-            if mg > worst:
-                worst, witness = mg, {"u": u.tolist(), "omega": om.tolist(), "xi": None}
-        try:
-            by_omega[i] = build_symmetrizer(
-                symbol(model.reference_state, om), config.cluster_tolerance, config.structural_tol
-            )
-        except NotSymmetrizable:
-            by_omega[i] = None
-
+    ns, nq, m = K.shape[0], K.shape[1], K.shape[-1]
+    K = K.swapaxes(0, 1).reshape(-1, m, m)
+    try:
+        st = spectral_stack(K, config.cluster_tolerance)
+    except ClusterAmbiguity as e:
+        i, s = divmod(e.index, ns)
+        state = "the reference state" if s >= len(us) else f"state index {s}"
+        raise ClusterAmbiguity(f"{e} at {state}, omega index {i}") from e
+    mg = _structural_scores(st, config.structural_tol).reshape(nq, ns)[:, :len(us)]
+    i, s = np.unravel_index(int(np.argmax(mg)), mg.shape)
+    witness = {"u": us[s].tolist(), "omega": omegas[i].tolist(), "xi": None}
+    first = np.flatnonzero(st.point == 0)
+    at_ref = np.arange(nq) * ns + ref
+    spectra = st.take(at_ref)
+    S, lower, why = symmetrizer_stack(K[at_ref], spectra, config.structural_tol)
     report = _report(
-        name, worst, witness, f"{len(us)} states x {len(omegas)} directions", config,
-        trace={"multiplicities": list(ref_multiset), "degenerate": degenerate},
-        per_point=per_point,
+        name, mg[i, s], witness, f"{len(us)} states x {len(omegas)} directions", config,
+        trace={
+            "multiplicities": sorted(st.mult[first].tolist()),
+            "degenerate": bool(st.defective().reshape(nq, ns)[:, :len(us)].any()),
+        },
+        per_point=[(None, q, x) for q, row in enumerate(mg.tolist()) for x in row],
     )
-    return StructuralCache(report=report, omegas=omegas, by_omega=by_omega)
+    return StructuralCache(report, omegas, spectra, S, lower,
+                           np.array([w is None for w in why], dtype=bool))
+
+
+def _a0_margins(A0, config):
+    """HA part (a) per state: -lambda_min(h) / ||h|| with h the hermitian part
+    of S A^0 where A^0 has a symmetrizer S, else its structural score (at
+    least 2 structural_tol)."""
+    A0 = np.asarray(A0, dtype=complex)
+    try:
+        st = spectral_stack(A0, config.cluster_tolerance)
+    except ClusterAmbiguity as e:
+        raise ClusterAmbiguity(f"{e} at state index {e.index}") from e
+    S, _, why = symmetrizer_stack(A0, st, config.structural_tol)
+    mg = np.maximum(_structural_scores(st, 0.0, False), 2 * config.structural_tol)
+    at = np.flatnonzero([w is None for w in why])
+    if at.size:
+        SA = S[at] @ A0[at]
+        h = 0.5 * (SA + _herm(SA))
+        norm = np.maximum(np.linalg.norm(h, 2, axis=(1, 2)), 1e-300)
+        mg[at] = -np.linalg.eigvalsh(h)[:, 0] / norm
+    return mg
 
 
 def check_ha(model, omega_grid=None, config=CheckConfig()):
@@ -363,26 +511,10 @@ def check_ha(model, omega_grid=None, config=CheckConfig()):
     """
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
-    us = model.state_samples()
-
-    part_a = []
-    for u in us:
-        A0 = np.asarray(model.A(0, u), dtype=float)
-        try:
-            sym = build_symmetrizer(A0, config.cluster_tolerance, config.structural_tol)
-            h = 0.5 * (sym.S @ A0 + (sym.S @ A0).conj().T)
-            mg = -float(np.min(np.linalg.eigvalsh(h))) / max(np.linalg.norm(h, 2), 1e-300)
-        except NotSymmetrizable:
-            es = eigstructure(A0, config.cluster_tolerance)
-            mg = _structural_score(es, None, 0.0)
-            mg = max(mg, config.structural_tol * 2)
-        part_a.append(mg)
-
-    def w0(u, om):
-        A_dir, _, _ = assemble_directional(model, u, om)
-        return np.linalg.solve(np.asarray(model.A(0, u), dtype=float), A_dir)
-
-    cache = _structural_scan("HA", model, us, omegas, w0, config)
+    us, states, ref = _scan_states(model)
+    A0, A, _, _ = directional_stack(model, states, omegas)
+    part_a = _a0_margins(A0[:len(us)], config)
+    cache = _structural_scan("HA", us, ref, omegas, np.linalg.solve(A0[:, None], A), config)
     b = cache.report
     k = int(np.argmax(part_a))
     if part_a[k] >= b.margin:
@@ -391,7 +523,7 @@ def check_ha(model, omega_grid=None, config=CheckConfig()):
         worst, witness = b.margin, {**b.witness, "part": "b"}
     cache.report = _report(
         "HA", worst, witness, b.grid_spec, config,
-        trace={"part_a": part_a, "multiplicities": b.trace["multiplicities"]},
+        trace={"part_a": part_a.tolist(), "multiplicities": b.trace["multiplicities"]},
         per_point=b.per_point,
     )
     return cache
@@ -403,46 +535,70 @@ def check_hb(model, omega_grid=None, config=CheckConfig()):
     direction at the reference state for D2 and the dissipation symbol."""
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
-    us = model.state_samples()
-    return _structural_scan(
-        "HB", model, us, omegas, lambda u, om: 1j * assemble_calB(model, u, om), config
-    )
+    us, states, ref = _scan_states(model)
+    K = 1j * assemble_calB_stack(model, states, omegas)
+    return _structural_scan("HB", us, ref, omegas, K, config)
 
 
 # ---------------------------------------------------------------------------
 # D1 / D2
 # ---------------------------------------------------------------------------
 
-def _eigenspace_form(W, symmetrizer):
-    """Form Wsym = S W + (S W)^* and its largest eigenvalue on any eigenspace
-    of the symmetrized symbol; returns (margin, Wsym)."""
-    W1 = symmetrizer.S @ W
-    Wsym = W1 + W1.conj().T
-    margin = max(
-        float(np.max(np.linalg.eigvalsh(cl.basis.conj().T @ Wsym @ cl.basis)))
-        for cl in symmetrizer.structure.clusters
+def _eigenspace_margins(W, S, point, mult, basis):
+    """Largest eigenvalue of Wsym = S W + (S W)^* on any cluster basis, per
+    point of a stack W (P, m, m); the clusters are given as in
+    `SpectralStack`.  Returns (margins, Wsym)."""
+    SW = S @ W
+    Wsym = SW + _herm(SW)
+    out = np.full(len(W), -np.inf)
+    first = _cluster_columns(point, mult, W.shape[-1])
+    for k in np.unique(mult):
+        c = mult == k
+        cols = first[c][:, None] + np.arange(k)
+        Q = np.take_along_axis(basis[point[c]], cols[:, None, :], axis=2)
+        np.maximum.at(out, point[c], np.linalg.eigvalsh(_herm(Q) @ Wsym[point[c]] @ Q)[:, -1])
+    return out, Wsym
+
+
+def _form_margin(forms, model, omega, symmetrizer):
+    """(margin, Wsym) of one direction's form on the eigenspaces of its
+    symmetrizer."""
+    W = forms(ensure_normalized(model), np.asarray(omega, dtype=float).reshape(1, -1))
+    cl = symmetrizer.structure.clusters
+    mg, Wsym = _eigenspace_margins(
+        W, symmetrizer.S[None], np.zeros(len(cl), dtype=int),
+        np.array([c.multiplicity for c in cl]),
+        np.concatenate([c.basis for c in cl], axis=1)[None],
     )
-    return margin, Wsym
+    return float(mg[0]), Wsym[0]
+
+
+def _d1_forms(model, omegas):
+    # (A^0)^{-1}(-B + W0A W0A + C W0A), W0A = (A^0)^{-1} A, at the reference
+    # state over the directions
+    A0, A, B, C = directional_stack(model, model.reference_state, omegas)
+    A0inv = np.linalg.inv(A0)
+    W0A = A0inv @ A
+    return A0inv @ (-B + W0A @ W0A + C @ W0A)
+
+
+def _d2_forms(model, omegas):
+    return assemble_calA_stack(model, model.reference_state, omegas)
 
 
 def d1_form_margin(model, omega, symmetrizer):
     """Worst eigenvalue of the D1 quadratic form over the eigenspaces of W0."""
-    model = ensure_normalized(model)
-    u = model.reference_state
-    A_dir, B_dir, C_dir = assemble_directional(model, u, omega)
-    A0inv = np.linalg.inv(np.asarray(model.A(0, u), dtype=float))
-    W0A = A0inv @ A_dir
-    return _eigenspace_form(A0inv @ (-B_dir + W0A @ W0A + C_dir @ W0A), symmetrizer)
+    return _form_margin(_d1_forms, model, omega, symmetrizer)
 
 
 def d2_form_margin(model, omega, symmetrizer):
     """Worst eigenvalue of the D2 quadratic form over the eigenspaces of calB."""
-    model = ensure_normalized(model)
-    return _eigenspace_form(assemble_calA(model, model.reference_state, omega), symmetrizer)
+    return _form_margin(_d2_forms, model, omega, symmetrizer)
 
 
-def _eigenspace_check(name, model, cache, form_margin, config):
-    """D1/D2 over the directions of a passed HA/HB cache.
+def _eigenspace_check(name, model, cache, forms, config):
+    """D1/D2 over the directions of a passed HA/HB cache, from one stack of
+    forms and one eigvalsh per cluster size.
 
     c_bar is the largest c with form + c I <= 0 on every eigenspace and
     direction, i.e. max(0, -margin).
@@ -450,23 +606,16 @@ def _eigenspace_check(name, model, cache, form_margin, config):
     prereq = cache.report.condition
     if cache.report.verdict != "pass":
         raise PrerequisiteMissing(f"{prereq} did not pass; no symmetrizer cache for {name}")
-    ubar = model.reference_state
-
-    worst = -np.inf
-    witness = {}
-    per_point = []
-    for i, om in enumerate(cache.omegas):
-        sym = cache.by_omega.get(i)
-        if sym is None:
-            raise PrerequisiteMissing(f"no {prereq} symmetrizer for direction index {i}")
-        mg, _ = form_margin(model, om, sym)
-        per_point.append((None, i, mg))
-        if mg > worst:
-            worst, witness = mg, {"u": ubar.tolist(), "omega": om.tolist(), "xi": None}
-
+    missing = np.flatnonzero(~cache.symmetrizable)
+    if missing.size:
+        raise PrerequisiteMissing(f"no {prereq} symmetrizer for direction index {missing[0]}")
+    st = cache.spectra
+    mg, _ = _eigenspace_margins(forms(model, cache.omegas), cache.S, st.point, st.mult, st.basis)
+    q = int(np.argmax(mg))
+    witness = {"u": model.reference_state.tolist(), "omega": cache.omegas[q].tolist(), "xi": None}
     return _report(
-        name, worst, witness, f"{len(cache.omegas)} directions", config,
-        c_bar=max(0.0, -float(worst)), per_point=per_point,
+        name, mg[q], witness, f"{len(cache.omegas)} directions", config,
+        c_bar=max(0.0, -float(mg[q])), per_point=[(None, i, x) for i, x in enumerate(mg.tolist())],
     )
 
 
@@ -475,7 +624,7 @@ def check_d1(model, omega_grid=None, ha=None, config=CheckConfig()):
     model = ensure_normalized(model)
     if ha is None:
         ha = check_ha(model, omega_grid=omega_grid, config=config)
-    return _eigenspace_check("D1", model, ha, d1_form_margin, config)
+    return _eigenspace_check("D1", model, ha, _d1_forms, config)
 
 
 def check_d2(model, omega_grid=None, hb=None, config=CheckConfig()):
@@ -483,7 +632,7 @@ def check_d2(model, omega_grid=None, hb=None, config=CheckConfig()):
     model = ensure_normalized(model)
     if hb is None:
         hb = check_hb(model, omega_grid=omega_grid, config=config)
-    return _eigenspace_check("D2", model, hb, d2_form_margin, config)
+    return _eigenspace_check("D2", model, hb, _d2_forms, config)
 
 
 # ---------------------------------------------------------------------------
@@ -612,25 +761,18 @@ def _first_group(lam):
     has the smallest mean (real part, then imaginary part).  A row that is a
     single group is all True.
     """
-    T, m = lam.shape
-    order = np.lexsort((lam.imag, lam.real), axis=-1)
-    ls = np.take_along_axis(lam, order, axis=1)
-    dist = np.abs(ls[:, :, None] - ls[:, None, :])
-    thr = 3.0 * np.min(-ls.real, axis=1)
-    same = np.empty((T, m, m), dtype=bool)
-    pending = np.arange(T)
+    mask = np.empty(lam.shape, dtype=bool)
+    thr = 3.0 * np.min(-lam.real, axis=1)
+    pending = np.arange(len(lam))
     while pending.size:
-        linked = _closure(dist[pending] <= thr[pending, None, None])
-        gap = np.where(linked, np.inf, dist[pending]).min(axis=(1, 2))
+        order, gap, point, _, members = _linkage(lam[pending], thr[pending])
         done = ~(gap < 3.0 * thr[pending])
-        same[pending[done]] = linked[done]
+        first = members[np.unique(point, return_index=True)[1]][done]
+        rows = np.zeros_like(first)
+        np.put_along_axis(rows, order[done], first, axis=1)
+        mask[pending[done]] = rows
         thr[pending[~done]] *= 2.0
         pending = pending[~done]
-    means = (same * ls[:, None, :]).sum(axis=2) / same.sum(axis=2)
-    lowest = means.real == means.real.min(axis=1, keepdims=True)
-    first = np.argmin(np.where(lowest, means.imag, np.inf), axis=1)
-    mask = np.empty((T, m), dtype=bool)
-    np.put_along_axis(mask, order, same[np.arange(T), first], axis=1)
     return mask
 
 

@@ -26,7 +26,15 @@ class EigensolverFailure(HypdissError):
 
 
 class ClusterAmbiguity(HypdissError):
-    pass
+    """Two eigenvalue clusters lie too close to tell apart.
+
+    A stacked decomposition sets ``index`` to the position of the first such
+    point in its stack.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotSymmetrizable(HypdissError):

@@ -121,10 +121,14 @@ def direction_major_grid(omegas, mags):
 
 
 def check_unit(omega, tol=1e-12):
-    """Validate that omega is a unit vector; returns it as a float array."""
+    """Validate that omega is a unit vector, or a stack (Q, d) of unit
+    vectors; returns it as a float array of shape (d,) or (Q, d)."""
     from .errors import NonUnitDirection
 
-    om = np.asarray(omega, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(om) - 1.0) > tol:
-        raise NonUnitDirection(f"|omega| = {np.linalg.norm(om)!r} != 1")
+    om = np.asarray(omega, dtype=float)
+    om = om.reshape(-1) if om.ndim < 2 else om
+    norms = np.linalg.norm(np.atleast_2d(om), axis=1)
+    bad = np.abs(norms - 1.0) > tol
+    if bad.any():
+        raise NonUnitDirection(f"|omega| = {norms[np.argmax(bad)]!r} != 1")
     return om

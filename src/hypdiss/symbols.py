@@ -99,11 +99,19 @@ def xi_bracket(xi_vec):
     return float(np.sqrt(1.0 + np.dot(xi_vec, xi_vec)))
 
 
+def directional_stack(model, u, omegas):
+    """(A^0, A_dir, B_dir, C_dir) at a state u (n,) or a state stack (..., n)
+    and a stack of unit directions omegas (Q, d): A^0 has the state axes,
+    the directional symbols (..., Q, n, n)."""
+    T = coefficient_tensors(model, u)
+    A, B, C = frequency_polynomials(T, np.atleast_2d(check_unit(omegas)))
+    return T.A0, A, B, C
+
+
 def _directional(model, u, omega):
     # (A^0, A_dir, B_dir, C_dir) at one state and unit direction
-    T = coefficient_tensors(model, u)
-    A, B, C = frequency_polynomials(T, check_unit(omega)[None, :])
-    return T.A0, A[0], B[0], C[0]
+    A0, A, B, C = directional_stack(model, u, check_unit(omega)[None, :])
+    return A0, A[0], B[0], C[0]
 
 
 def assemble_directional(model, u, omega):
@@ -115,6 +123,20 @@ def assemble_directional(model, u, omega):
     return _directional(model, u, omega)[1:]
 
 
+def assemble_calB_stack(model, u, omegas):
+    """Principal symbols calB over unit directions omegas (Q, d): (..., Q, 2n, 2n)
+    with the state axes of u, from one coefficient evaluation."""
+    _, _, B, C = directional_stack(ensure_normalized(model), u, omegas)
+    return _first_order(1.0, -B, 1j * C)
+
+
+def assemble_calA_stack(model, u, omegas):
+    """Correction symbols calA over unit directions omegas (Q, d), shaped as in
+    `assemble_calB_stack`."""
+    A0, A, _, _ = directional_stack(ensure_normalized(model), u, omegas)
+    return _first_order(0.0, -1j * A, -A0[..., None, :, :])
+
+
 def assemble_calB(model, u, omega):
     """Principal high-frequency symbol calB = [[0, I], [-B_dir, i C_dir]].
 
@@ -122,14 +144,12 @@ def assemble_calB(model, u, omega):
     |xi| = 1 slice is canonical.  The model is normalized to B^{00} = -I
     first; the directional symbols entering calB are the normalized ones.
     """
-    _, _, B_dir, C_dir = _directional(ensure_normalized(model), u, omega)
-    return _first_order(1.0, -B_dir, 1j * C_dir)
+    return assemble_calB_stack(model, u, check_unit(omega)[None, :])[0]
 
 
 def assemble_calA(model, u, omega):
     """First-order correction symbol calA = [[0, 0], [-i A_dir, -A^0]]."""
-    A0, A_dir, _, _ = _directional(ensure_normalized(model), u, omega)
-    return _first_order(0.0, -1j * A_dir, -A0)
+    return assemble_calA_stack(model, u, check_unit(omega)[None, :])[0]
 
 
 def assemble_Mbar_stack(model, u, xi):

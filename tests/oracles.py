@@ -472,3 +472,167 @@ def uniform_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
         },
         per_point=per_point,
     )
+
+
+def _cluster_eigenvalues(lam, thr):
+    groups, gap = _single_linkage(lam, thr)
+    if gap < 10.0 * thr:
+        from hypdiss.errors import ClusterAmbiguity
+
+        raise ClusterAmbiguity(
+            f"clusters separated by {gap:.3e} < 10 x tolerance "
+            f"{thr:.3e}; refine cluster_tolerance"
+        )
+    return groups
+
+
+def eigstructure_oracle(matrix, cluster_tolerance=1e-7):
+    """One matrix's clusters with orthonormal bases from sorted Schur forms.
+
+    Eigenvalues closer than cluster_tolerance * (1 + spectral radius) are
+    merged (union-find linkage); semi-simplicity is decided by the numerical
+    kernel dimension of K - center I.
+    """
+    from hypdiss.conditions import EigenCluster, EigenStructure
+    from hypdiss.errors import ClusterAmbiguity
+
+    K = np.asarray(matrix, dtype=complex)
+    m = K.shape[0]
+    lam = np.linalg.eigvals(K)
+    radius = float(np.max(np.abs(lam))) if m else 0.0
+    thr = cluster_tolerance * (1.0 + radius)
+    clusters = []
+    for vals in _cluster_eigenvalues(lam, thr):
+        mult = len(vals)
+        center = complex(vals.mean())
+        if mult == m:
+            basis = np.eye(m, dtype=complex)
+        else:
+            def select(x, _c=center, _t=thr):
+                return bool(abs(x - _c) <= max(5.0 * _t, 1e-300))
+
+            _, Z, sdim = sla.schur(K, output="complex", sort=select)
+            if sdim != mult:
+                raise ClusterAmbiguity(
+                    f"Schur reordering selected {sdim} eigenvalues for a cluster of size {mult}"
+                )
+            basis = Z[:, :sdim]
+        sv = np.linalg.svd(K - center * np.eye(m), compute_uv=False)
+        geo = int(np.sum(sv <= thr))
+        clusters.append(EigenCluster(value=center, values=vals, multiplicity=mult,
+                                     basis=basis, semi_simple=(geo == mult)))
+    return EigenStructure(tuple(clusters), cluster_tolerance, radius)
+
+
+def symmetrizer_oracle(K, cluster_tolerance=1e-7, structural_tol=1e-8):
+    """S = V^{-*} V^{-1} with V the unit-norm eigenvectors of each cluster's
+    compression to its Schur basis; NotSymmetrizable as the library raises it."""
+    from hypdiss.conditions import Symmetrizer
+    from hypdiss.errors import NotSymmetrizable
+
+    K = np.asarray(K, dtype=complex)
+    es = eigstructure_oracle(K, cluster_tolerance)
+    if es.max_imag() > structural_tol * (1.0 + es.spectral_radius):
+        raise NotSymmetrizable(f"spectrum not real: max |Im| = {es.max_imag():.3e}")
+    if not es.all_semi_simple():
+        raise NotSymmetrizable("spectrum defective beyond tolerance")
+    blocks = []
+    for c in es.clusters:
+        Q = c.basis
+        if c.multiplicity == 1:
+            blocks.append(Q)
+            continue
+        _, Vc = np.linalg.eig(Q.conj().T @ K @ Q)
+        blocks.append(Q @ (Vc / np.linalg.norm(Vc, axis=0, keepdims=True)))
+    Vinv = np.linalg.inv(np.concatenate(blocks, axis=1))
+    S = Vinv.conj().T @ Vinv
+    S = 0.5 * (S + S.conj().T)
+    herm_defect = np.linalg.norm(S @ K - (S @ K).conj().T, 2)
+    bound = 1e-8 * np.linalg.norm(S, 2) * max(np.linalg.norm(K, 2), 1e-300)
+    if herm_defect > bound:
+        raise NotSymmetrizable(f"symmetrizer residual {herm_defect:.3e} exceeds contract {bound:.3e}")
+    return Symmetrizer(S=S, lower_bound=float(np.min(np.linalg.eigvalsh(S))), structure=es)
+
+
+def _structural_score_oracle(es, ref_multiset, structural_tol):
+    s = es.max_imag() / (1.0 + es.spectral_radius)
+    if not es.all_semi_simple():
+        s += 1.0
+    if ref_multiset is not None and es.multiplicity_multiset() != ref_multiset:
+        s += 1.0
+    return s - structural_tol
+
+
+def _eigenspace_margin_oracle(W, sym):
+    W1 = sym.S @ W
+    Wsym = W1 + W1.conj().T
+    return max(float(np.max(np.linalg.eigvalsh(c.basis.conj().T @ Wsym @ c.basis)))
+               for c in sym.structure.clusters)
+
+
+def structural_oracle(model, config=None):
+    """HA (with part (a)), HB, D1 and D2 margins one state and direction at a
+    time with the oracle eigenstructure and symmetrizer.
+
+    Returns {"HA": (margin, part_a, per_point), "HB": (margin, per_point),
+    "D1": per-direction margins or None, "D2": likewise}; D1/D2 are None
+    where a reference-state symmetrizer is missing.
+    """
+    from hypdiss.conditions import CheckConfig
+    from hypdiss.errors import NotSymmetrizable
+    from hypdiss.grids import unit_directions
+    from hypdiss.model import ensure_normalized
+    from hypdiss.symbols import assemble_calA, assemble_calB, assemble_directional
+
+    config = config or CheckConfig()
+    model = ensure_normalized(model)
+    omegas, _ = unit_directions(model.d, config.directions_2d)
+    us = model.state_samples()
+    tol, stol = config.cluster_tolerance, config.structural_tol
+    ubar = model.reference_state
+
+    part_a = []
+    for u in us:
+        A0 = np.asarray(model.A(0, u), dtype=float)
+        try:
+            sym = symmetrizer_oracle(A0, tol, stol)
+            h = 0.5 * (sym.S @ A0 + (sym.S @ A0).conj().T)
+            mg = -float(np.min(np.linalg.eigvalsh(h))) / max(np.linalg.norm(h, 2), 1e-300)
+        except NotSymmetrizable:
+            mg = max(_structural_score_oracle(eigstructure_oracle(A0, tol), None, 0.0), 2 * stol)
+        part_a.append(mg)
+
+    def w0(u, om):
+        return np.linalg.solve(np.asarray(model.A(0, u), dtype=float),
+                               assemble_directional(model, u, om)[0])
+
+    def d1_form(om):
+        A_dir, B_dir, C_dir = assemble_directional(model, ubar, om)
+        A0inv = np.linalg.inv(np.asarray(model.A(0, ubar), dtype=float))
+        W0A = A0inv @ A_dir
+        return A0inv @ (-B_dir + W0A @ W0A + C_dir @ W0A)
+
+    out = {}
+    for name, symbol, form in (
+        ("HA", w0, d1_form),
+        ("HB", lambda u, om: 1j * assemble_calB(model, u, om),
+         lambda om: assemble_calA(model, ubar, om)),
+    ):
+        per_point, ref_multiset, syms = [], None, []
+        for om in omegas:
+            for u in us:
+                es = eigstructure_oracle(symbol(u, om), tol)
+                if ref_multiset is None:
+                    ref_multiset = es.multiplicity_multiset()
+                per_point.append(_structural_score_oracle(es, ref_multiset, stol))
+            try:
+                syms.append(symmetrizer_oracle(symbol(ubar, om), tol, stol))
+            except NotSymmetrizable:
+                syms.append(None)
+        margins = None
+        if all(s is not None for s in syms):
+            margins = [_eigenspace_margin_oracle(form(om), s) for om, s in zip(omegas, syms)]
+        out[name] = (max(per_point), per_point)
+        out["D1" if name == "HA" else "D2"] = margins
+    out["HA"] = (max(max(part_a), out["HA"][0]), part_a, out["HA"][1])
+    return out

@@ -71,6 +71,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "InvalidParameter" in err and "A['1'][0][0]" in err
 
+    def test_cluster_ambiguity_names_state_and_direction(self, tmp_path, capsys):
+        # i calB has the speeds 1 and sqrt(1.0000005): clusters 2.5e-7 apart,
+        # inside the 10 x tolerance guard, at every state and direction
+        path = tmp_path / "close.json"
+        path.write_text('{"n": 2, "d": 1, "A": {"0": [[1.0, 0.0], [0.0, 1.0]]}, '
+                        '"B": {"0,0": [[-1.0, 0.0], [0.0, -1.0]], '
+                        '"1,1": [[1.0, 0.0], [0.0, 1.0000005]]}}')
+        code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ClusterAmbiguity: clusters separated by 2.500e-07")
+        assert err.rstrip().endswith("at state index 0, omega index 0")
 
     @pytest.mark.parametrize("count,error", [("0", "GridEmpty"), ("1", "InvalidParameter")])
     def test_degenerate_radial_grid_exit_one(self, tmp_path, capsys, count, error):
@@ -312,13 +324,16 @@ class TestOtherCommands:
 
 def test_readme_lines_leave_scipy_unimported(tmp_path):
     # scipy.linalg is imported only where a defective mode, a per-point
-    # Lyapunov solve or a sorted Schur split needs it
+    # Lyapunov solve, a sorted Schur split or an ill-conditioned eigenbasis
+    # needs it
     import subprocess
     import sys
 
     import hypdiss
 
     lines = [
+        ["check", "--builtin", "fluid", "--r", "3", "--mu", "2", "--nu", "1", "--eta", "1",
+         "--zeta", "0"],
         ["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3"],
         ["decay", "--self-test"],
         ["dispersion", "--builtin", "damped-wave", "--a", "2"],

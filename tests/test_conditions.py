@@ -116,7 +116,7 @@ class TestEigstructure:
             assert np.abs(K @ Q - Q @ (Q.conj().T @ K @ Q)).max() < 1e-8
 
     def test_single_linkage_matches_union_find(self):
-        from hypdiss.conditions import _single_linkage
+        from hypdiss.conditions import _linkage
 
         from oracles import _single_linkage as union_find
 
@@ -125,7 +125,11 @@ class TestEigstructure:
             m = int(rng.integers(1, 9))
             lam = np.round(rng.normal(size=m), 1) + 1j * np.round(rng.normal(size=m), 1)
             thr = float(rng.choice([1e-7, 0.1, 0.3]))
-            got, gap = _single_linkage(lam, thr)
+            order, gap, point, value, members = _linkage(lam[None], np.array([thr]))
+            got = [lam[order[0]][mask] for mask in members]
+            assert np.array_equal(point, np.zeros(len(got)))
+            assert np.array_equal(value, [g.mean() for g in got])
+            gap = float(gap[0])
             want, want_gap = union_find(lam, thr)
             assert gap == want_gap
             assert len(got) == len(want)
