@@ -32,12 +32,14 @@ import numpy as np
 
 from .errors import (
     ClusterAmbiguity,
+    EigensolverFailure,
     GridEmpty,
     InvalidParameter,
     LyapunovSolveFailure,
     NotDissipativeAtPoint,
     NotSymmetrizable,
     PrerequisiteMissing,
+    SingularA0,
 )
 from .grids import direction_major_grid, radial_loggrid, unit_directions
 from .io import write_csv_atomic
@@ -65,7 +67,6 @@ class CheckConfig:
     xi_count: int = 49
     directions_2d: int = 64
     cond_ceiling: float = 1e8
-    dissipation_threshold: float = 1.0
     trend_xi_min: float = 10.0
     trend_xi_max_low: float = 1e-2
 
@@ -79,35 +80,6 @@ def rho_profile(xi_mag):
 # ---------------------------------------------------------------------------
 # Eigenstructure and symmetrizers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenCluster:
-    value: complex
-    values: np.ndarray
-    multiplicity: int
-    basis: np.ndarray
-    semi_simple: bool
-
-
-@dataclass(frozen=True)
-class EigenStructure:
-    clusters: tuple
-    cluster_tolerance: float
-    spectral_radius: float
-
-    @property
-    def multiplicities(self):
-        return tuple(c.multiplicity for c in self.clusters)
-
-    def multiplicity_multiset(self):
-        return tuple(sorted(self.multiplicities))
-
-    def all_semi_simple(self):
-        return all(c.semi_simple for c in self.clusters)
-
-    def max_imag(self):
-        return max(float(np.max(np.abs(c.values.imag))) for c in self.clusters)
-
 
 def _closure(adj):
     # transitive closure of reflexive relations (..., m, m) by repeated squaring
@@ -165,7 +137,6 @@ class SpectralStack:
 
     lam: np.ndarray
     radius: np.ndarray
-    cluster_tolerance: float
     point: np.ndarray
     value: np.ndarray
     members: np.ndarray
@@ -182,23 +153,9 @@ class SpectralStack:
         new = np.full(len(self.lam), -1)
         new[pts] = np.arange(len(pts))
         c = new[self.point] >= 0
-        return SpectralStack(self.lam[pts], self.radius[pts], self.cluster_tolerance,
-                             new[self.point[c]], self.value[c], self.members[c],
-                             self.mult[c], self.semi_simple[c], self.basis[pts])
-
-    def structure(self, p):
-        """EigenStructure of point p."""
-        cs = np.flatnonzero(self.point == p)
-        cols = _cluster_columns(self.point, self.mult, self.lam.shape[1])
-        return EigenStructure(tuple(
-            EigenCluster(
-                value=complex(self.value[c]),
-                values=self.lam[p][self.members[c]],
-                multiplicity=int(self.mult[c]),
-                basis=self.basis[p][:, cols[c]:cols[c] + self.mult[c]],
-                semi_simple=bool(self.semi_simple[c]),
-            ) for c in cs
-        ), self.cluster_tolerance, float(self.radius[p]))
+        return SpectralStack(self.lam[pts], self.radius[pts], new[self.point[c]],
+                             self.value[c], self.members[c], self.mult[c],
+                             self.semi_simple[c], self.basis[pts])
 
 
 def _schur_bases(K, value, mult, cols, thr, basis):
@@ -233,9 +190,13 @@ def spectral_stack(K, cluster_tolerance=1e-7):
     eigenvector matrix has cond >= DEFECT_COND_LIMIT takes its bases from
     sorted Schur forms instead, which stay reliable for defective clusters.
     Semi-simplicity is decided by the numerical kernel dimension of
-    K - value I, from one stacked SVD.
+    K - value I, from one stacked SVD.  A stack with non-finite entries
+    raises EigensolverFailure whose ``index`` is the first such point.
     """
     K = np.asarray(K, dtype=complex)
+    bad = ~np.isfinite(K).all(axis=(1, 2))
+    if bad.any():
+        raise EigensolverFailure("matrix has non-finite entries", index=int(np.argmax(bad)))
     m = K.shape[-1]
     w, V = np.linalg.eig(K)
     radius = np.abs(w).max(axis=1)
@@ -269,27 +230,12 @@ def spectral_stack(K, cluster_tolerance=1e-7):
         except ClusterAmbiguity as e:
             raise ClusterAmbiguity(str(e), index=int(p)) from e
     ls = np.take_along_axis(w, order, axis=1)
-    return SpectralStack(ls, radius, cluster_tolerance, point, value, members, mult,
-                         semi_simple, basis)
+    return SpectralStack(ls, radius, point, value, members, mult, semi_simple, basis)
 
 
 def eigstructure(matrix, cluster_tolerance=1e-7):
-    """Clusters of one matrix's spectrum with an orthonormal basis of each
-    cluster's invariant subspace: the one-point `spectral_stack`.
-
-    The bases come from the eigenvectors, or from sorted Schur forms where
-    the eigenvector matrix is too ill-conditioned to trust.
-    """
-    return spectral_stack(np.asarray(matrix)[None], cluster_tolerance).structure(0)
-
-
-@dataclass(frozen=True)
-class Symmetrizer:
-    """Hermitian positive-definite S with S K hermitian."""
-
-    S: np.ndarray
-    lower_bound: float
-    structure: EigenStructure
+    """The one-point `spectral_stack` of a matrix."""
+    return spectral_stack(np.asarray(matrix)[None], cluster_tolerance)
 
 
 def symmetrizer_stack(K, st, structural_tol=1e-8):
@@ -331,14 +277,13 @@ def symmetrizer_stack(K, st, structural_tol=1e-8):
 
 
 def build_symmetrizer(K, cluster_tolerance=1e-7, structural_tol=1e-8):
-    """Symmetrizer of one matrix K: the one-point `symmetrizer_stack`;
-    NotSymmetrizable where K has none."""
+    """Symmetrizer of one matrix K, the one-point `symmetrizer_stack`:
+    (S, lower_bound), or NotSymmetrizable where K has none."""
     K = np.asarray(K, dtype=complex)[None]
-    st = spectral_stack(K, cluster_tolerance)
-    S, lower, why = symmetrizer_stack(K, st, structural_tol)
+    S, lower, why = symmetrizer_stack(K, spectral_stack(K, cluster_tolerance), structural_tol)
     if why[0] is not None:
         raise NotSymmetrizable(why[0])
-    return Symmetrizer(S=S[0], lower_bound=float(lower[0]), structure=st.structure(0))
+    return S[0], float(lower[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +343,7 @@ class StructuralCache:
     omegas: np.ndarray
     spectra: SpectralStack
     S: np.ndarray
-    lower_bound: np.ndarray
     symmetrizable: np.ndarray
-
-    @property
-    def by_omega(self):
-        """{direction index: Symmetrizer, or None where there is none}."""
-        return {
-            i: Symmetrizer(self.S[i], float(self.lower_bound[i]), self.spectra.structure(i))
-            if ok else None
-            for i, ok in enumerate(self.symmetrizable.tolist())
-        }
 
 
 def _structural_scores(st, structural_tol, constant_multiplicities=True):
@@ -445,6 +380,11 @@ def _scan_states(model):
     return us, np.vstack([us, model.reference_state]), len(us)
 
 
+def _state_label(s, us):
+    # state s of a scan over the samples us and the reference state
+    return "the reference state" if s >= len(us) else f"state index {s}"
+
+
 def _structural_scan(name, us, ref, omegas, K, config):
     """Real semi-simple spectrum with constant multiplicities of the symbols
     K (S', Q, m, m) at states x directions, whose first len(us) states are
@@ -458,17 +398,16 @@ def _structural_scan(name, us, ref, omegas, K, config):
     K = K.swapaxes(0, 1).reshape(-1, m, m)
     try:
         st = spectral_stack(K, config.cluster_tolerance)
-    except ClusterAmbiguity as e:
+    except (ClusterAmbiguity, EigensolverFailure) as e:
         i, s = divmod(e.index, ns)
-        state = "the reference state" if s >= len(us) else f"state index {s}"
-        raise ClusterAmbiguity(f"{e} at {state}, omega index {i}") from e
+        raise type(e)(f"{e} at {_state_label(s, us)}, omega index {i}") from e
     mg = _structural_scores(st, config.structural_tol).reshape(nq, ns)[:, :len(us)]
     i, s = np.unravel_index(int(np.argmax(mg)), mg.shape)
     witness = {"u": us[s].tolist(), "omega": omegas[i].tolist(), "xi": None}
     first = np.flatnonzero(st.point == 0)
     at_ref = np.arange(nq) * ns + ref
     spectra = st.take(at_ref)
-    S, lower, why = symmetrizer_stack(K[at_ref], spectra, config.structural_tol)
+    S, _, why = symmetrizer_stack(K[at_ref], spectra, config.structural_tol)
     report = _report(
         name, mg[i, s], witness, f"{len(us)} states x {len(omegas)} directions", config,
         trace={
@@ -477,8 +416,7 @@ def _structural_scan(name, us, ref, omegas, K, config):
         },
         per_point=[(None, q, x) for q, row in enumerate(mg.tolist()) for x in row],
     )
-    return StructuralCache(report, omegas, spectra, S, lower,
-                           np.array([w is None for w in why], dtype=bool))
+    return StructuralCache(report, omegas, spectra, S, np.array([w is None for w in why], dtype=bool))
 
 
 def _a0_margins(A0, config):
@@ -488,8 +426,8 @@ def _a0_margins(A0, config):
     A0 = np.asarray(A0, dtype=complex)
     try:
         st = spectral_stack(A0, config.cluster_tolerance)
-    except ClusterAmbiguity as e:
-        raise ClusterAmbiguity(f"{e} at state index {e.index}") from e
+    except (ClusterAmbiguity, EigensolverFailure) as e:
+        raise type(e)(f"{e} at state index {e.index}") from e
     S, _, why = symmetrizer_stack(A0, st, config.structural_tol)
     mg = np.maximum(_structural_scores(st, 0.0, False), 2 * config.structural_tol)
     at = np.flatnonzero([w is None for w in why])
@@ -507,14 +445,20 @@ def check_ha(model, omega_grid=None, config=CheckConfig()):
     (a) A^0(u) is diagonalizable with positive real spectrum at every
     sampled state; (b) (A^0)^{-1} A(u, omega) has real semi-simple spectrum
     with multiplicities constant over the grid.  The symmetrizer of W0 at
-    the reference state is cached per direction for the D1 checker.
+    the reference state is cached per direction for the D1 checker.  An
+    A^0(u) that the solve finds singular raises SingularA0 naming the state.
     """
     model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
     us, states, ref = _scan_states(model)
     A0, A, _, _ = directional_stack(model, states, omegas)
     part_a = _a0_margins(A0[:len(us)], config)
-    cache = _structural_scan("HA", us, ref, omegas, np.linalg.solve(A0[:, None], A), config)
+    try:
+        W0 = np.linalg.solve(A0[:, None], A)
+    except np.linalg.LinAlgError as e:
+        s = _first_failure(np.linalg.inv, A0)
+        raise SingularA0(f"A^0 is singular at {_state_label(s, us)}") from e
+    cache = _structural_scan("HA", us, ref, omegas, W0, config)
     b = cache.report
     k = int(np.argmax(part_a))
     if part_a[k] >= b.margin:
@@ -544,35 +488,6 @@ def check_hb(model, omega_grid=None, config=CheckConfig()):
 # D1 / D2
 # ---------------------------------------------------------------------------
 
-def _eigenspace_margins(W, S, point, mult, basis):
-    """Largest eigenvalue of Wsym = S W + (S W)^* on any cluster basis, per
-    point of a stack W (P, m, m); the clusters are given as in
-    `SpectralStack`.  Returns (margins, Wsym)."""
-    SW = S @ W
-    Wsym = SW + _herm(SW)
-    out = np.full(len(W), -np.inf)
-    first = _cluster_columns(point, mult, W.shape[-1])
-    for k in np.unique(mult):
-        c = mult == k
-        cols = first[c][:, None] + np.arange(k)
-        Q = np.take_along_axis(basis[point[c]], cols[:, None, :], axis=2)
-        np.maximum.at(out, point[c], np.linalg.eigvalsh(_herm(Q) @ Wsym[point[c]] @ Q)[:, -1])
-    return out, Wsym
-
-
-def _form_margin(forms, model, omega, symmetrizer):
-    """(margin, Wsym) of one direction's form on the eigenspaces of its
-    symmetrizer."""
-    W = forms(ensure_normalized(model), np.asarray(omega, dtype=float).reshape(1, -1))
-    cl = symmetrizer.structure.clusters
-    mg, Wsym = _eigenspace_margins(
-        W, symmetrizer.S[None], np.zeros(len(cl), dtype=int),
-        np.array([c.multiplicity for c in cl]),
-        np.concatenate([c.basis for c in cl], axis=1)[None],
-    )
-    return float(mg[0]), Wsym[0]
-
-
 def _d1_forms(model, omegas):
     # (A^0)^{-1}(-B + W0A W0A + C W0A), W0A = (A^0)^{-1} A, at the reference
     # state over the directions
@@ -586,19 +501,11 @@ def _d2_forms(model, omegas):
     return assemble_calA_stack(model, model.reference_state, omegas)
 
 
-def d1_form_margin(model, omega, symmetrizer):
-    """Worst eigenvalue of the D1 quadratic form over the eigenspaces of W0."""
-    return _form_margin(_d1_forms, model, omega, symmetrizer)
-
-
-def d2_form_margin(model, omega, symmetrizer):
-    """Worst eigenvalue of the D2 quadratic form over the eigenspaces of calB."""
-    return _form_margin(_d2_forms, model, omega, symmetrizer)
-
-
 def _eigenspace_check(name, model, cache, forms, config):
-    """D1/D2 over the directions of a passed HA/HB cache, from one stack of
-    forms and one eigvalsh per cluster size.
+    """D1/D2 over the directions of a passed HA/HB cache: the margin of a
+    direction is the largest eigenvalue of Wsym = S W + (S W)^*, W its form,
+    on any cluster basis of its symmetrizer S; one stack of forms and one
+    eigvalsh per cluster size.
 
     c_bar is the largest c with form + c I <= 0 on every eigenspace and
     direction, i.e. max(0, -margin).
@@ -610,7 +517,15 @@ def _eigenspace_check(name, model, cache, forms, config):
     if missing.size:
         raise PrerequisiteMissing(f"no {prereq} symmetrizer for direction index {missing[0]}")
     st = cache.spectra
-    mg, _ = _eigenspace_margins(forms(model, cache.omegas), cache.S, st.point, st.mult, st.basis)
+    SW = cache.S @ forms(model, cache.omegas)
+    Wsym = SW + _herm(SW)
+    mg = np.full(len(Wsym), -np.inf)
+    first = _cluster_columns(st.point, st.mult, Wsym.shape[-1])
+    for k in np.unique(st.mult):
+        c = st.mult == k
+        cols = first[c][:, None] + np.arange(k)
+        Q = np.take_along_axis(st.basis[st.point[c]], cols[:, None, :], axis=2)
+        np.maximum.at(mg, st.point[c], np.linalg.eigvalsh(_herm(Q) @ Wsym[st.point[c]] @ Q)[:, -1])
     q = int(np.argmax(mg))
     witness = {"u": model.reference_state.tolist(), "omega": cache.omegas[q].tolist(), "xi": None}
     return _report(
@@ -669,18 +584,22 @@ def _herm(A):
     return A.conj().swapaxes(-1, -2)
 
 
+def _first_failure(fn, A):
+    """Index of the first point of a stack A on which fn raises LinAlgError (else 0)."""
+    for q in range(len(A)):
+        try:
+            fn(A[q:q + 1])
+        except np.linalg.LinAlgError:
+            return q
+    return 0
+
+
 def _stacked(fn, A, pts, what):
     """fn(A) over a stack; a LinAlgError names the first point it fails on."""
     try:
         return fn(A)
     except np.linalg.LinAlgError as e:
-        for q in range(len(A)):
-            try:
-                fn(A[q:q + 1])
-            except np.linalg.LinAlgError:
-                break
-        else:
-            q = 0
+        q = _first_failure(fn, A)
         raise LyapunovSolveFailure(f"stacked {what} failed: {e}", index=int(pts[q])) from e
 
 
@@ -964,6 +883,10 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
 # Dissipation symbol
 # ---------------------------------------------------------------------------
 
+#: Smallest |xi| at which `build_dissipation_symbol` forms a dissipation symbol.
+DISSIPATION_THRESHOLD = 1.0
+
+
 @dataclass(frozen=True)
 class DissipationSymbol:
     """Hermitian D with D >= c_inf I and D M + (D M)^* = -I <= -c_inf I."""
@@ -974,7 +897,7 @@ class DissipationSymbol:
     residual: float
 
 
-def build_dissipation_symbol(model, u, xi_vec, config=CheckConfig()):
+def build_dissipation_symbol(model, u, xi_vec):
     """Lyapunov-canonical dissipation symbol at a single high frequency.
 
     Solves D M + M^* D = -I; D is hermitian positive definite whenever the
@@ -982,20 +905,17 @@ def build_dissipation_symbol(model, u, xi_vec, config=CheckConfig()):
     makes both defining inequalities hold.
     """
     xi_vec = np.asarray(xi_vec, dtype=float)
-    if np.linalg.norm(xi_vec) < config.dissipation_threshold:
+    if np.linalg.norm(xi_vec) < DISSIPATION_THRESHOLD:
         raise InvalidParameter(
             f"|xi| = {np.linalg.norm(xi_vec):g} below dissipation threshold "
-            f"{config.dissipation_threshold:g}"
+            f"{DISSIPATION_THRESHOLD:g}"
         )
     model = ensure_normalized(model)
     M = assemble_M(model, u, xi_vec)
-    alpha = float(np.max(np.linalg.eigvals(M).real))
-    if alpha >= 0.0:
-        raise NotDissipativeAtPoint(f"spectral abscissa {alpha:.3e} >= 0 at xi={xi_vec}")
     try:
         D = lyapunov_stack(M[None], 1.0)[0]
     except LyapunovSolveFailure as e:
-        raise NotDissipativeAtPoint(f"Lyapunov solve failed: {e}") from e
+        raise NotDissipativeAtPoint(f"{e} at xi={xi_vec}") from e
     w = np.linalg.eigvalsh(D)
     if w[0] <= 0.0:
         raise NotDissipativeAtPoint(f"dissipation symbol not positive definite at xi={xi_vec}")
@@ -1004,7 +924,7 @@ def build_dissipation_symbol(model, u, xi_vec, config=CheckConfig()):
     return DissipationSymbol(D=D, c_inf=c_inf, xi_vec=xi_vec, residual=residual)
 
 
-def dissipation_derivative_bounds(model, u, xi_vec, config=CheckConfig(), rel_step=1e-5):
+def dissipation_derivative_bounds(model, u, xi_vec, rel_step=1e-5):
     """Finite-difference boundedness measurements for the dissipation symbol.
 
     Returns the max over coordinate directions of ||d D/d xi_j|| * <xi> and
@@ -1019,8 +939,8 @@ def dissipation_derivative_bounds(model, u, xi_vec, config=CheckConfig(), rel_st
 
     xi_vec = np.asarray(xi_vec, dtype=float)
     br = xi_bracket(xi_vec)
-    d_xi = largest_derivative(xi_vec, rel_step * br, lambda x: build_dissipation_symbol(model, u, x, config).D)
-    d_u = largest_derivative(u, rel_step, lambda v: build_dissipation_symbol(model, v, xi_vec, config).D)
+    d_xi = largest_derivative(xi_vec, rel_step * br, lambda x: build_dissipation_symbol(model, u, x).D)
+    d_u = largest_derivative(u, rel_step, lambda v: build_dissipation_symbol(model, v, xi_vec).D)
     return {"dxi_scaled": float(d_xi * br), "du": float(d_u)}
 
 

@@ -13,6 +13,10 @@ class SingularB00(HypdissError):
     pass
 
 
+class SingularA0(HypdissError):
+    pass
+
+
 class NotFluidModel(HypdissError):
     pass
 
@@ -21,20 +25,21 @@ class NonUnitDirection(HypdissError):
     pass
 
 
-class EigensolverFailure(HypdissError):
-    pass
-
-
-class ClusterAmbiguity(HypdissError):
-    """Two eigenvalue clusters lie too close to tell apart.
-
-    A stacked decomposition sets ``index`` to the position of the first such
-    point in its stack.
-    """
+class StackPointError(HypdissError):
+    """An error at one point of a stack: a stacked computation sets ``index``
+    to the position of the first failing point in its stack."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
+
+
+class EigensolverFailure(StackPointError):
+    """An eigensolver refused its input."""
+
+
+class ClusterAmbiguity(StackPointError):
+    """Two eigenvalue clusters lie too close to tell apart."""
 
 
 class NotSymmetrizable(HypdissError):
@@ -56,16 +61,8 @@ class PrerequisiteMissing(HypdissError):
     pass
 
 
-class LyapunovSolveFailure(HypdissError):
-    """A Lyapunov certificate could not be formed.
-
-    A stacked solve sets ``index`` to the position of the failing point in
-    its stack.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+class LyapunovSolveFailure(StackPointError):
+    """A Lyapunov certificate could not be formed."""
 
 
 class NotDissipativeAtPoint(HypdissError):

@@ -7,6 +7,8 @@ shares the library's frequency grid, symbol stack and report, and certifies
 one grid point at a time with scipy's solvers and a union-find linkage.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
@@ -486,14 +488,31 @@ def _cluster_eigenvalues(lam, thr):
     return groups
 
 
+#: One matrix's clustered spectrum: its spectral radius and its clusters in
+#: linkage order, each with its mean value, its eigenvalues, its multiplicity,
+#: an orthonormal basis of its invariant subspace and its semi-simplicity.
+OracleSpectrum = namedtuple("OracleSpectrum", "radius clusters")
+OracleCluster = namedtuple("OracleCluster", "value values mult basis semi_simple")
+
+
+def cluster_bases(st, p=0):
+    """The orthonormal bases of point p's clusters in a library SpectralStack."""
+    cs = np.flatnonzero(st.point == p)
+    start = np.cumsum(st.mult[cs]) - st.mult[cs]
+    return [st.basis[p][:, j:j + k] for j, k in zip(start.tolist(), st.mult[cs].tolist())]
+
+
+def _max_imag(es):
+    return max(float(np.max(np.abs(c.values.imag))) for c in es.clusters)
+
+
 def eigstructure_oracle(matrix, cluster_tolerance=1e-7):
-    """One matrix's clusters with orthonormal bases from sorted Schur forms.
+    """One matrix's OracleSpectrum with bases from sorted Schur forms.
 
     Eigenvalues closer than cluster_tolerance * (1 + spectral radius) are
     merged (union-find linkage); semi-simplicity is decided by the numerical
     kernel dimension of K - center I.
     """
-    from hypdiss.conditions import EigenCluster, EigenStructure
     from hypdiss.errors import ClusterAmbiguity
 
     K = np.asarray(matrix, dtype=complex)
@@ -519,27 +538,26 @@ def eigstructure_oracle(matrix, cluster_tolerance=1e-7):
             basis = Z[:, :sdim]
         sv = np.linalg.svd(K - center * np.eye(m), compute_uv=False)
         geo = int(np.sum(sv <= thr))
-        clusters.append(EigenCluster(value=center, values=vals, multiplicity=mult,
-                                     basis=basis, semi_simple=(geo == mult)))
-    return EigenStructure(tuple(clusters), cluster_tolerance, radius)
+        clusters.append(OracleCluster(center, vals, mult, basis, geo == mult))
+    return OracleSpectrum(radius, clusters)
 
 
 def symmetrizer_oracle(K, cluster_tolerance=1e-7, structural_tol=1e-8):
-    """S = V^{-*} V^{-1} with V the unit-norm eigenvectors of each cluster's
-    compression to its Schur basis; NotSymmetrizable as the library raises it."""
-    from hypdiss.conditions import Symmetrizer
+    """(S, spectrum): S = V^{-*} V^{-1} with V the unit-norm eigenvectors of
+    each cluster's compression to its Schur basis, and the OracleSpectrum of
+    K; NotSymmetrizable as the library raises it."""
     from hypdiss.errors import NotSymmetrizable
 
     K = np.asarray(K, dtype=complex)
     es = eigstructure_oracle(K, cluster_tolerance)
-    if es.max_imag() > structural_tol * (1.0 + es.spectral_radius):
-        raise NotSymmetrizable(f"spectrum not real: max |Im| = {es.max_imag():.3e}")
-    if not es.all_semi_simple():
+    if _max_imag(es) > structural_tol * (1.0 + es.radius):
+        raise NotSymmetrizable(f"spectrum not real: max |Im| = {_max_imag(es):.3e}")
+    if not all(c.semi_simple for c in es.clusters):
         raise NotSymmetrizable("spectrum defective beyond tolerance")
     blocks = []
     for c in es.clusters:
         Q = c.basis
-        if c.multiplicity == 1:
+        if c.mult == 1:
             blocks.append(Q)
             continue
         _, Vc = np.linalg.eig(Q.conj().T @ K @ Q)
@@ -551,23 +569,28 @@ def symmetrizer_oracle(K, cluster_tolerance=1e-7, structural_tol=1e-8):
     bound = 1e-8 * np.linalg.norm(S, 2) * max(np.linalg.norm(K, 2), 1e-300)
     if herm_defect > bound:
         raise NotSymmetrizable(f"symmetrizer residual {herm_defect:.3e} exceeds contract {bound:.3e}")
-    return Symmetrizer(S=S, lower_bound=float(np.min(np.linalg.eigvalsh(S))), structure=es)
+    return S, es
+
+
+def _multiplicities(es):
+    return sorted(c.mult for c in es.clusters)
 
 
 def _structural_score_oracle(es, ref_multiset, structural_tol):
-    s = es.max_imag() / (1.0 + es.spectral_radius)
-    if not es.all_semi_simple():
+    s = _max_imag(es) / (1.0 + es.radius)
+    if not all(c.semi_simple for c in es.clusters):
         s += 1.0
-    if ref_multiset is not None and es.multiplicity_multiset() != ref_multiset:
+    if ref_multiset is not None and _multiplicities(es) != ref_multiset:
         s += 1.0
     return s - structural_tol
 
 
 def _eigenspace_margin_oracle(W, sym):
-    W1 = sym.S @ W
+    S, es = sym
+    W1 = S @ W
     Wsym = W1 + W1.conj().T
     return max(float(np.max(np.linalg.eigvalsh(c.basis.conj().T @ Wsym @ c.basis)))
-               for c in sym.structure.clusters)
+               for c in es.clusters)
 
 
 def structural_oracle(model, config=None):
@@ -595,8 +618,8 @@ def structural_oracle(model, config=None):
     for u in us:
         A0 = np.asarray(model.A(0, u), dtype=float)
         try:
-            sym = symmetrizer_oracle(A0, tol, stol)
-            h = 0.5 * (sym.S @ A0 + (sym.S @ A0).conj().T)
+            S, _ = symmetrizer_oracle(A0, tol, stol)
+            h = 0.5 * (S @ A0 + (S @ A0).conj().T)
             mg = -float(np.min(np.linalg.eigvalsh(h))) / max(np.linalg.norm(h, 2), 1e-300)
         except NotSymmetrizable:
             mg = max(_structural_score_oracle(eigstructure_oracle(A0, tol), None, 0.0), 2 * stol)
@@ -623,7 +646,7 @@ def structural_oracle(model, config=None):
             for u in us:
                 es = eigstructure_oracle(symbol(u, om), tol)
                 if ref_multiset is None:
-                    ref_multiset = es.multiplicity_multiset()
+                    ref_multiset = _multiplicities(es)
                 per_point.append(_structural_score_oracle(es, ref_multiset, stol))
             try:
                 syms.append(symmetrizer_oracle(symbol(ubar, om), tol, stol))

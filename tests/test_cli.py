@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from hypdiss.cli import EXIT_ERROR, EXIT_FAIL, EXIT_OK, main
@@ -84,6 +85,35 @@ class TestCheck:
         assert err.startswith("error: ClusterAmbiguity: clusters separated by 2.500e-07")
         assert err.rstrip().endswith("at state index 0, omega index 0")
 
+    def test_singular_a0_names_the_state(self, tmp_path, capsys):
+        # A^0 = u vanishes at the state sample u = 0, the third Halton point
+        path = tmp_path / "a0.json"
+        path.write_text(json.dumps({
+            "n": 1, "d": 1, "reference_state": [0.5],
+            "A": {"0": [[[[1.0, 1]]]], "1": [[1.0]]},
+            "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+        }))
+        code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.rstrip() == (
+            "error: SingularA0: A^0 is singular at state index 2")
+
+    def test_overflowing_symbol_names_state_and_direction(self, tmp_path, capsys):
+        # A^1 = u^3 overflows to -inf at the first state sample u = -1e110
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({
+            "n": 1, "d": 1, "reference_state": [0.0],
+            "domain_lo": [-1e110], "domain_hi": [1e110],
+            "A": {"0": [[1.0]], "1": [[[[1.0, 3]]]]},
+            "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+        }))
+        with np.errstate(over="ignore"):
+            code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.rstrip() == (
+            "error: EigensolverFailure: matrix has non-finite entries "
+            "at state index 0, omega index 0")
+
     @pytest.mark.parametrize("count,error", [("0", "GridEmpty"), ("1", "InvalidParameter")])
     def test_degenerate_radial_grid_exit_one(self, tmp_path, capsys, count, error):
         code = main(["check", "--builtin", "fluid", "--xi-count", count,
@@ -125,7 +155,7 @@ class TestFlagScope:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["state_samples", "xi_cout"])
+    @pytest.mark.parametrize("key", ["state_samples", "xi_cout", "dissipation_threshold"])
     def test_config_key_that_is_no_check_setting_is_refused(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 64 if key == "state_samples" else 5}))

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypdiss.conditions import (
+    build_symmetrizer,
     check_d1,
     check_d2,
     check_ha,
     check_hb,
+    eigstructure,
     spectral_stack,
 )
 from hypdiss.errors import ClusterAmbiguity, NotSymmetrizable
@@ -26,6 +28,7 @@ from hypdiss.model import (
 from hypdiss.symbols import assemble_calB, assemble_directional, assemble_M
 
 from oracles import (
+    cluster_bases,
     eigstructure_oracle,
     random_stable_model,
     structural_oracle,
@@ -127,34 +130,56 @@ def test_stack_matches_per_point_oracle(K):
         return
     got = spectral_stack(K)
     for q, w in enumerate(want):
-        g = got.structure(q)
-        assert g.spectral_radius == w.spectral_radius
-        assert [c.value for c in g.clusters] == [c.value for c in w.clusters]
-        assert g.multiplicities == w.multiplicities
-        assert [c.semi_simple for c in g.clusters] == [c.semi_simple for c in w.clusters]
-        for a, b in zip(g.clusters, w.clusters):
-            assert np.array_equal(a.values, b.values)
-            assert np.abs(_projector(a.basis) - _projector(b.basis)).max() <= 1e-10
+        cs = np.flatnonzero(got.point == q)
+        assert got.radius[q] == w.radius
+        assert got.value[cs].tolist() == [c.value for c in w.clusters]
+        assert got.mult[cs].tolist() == [c.mult for c in w.clusters]
+        assert got.semi_simple[cs].tolist() == [c.semi_simple for c in w.clusters]
+        for c, basis, b in zip(cs, cluster_bases(got, q), w.clusters):
+            assert np.array_equal(got.lam[q][got.members[c]], b.values)
+            assert np.abs(_projector(basis) - _projector(b.basis)).max() <= 1e-10
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(matrix_stacks())
 def test_symmetrizer_exists_where_the_oracle_finds_one(K):
-    from hypdiss.conditions import build_symmetrizer
-
     for k in K:
         try:
-            want = symmetrizer_oracle(k)
+            _, want = symmetrizer_oracle(k)
         except (ClusterAmbiguity, NotSymmetrizable) as e:
             with pytest.raises(type(e)):
                 build_symmetrizer(k)
             continue
-        got = build_symmetrizer(k)
-        SK = got.S @ k
-        bound = 1e-8 * np.linalg.norm(got.S, 2) * np.linalg.norm(k, 2)
+        S, lower_bound = build_symmetrizer(k)
+        SK = S @ k
+        bound = 1e-8 * np.linalg.norm(S, 2) * np.linalg.norm(k, 2)
         assert np.linalg.norm(SK - SK.conj().T, 2) <= bound
-        assert got.lower_bound > 0
-        assert got.structure.multiplicities == want.structure.multiplicities
+        assert lower_bound > 0
+        assert eigstructure(k).mult.tolist() == [c.mult for c in want.clusters]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_cached_symmetrizers_meet_the_contract(n, d, seed):
+    # wherever the HA/HB cache holds a symmetrizer S of the reference-state
+    # symbol K: S = S^*, lambda_min(S) > 0 and ||S K - (S K)^*|| <= 1e-8 ||S|| ||K||
+    m = ensure_normalized(random_stable_model(np.random.default_rng(seed), n=n, d=d))
+    u = m.reference_state
+    ha, hb = check_ha(m), check_hb(m)
+    # A^0 is positive definite and every A^j symmetric, so W0 is similar to a
+    # symmetric matrix in every direction
+    assert ha.symmetrizable.all()
+    for cache, symbol in (
+        (ha, lambda om: np.linalg.solve(m.A(0, u), assemble_directional(m, u, om)[0])),
+        (hb, lambda om: 1j * assemble_calB(m, u, om)),
+    ):
+        for i in np.flatnonzero(cache.symmetrizable):
+            S, K = cache.S[i], symbol(cache.omegas[i])
+            assert np.array_equal(S, S.conj().T)
+            assert np.linalg.eigvalsh(S)[0] > 0
+            SK = S @ K
+            assert np.linalg.norm(SK - SK.conj().T, 2) <= (
+                1e-8 * np.linalg.norm(S, 2) * np.linalg.norm(K, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +209,7 @@ def _same_symmetrizer(cache, symbol):
     # form depends on the eigenvectors eig happened to return.
     same = []
     for i, om in enumerate(cache.omegas):
-        S = symmetrizer_oracle(symbol(om)).S
+        S, _ = symmetrizer_oracle(symbol(om))
         same.append(np.abs(S - cache.S[i]).max() <= 1e-10 * np.abs(S).max())
     return np.array(same)
 
