@@ -342,7 +342,7 @@ def cmd_paradiff_test(args):
     results = {}
 
     bracket = lambda v: np.sqrt(1.0 + np.sum(v**2, axis=1))
-    sym = separable_symbol(lat, np.exp(np.cos(x)), bracket, 1.0)
+    sym = separable_symbol(lat, np.exp(np.cos(x)), bracket)
     parts = lp_decompose(sym)
     rec_err = float(np.abs(sum(p.values for p in parts) - sym.values).max())
     results["lp_reconstruction_error"] = rec_err

@@ -36,7 +36,6 @@ from .errors import (
     GridEmpty,
     InvalidParameter,
     LyapunovSolveFailure,
-    NotDissipativeAtPoint,
     NotSymmetrizable,
     PrerequisiteMissing,
     SingularA0,
@@ -48,7 +47,6 @@ from .symbols import (
     DEFECT_COND_LIMIT,
     assemble_calA_stack,
     assemble_calB_stack,
-    assemble_M,
     assemble_M_stack,
     directional_stack,
     dispersion_root_stack,
@@ -620,7 +618,7 @@ def lyapunov_certificate(M, rho):
     """Solve P M + M^* P = -rho I for hermitian P at one point with scipy's
     Schur method (Bartels-Stewart); returns (P, cond).
 
-    This is the per-point fallback of `lyapunov_stack`.
+    This is the per-point fallback of the stacked solve `_eig_solve`.
     """
     import scipy.linalg as sla
 
@@ -660,16 +658,6 @@ def _eig_solve(Ms, rho, pts):
         except LyapunovSolveFailure as e:
             raise LyapunovSolveFailure(str(e), index=int(pts[q])) from e
     return 0.5 * (P + _herm(P)), w, V, ok
-
-
-def lyapunov_stack(Ms, rho):
-    """Hermitian solutions P of P M + M^* P = -rho I for a stack (Q, m, m) of
-    stable M (else LyapunovSolveFailure); rho is a scalar or one value per
-    point.  One stacked `eig` solves every well-conditioned point (`_eig_solve`).
-    """
-    Ms = np.asarray(Ms, dtype=complex)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), Ms.shape[:1])
-    return _eig_solve(Ms, rho, np.arange(len(Ms)))[0]
 
 
 def _first_group(lam):
@@ -880,78 +868,13 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
 
 
 # ---------------------------------------------------------------------------
-# Dissipation symbol
-# ---------------------------------------------------------------------------
-
-#: Smallest |xi| at which `build_dissipation_symbol` forms a dissipation symbol.
-DISSIPATION_THRESHOLD = 1.0
-
-
-@dataclass(frozen=True)
-class DissipationSymbol:
-    """Hermitian D with D >= c_inf I and D M + (D M)^* = -I <= -c_inf I."""
-
-    D: np.ndarray
-    c_inf: float
-    xi_vec: np.ndarray
-    residual: float
-
-
-def build_dissipation_symbol(model, u, xi_vec):
-    """Lyapunov-canonical dissipation symbol at a single high frequency.
-
-    Solves D M + M^* D = -I; D is hermitian positive definite whenever the
-    spectral abscissa of M(u, xi) is negative, and c_inf = min(lambda_min(D), 1)
-    makes both defining inequalities hold.
-    """
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    if np.linalg.norm(xi_vec) < DISSIPATION_THRESHOLD:
-        raise InvalidParameter(
-            f"|xi| = {np.linalg.norm(xi_vec):g} below dissipation threshold "
-            f"{DISSIPATION_THRESHOLD:g}"
-        )
-    model = ensure_normalized(model)
-    M = assemble_M(model, u, xi_vec)
-    try:
-        D = lyapunov_stack(M[None], 1.0)[0]
-    except LyapunovSolveFailure as e:
-        raise NotDissipativeAtPoint(f"{e} at xi={xi_vec}") from e
-    w = np.linalg.eigvalsh(D)
-    if w[0] <= 0.0:
-        raise NotDissipativeAtPoint(f"dissipation symbol not positive definite at xi={xi_vec}")
-    residual = float(np.linalg.norm(D @ M + M.conj().T @ D + np.eye(M.shape[0]), 2))
-    c_inf = float(min(w[0], 1.0))
-    return DissipationSymbol(D=D, c_inf=c_inf, xi_vec=xi_vec, residual=residual)
-
-
-def dissipation_derivative_bounds(model, u, xi_vec, rel_step=1e-5):
-    """Finite-difference boundedness measurements for the dissipation symbol.
-
-    Returns the max over coordinate directions of ||d D/d xi_j|| * <xi> and
-    ||d D/d u_k|| (first-order derivatives scaled per symbol-class order).
-    """
-    from .symbols import xi_bracket
-
-    def largest_derivative(x, h, D_at):
-        # max over coordinates j of || (D(x + h e_j) - D(x - h e_j)) / 2h ||
-        steps = h * np.eye(len(x))
-        return max(np.linalg.norm((D_at(x + e) - D_at(x - e)) / (2 * h), 2) for e in steps)
-
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    br = xi_bracket(xi_vec)
-    d_xi = largest_derivative(xi_vec, rel_step * br, lambda x: build_dissipation_symbol(model, u, x).D)
-    d_u = largest_derivative(u, rel_step, lambda v: build_dissipation_symbol(model, v, xi_vec).D)
-    return {"dxi_scaled": float(d_xi * br), "du": float(d_u)}
-
-
-# ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
 
 CONDITION_ORDER = ("HA", "HB", "D1", "D2", "D3", "UNIFORM")
 
 
-def run_all_checks(model, config=CheckConfig(), omega_grid=None):
+def run_all_checks(model, config=CheckConfig()):
     """Run all six checkers in dependency order; returns {condition: report}.
 
     Conditions whose prerequisites failed are reported as 'fail' with a
@@ -959,9 +882,9 @@ def run_all_checks(model, config=CheckConfig(), omega_grid=None):
     """
     model = ensure_normalized(model)
     reports = {}
-    ha = check_ha(model, omega_grid=omega_grid, config=config)
+    ha = check_ha(model, config=config)
     reports["HA"] = ha.report
-    hb = check_hb(model, omega_grid=omega_grid, config=config)
+    hb = check_hb(model, config=config)
     reports["HB"] = hb.report
 
     def skipped(name, why):
@@ -978,12 +901,10 @@ def run_all_checks(model, config=CheckConfig(), omega_grid=None):
         reports["D2"] = check_d2(model, hb=hb, config=config)
     else:
         reports["D2"] = skipped("D2", "prerequisite_missing:HB")
-    reports["D3"] = check_d3(model, omega_grid=omega_grid, config=config)
+    reports["D3"] = check_d3(model, config=config)
     if reports["D3"].verdict == "pass":
         try:
-            reports["UNIFORM"] = check_uniform_dissipativity(
-                model, omega_grid=omega_grid, config=config
-            )
+            reports["UNIFORM"] = check_uniform_dissipativity(model, config=config)
         except LyapunovSolveFailure as e:
             reports["UNIFORM"] = skipped("UNIFORM", f"lyapunov_failure:{e}")
     else:

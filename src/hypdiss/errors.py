@@ -65,10 +65,6 @@ class LyapunovSolveFailure(StackPointError):
     """A Lyapunov certificate could not be formed."""
 
 
-class NotDissipativeAtPoint(HypdissError):
-    pass
-
-
 class UnsupportedDataSpec(HypdissError):
     pass
 

@@ -120,15 +120,15 @@ def direction_major_grid(omegas, mags):
     return xi, np.repeat(np.arange(len(omegas)), len(mags)), np.tile(mags, len(omegas))
 
 
-def check_unit(omega, tol=1e-12):
+def check_unit(omega):
     """Validate that omega is a unit vector, or a stack (Q, d) of unit
-    vectors; returns it as a float array of shape (d,) or (Q, d)."""
+    vectors, to 1e-12; returns it as a float array of shape (d,) or (Q, d)."""
     from .errors import NonUnitDirection
 
     om = np.asarray(omega, dtype=float)
     om = om.reshape(-1) if om.ndim < 2 else om
     norms = np.linalg.norm(np.atleast_2d(om), axis=1)
-    bad = np.abs(norms - 1.0) > tol
+    bad = np.abs(norms - 1.0) > 1e-12
     if bad.any():
         raise NonUnitDirection(f"|omega| = {norms[np.argmax(bad)]!r} != 1")
     return om

@@ -3,24 +3,22 @@
 The linearized dynamics at the reference state decouple in Fourier space:
 each frequency evolves as Uhat(t) = exp(t Mbar(0, xi)) Uhat(0).  A radial
 log grid times a fixed direction set approximates whole-space Sobolev norms;
-data with closed-form Fourier transforms (Gaussian or band-limited bumps)
-guarantee the L^1 and H^s memberships the decay theory needs, and a power
-law C (1+t)^p is fitted to the combined norm ||u||_{H^s} + ||u_t||_{H^{s-1}}
+data with closed-form Fourier transforms (Gaussian bumps) guarantee the
+L^1 and H^s memberships the decay theory needs, and a power law C (1+t)^p
+is fitted to the combined norm ||u||_{H^s} + ||u_t||_{H^{s-1}}
 on a late-time window.  For uniformly dissipative models in d = 3 the
 fitted exponent approaches -d/4 = -0.75.
 """
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFit, EigensolverFailure, GridMismatch, UnsupportedDataSpec
+from .errors import DegenerateFit, EigensolverFailure, UnsupportedDataSpec
 from .grids import product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import check_placement, ensure_normalized
-from .profiles import ramp_down
 from .symbols import DEFECT_COND_LIMIT, assemble_M_stack
 
 
@@ -31,10 +29,9 @@ class SpectralGrid:
     xi_lo: float = 1e-3
     xi_hi: float = 1e2
     radial_count: int = 64
-    directions: Optional[int] = None
 
     def build(self, d):
-        omegas, wdir = unit_directions(d, self.directions)
+        omegas, wdir = unit_directions(d)
         r, wrad = radial_quadrature(self.xi_lo, self.xi_hi, self.radial_count, d)
         return product_grid(omegas, wdir, r, wrad)
 
@@ -48,17 +45,6 @@ class GaussianData:
 
     amplitude: float
     sigma: float = 1.0
-    component: int = 0
-    target: str = "u0"
-
-
-@dataclass(frozen=True)
-class FourierBumpData:
-    """Band-limited bump: transform = amplitude on |xi| <= radius/2, smoothly
-    cut off to 0 at |xi| = radius (so the physical profile is Schwartz-class)."""
-
-    amplitude: float
-    radius: float = 1.0
     component: int = 0
     target: str = "u0"
 
@@ -77,26 +63,15 @@ class ModeEnsemble:
     def brackets(self):
         return np.sqrt(1.0 + np.sum(self.xi**2, axis=1))
 
-    def copy(self):
-        return ModeEnsemble(
-            self.n, self.d, self.xi, self.weights, self.coefficients.copy(), self.time
-        )
-
 
 def _transform_at(spec, xi, n):
-    mags = np.linalg.norm(xi, axis=1)
-    if isinstance(spec, GaussianData):
-        vals = spec.amplitude * spec.sigma ** xi.shape[1] * np.exp(
-            -0.5 * spec.sigma**2 * mags**2
-        )
-    elif isinstance(spec, FourierBumpData):
-        vals = spec.amplitude * ramp_down(mags, 0.5 * spec.radius, spec.radius)
-    else:
+    if not isinstance(spec, GaussianData):
         raise UnsupportedDataSpec(
             f"data spec {type(spec).__name__} has no closed-form transform"
         )
     check_placement(spec, n)
-    return vals
+    mags = np.linalg.norm(xi, axis=1)
+    return spec.amplitude * spec.sigma ** xi.shape[1] * np.exp(-0.5 * spec.sigma**2 * mags**2)
 
 
 def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
@@ -114,43 +89,6 @@ def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
         else:
             coeff[:, n + spec.component] += vals
     return ModeEnsemble(n=n, d=model.d, xi=xi, weights=w, coefficients=coeff)
-
-
-def evolve_mode(mbar, u0, t):
-    """Propagate one mode: exp(t mbar) @ u0 (scaling-and-squaring)."""
-    import scipy.linalg as sla
-
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return sla.expm(t * np.asarray(mbar, dtype=complex)) @ np.asarray(u0, dtype=complex)
-
-
-def evolve_mode_with_forcing(mbar, u0, f_hat, t_grid):
-    """Duhamel solution with trapezoidal quadrature on t_grid.
-
-    f_hat holds the forcing samples, shape (len(t_grid), 2n).  Returns the
-    trajectory with the same leading shape.  Second-order accurate in the
-    step size.
-    """
-    import scipy.linalg as sla
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    f_hat = np.asarray(f_hat, dtype=complex)
-    if f_hat.shape[0] != len(t_grid):
-        raise GridMismatch(
-            f"forcing has {f_hat.shape[0]} samples for {len(t_grid)} times"
-        )
-    mbar = np.asarray(mbar, dtype=complex)
-    out = np.zeros_like(f_hat)
-    state = np.asarray(u0, dtype=complex).copy()
-    out[0] = state
-    for k in range(1, len(t_grid)):
-        dt = t_grid[k] - t_grid[k - 1]
-        prop = sla.expm(dt * mbar)
-        # trapezoidal Duhamel increment over [t_{k-1}, t_k]
-        state = prop @ state + 0.5 * dt * (prop @ f_hat[k - 1] + f_hat[k])
-        out[k] = state
-    return out
 
 
 class ModePropagator:
@@ -187,15 +125,6 @@ class ModePropagator:
 
             out[bad] = np.einsum("qij,qj->qi", sla.expm(dt * self.mats[bad]), coeff[bad])
         return out
-
-
-def evolve_ensemble(model, ensemble, t, propagator=None):
-    """Return the ensemble advanced to absolute time t."""
-    prop = propagator or ModePropagator(model, ensemble.xi)
-    out = ensemble.copy()
-    out.coefficients = prop.propagate(ensemble.coefficients, t - ensemble.time)
-    out.time = t
-    return out
 
 
 @dataclass(frozen=True)
@@ -279,21 +208,25 @@ class DecayStudy:
                          np.column_stack(cols).tolist())
 
 
-def default_decay_times(t_max=200.0, count=40):
-    return np.concatenate([[0.0], np.expm1(np.linspace(0.0, np.log1p(t_max), count))[1:]])
+def default_decay_times(t_max=200.0):
+    """t = 0 and 39 times log-spaced in 1 + t up to t_max; the last is t_max
+    exactly, so a fit window ending at t_max keeps it."""
+    times = np.expm1(np.linspace(0.0, np.log1p(t_max), 40))
+    times[-1] = t_max
+    return times
 
 
-def decay_study(model, data_spec, s=2.0, times=None, fit_window=(5.0, 200.0),
-                grid_spec=SpectralGrid(), warn_low_dimension=True):
-    """Full pipeline: init ensemble, evolve, record norms, fit the decay rate."""
+def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
+    """Full pipeline: init ensemble, evolve to the end of the fit window
+    (`default_decay_times`), record norms, fit the decay rate."""
     model = ensure_normalized(model)
-    if warn_low_dimension and model.d < 3:
+    if model.d < 3:
         warnings.warn(
             f"decay-rate assertion assumes d >= 3; d = {model.d} is informational only",
             stacklevel=2,
         )
-    times = default_decay_times() if times is None else np.asarray(times, dtype=float)
-    ens = init_ensemble(model, data_spec, grid_spec)
+    times = default_decay_times(fit_window[1])
+    ens = init_ensemble(model, data_spec)
     prop = ModePropagator(model, ens.xi)
     nu = np.zeros(len(times))
     nut = np.zeros(len(times))

@@ -405,7 +405,10 @@ def _poly_entry(spec, n, where):
         terms.append((float(mono[0]), exps.astype(int)))
 
     def ev(u, _t=terms):
-        return sum(c * np.prod(u**e, axis=-1) for c, e in _t)
+        # an overflowing term stays a silent inf/nan: the typed non-finite
+        # checks downstream name it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum(c * np.prod(u**e, axis=-1) for c, e in _t)
 
     return ev, None
 

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameter,
     PrecheckFailed,
 )
-from .profiles import ramp_down
+from .profiles import ramp_down, smoothstep
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,6 @@ class CutoffSpec:
 
     eps1: float
     eps2: float
-    order: int = 7
 
     def __call__(self, eta_mag, xi_mag):
         eta_mag = np.abs(np.asarray(eta_mag, dtype=float))
@@ -161,33 +160,26 @@ class CutoffSpec:
         lo = self.eps1 * xi_mag
         hi = self.eps2 * br
         t = (eta_mag - lo) / (hi - lo)
-        eta_part = 1.0 - _smooth01(t, self.order)
-        xi_part = _smooth01((xi_mag - self.eps2) / (1.0 - self.eps2), self.order)
+        eta_part = 1.0 - smoothstep(t)
+        xi_part = smoothstep((xi_mag - self.eps2) / (1.0 - self.eps2))
         return eta_part * xi_part
 
 
-def _smooth01(t, order):
-    from .profiles import smoothstep
-
-    return smoothstep(t, order)
-
-
-def make_cutoff(eps1, eps2, order=7):
+def make_cutoff(eps1, eps2):
     if not (0.0 < eps1 < eps2 < 1.0):
         raise InvalidEpsilon(f"need 0 < eps1 < eps2 < 1, got ({eps1}, {eps2})")
-    return CutoffSpec(eps1=float(eps1), eps2=float(eps2), order=order)
+    return CutoffSpec(eps1=float(eps1), eps2=float(eps2))
 
 
 @dataclass
 class DiscreteSymbol:
     """Matrix symbol sampled on (x-lattice) x (dual lattice).
 
-    values has shape (P, P, n, n); order_m is the nominal symbol order.
+    values has shape (P, P, n, n).
     """
 
     lattice: Lattice
     values: np.ndarray
-    order_m: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -203,15 +195,15 @@ class DiscreteSymbol:
         return self.values.shape[2]
 
 
-def multiplier_symbol(lattice, mfun, order_m=0.0, n=1):
+def multiplier_symbol(lattice, mfun):
     """x-independent symbol from a function of the frequency vectors."""
     xi = lattice.xi_vectors()
     vals = np.asarray(mfun(xi), dtype=complex)
     if vals.ndim == 1:
-        vals = vals[:, None, None] * np.eye(n)[None, :, :]
+        vals = vals[:, None, None]
     P = lattice.points
     full = np.broadcast_to(vals[None, :, :, :], (P, P, vals.shape[1], vals.shape[2]))
-    return DiscreteSymbol(lattice, full.copy(), order_m=order_m)
+    return DiscreteSymbol(lattice, full.copy())
 
 
 def multiplication_symbol(lattice, gvals):
@@ -221,10 +213,10 @@ def multiplication_symbol(lattice, gvals):
         g = g[:, None, None] * np.eye(1)[None, :, :]
     P = lattice.points
     full = np.broadcast_to(g[:, None, :, :], (P, P, g.shape[1], g.shape[2]))
-    return DiscreteSymbol(lattice, full.copy(), order_m=0.0)
+    return DiscreteSymbol(lattice, full.copy())
 
 
-def separable_symbol(lattice, gvals, mfun, order_m):
+def separable_symbol(lattice, gvals, mfun):
     """Product symbol g(x) m(xi) from state and frequency factors."""
     g = np.asarray(gvals, dtype=complex)
     xi = lattice.xi_vectors()
@@ -237,7 +229,7 @@ def separable_symbol(lattice, gvals, mfun, order_m):
         vals = g[:, None, None, None] * m[None, :, :, :]
     else:
         vals = np.einsum("iab,jbc->ijac", g, m)
-    return DiscreteSymbol(lattice, vals, order_m=order_m)
+    return DiscreteSymbol(lattice, vals)
 
 
 def smooth_symbol(symbol, chi):
@@ -251,7 +243,7 @@ def smooth_symbol(symbol, chi):
     mags = lat.xi_mags()
     mask = chi(mags[:, None], mags[None, :])
     out = lat.ifft(lat.fft(symbol.values) * mask[:, :, None, None])
-    return DiscreteSymbol(lat, out, order_m=symbol.order_m)
+    return DiscreteSymbol(lat, out)
 
 
 def apply_op(symbol, f):
@@ -306,7 +298,7 @@ def operator_sobolev_norm(T, lattice, s_out, s_in, n=1):
 # Littlewood-Paley decomposition
 # ---------------------------------------------------------------------------
 
-def lp_masks(lattice, order=7):
+def lp_masks(lattice):
     """Dyadic partition of unity on the dual lattice: masks zeta_nu with
     sum_nu zeta_nu = 1 exactly, supp zeta_nu in the annulus
     2^{nu-1} <= |xi| <= 2^{nu+1} for nu >= 0."""
@@ -315,7 +307,7 @@ def lp_masks(lattice, order=7):
     nu_max = max(0, int(np.ceil(np.log2(max(mmax, 1.0)))))
 
     def rho(x):  # 1 on |xi| <= 1/2, 0 on |xi| >= 1
-        return ramp_down(x, 0.5, 1.0, order)
+        return ramp_down(x, 0.5, 1.0)
 
     masks = []
     prev = rho(mags)  # rho_0
@@ -328,11 +320,10 @@ def lp_masks(lattice, order=7):
     return masks
 
 
-def lp_decompose(symbol, order=7):
+def lp_decompose(symbol):
     """Split a symbol into dyadic frequency annuli; exact reconstruction."""
-    return [DiscreteSymbol(symbol.lattice, symbol.values * mk[None, :, None, None],
-                           order_m=symbol.order_m)
-            for mk in lp_masks(symbol.lattice, order)]
+    return [DiscreteSymbol(symbol.lattice, symbol.values * mk[None, :, None, None])
+            for mk in lp_masks(symbol.lattice)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +343,7 @@ class SeparableFamily:
     order: float
 
     def symbol(self, lattice, u_values):
-        return separable_symbol(
-            lattice, self.state_factor(u_values), self.freq_factor, self.order
-        )
+        return separable_symbol(lattice, self.state_factor(u_values), self.freq_factor)
 
 
 def _adjoint_family(fam):
@@ -374,7 +363,7 @@ def symbol_product(a, b):
     if a.lattice != b.lattice:
         raise GridMismatch("symbols on different lattices")
     vals = np.einsum("ijab,ijbc->ijac", a.values, b.values, optimize=True)
-    return DiscreteSymbol(a.lattice, vals, order_m=a.order_m + b.order_m)
+    return DiscreteSymbol(a.lattice, vals)
 
 
 @dataclass
@@ -394,12 +383,15 @@ def _loglog_slope(x, y, floor=1e-15):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def check_adjoint_product_errors(F, G, chi, u_base, amplitudes=(1.0, 0.5, 0.25, 0.125),
-                                 l=0.0):
+#: State amplitudes swept by the scaling checks.
+AMPLITUDES = (1.0, 0.5, 0.25, 0.125)
+
+
+def check_adjoint_product_errors(F, G, chi, u_base, amplitudes=AMPLITUDES):
     """Scaling of the adjoint and product quantization errors in the state.
 
-    Measures ||Op[F_u]^* - Op[F_u^*]|| from H^{l+m-1} to H^l and
-    ||Op[G_u] Op[F_u] - Op[G_u F_u]|| from H^{l+m+mu-1} to H^l while the
+    Measures ||Op[F_u]^* - Op[F_u^*]|| from H^{m-1} to L^2 and
+    ||Op[G_u] Op[F_u] - Op[G_u F_u]|| from H^{m+mu-1} to L^2 while the
     state amplitude is swept; the fitted log-log slopes should be ~1 for
     symbol families depending smoothly on the state (proportional bounds).
     """
@@ -415,11 +407,11 @@ def check_adjoint_product_errors(F, G, chi, u_base, amplitudes=(1.0, 0.5, 0.25, 
         TF = op_matrix(smooth_symbol(AF, chi))
         TFs = op_matrix(smooth_symbol(Fadj.symbol(lat, uv), chi))
         E1 = TF.conj().T - TFs
-        adn[k] = operator_sobolev_norm(E1, lat, l, l + F.order - 1.0, AF.n)
+        adn[k] = operator_sobolev_norm(E1, lat, 0.0, F.order - 1.0, AF.n)
         TG = op_matrix(smooth_symbol(AG, chi))
         TGF = op_matrix(smooth_symbol(symbol_product(AG, AF), chi))
         E2 = TG @ TF - TGF
-        prn[k] = operator_sobolev_norm(E2, lat, l, l + F.order + G.order - 1.0, AF.n)
+        prn[k] = operator_sobolev_norm(E2, lat, 0.0, F.order + G.order - 1.0, AF.n)
     return ScalingReport(
         amplitudes=amps,
         adjoint_norms=adn,
@@ -435,7 +427,7 @@ class GardingReport:
 
     negativity[k] is the worst (smoothing-corrected) negative part of the
     quadratic form at amplitude k, normalized by ||v||^2_{(m-1)/2};
-    normalized_constant[k] = negativity[k] / ||u||_{s+2}^{1/2}.  When the
+    normalized_constant[k] = negativity[k] / ||u||_{H^4}^{1/2}.  When the
     negativity scales linearly in the state (the generic case), the
     normalized constant scales like ||u||^{1/2}, i.e. its log-log slope is
     about 0.5; a slope much above 0.7 or below 0 would contradict the
@@ -464,24 +456,22 @@ def _band_limited_samples(lattice, n, count, rng):
     return out
 
 
-def check_garding(F, u_base, chi, amplitudes=(1.0, 0.5, 0.25, 0.125), samples=32,
-                  q_ord=2.0, radius=0.0, seed=11, s_ref=2.0, exact=False):
+def check_garding(F, u_base, chi, samples=32, seed=11, exact=False):
     """Sharp-lower-bound check for a nonnegative symbol family.
 
-    Precondition: F(y, xi) + F(y, xi)^* >= 0 for |xi| > radius, verified by
-    sampling on the swept states (PrecheckFailed otherwise).  For random
-    band-limited test functions v the form
+    Precondition: F(y, xi) + F(y, xi)^* >= 0 for xi != 0, verified by
+    sampling on the states swept over AMPLITUDES (PrecheckFailed otherwise).
+    For random band-limited test functions v the form
     q(v) = Re<(Op[F_u] + Op[F_u]^*) v, v> is measured; the reported
-    negativity at each amplitude is max(0, -q(v) - c ||v||_{-q_ord}^2)
+    negativity at each amplitude is max(0, -q(v) - c ||v||_{-2}^2)
     normalized by ||v||^2_{(m-1)/2}, where c is the smoothing-tail constant
     calibrated at u = 0.  With exact=True the worst constant is computed by
     a dense eigenvalue problem instead of sampling.
     """
     lat = u_base.lattice
     rng = np.random.default_rng(seed)
-    amps = np.asarray(amplitudes, dtype=float)
-    mags = lat.xi_mags()
-    hi = mags > radius
+    amps = np.asarray(AMPLITUDES, dtype=float)
+    hi = lat.xi_mags() > 0.0
 
     # pointwise nonnegativity precheck on the swept states
     for a in amps:
@@ -491,7 +481,7 @@ def check_garding(F, u_base, chi, amplitudes=(1.0, 0.5, 0.25, 0.125), samples=32
         wmin = np.min(np.linalg.eigvalsh(herm))
         if wmin < -1e-10:
             raise PrecheckFailed(
-                f"symbol not nonnegative for |xi| > {radius:g}: min eig {wmin:.3e}"
+                f"symbol not nonnegative for xi != 0: min eig {wmin:.3e}"
             )
 
     n = F.symbol(lat, 0.0 * u_base.values).n
@@ -499,7 +489,7 @@ def check_garding(F, u_base, chi, amplitudes=(1.0, 0.5, 0.25, 0.125), samples=32
     halfw = 0.5 * (F.order - 1.0)
 
     def norms(v):
-        return v.sobolev_norm(halfw), v.sobolev_norm(-q_ord)
+        return v.sobolev_norm(halfw), v.sobolev_norm(-2.0)
 
     def sym_matrix(uv):
         T = op_matrix(smooth_symbol(F.symbol(lat, uv), chi))
@@ -520,12 +510,12 @@ def check_garding(F, u_base, chi, amplitudes=(1.0, 0.5, 0.25, 0.125), samples=32
     unorms = np.zeros(len(amps))
     for k, a in enumerate(amps):
         uv = a * u_base.values
-        unorms[k] = GridFunction(lat, uv).sobolev_norm(s_ref + 2.0)
+        unorms[k] = GridFunction(lat, uv).sobolev_norm(4.0)
         S = sym_matrix(uv)
         worst = 0.0
         if exact:
             Whalf = sobolev_weight_matrix(lat, -halfw, n)
-            Wq = sobolev_weight_matrix(lat, -q_ord, n)
+            Wq = sobolev_weight_matrix(lat, -2.0, n)
             Mneg = -S - c0 * (Wq.conj().T @ Wq)
             # worst constant: largest eigenvalue of the (m-1)/2-weighted
             # negative part (volume factors cancel in the Rayleigh quotient)

@@ -29,7 +29,8 @@ from .model import ensure_normalized, evaluate_stack
 
 #: Eigenvector condition number from which a stacked eigen-decomposition is
 #: not trusted at a point: `ModePropagator` propagates such a mode with expm,
-#: and `conditions.lyapunov_stack` solves it with scipy's Schur method.
+#: and UNIFORM's stacked Lyapunov solve (`conditions._eig_solve`) solves it
+#: with scipy's Schur method.
 DEFECT_COND_LIMIT = 1e8
 
 

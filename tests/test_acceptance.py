@@ -233,7 +233,7 @@ def test_criterion_6_paradiff_property_suite():
     x = lat.x_vectors()[:, 0]
     bracket = lambda v: np.sqrt(1.0 + np.sum(v**2, axis=1))
 
-    sym = separable_symbol(lat, np.exp(np.cos(x)), bracket, 1.0)
+    sym = separable_symbol(lat, np.exp(np.cos(x)), bracket)
     parts = lp_decompose(sym)
     lp_err = float(np.abs(sum(p.values for p in parts) - sym.values).max())
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,9 @@ class TestCheck:
             "error: SingularA0: A^0 is singular at state index 2")
 
     def test_overflowing_symbol_names_state_and_direction(self, tmp_path, capsys):
-        # A^1 = u^3 overflows to -inf at the first state sample u = -1e110
+        # A^1 = u^3 overflows to -inf at the first state sample u = -1e110;
+        # with every warning an error, the typed error is still the only line
+        # on stderr (no RuntimeWarning from the monomial power)
         path = tmp_path / "cube.json"
         path.write_text(json.dumps({
             "n": 1, "d": 1, "reference_state": [0.0],
@@ -107,7 +110,8 @@ class TestCheck:
             "A": {"0": [[1.0]], "1": [[[[1.0, 3]]]]},
             "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
         }))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.rstrip() == (
@@ -211,6 +215,15 @@ class TestDecay:
         assert code == EXIT_OK
         fit = json.loads((out / "decay_fit.json").read_text())
         assert not fit["asserted"]
+
+    def test_fit_window_beyond_200_is_evolved_to_its_end(self, tmp_path):
+        out = tmp_path / "out"
+        main(["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3",
+              "--window-hi", "400", "--output-dir", str(out)])
+        fit = json.loads((out / "decay_fit.json").read_text())
+        assert fit["fit_window"] == [5.0, 400.0]
+        last = (out / "decay_trajectory.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 400.0
 
 
 class TestOtherCommands:

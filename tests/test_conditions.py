@@ -4,7 +4,6 @@ import pytest
 from hypdiss.conditions import (
     CheckConfig,
     balanced_lyapunov_certificate,
-    build_dissipation_symbol,
     build_symmetrizer,
     check_d1,
     check_d2,
@@ -12,7 +11,6 @@ from hypdiss.conditions import (
     check_ha,
     check_hb,
     check_uniform_dissipativity,
-    dissipation_derivative_bounds,
     eigstructure,
     lyapunov_certificate,
     rho_profile,
@@ -23,7 +21,6 @@ from hypdiss.errors import (
     GridEmpty,
     InvalidParameter,
     LyapunovSolveFailure,
-    NotDissipativeAtPoint,
     NotSymmetrizable,
     PrerequisiteMissing,
 )
@@ -400,53 +397,6 @@ class TestUniform:
             drift = np.max(np.linalg.eigvalsh(P @ M + M.conj().T @ P))
             assert drift < 0
             assert cond < 1e7
-
-
-class TestDissipationSymbol:
-    def test_lyapunov_identity(self):
-        m = builtin_damped_wave(2.0, d=1)
-        ds = build_dissipation_symbol(m, m.reference_state, np.array([10.0]))
-        assert ds.residual < 1e-10
-        M = assemble_M(ensure_normalized(m), m.reference_state, np.array([10.0]))
-        H = ds.D @ M + M.conj().T @ ds.D
-        assert np.max(np.linalg.eigvalsh(H + ds.c_inf * np.eye(2))) < 1e-12
-        assert np.min(np.linalg.eigvalsh(ds.D)) >= ds.c_inf - 1e-14
-
-    def test_conditioning_bounded_over_sweep(self):
-        m = builtin_damped_wave(2.0, d=1)
-        conds = []
-        for x in np.logspace(0, 3, 16):
-            ds = build_dissipation_symbol(m, m.reference_state, np.array([x]))
-            w = np.linalg.eigvalsh(ds.D)
-            conds.append(w[-1] / w[0])
-        assert max(conds) < 50.0
-
-    def test_state_continuity(self):
-        doc = {
-            "n": 1, "d": 1, "reference_state": [0.0],
-            "A": {"0": [[1.0]], "1": [[[[0.5, 0], [1.0, 1]]]]},
-            "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
-        }
-        m = model_from_dict(doc)
-        xi = np.array([5.0])
-        d0 = build_dissipation_symbol(m, np.array([0.0]), xi).D
-        d1 = build_dissipation_symbol(m, np.array([1e-3]), xi).D
-        assert np.abs(d1 - d0).max() < 1e-2 * np.abs(d0).max()
-        assert np.abs(d1 - d0).max() > 0.0
-
-    def test_below_threshold_rejected(self):
-        m = builtin_damped_wave(2.0, d=1)
-        with pytest.raises(InvalidParameter):
-            build_dissipation_symbol(m, m.reference_state, np.array([0.5]))
-
-    def test_unstable_point_rejected(self):
-        with pytest.raises(NotDissipativeAtPoint):
-            build_dissipation_symbol(antidamped_model(), np.array([0.0]), np.array([1e3]))
-
-    def test_derivative_bounds_finite(self):
-        m = builtin_barotropic_fluid(FLUID)
-        out = dissipation_derivative_bounds(m, m.reference_state, np.array([8.0, 0.0, 0.0]))
-        assert np.isfinite(out["dxi_scaled"]) and np.isfinite(out["du"])
 
 
 class TestOrchestration:

@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 
 from hypdiss.conditions import check_uniform_dissipativity, rho_profile
-from hypdiss.errors import DegenerateFit, GridMismatch, InvalidParameter, UnsupportedDataSpec
+from hypdiss.errors import DegenerateFit, InvalidParameter, UnsupportedDataSpec
 from hypdiss.linear_spectral import (
-    FourierBumpData,
     GaussianData,
     ModePropagator,
     SpectralGrid,
     decay_fit,
     decay_study,
     default_decay_times,
-    evolve_ensemble,
-    evolve_mode,
-    evolve_mode_with_forcing,
     init_ensemble,
     sobolev_norm,
 )
@@ -70,7 +66,7 @@ class TestInitEnsemble:
     def test_two_bump_linearity(self):
         m = builtin_damped_wave(2.0, d=3)
         d1 = GaussianData(amplitude=0.3, sigma=1.0)
-        d2 = FourierBumpData(amplitude=0.2, radius=2.0)
+        d2 = GaussianData(amplitude=0.2, sigma=0.5, target="u1")
         e1 = init_ensemble(m, d1)
         e2 = init_ensemble(m, d2)
         e12 = init_ensemble(m, [d1, d2])
@@ -85,84 +81,6 @@ class TestInitEnsemble:
         m = builtin_damped_wave(2.0, d=3)
         with pytest.raises(UnsupportedDataSpec):
             init_ensemble(m, GaussianData(amplitude=1.0, component=3))
-
-
-class TestEvolveMode:
-    def test_zero_frequency_stationary(self):
-        m = builtin_damped_wave(2.0, d=1)
-        mbar = assemble_Mbar(m, m.reference_state, np.zeros(1))
-        u0 = np.array([0.7, 0.0])
-        for t in (1.0, 10.0):
-            assert np.allclose(evolve_mode(mbar, u0, t), u0, atol=1e-12)
-
-    def test_defective_mode_closed_form(self):
-        # damped wave a=2 at |xi| = 1: eigenvalue -1 is defective and
-        # exp(t Mbar)(1,0) = e^{-t} (1 + t, -t)
-        m = builtin_damped_wave(2.0, d=1)
-        mbar = assemble_Mbar(m, m.reference_state, np.array([1.0]))
-        for t in (0.5, 3.0):
-            got = evolve_mode(mbar, np.array([1.0, 0.0]), t)
-            want = np.exp(-t) * np.array([1.0 + t, -t])
-            assert np.abs(got - want).max() < 1e-12
-
-    def test_semigroup_property(self):
-        f = ensure_normalized(builtin_barotropic_fluid(FLUID))
-        mbar = assemble_Mbar(f, f.reference_state, np.array([0.4, -0.2, 0.1]))
-        rng = np.random.default_rng(0)
-        u0 = rng.normal(size=8) + 1j * rng.normal(size=8)
-        a = evolve_mode(mbar, evolve_mode(mbar, u0, 1.3), 0.9)
-        b = evolve_mode(mbar, u0, 2.2)
-        assert np.abs(a - b).max() < 1e-9
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            evolve_mode(np.eye(2), np.zeros(2), -1.0)
-
-
-class TestForcing:
-    def test_zero_forcing_reduces_to_evolve(self):
-        m = builtin_damped_wave(2.0, d=1)
-        mbar = assemble_Mbar(m, m.reference_state, np.array([0.7]))
-        tg = np.linspace(0.0, 2.0, 81)
-        u0 = np.array([1.0, -0.5], dtype=complex)
-        traj = evolve_mode_with_forcing(mbar, u0, np.zeros((81, 2)), tg)
-        for k in (20, 80):
-            want = evolve_mode(mbar, u0, tg[k])
-            assert np.abs(traj[k] - want).max() < 1e-12
-
-    def test_constant_forcing_saturation(self):
-        # Mbar = -I: solution (1 - e^{-t}) g
-        tg = np.linspace(0.0, 8.0, 401)
-        g = np.array([1.0, 2.0])
-        traj = evolve_mode_with_forcing(-np.eye(2), np.zeros(2), np.tile(g, (401, 1)), tg)
-        want = (1.0 - np.exp(-tg))[:, None] * g
-        assert np.abs(traj - want).max() < 1e-4
-        assert np.abs(traj[-1] - g).max() < 1e-3
-
-    def test_second_order_convergence_manufactured(self):
-        # generic manufactured solution U(t) = (e^{-t}, cos 2t) with forcing
-        # f = U' - Mbar U computed exactly
-        mbar = np.array([[0.0, 1.0], [-1.0, -2.0]])
-
-        def uexact(t):
-            return np.stack([np.exp(-t), np.cos(2 * t)], axis=1)
-
-        def duexact(t):
-            return np.stack([-np.exp(-t), -2 * np.sin(2 * t)], axis=1)
-
-        errs = []
-        for nsteps in (40, 80, 160):
-            tg = np.linspace(0.0, 2.0, nsteps + 1)
-            U = uexact(tg)
-            f = duexact(tg) - U @ mbar.T
-            traj = evolve_mode_with_forcing(mbar, U[0], f, tg)
-            errs.append(np.abs(traj - U).max())
-        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(rates > 1.8) and np.all(rates < 2.3)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatch):
-            evolve_mode_with_forcing(-np.eye(2), np.zeros(2), np.zeros((5, 2)), np.linspace(0, 1, 4))
 
 
 class TestSobolevNorm:
@@ -236,11 +154,11 @@ class TestPipelines:
     def test_linearity_of_evolution(self):
         m = builtin_damped_wave(2.0, d=3)
         e1 = init_ensemble(m, GaussianData(amplitude=0.4, sigma=1.0))
-        e2 = init_ensemble(m, FourierBumpData(amplitude=0.3, radius=1.5, target="u1"))
+        e2 = init_ensemble(m, GaussianData(amplitude=0.3, sigma=0.7, target="u1"))
         esum = init_ensemble(
             m,
             [GaussianData(amplitude=0.4, sigma=1.0),
-             FourierBumpData(amplitude=0.3, radius=1.5, target="u1")],
+             GaussianData(amplitude=0.3, sigma=0.7, target="u1")],
         )
         prop = ModePropagator(m, e1.xi)
         a = prop.propagate(e1.coefficients, 3.0) + prop.propagate(e2.coefficients, 3.0)
@@ -278,14 +196,6 @@ class TestPipelines:
             for t in (1.0, 10.0, 100.0):
                 nrm = np.linalg.norm(sla.expm(t * mbar), 2)
                 assert nrm <= K * np.exp(-0.5 * c_abs * r * t) * (1 + 1e-9)
-
-    def test_evolve_ensemble_advances_time(self):
-        m = builtin_damped_wave(2.0, d=3)
-        ens = init_ensemble(m, GaussianData(amplitude=1.0))
-        out = evolve_ensemble(m, ens, 4.0)
-        assert out.time == 4.0
-        assert sobolev_norm(out, 2.0).combined < sobolev_norm(ens, 2.0).combined
-
 
 class TestModePropagator:
     """Stacked eigen-propagation against per-mode scipy expm."""

@@ -85,7 +85,7 @@ class TestCutoff:
 
 class TestSmoothing:
     def test_constant_in_x(self):
-        a = multiplier_symbol(LAT, lambda v: bracket(v), order_m=1.0)
+        a = multiplier_symbol(LAT, lambda v: bracket(v))
         sm = smooth_symbol(a, CHI)
         ximag = np.abs(LAT.xi_vectors()[:, 0])
         expect = CHI(0.0, ximag) * bracket(LAT.xi_vectors())
@@ -99,13 +99,13 @@ class TestSmoothing:
         gx = np.exp(1j * k * X)
         ximag = np.abs(LAT.xi_vectors()[:, 0])
         sel = 40 >= CHI.eps2 * np.sqrt(1 + ximag**2)
-        a = separable_symbol(LAT, gx, lambda v: np.ones(len(v)), 0.0)
+        a = separable_symbol(LAT, gx, lambda v: np.ones(len(v)))
         sm = smooth_symbol(a, CHI)
         assert np.abs(sm.values[:, sel]).max() < 1e-12
 
     def test_forbidden_region_spectrum_vanishes(self):
         gx = np.exp(np.cos(X))
-        a = separable_symbol(LAT, gx, bracket, 1.0)
+        a = separable_symbol(LAT, gx, bracket)
         sm = smooth_symbol(a, CHI)
         hat = LAT.fft(sm.values[:, :, 0, 0])
         eta = LAT.xi_mags()
@@ -118,7 +118,7 @@ class TestSmoothing:
         # for A = f(x) <xi> with algebraically decaying f-spectrum the
         # residual R(A) - A grows one order slower than A along xi
         f = powerlaw_state(2.0)
-        a = separable_symbol(LAT, f, bracket, 1.0)
+        a = separable_symbol(LAT, f, bracket)
         sm = smooth_symbol(a, CHI)
         resid = np.abs(sm.values - a.values)[:, :, 0, 0].max(axis=0)
         amax = np.abs(a.values)[:, :, 0, 0].max(axis=0)
@@ -143,7 +143,7 @@ class TestApplyOp:
 
     def test_fourier_derivative(self):
         f = GridFunction(LAT, np.exp(1j * X))
-        d = multiplier_symbol(LAT, lambda v: 1j * v[:, 0], order_m=1.0)
+        d = multiplier_symbol(LAT, lambda v: 1j * v[:, 0])
         got = apply_op(d, f).values[:, 0]
         assert np.abs(got - 1j * np.exp(1j * X)).max() < 1e-12
 
@@ -155,7 +155,7 @@ class TestApplyOp:
 
     def test_linearity(self):
         rng = np.random.default_rng(6)
-        a = separable_symbol(LAT, np.exp(np.sin(X)), bracket, 1.0)
+        a = separable_symbol(LAT, np.exp(np.sin(X)), bracket)
         f = GridFunction(LAT, rng.normal(size=(LAT.points, 1)) + 0j)
         g = GridFunction(LAT, rng.normal(size=(LAT.points, 1)) + 0j)
         left = apply_op(a, GridFunction(LAT, 2.0 * f.values + 3.0 * g.values)).values
@@ -191,7 +191,7 @@ class TestParaOp:
     def test_constant_symbol_high_frequencies_exact(self):
         # for x-independent symbols para and exact quantization agree on all
         # lattice frequencies with chi(0, xi) = 1
-        b = multiplier_symbol(LAT, lambda v: bracket(v), order_m=1.0)
+        b = multiplier_symbol(LAT, lambda v: bracket(v))
         rng = np.random.default_rng(7)
         f = GridFunction(LAT, rng.normal(size=(LAT.points, 1)) + 0j)
         exact = apply_op(b, f)
@@ -220,14 +220,14 @@ class TestParaOp:
             assert lhs <= 10.0 * rhs
 
     def test_zero_function(self):
-        a = separable_symbol(LAT, np.exp(np.cos(X)), bracket, 1.0)
+        a = separable_symbol(LAT, np.exp(np.cos(X)), bracket)
         f = GridFunction(LAT, np.zeros(LAT.points) + 0j)
         assert np.abs(para_op(a, CHI, f).values).max() == 0.0
 
 
 class TestLittlewoodPaley:
     def test_exact_reconstruction(self):
-        a = separable_symbol(LAT, np.exp(np.cos(X)), bracket, 1.0)
+        a = separable_symbol(LAT, np.exp(np.cos(X)), bracket)
         parts = lp_decompose(a)
         rec = sum(p.values for p in parts)
         assert np.abs(rec - a.values).max() < 1e-13
@@ -243,7 +243,7 @@ class TestLittlewoodPaley:
     def test_dyadic_derivative_bound(self):
         # sup |d_xi a_nu| <= C 2^{nu (m-1)} for a symbol of order m = 1
         f = powerlaw_state(2.0)
-        a = separable_symbol(LAT, f, bracket, 1.0)
+        a = separable_symbol(LAT, f, bracket)
         parts = lp_decompose(a)
         ximag = LAT.xi_vectors()[:, 0]
         order = np.argsort(ximag)
@@ -293,7 +293,7 @@ class TestOperatorNorms:
 
     def test_op_matrix_consistency(self):
         rng = np.random.default_rng(10)
-        a = separable_symbol(LAT, np.exp(np.sin(X)), bracket, 1.0)
+        a = separable_symbol(LAT, np.exp(np.sin(X)), bracket)
         T = op_matrix(a)
         f = GridFunction(LAT, rng.normal(size=(LAT.points, 1)) + 0j)
         assert np.abs(T @ f.values[:, 0] - apply_op(a, f).values[:, 0]).max() < 1e-11
