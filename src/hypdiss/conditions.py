@@ -601,10 +601,14 @@ def _stacked(fn, A, pts, what):
         raise LyapunovSolveFailure(f"stacked {what} failed: {e}", index=int(pts[q])) from e
 
 
-def _positive_cond(P, what, pts):
-    """cond(P) over a hermitian stack; raises at the first point that is not
-    positive definite."""
-    w = _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
+def _eigvalsh(P, pts):
+    """Ascending eigenvalues of a hermitian stack."""
+    return _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
+
+
+def _positive_cond(w, what, pts):
+    """cond over a hermitian stack from its eigenvalues w (`_eigvalsh`);
+    raises at the first point that is not positive definite."""
     bad = ~((w[:, 0] > 0.0) & np.all(np.isfinite(w), axis=1))
     if bad.any():
         q = int(np.argmax(bad))
@@ -627,7 +631,7 @@ def lyapunov_certificate(M, rho):
     except Exception as e:  # scipy raises LinAlgError or ValueError
         raise LyapunovSolveFailure(f"Lyapunov solve failed: {e}") from e
     P = 0.5 * (P + P.conj().T)
-    return P, float(_positive_cond(P[None], "Lyapunov solution", [0])[0])
+    return P, float(_positive_cond(_eigvalsh(P[None], [0]), "Lyapunov solution", [0])[0])
 
 
 def _eig_solve(Ms, rho, pts):
@@ -742,9 +746,10 @@ CERTIFICATE_CHUNK_BYTES = 2**18
 BALANCE_COND_TARGET = 200.0
 
 
-def _balanced_stack(Ms, rho, P, lam, V, ok, pts):
+def _balanced_stack(Ms, rho, P, ev, lam, V, ok, pts):
     """Balanced certificates of a stack of stable blocks from their direct
-    solutions P (with the eigenvalues lam and the output V, ok of `_eig_solve`).
+    solutions P (with their eigenvalues ev, and the eigenvalues lam and the
+    output V, ok of `_eig_solve`).
 
     Each P is scaled to unit norm.  Where its conditioning exceeds
     BALANCE_COND_TARGET, the spectrum is split into its first single-linkage
@@ -753,13 +758,12 @@ def _balanced_stack(Ms, rho, P, lam, V, ok, pts):
     the blocks are joined as V^{-*} blockdiag(P1, P2) V^{-1} with V = [Q1, B2],
     whose inverse has the rows Q1^* (I - B2 Z2^*) and Z2^*.
     """
-    w = _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
-    top = w[:, -1]
+    top = ev[:, -1]
     bad = ~(np.isfinite(top) & (top > 0.0))
     if bad.any():
         raise LyapunovSolveFailure("Lyapunov block solve degenerate", index=int(pts[np.argmax(bad)]))
     P = P / top[:, None, None]
-    todo = np.flatnonzero(~((w[:, 0] > 0.0) & (w[:, -1] / w[:, 0] <= BALANCE_COND_TARGET)))
+    todo = np.flatnonzero(~((ev[:, 0] > 0.0) & (ev[:, -1] / ev[:, 0] <= BALANCE_COND_TARGET)))
     if todo.size == 0:
         return P
     m = Ms.shape[-1]
@@ -780,7 +784,7 @@ def _balanced_stack(Ms, rho, P, lam, V, ok, pts):
 def _certify(Ms, rho, pts):
     """Balanced certificates of a stack of stable blocks."""
     P, w, V, ok = _eig_solve(Ms, rho, pts)
-    return _balanced_stack(Ms, rho, P, w, V, ok, pts)
+    return _balanced_stack(Ms, rho, P, _eigvalsh(P, pts), w, V, ok, pts)
 
 
 def balanced_lyapunov_certificate(M, rho):
@@ -796,7 +800,7 @@ def balanced_lyapunov_certificate(M, rho):
     is uniform.  Returns (P, cond); an unstable M raises LyapunovSolveFailure.
     """
     P = _certify(np.asarray(M, dtype=complex)[None], np.array([float(rho)]), np.zeros(1, int))
-    return P[0], float(_positive_cond(P, "balanced certificate", [0])[0])
+    return P[0], float(_positive_cond(_eigvalsh(P, [0]), "balanced certificate", [0])[0])
 
 
 def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
@@ -828,9 +832,10 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
         for at in np.array_split(pts, max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
             P, w, V, ok = _eig_solve(Ms[at], rho[at], at)
             alphas[at] = w.real.max(axis=1)
-            cond_raw[at] = _positive_cond(P, "Lyapunov solution", at)
-            P = _balanced_stack(Ms[at], rho[at], P, w, V, ok, at)
-            cond[at] = _positive_cond(P, "balanced certificate", at)
+            ev = _eigvalsh(P, at)
+            cond_raw[at] = _positive_cond(ev, "Lyapunov solution", at)
+            P = _balanced_stack(Ms[at], rho[at], P, ev, w, V, ok, at)
+            cond[at] = _positive_cond(_eigvalsh(P, at), "balanced certificate", at)
     except LyapunovSolveFailure as e:
         raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
 

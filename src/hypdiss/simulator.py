@@ -648,12 +648,14 @@ def run(model, data_spec, config=SimConfig()):
     Raises BlowUp when the W-norm is not finite or exceeds the configured
     multiple of its initial value, DomainExit when the state leaves the
     model's box (or stops being finite), CFLViolation for an unstable step
-    size, and InvalidParameter for fewer than one snapshot or a t_final that
-    is negative or not finite.  One `LinearPart` (and, with the monitor on,
-    one energy form) is built per run.
+    size, and InvalidParameter for fewer than two snapshots (one when
+    t_final = 0) or a t_final that is negative or not finite.  One
+    `LinearPart` (and, with the monitor on, one energy form) is built per run.
     """
-    if config.snapshots < 1:
-        raise InvalidParameter(f"need at least one snapshot, got {config.snapshots}")
+    least = 2 if config.t_final > 0.0 else 1  # a single snapshot is t = 0 only
+    if config.snapshots < least:
+        raise InvalidParameter(f"need at least {least} snapshots for t_final = "
+                               f"{config.t_final:g}, got {config.snapshots}")
     if not 0.0 <= config.t_final < np.inf:
         raise InvalidParameter(f"t_final = {config.t_final:g} must be finite and nonnegative")
     lat = config.lattice

@@ -250,7 +250,7 @@ def test_criterion_6_paradiff_property_suite():
     rep = check_adjoint_product_errors(F, G, chi, u0)
 
     Fs = SeparableFamily(lambda uv: 1j * uv[:, 0], bracket, 1.0)
-    grep = check_garding(Fs, u0, chi, samples=24, exact=True)
+    grep = check_garding(Fs, u0, chi)
 
     ok = (
         lp_err < 1e-13
@@ -361,15 +361,15 @@ def test_criterion_8_determinism(tmp_path):
         }
 
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["check", "--builtin", "damped-wave", "--a", "2", "--seed", "5",
+    assert main(["check", "--builtin", "damped-wave", "--a", "2",
                  "--output-dir", a]) == EXIT_OK
-    assert main(["check", "--builtin", "damped-wave", "--a", "2", "--seed", "5",
+    assert main(["check", "--builtin", "damped-wave", "--a", "2",
                  "--output-dir", b]) == EXIT_OK
     same_check = dir_bytes(a) == dir_bytes(b)
 
     c, d = str(tmp_path / "c"), str(tmp_path / "d")
-    assert main(["decay", "--builtin", "fluid", "--seed", "5", "--output-dir", c]) == EXIT_OK
-    assert main(["decay", "--builtin", "fluid", "--seed", "5", "--output-dir", d]) == EXIT_OK
+    assert main(["decay", "--builtin", "fluid", "--output-dir", c]) == EXIT_OK
+    assert main(["decay", "--builtin", "fluid", "--output-dir", d]) == EXIT_OK
     same_decay = dir_bytes(c) == dir_bytes(d)
 
     verdict(8, "byte-identical repeated runs", same_check and same_decay,

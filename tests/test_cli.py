@@ -132,16 +132,25 @@ class TestInputGuards:
 
     @pytest.mark.parametrize("argv", [
         SIM + ["--snapshots", "0"],
+        SIM + ["--snapshots", "1"],
         SIM + ["--t-final", "-1"],
         SIM + ["--t-final", "nan"],
         SIM + ["--n-grid", "0"],
         SIM + ["--n-grid", "1"],
         ["check", "--builtin", "damped-wave", "--d", "0"],
-    ], ids=["snapshots-0", "t-final-negative", "t-final-nan", "n-grid-0", "n-grid-1", "d-0"])
+    ], ids=["snapshots-0", "snapshots-1", "t-final-negative", "t-final-nan", "n-grid-0",
+            "n-grid-1", "d-0"])
     def test_refused_with_invalid_parameter(self, tmp_path, capsys, argv):
         code = main(argv + ["--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert "error: InvalidParameter:" in capsys.readouterr().err
+
+    def test_one_snapshot_at_t_final_zero_is_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(self.SIM + ["--t-final", "0", "--snapshots", "1",
+                                "--output-dir", str(out)]) == EXIT_OK
+        assert json.loads((out / "simulate.json").read_text())["t_final"] == 0.0
+        assert len((out / "trace.csv").read_text().splitlines()) == 2
 
 
 class TestFlagScope:
@@ -151,8 +160,11 @@ class TestFlagScope:
         ["paradiff-test", "--floor", "1"],
         ["dispersion", "--builtin", "damped-wave", "--cluster-tol", "1"],
         ["report", "--seed", "1"],
+        ["check", "--builtin", "damped-wave", "--seed", "1"],
+        ["decay", "--builtin", "damped-wave", "--seed", "1"],
+        ["paradiff-test", "--seed", "1"],
     ], ids=["decay-floor", "simulate-floor", "paradiff-floor", "dispersion-cluster-tol",
-            "report-seed"])
+            "report-seed", "check-seed", "decay-seed", "paradiff-seed"])
     def test_flag_a_command_does_not_read_is_refused(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--output-dir", str(tmp_path / "out")])
@@ -175,14 +187,14 @@ class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["check", "--builtin", "convected-damped-wave", "--a", "0.5",
-              "--output-dir", str(a), "--seed", "7"])
+              "--output-dir", str(a)])
         main(["check", "--builtin", "convected-damped-wave", "--a", "0.5",
-              "--output-dir", str(b), "--seed", "7"])
+              "--output-dir", str(b)])
         assert read_dir_bytes(a) == read_dir_bytes(b)
 
     def test_decay_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3", "--seed", "3"]
+        args = ["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3"]
         main(args + ["--output-dir", str(a)])
         main(args + ["--output-dir", str(b)])
         assert read_dir_bytes(a) == read_dir_bytes(b)
@@ -281,22 +293,6 @@ class TestOtherCommands:
         assert rep["all_green"]
         assert 1e-13 < rep["lp_reconstruction_error"] <= 2 * 2.0**-52 * 700
 
-    def test_paradiff_seed_zero_passed_through(self, tmp_path, monkeypatch):
-        import types
-
-        import hypdiss.paradiff as paradiff
-
-        seeds = []
-
-        def fake_garding(*args, seed, **kwargs):
-            seeds.append(seed)
-            return types.SimpleNamespace(negativity_slope=1.0, constant_slope=0.5)
-
-        monkeypatch.setattr(paradiff, "check_garding", fake_garding)
-        main(["paradiff-test", "--seed", "0", "--n-grid", "32",
-              "--output-dir", str(tmp_path / "out")])
-        assert seeds == [0]
-
     def test_paradiff_refuses_large_lattice_without_allocating(self, tmp_path, capsys):
         # N = 4096 holds 256 MiB per dense P x P complex array
         import tracemalloc
@@ -347,7 +343,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("argv", [
         ["--builtin", "damped-wave", "--a", "2"],
-        ["--builtin", "convected-damped-wave", "--a", "1.5", "--xi-count", "9", "--seed", "4"],
+        ["--builtin", "convected-damped-wave", "--a", "1.5", "--xi-count", "9"],
     ], ids=["pass", "fail"])
     def test_report_writes_checks_summary(self, tmp_path, argv):
         out = tmp_path / "out"
