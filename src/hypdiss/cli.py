@@ -187,18 +187,14 @@ def cmd_check(args):
 def cmd_dispersion(args):
     import numpy as np
 
-    from .conditions import CheckConfig
+    from .conditions import CheckConfig, frequency_grid
     from .io import write_csv_atomic
-    from .grids import direction_major_grid, radial_loggrid, unit_directions
-    from .model import ensure_normalized
     from .symbols import dispersion_root_stack, sorted_roots
 
     out = _outdir(args)
     config = CheckConfig(**_effective_config(args))
-    model = ensure_normalized(_load_model(args))
-    omegas, _ = unit_directions(model.d, config.directions_2d)
-    xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count)
-    xi, idx, mags = direction_major_grid(omegas, xis)
+    model = _load_model(args)
+    omegas, _, xi, idx, mags, _ = frequency_grid(model, config=config)
     roots = sorted_roots(dispersion_root_stack(model, model.reference_state, xi))
     parts = np.stack([roots.real, roots.imag], axis=-1).reshape(len(xi), -1)
     rows = [[i, x] + r for i, x, r in zip(idx.tolist(), mags.tolist(), parts.tolist())]
@@ -319,7 +315,7 @@ def cmd_paradiff_test(args):
     from .simulator import _refuse_above_limit
 
     # the battery holds dense P x P complex symbols and operator matrices:
-    # 26.4 to 29.8 of them at its tracemalloc peak for N = 64 ... 724
+    # 24.9 to 28.1 of them at its tracemalloc peak for N = 64 ... 724
     _refuse_above_limit(32 * args.n_grid**2 * np.dtype(complex).itemsize,
                         f"the paradiff-test battery on {args.n_grid} lattice points")
     out = _outdir(args)

@@ -475,7 +475,6 @@ def check_hb(model, omega_grid=None, config=CheckConfig()):
     """Hyperbolicity of the second-order part: i calB(u, omega) is real
     semi-simple with constant multiplicities; symmetrizers cached per
     direction at the reference state for D2 and the dissipation symbol."""
-    model = ensure_normalized(model)
     omegas = _omega_grid(model, omega_grid, config)
     us, states, ref = _scan_states(model)
     K = 1j * assemble_calB_stack(model, states, omegas)
@@ -542,7 +541,6 @@ def check_d1(model, omega_grid=None, ha=None, config=CheckConfig()):
 
 def check_d2(model, omega_grid=None, hb=None, config=CheckConfig()):
     """High-frequency eigenspace dissipativity at the reference state."""
-    model = ensure_normalized(model)
     if hb is None:
         hb = check_hb(model, omega_grid=omega_grid, config=config)
     return _eigenspace_check("D2", model, hb, _d2_forms, config)
@@ -552,8 +550,12 @@ def check_d2(model, omega_grid=None, hb=None, config=CheckConfig()):
 # D3 and uniform dissipativity
 # ---------------------------------------------------------------------------
 
-def _frequency_grid(model, omega_grid, xi_loggrid, config):
-    # directions x log-spaced magnitudes; xi = 0 is excluded (rho(0) = 0)
+def frequency_grid(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
+    """The frequency grid of D3, UNIFORM and `dispersion`: the given (or the
+    configured) directions omegas times the magnitudes xis, xi = 0 excluded
+    (rho(0) = 0).  Returns (omegas, xis, xi, idx, mags, spec): the
+    direction-major stack xi, idx, mags of `direction_major_grid` and the
+    grid's description in reports."""
     omegas = _omega_grid(model, omega_grid, config)
     xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count) if xi_loggrid is None else np.asarray(xi_loggrid, float)
     if xis.size == 0:
@@ -561,16 +563,13 @@ def _frequency_grid(model, omega_grid, xi_loggrid, config):
     if np.any(xis <= 0):
         raise InvalidParameter("xi grid must exclude 0")
     spec = f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions"
-    return omegas, xis, spec
+    return (omegas, xis, *direction_major_grid(omegas, xis), spec)
 
 
 def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
     """Strict spectral stability over a log frequency grid (0 excluded)."""
-    model = ensure_normalized(model)
-    omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
+    omegas, _, xi, idx, mags, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
     ubar = model.reference_state
-
-    xi, idx, mags = direction_major_grid(omegas, xis)
     mg = dispersion_root_stack(model, ubar, xi).real.max(axis=1)
     q = int(np.argmax(mg))
     witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
@@ -813,8 +812,7 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     configured ceiling.  All grid points are certified together: one stacked
     solve gives cond_raw, and the balanced certificates grow from it.
     """
-    model = ensure_normalized(model)
-    omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
+    omegas, xis, xi, idx, mags, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
     radii = len(np.unique(xis))
     if radii < 2:
         raise InvalidParameter(
@@ -822,8 +820,6 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
             f"radii; got {radii}"
         )
     ubar = model.reference_state
-
-    xi, idx, mags = direction_major_grid(omegas, xis)
     Ms = assemble_M_stack(model, ubar, xi)
     pts = np.arange(len(Ms))
     rho = rho_profile(mags)

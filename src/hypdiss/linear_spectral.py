@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateFit, EigensolverFailure, UnsupportedDataSpec
 from .grids import product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
-from .model import check_placement, ensure_normalized
+from .model import check_placement
 from .symbols import DEFECT_COND_LIMIT, assemble_M_stack
 
 
@@ -76,7 +76,6 @@ def _transform_at(spec, xi, n):
 
 def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
     """Fill a mode ensemble with exact transforms of the initial data."""
-    model = ensure_normalized(model)
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     xi, w = grid_spec.build(model.d)
     n = model.n
@@ -102,7 +101,6 @@ class ModePropagator:
     """
 
     def __init__(self, model, xi):
-        model = ensure_normalized(model)
         self.xi = np.asarray(xi, dtype=float)
         self.mats = assemble_M_stack(model, model.reference_state, self.xi)
         try:
@@ -219,7 +217,6 @@ def default_decay_times(t_max=200.0):
 def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     """Full pipeline: init ensemble, evolve to the end of the fit window
     (`default_decay_times`), record norms, fit the decay rate."""
-    model = ensure_normalized(model)
     if model.d < 3:
         warnings.warn(
             f"decay-rate assertion assumes d >= 3; d = {model.d} is informational only",

@@ -413,18 +413,26 @@ def _poly_entry(spec, n, where):
     return ev, None
 
 
-def _matrix_table(doc, n, family):
-    """Parse {"j" or "j,k": [[entry ...] ...]} into a state-stack evaluator;
-    family ("A" or "B") names the entries in error messages."""
+def _matrix_table(doc, n, d, family):
+    """Parse {"j" (family "A") or "j,k" (family "B"): [[entry ...] ...]}, with
+    indices in 0..d and n x n matrices, into a state-stack evaluator; the
+    family names the entries in error messages."""
+    form = "j" if family == "A" else "j,k"
     table = {}
     state_dependent = False
     for key, rows in doc.items():
-        idx = tuple(int(s) for s in str(key).split(","))
+        where = f"{family}[{key!r}]"
+        idx = tuple(int(i) if i.strip().isdigit() else -1 for i in str(key).split(","))
+        if len(idx) != len(form.split(",")) or not all(0 <= i <= d for i in idx):
+            raise InvalidParameter(f"model document key {where} is not {form} with indices in 0..{d}")
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n for r in rows)):
+            raise InvalidParameter(f"model document entry {where} is not {n} rows of {n} entries")
         const = np.zeros((n, n))
         funcs = {}
         for r in range(n):
             for c in range(n):
-                ev, val = _poly_entry(rows[r][c], n, f"{family}[{key!r}][{r}][{c}]")
+                ev, val = _poly_entry(rows[r][c], n, f"{where}[{r}][{c}]")
                 if ev is None:
                     const[r, c] = val
                 else:
@@ -478,13 +486,18 @@ def model_from_dict(doc):
         n, d = int(doc["n"]), int(doc["d"])
     except KeyError as e:
         raise InvalidParameter(f"model document missing key {e}") from e
+    if n < 1 or d < 1:
+        raise InvalidParameter(f"model document needs n >= 1 and d >= 1, got n = {n}, d = {d}")
     ref = np.array(doc.get("reference_state", np.zeros(n)), dtype=float)
     if ref.shape != (n,):
         raise InvalidParameter("reference_state must have length n")
-    A_eval, a_dep = _matrix_table(doc.get("A", {}), n, "A")
-    B_eval, b_dep = _matrix_table(doc.get("B", {}), n, "B")
+    A_eval, a_dep = _matrix_table(doc.get("A", {}), n, d, "A")
+    B_eval, b_dep = _matrix_table(doc.get("B", {}), n, d, "B")
     lo = np.array(doc.get("domain_lo", ref - 1.0), dtype=float)
     hi = np.array(doc.get("domain_hi", ref + 1.0), dtype=float)
+    if lo.shape != (n,) or hi.shape != (n,) or np.any(lo > hi):
+        raise InvalidParameter(f"model document entries domain_lo = {lo.tolist()} and domain_hi = "
+                               f"{hi.tolist()} need length n = {n} and domain_lo <= domain_hi")
     return CoefficientModel(
         n=n,
         d=d,

@@ -5,12 +5,13 @@ frequency lattice.  An admissible cut-off chi(eta, xi) localizes a symbol's
 x-dependence to frequencies |eta| small against <xi>; applying it through
 the first-variable discrete Fourier transform realizes symbol smoothing,
 and the para-differential operator is the quantization of the smoothed
-symbol.  Dyadic Littlewood-Paley masks, dense operator matrices, exact
-Sobolev operator norms (the 2-norm of the weighted dense matrix), and the
-quantitative checks (adjoint and product error scaling, sharp lower bounds of
-nonnegative symbols) complete the toolbox.  Every check is deterministic: the
-worst constants of the lower-bound check are top eigenvalues of dense
-weighted matrices, not maxima over random test functions.
+symbol.  Dyadic Littlewood-Paley masks, dense operator matrices on Fourier
+coefficients, exact Sobolev operator norms (the 2-norm of the dense matrix
+scaled by the diagonal Sobolev weights), and the quantitative checks (adjoint
+and product error scaling, sharp lower bounds of nonnegative symbols)
+complete the toolbox.  Every check is deterministic: the worst constants of
+the lower-bound check are top eigenvalues of dense weighted matrices, not
+maxima over random test functions.
 
 Lattice orders follow numpy's FFT layout; Fourier coefficients are the DFT
 divided by the point count, so a(x, xi) = 1 quantizes to the identity map
@@ -239,31 +240,30 @@ def para_op(symbol, chi, f):
 
 
 def op_matrix(symbol):
-    """Dense matrix of op[a] acting on stacked lattice values (P*n square)."""
+    """Dense matrix of op[a] acting on stacked Fourier coefficients (P*n
+    square): (op[a] f)^(eta) = sum_xi a^(eta - xi, xi) fhat(xi), with a^ the
+    transform of a in x, so block (eta, xi) is a^ at eta - xi (mod N per axis)."""
     lat = symbol.lattice
     P, n = lat.points, symbol.n
-    phase = lat.phase_matrix()
-    dft = phase.conj().T / P  # fhat_k = sum_l dft[k,l] f_l
-    T = np.einsum("jk,jkab,kl->jalb", phase, symbol.values, dft, optimize=True)
-    return T.reshape(P * n, P * n)
+    k = np.indices((lat.N,) * lat.d).reshape(lat.d, -1)
+    diff = np.ravel_multi_index((k[:, :, None] - k[:, None, :]) % lat.N, (lat.N,) * lat.d)
+    T = lat.fft(symbol.values)[diff, np.arange(P)]
+    return T.transpose(0, 2, 1, 3).reshape(P * n, P * n)
 
 
-def sobolev_weight_matrix(lattice, s, n=1):
-    """Dense matrix of the <D>^s multiplier on stacked lattice values."""
-    P = lattice.points
-    phase = lattice.phase_matrix()
-    dft = phase.conj().T / P
-    w = lattice.brackets() ** s
-    return np.kron(phase @ (w[:, None] * dft), np.eye(n))
+def sobolev_weights(lattice, s, n=1):
+    """The <D>^s multiplier on stacked Fourier coefficients: the diagonal
+    <xi>^s, each value repeated for the n components."""
+    return np.repeat(lattice.brackets() ** s, n)
 
 
 def operator_sobolev_norm(T, lattice, s_out, s_in, n=1):
-    """||T|| between H^{s_in} and H^{s_out} on the lattice."""
+    """||T|| between H^{s_in} and H^{s_out} on the lattice (T from `op_matrix`)."""
     if not np.all(np.isfinite(T)):
         raise InvalidParameter("the operator matrix is not finite (NaN or inf entries)")
-    Wout = sobolev_weight_matrix(lattice, s_out, n)
-    Win = sobolev_weight_matrix(lattice, -s_in, n)
-    return float(np.linalg.norm(Wout @ T @ Win, 2))
+    w_out = sobolev_weights(lattice, s_out, n)
+    w_in = sobolev_weights(lattice, -s_in, n)
+    return float(np.linalg.norm(w_out[:, None] * T * w_in, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +417,10 @@ class GardingReport:
     any_negativity: bool
 
 
-def _worst_ratio(M, W):
-    """Largest eigenvalue of the hermitian part of W^* M W: the supremum of
-    Re<M v, v> / ||W^{-1} v||^2 over lattice functions v."""
-    G = W.conj().T @ M @ W
+def _worst_ratio(M, w):
+    """Largest eigenvalue of the hermitian part of W M W, W = diag(w): the
+    supremum of Re<M v, v> / ||W^{-1} v||^2 over Fourier coefficients v."""
+    G = w[:, None] * M * w
     return float(np.max(np.linalg.eigvalsh(0.5 * (G + G.conj().T))))
 
 
@@ -428,48 +428,42 @@ def check_garding(F, u_base, chi):
     """Sharp-lower-bound check for a nonnegative symbol family.
 
     Precondition: F(y, xi) + F(y, xi)^* >= 0 for xi != 0, verified by
-    sampling on the states swept over AMPLITUDES (PrecheckFailed otherwise).
+    sampling on each state swept over AMPLITUDES (PrecheckFailed otherwise).
     With the form q(v) = Re<(Op[F_u] + Op[F_u]^*) v, v>, the reported
     negativity at each amplitude is the worst constant
     max(0, sup_v (-q(v) - c0 ||v||_{-2}^2) / ||v||^2_{(m-1)/2}), where the
     smoothing-tail constant c0 = 1.05 max(0, sup_v -q(v) / ||v||_{-2}^2) + 1e-14
     is taken at u = 0.  Both suprema over all lattice functions are the top
-    eigenvalues of dense Sobolev-weighted P x P matrices (volume factors
-    cancel in the ratios).
+    eigenvalues of dense P x P matrices in the Fourier basis, where the
+    Sobolev weights are diagonal (volume factors cancel in the ratios).
     """
     lat = u_base.lattice
     amps = np.asarray(AMPLITUDES, dtype=float)
     hi = lat.xi_mags() > 0.0
 
-    # pointwise nonnegativity precheck on the swept states
-    for a in amps:
-        sym = F.symbol(lat, a * u_base.values)
-        vals = sym.values[:, hi]
-        herm = vals + np.conj(np.swapaxes(vals, 2, 3))
-        wmin = np.min(np.linalg.eigvalsh(herm))
-        if wmin < -1e-10:
-            raise PrecheckFailed(
-                f"symbol not nonnegative for xi != 0: min eig {wmin:.3e}"
-            )
+    def negative_form(sym):
+        T = op_matrix(smooth_symbol(sym, chi))
+        return -(T + T.conj().T)
 
-    n = sym.n
-
-    def sym_matrix(uv):
-        T = op_matrix(smooth_symbol(F.symbol(lat, uv), chi))
-        return T + T.conj().T
-
-    S0 = sym_matrix(0.0 * u_base.values)
-    c0 = max(_worst_ratio(-S0, sobolev_weight_matrix(lat, 2.0, n)), 0.0) * 1.05 + 1e-14
-    Wq = sobolev_weight_matrix(lat, -2.0, n)
-    tail = c0 * (Wq.conj().T @ Wq)
-    Whalf = sobolev_weight_matrix(lat, -0.5 * (F.order - 1.0), n)
+    S0 = F.symbol(lat, 0.0 * u_base.values)
+    n = S0.n
+    c0 = max(_worst_ratio(negative_form(S0), sobolev_weights(lat, 2.0, n)), 0.0) * 1.05 + 1e-14
+    tail = c0 * sobolev_weights(lat, -2.0, n) ** 2
+    whalf = sobolev_weights(lat, -0.5 * (F.order - 1.0), n)
 
     neg = np.zeros(len(amps))
     unorms = np.zeros(len(amps))
     for k, a in enumerate(amps):
         uv = a * u_base.values
+        sym = F.symbol(lat, uv)
+        vals = sym.values[:, hi]
+        wmin = np.min(np.linalg.eigvalsh(vals + np.conj(np.swapaxes(vals, 2, 3))))
+        if wmin < -1e-10:
+            raise PrecheckFailed(f"symbol not nonnegative for xi != 0: min eig {wmin:.3e}")
+        M = negative_form(sym)
+        M[np.diag_indices_from(M)] -= tail
         unorms[k] = GridFunction(lat, uv).sobolev_norm(4.0)
-        neg[k] = max(0.0, _worst_ratio(-sym_matrix(uv) - tail, Whalf))
+        neg[k] = max(0.0, _worst_ratio(M, whalf))
 
     any_neg = bool(np.any(neg > 1e-12))
     normalized = neg / np.sqrt(unorms)

@@ -38,6 +38,9 @@ from .profiles import ramp_down, ramp_up
 from .symbols import (assemble_M_stack, assemble_Mbar_stack, coefficient_tensors,
                       frequency_polynomials)
 
+#: Sobolev index s of the traced norms, of W and of the energy monitor.
+SOBOLEV_INDEX = 2.0
+
 #: RK4 absolute-stability radius along the imaginary axis.
 RK4_IMAG_LIMIT = 2.8
 
@@ -381,20 +384,19 @@ def _block_norms(what, lattice):
     return tuple(float(np.sqrt(np.sum(b))) for b in np.split(sq, 2))
 
 
-def state_norms(model, state, s):
-    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) on the lattice."""
-    return _block_norms(w_hat(model, state, s), state.lattice)
+def state_norms(model, state):
+    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) on the lattice, s = SOBOLEV_INDEX."""
+    return _block_norms(w_hat(model, state), state.lattice)
 
 
-def w_hat(model, state, s):
-    """Fourier coefficients of W = <D>^s (<D>(u - ubar), u_t)."""
-    model = ensure_normalized(model)
+def w_hat(model, state):
+    """Fourier coefficients of W = <D>^s (<D>(u - ubar), u_t), s = SOBOLEV_INDEX."""
     lat = state.lattice
     br = lat.brackets()
     du_hat = lat.fft(state.u - model.reference_state[None, :])
     vt_hat = lat.fft(state.ut)
-    top = (br ** (1.0 + s))[:, None] * du_hat
-    bot = (br**s)[:, None] * vt_hat
+    top = (br ** (1.0 + SOBOLEV_INDEX))[:, None] * du_hat
+    bot = (br**SOBOLEV_INDEX)[:, None] * vt_hat
     return np.concatenate([top, bot], axis=1)
 
 
@@ -478,7 +480,6 @@ def dissipation_symbol_field(model, u_phys, lattice):
     grid points; a field above SYMBOL_FIELD_MAX_BYTES is refused with
     InvalidParameter before anything is allocated.
     """
-    model = ensure_normalized(model)
     _require_field_fits(model.n, lattice)
     states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
     vals = _dissipation_values(model, states, lattice)[back.reshape(-1)]
@@ -528,9 +529,9 @@ class EnergyForm:
             val += float(np.real(np.sum(np.conj(values) * opw.values)) * vol / lat.points)
         return val
 
-    def value(self, state, s):
+    def value(self, state):
         """<G_u W, W> with W = <D>^s (<D>(u - ubar), u_t) of the state."""
-        what = w_hat(self.model, state, s)
+        what = w_hat(self.model, state)
         return self.apply(self.operator(state.u), self.lattice.ifft(what), what)
 
     def low_band_allowance(self):
@@ -559,7 +560,7 @@ class MonitorResult:
         return self.lhs <= self.budget
 
 
-def energy_monitor(form, state, s=2.0):
+def energy_monitor(form, state):
     """Value and decay test of the para-differential energy functional.
 
     Returns the quadratic form <G_u W, W>, a centered finite-difference time
@@ -569,11 +570,11 @@ def energy_monitor(form, state, s=2.0):
     """
     lat = state.lattice
     h = min(DT_FD, 0.25 * form.linear.dt_max)
-    what = w_hat(form.model, state, s)
+    what = w_hat(form.model, state)
     val0 = form.apply(form.operator(state.u), lat.ifft(what), what)
     fwd = step_rk4(form.linear, state, h)
     bwd = step_rk4(form.linear, state, -h)
-    deriv = (form.value(fwd, s) - form.value(bwd, s)) / (2.0 * h)
+    deriv = (form.value(fwd) - form.value(bwd)) / (2.0 * h)
 
     voln = lat.L_box**lat.d
     w2 = float(np.sum(np.abs(what) ** 2) * voln)
@@ -610,13 +611,12 @@ def monitor_rayleigh_floor(form, state, count=50):
 
 @dataclass
 class SimConfig:
-    """Run settings; s is the Sobolev index of the norms, W and the monitor."""
+    """Run settings."""
 
     lattice: Lattice = field(default_factory=lambda: Lattice(d=1, N=128))
     dt: Optional[float] = None
     t_final: float = 10.0
     snapshots: int = 41
-    s: float = 2.0
     norm_ceiling_factor: float = 10.0
     monitor: bool = False
 
@@ -628,12 +628,11 @@ class EnergyTrace:
     norms_ut: np.ndarray
     w_norm: np.ndarray
     dissipation_integral: np.ndarray
-    s: float
     energy: Optional[np.ndarray] = None
     final_state: Optional[FieldState] = None
 
     def write_csv(self, path):
-        hdr = ["t", f"norm_H{self.s + 1:g}_u", f"norm_H{self.s:g}_ut", "w_norm",
+        hdr = ["t", f"norm_H{SOBOLEV_INDEX + 1:g}_u", f"norm_H{SOBOLEV_INDEX:g}_ut", "w_norm",
                "dissipation_integral"]
         cols = [self.times, self.norms_u, self.norms_ut, self.w_norm, self.dissipation_integral]
         if self.energy is not None:
@@ -668,7 +667,6 @@ def run(model, data_spec, config=SimConfig()):
     if dt > linear.dt_max:
         raise CFLViolation(f"configured dt = {dt:g} exceeds bound {linear.dt_max:g}")
 
-    s = config.s
     snap_times = np.linspace(0.0, config.t_final, config.snapshots)
     form = EnergyForm(linear) if config.monitor else None
     norms_u = np.zeros(config.snapshots)
@@ -678,7 +676,7 @@ def run(model, data_spec, config=SimConfig()):
     energy = np.zeros(config.snapshots) if config.monitor else None
 
     def record(k, st):
-        what = w_hat(model, st, s)
+        what = w_hat(model, st)
         norms_u[k], norms_ut[k] = _block_norms(what, lat)
         wn[k] = np.sqrt(np.sum(np.abs(what) ** 2) * lat.L_box**lat.d)
         if not np.isfinite(wn[k]):
@@ -707,7 +705,6 @@ def run(model, data_spec, config=SimConfig()):
         norms_ut=norms_ut,
         w_norm=wn,
         dissipation_integral=diss,
-        s=s,
         energy=energy,
         final_state=state,
     )

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EigensolverFailure
+from .errors import EigensolverFailure, InvalidParameter
 from .grids import check_unit
 from .model import ensure_normalized, evaluate_stack
 
@@ -73,9 +73,14 @@ def frequency_polynomials(tensors, xi):
 
     Homogeneous of degrees 1, 2, 1 in xi; each has shape (..., Q, n, n) with
     the leading state axes of the tensors.  At unit xi these are the
-    directional symbols A_dir, B_dir, C_dir.
+    directional symbols A_dir, B_dir, C_dir.  A stack whose frequencies do
+    not have the model's d components raises InvalidParameter.
     """
     xi = np.asarray(xi, dtype=float)
+    d = tensors.A.shape[-3]
+    if xi.ndim != 2 or xi.shape[1] != d:
+        raise InvalidParameter(f"frequency stack of shape {xi.shape} for a model with d = {d}; "
+                               f"expected (Q, {d})")
     A = np.einsum("qj,...jab->...qab", xi, tensors.A)
     C = np.einsum("qj,...jab->...qab", xi, tensors.C)
     B = np.einsum("qjk,...jkab->...qab", xi[:, :, None] * xi[:, None, :], tensors.B)

@@ -423,7 +423,7 @@ def uniform_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
     certificate grown from it by sorted-Schur spectral splits.  Returns the
     report of `hypdiss.conditions._report`, as the library checker does.
     """
-    from hypdiss.conditions import CheckConfig, _frequency_grid, _report, rho_profile
+    from hypdiss.conditions import CheckConfig, _report, frequency_grid, rho_profile
     from hypdiss.errors import LyapunovSolveFailure
     from hypdiss.grids import direction_major_grid
     from hypdiss.model import ensure_normalized
@@ -431,7 +431,7 @@ def uniform_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
 
     config = CheckConfig() if config is None else config
     model = ensure_normalized(model)
-    omegas, xis, spec = _frequency_grid(model, omega_grid, xi_loggrid, config)
+    omegas, xis, _, _, _, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
     ubar = model.reference_state
     c_abs = np.inf
     worst = -np.inf

@@ -335,7 +335,7 @@ def test_criterion_7_simulator_consistency():
     st = initial_state(lin, PeriodicBumpData(amplitude=1e-2))
     ok_energy = True
     for _ in range(20):
-        res = energy_monitor(form, st, s=2.0)
+        res = energy_monitor(form, st)
         ok_energy = ok_energy and res.satisfied
         for _ in range(25):
             st = step_rk4(lin, st, 0.02)

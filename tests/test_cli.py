@@ -73,6 +73,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "InvalidParameter" in err and "A['1'][0][0]" in err
 
+    def test_key_outside_the_model_exit_one(self, tmp_path, capsys):
+        # "2" is no coefficient index at d = 1; it used to be dropped silently
+        path = tmp_path / "key.json"
+        path.write_text('{"n": 1, "d": 1, "A": {"0": [[1.0]], "2": [[1.0]]}, '
+                        '"B": {"0,0": [[-1.0]], "1,1": [[1.0]]}}')
+        code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and "A['2']" in err
+
     def test_cluster_ambiguity_names_state_and_direction(self, tmp_path, capsys):
         # i calB has the speeds 1 and sqrt(1.0000005): clusters 2.5e-7 apart,
         # inside the 10 x tolerance guard, at every state and direction

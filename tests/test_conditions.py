@@ -584,3 +584,9 @@ class TestDegenerateGrids:
     def test_two_radii_suffice(self):
         rep = check_uniform_dissipativity(builtin_damped_wave(2.0, d=1), xi_loggrid=[0.1, 10.0])
         assert rep.verdict == "pass"
+
+
+def test_d3_refuses_directions_of_another_dimension():
+    # d = 1 directions used to pass D3 on the d = 3 fluid
+    with pytest.raises(InvalidParameter, match=r"\(98, 1\) for a model with d = 3"):
+        check_d3(builtin_barotropic_fluid(FLUID), omega_grid=[[1.0], [-1.0]])

@@ -324,3 +324,54 @@ class TestMonomialExponents:
         doc["A"]["1"] = [[[[1.0, 3.0]]]]
         m = model_from_dict(doc)
         assert m.A(1, np.array([2.0]))[0, 0] == 8.0
+
+
+class TestDocumentShape:
+    """Malformed documents are refused at load with the offending entry named."""
+
+    DOC = {
+        "n": 1, "d": 1, "reference_state": [0.0],
+        "A": {"0": [[1.0]], "1": [[0.5]]},
+        "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+    }
+
+    def doc(self, **changes):
+        doc = json.loads(json.dumps(self.DOC))
+        doc.update(changes)
+        return doc
+
+    def test_matrix_with_too_few_rows(self):
+        doc = self.doc(n=2, reference_state=[0.0, 0.0])
+        doc["A"] = {"0": [[1.0, 0.0]]}
+        with pytest.raises(InvalidParameter, match=re.escape("A['0'] is not 2 rows of 2 entries")):
+            model_from_dict(doc)
+
+    def test_key_that_is_no_index(self):
+        doc = self.doc()
+        doc["A"]["x"] = [[1.0]]
+        with pytest.raises(InvalidParameter, match=re.escape("A['x']")):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 0)])
+    def test_empty_dimension(self, n, d):
+        with pytest.raises(InvalidParameter, match=f"n = {n}, d = {d}"):
+            model_from_dict(self.doc(n=n, d=d, reference_state=[0.0] * n))
+
+    @pytest.mark.parametrize("family, key", [("A", "2"), ("A", "0,0"), ("B", "1,2"),
+                                             ("B", "1"), ("B", "1,1,1"), ("B", "-1,0")])
+    def test_key_outside_the_model(self, family, key):
+        # these used to be dropped silently, so check passed on another model
+        doc = self.doc()
+        doc[family][key] = [[1.0]]
+        with pytest.raises(InvalidParameter, match=re.escape(f"{family}[{key!r}]")):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("changes, entries", [
+        ({"domain_lo": [-1.0, -1.0]}, "domain_lo = [-1.0, -1.0] and domain_hi = [1.0]"),
+        ({"domain_hi": []}, "domain_lo = [-1.0] and domain_hi = []"),
+        ({"domain_lo": [1.0], "domain_hi": [0.5]}, "domain_lo = [1.0] and domain_hi = [0.5]"),
+    ])
+    def test_bad_state_domain(self, changes, entries):
+        with pytest.raises(InvalidParameter, match=re.escape(entries)):
+            model_from_dict(self.doc(**changes))
+

@@ -3,6 +3,7 @@ import pytest
 
 from hypdiss.errors import GridMismatch, InvalidEpsilon, InvalidParameter, PrecheckFailed
 from hypdiss.paradiff import (
+    AMPLITUDES,
     CutoffSpec,
     DiscreteSymbol,
     GridFunction,
@@ -17,8 +18,8 @@ from hypdiss.paradiff import (
     operator_sobolev_norm,
     para_op,
     separable_symbol,
-    sobolev_weight_matrix,
     smooth_symbol,
+    sobolev_weights,
     symbol_product,
 )
 
@@ -299,11 +300,13 @@ class TestOperatorNorms:
         assert n1 == pytest.approx(n2, abs=1e-6 * max(n1, 1.0))
 
     def test_op_matrix_consistency(self):
+        # the matrix acts on Fourier coefficients; the bound is the old 1e-11
+        # on samples (largest 161) scaled to the coefficients (largest 10.3)
         rng = np.random.default_rng(10)
         a = separable_symbol(LAT, np.exp(np.sin(X)), bracket)
         T = op_matrix(a)
         f = GridFunction(LAT, rng.normal(size=(LAT.points, 1)) + 0j)
-        assert np.abs(T @ f.values[:, 0] - apply_op(a, f).values[:, 0]).max() < 1e-11
+        assert np.abs(T @ f.hat()[:, 0] - apply_op(a, f).hat()[:, 0]).max() < 6e-13
 
 
 class TestScalingChecks:
@@ -357,6 +360,18 @@ class TestGarding:
         with pytest.raises(PrecheckFailed):
             check_garding(F, bump_function(), CHI)
 
+    def test_each_symbol_is_built_once(self):
+        # the u = 0 symbol for the smoothing tail, then one per amplitude,
+        # shared by the precheck and the form
+        calls = []
+
+        def state_factor(uv):
+            calls.append(1)
+            return 1.0 + uv[:, 0] ** 2
+
+        check_garding(SeparableFamily(state_factor, bracket, 1.0), bump_function(), CHI)
+        assert len(calls) == 1 + len(AMPLITUDES)
+
     def test_positive_family_bound_shrinks(self):
         # F = (1 + y^2) <xi>: the measured bound goes to zero with the state
         F = SeparableFamily(lambda uv: 1.0 + uv[:, 0] ** 2, bracket, 1.0)
@@ -381,12 +396,13 @@ class TestGarding:
         rng = np.random.default_rng(2)
         band = LAT.xi_mags() <= LAT.xi_mags().max() / 3.0
         halfw = 0.5 * (F.order - 1.0)
-        Whalf = sobolev_weight_matrix(LAT, -halfw)
-        Wq = sobolev_weight_matrix(LAT, -2.0)
+        whalf = sobolev_weights(LAT, -halfw)
+        wq = sobolev_weights(LAT, -2.0)
 
-        def quotient(S, f):
-            v = GridFunction(LAT, f)
-            q = float(np.real(np.vdot(f, S @ f))) * LAT.L_box / LAT.points
+        def quotient(S, c):
+            # S acts on the Fourier coefficients c of v
+            v = GridFunction(LAT, LAT.ifft(c[:, None]))
+            q = float(np.real(np.vdot(c, S @ c))) * LAT.L_box
             return (-q - c0 * v.sobolev_norm(-2.0) ** 2) / v.sobolev_norm(halfw) ** 2
 
         for k, a in enumerate(rep.amplitudes):
@@ -396,11 +412,10 @@ class TestGarding:
                 for _ in range(8):
                     c = np.zeros(LAT.points, dtype=complex)
                     c[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
-                    f = LAT.ifft(c[:, None])[:, 0]
-                    assert quotient(S, f) <= rep.negativity[k] * (1 + 1e-9)
-            G = Whalf.conj().T @ (-S - c0 * Wq.conj().T @ Wq) @ Whalf
+                    assert quotient(S, c) <= rep.negativity[k] * (1 + 1e-9)
+            G = whalf[:, None] * (-S - np.diag(c0 * wq**2)) * whalf
             top = np.linalg.eigh(0.5 * (G + G.conj().T))[1][:, -1]
-            assert quotient(S, Whalf @ top) == pytest.approx(rep.negativity[k], rel=1e-9)
+            assert quotient(S, whalf * top) == pytest.approx(rep.negativity[k], rel=1e-9)
 
     def test_high_frequency_mode_refinement(self):
         # a single high-frequency test mode sees vanishing negativity under
@@ -417,9 +432,8 @@ class TestGarding:
             kmax = int(np.argmax(lat.xi_vectors()[:, 0]))
             v = np.zeros(lat.points, dtype=complex)
             v[kmax] = 1.0
-            vphys = lat.ifft(v[:, None])[:, 0]
-            q = float(np.real(np.vdot(vphys, S @ vphys)) * lat.L_box / lat.points)
-            nh = GridFunction(lat, vphys).sobolev_norm(0.0) ** 2
+            q = float(np.real(np.vdot(v, S @ v)) * lat.L_box)
+            nh = GridFunction(lat, lat.ifft(v[:, None])).sobolev_norm(0.0) ** 2
             vals.append(max(0.0, -q) / nh)
         assert vals[1] <= vals[0] + 1e-12
 

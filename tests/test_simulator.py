@@ -432,9 +432,9 @@ class TestEnergyMonitor:
         # put energy into u_t only so u stays at the reference state
         st2 = initial_state(lin, TrigData(amplitude=1e-3, wavenumber=(2,), target="u1"))
         form = EnergyForm(lin)
-        val = form.value(st2, 2.0)
+        val = form.value(st2)
         ref = form.reference
-        what = w_hat(m, st2, 2.0)
+        what = w_hat(m, st2)
         want = float(
             np.real(np.sum(np.conj(what) * np.einsum("qab,qb->qa", ref, what)))
             * LAT.L_box
@@ -446,7 +446,7 @@ class TestEnergyMonitor:
         st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
         checked = 0
         for _ in range(20):
-            res = energy_monitor(form, st, s=2.0)
+            res = energy_monitor(form, st)
             assert res.satisfied, (res.lhs, res.budget)
             checked += 1
             for _ in range(10):
@@ -457,7 +457,7 @@ class TestEnergyMonitor:
         form = EnergyForm(LinearPart(nonlinear_convected_model(0.5), LAT))
         st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
         for _ in range(5):
-            res = energy_monitor(form, st, s=2.0)
+            res = energy_monitor(form, st)
             assert res.satisfied
             for _ in range(10):
                 st = step_rk4(form.linear, st, 0.02)
@@ -474,7 +474,7 @@ class TestEnergyMonitor:
         m = nonlinear_convected_model(0.5)
         data = PeriodicBumpData(amplitude=1e-2)
         form = EnergyForm(LinearPart(m, LAT))
-        res = energy_monitor(form, initial_state(form.linear, data), s=2.0)
+        res = energy_monitor(form, initial_state(form.linear, data))
         cfg = SimConfig(lattice=LAT, t_final=0.1, snapshots=2, monitor=True)
         assert res.value == run(m, data, cfg).energy[0]
 
@@ -513,7 +513,7 @@ class TestDerivedOnce:
         form = EnergyForm(LinearPart(builtin_convected_damped_wave(0.5), LAT))
         st = initial_state(form.linear, PeriodicBumpData(amplitude=1e-2))
         for _ in range(3):
-            assert energy_monitor(form, st, s=2.0).satisfied
+            assert energy_monitor(form, st).satisfied
         assert len(calls) == 1
 
 
@@ -523,13 +523,13 @@ def readme_fluid():
     return builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
 
 
-def assert_form_matches_oracle(m, st, s=2.0):
+def assert_form_matches_oracle(m, st):
     # the split form against the full (P, P) para-operator plus correction
     from oracles import energy_form_oracle
 
     lat = st.lattice
-    want = energy_form_oracle(m, st.u, lat, lat.ifft(w_hat(m, st, s)))
-    got = EnergyForm(LinearPart(m, lat)).value(st, s)
+    want = energy_form_oracle(m, st.u, lat, lat.ifft(w_hat(m, st)))
+    got = EnergyForm(LinearPart(m, lat)).value(st)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -618,7 +618,7 @@ class TestEnergyFormSplit:
                             lambda self: calls.append("phase") or phase(self))
         data = PeriodicBumpData(amplitude=1e-2)
         form = EnergyForm(LinearPart(m, lat))
-        energy_monitor(form, initial_state(form.linear, data), s=2.0)
+        energy_monitor(form, initial_state(form.linear, data))
         monitor_rayleigh_floor(form, initial_state(form.linear, data), count=2)
         tr = run(m, data, SimConfig(lattice=lat, t_final=0.1, snapshots=2, monitor=True))
         assert np.all(np.isfinite(tr.energy))
@@ -663,11 +663,11 @@ def test_state_norms_match_grid_functions():
     for model, data, lat in cases:
         st = initial_state(LinearPart(model, lat), data)
         st = FieldState(lat, st.u + 0.01 * np.cos(lat.x_vectors()[:, :1]), st.ut)
-        nu, nut = state_norms(model, st, 2.0)
+        nu, nut = state_norms(model, st)
         ubar = ensure_normalized(model).reference_state
         assert nu == pytest.approx(GridFunction(lat, st.u - ubar).sobolev_norm(3.0), rel=1e-13)
         assert nut == pytest.approx(GridFunction(lat, st.ut).sobolev_norm(2.0), rel=1e-13)
-        what = w_hat(model, st, 2.0)
+        what = w_hat(model, st)
         combined = np.sqrt(np.sum(np.abs(what) ** 2) * lat.L_box**lat.d)
         assert combined == pytest.approx(np.sqrt(nu**2 + nut**2), rel=1e-12)
 
@@ -852,3 +852,23 @@ class TestDissipationSymbolField:
         assert peak < field_bytes // 4
         monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes)
         assert dissipation_symbol_field(m, st.u, LAT).values.nbytes == field_bytes
+
+
+def test_lattice_of_another_dimension_is_refused():
+    # SimConfig's default lattice has d = 1; the d = 3 fluid used to run on it
+    fluid = readme_fluid()
+    with pytest.raises(InvalidParameter, match="for a model with d = 3"):
+        LinearPart(fluid, Lattice(d=1, N=16))
+    with pytest.raises(InvalidParameter, match="for a model with d = 3"):
+        run(fluid, PeriodicBumpData(amplitude=1e-2), SimConfig(t_final=0.1, snapshots=2))
+
+
+def test_sobolev_index_is_a_constant(tmp_path):
+    # no run setting or argument carries s; the trace header names its norms
+    from hypdiss.simulator import SOBOLEV_INDEX
+
+    assert SOBOLEV_INDEX == 2.0 and "s" not in SimConfig.__dataclass_fields__
+    cfg = SimConfig(lattice=LAT, t_final=0.1, snapshots=2)
+    run(builtin_convected_damped_wave(0.5), TrigData(amplitude=0.01), cfg).write_csv(tmp_path / "t.csv")
+    header = (tmp_path / "t.csv").read_text().splitlines()[0]
+    assert header == "t,norm_H3_u,norm_H2_ut,w_norm,dissipation_integral"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypdiss.errors import NonUnitDirection
+from hypdiss.errors import InvalidParameter, NonUnitDirection
 from hypdiss.model import (
     FluidParameters,
     builtin_barotropic_fluid,
@@ -356,3 +356,11 @@ class TestStackedSymbols:
             for q in range(6):
                 want, _ = weighted_symbol_oracle(m, states[s_], xi[q])
                 assert np.abs(M[s_, q] - want).max() / np.abs(want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_frequency_stack_of_another_dimension_is_refused(dim):
+    # a (Q, 1) stack used to broadcast over every A^j of the d = 3 fluid
+    f = builtin_barotropic_fluid(FLUID)
+    with pytest.raises(InvalidParameter, match=rf"\(3, {dim}\) for a model with d = 3"):
+        assemble_M_stack(f, f.reference_state, np.ones((3, dim)))
