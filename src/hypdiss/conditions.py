@@ -40,7 +40,7 @@ from .errors import (
     PrerequisiteMissing,
     SingularA0,
 )
-from .grids import direction_major_grid, radial_loggrid, unit_directions
+from .grids import antipodal_fold, direction_major_grid, radial_loggrid, unit_directions
 from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
@@ -50,6 +50,7 @@ from .symbols import (
     assemble_M_stack,
     directional_stack,
     dispersion_root_stack,
+    frequency_stack,
 )
 
 
@@ -555,7 +556,14 @@ def frequency_grid(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()
     configured) directions omegas times the magnitudes xis, xi = 0 excluded
     (rho(0) = 0).  Returns (omegas, xis, xi, idx, mags, spec): the
     direction-major stack xi, idx, mags of `direction_major_grid` and the
-    grid's description in reports."""
+    grid's description in reports.  Directions without the model's d
+    components raise InvalidParameter.
+
+    The coefficients are real, so M(u, -xi) = conj M(u, xi): eigenvalues,
+    Lyapunov certificates and their conditioning at -xi are the conjugates
+    of those at xi.  D3 and UNIFORM therefore solve on one point of each
+    pair {xi, -xi} of the stack (`antipodal_fold`) and expand the results
+    to every row."""
     omegas = _omega_grid(model, omega_grid, config)
     xis = radial_loggrid(config.xi_lo, config.xi_hi, config.xi_count) if xi_loggrid is None else np.asarray(xi_loggrid, float)
     if xis.size == 0:
@@ -563,14 +571,16 @@ def frequency_grid(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()
     if np.any(xis <= 0):
         raise InvalidParameter("xi grid must exclude 0")
     spec = f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions"
-    return (omegas, xis, *direction_major_grid(omegas, xis), spec)
+    xi, idx, mags = direction_major_grid(omegas, xis)
+    return omegas, xis, frequency_stack(xi, model.d), idx, mags, spec
 
 
 def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
     """Strict spectral stability over a log frequency grid (0 excluded)."""
     omegas, _, xi, idx, mags, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
     ubar = model.reference_state
-    mg = dispersion_root_stack(model, ubar, xi).real.max(axis=1)
+    keep, src = antipodal_fold(xi)
+    mg = dispersion_root_stack(model, ubar, xi[keep]).real.max(axis=1)[src]
     q = int(np.argmax(mg))
     witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
     per_point = list(zip(mags.tolist(), idx.tolist(), mg.tolist()))
@@ -810,7 +820,8 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     P M + M^* P = -rho(xi) I with P positive definite and uniformly bounded
     condition number.  Pass iff c_abs > 0 and sup cond(P) stays below the
     configured ceiling.  All grid points are certified together: one stacked
-    solve gives cond_raw, and the balanced certificates grow from it.
+    solve gives cond_raw, and the balanced certificates grow from it.  One
+    point of each pair {xi, -xi} is solved (see `frequency_grid`).
     """
     omegas, xis, xi, idx, mags, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
     radii = len(np.unique(xis))
@@ -820,22 +831,23 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
             f"radii; got {radii}"
         )
     ubar = model.reference_state
-    Ms = assemble_M_stack(model, ubar, xi)
-    pts = np.arange(len(Ms))
-    rho = rho_profile(mags)
+    keep, src = antipodal_fold(xi)
+    Ms = assemble_M_stack(model, ubar, xi[keep])
+    rho = rho_profile(mags[keep])
     alphas, cond_raw, cond = np.empty(len(Ms)), np.empty(len(Ms)), np.empty(len(Ms))
     try:
-        for at in np.array_split(pts, max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
-            P, w, V, ok = _eig_solve(Ms[at], rho[at], at)
+        for at in np.array_split(np.arange(len(Ms)), max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
+            # failures name the point of the full grid
+            pts = keep[at]
+            P, w, V, ok = _eig_solve(Ms[at], rho[at], pts)
             alphas[at] = w.real.max(axis=1)
-            ev = _eigvalsh(P, at)
-            cond_raw[at] = _positive_cond(ev, "Lyapunov solution", at)
-            P = _balanced_stack(Ms[at], rho[at], P, ev, w, V, ok, at)
-            cond[at] = _positive_cond(_eigvalsh(P, at), "balanced certificate", at)
+            ev = _eigvalsh(P, pts)
+            cond_raw[at] = _positive_cond(ev, "Lyapunov solution", pts)
+            P = _balanced_stack(Ms[at], rho[at], P, ev, w, V, ok, pts)
+            cond[at] = _positive_cond(_eigvalsh(P, pts), "balanced certificate", pts)
     except LyapunovSolveFailure as e:
         raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
-
-    c_pts = -alphas / rho
+    c_pts, cond_raw, cond = (-alphas / rho)[src], cond_raw[src], cond[src]
     c_abs = float(c_pts.min())
     q = int(np.argmax(-c_pts))
     witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}

@@ -17,7 +17,9 @@ def unit_directions(d, count=None):
 
     d=1 uses {-1,+1} with unit weights (counting measure on S^0); d=2 an
     equi-angular set (default 64 points); d=3 the 26-point degree-7 Lebedev
-    rule (octahedron vertices, edge midpoints and cube corners).
+    rule (octahedron vertices, edge midpoints and cube corners).  Every set
+    with an even number of points is exactly antipodal: the negation of each
+    direction is in the set (see `antipodal_fold`).
 
     Returns (omegas, weights) with omegas of shape (m, d).
     """
@@ -31,6 +33,9 @@ def unit_directions(d, count=None):
             raise InvalidParameter("need at least 2 directions in d=2")
         th = 2.0 * np.pi * np.arange(m) / m
         om = np.stack([np.cos(th), np.sin(th)], axis=1)
+        if m % 2 == 0:
+            # cos(th + pi) differs from -cos(th) in the last bits
+            om[m // 2:] = -om[:m // 2]
         w = np.full(m, 2.0 * np.pi / m)
         return om, w
     if d == 3:
@@ -118,6 +123,30 @@ def direction_major_grid(omegas, mags):
     mags = np.asarray(mags, dtype=float)
     xi = (omegas[:, None, :] * mags[None, :, None]).reshape(-1, omegas.shape[1])
     return xi, np.repeat(np.arange(len(omegas)), len(mags)), np.tile(mags, len(omegas))
+
+
+def antipodal_fold(points):
+    """One point of each antipodal pair {p, -p} of a stack (Q, d).
+
+    Returns (keep, src): points[keep] holds, in order, the first row of each
+    pair and every row whose negation is absent, and row q equals
+    points[keep][src[q]] or its negation.  Rows are matched on exact
+    negation (0.0 and -0.0 compare equal).  A symbol with real coefficients
+    satisfies M(-xi) = conj M(xi), so a computation on a frequency stack can
+    run on points[keep] and be expanded with [src].
+    """
+    pts = np.asarray(points, dtype=float)
+    first = {}
+    keep, src = [], np.empty(len(pts), dtype=int)
+    # adding or subtracting from +0.0 turns -0.0 into +0.0
+    for q, (p, neg) in enumerate(zip(map(tuple, (pts + 0.0).tolist()),
+                                     map(tuple, (0.0 - pts).tolist()))):
+        j = first.get(neg, first.get(p))
+        if j is None:
+            j = first[p] = len(keep)
+            keep.append(q)
+        src[q] = j
+    return np.array(keep, dtype=int), src
 
 
 def check_unit(omega):

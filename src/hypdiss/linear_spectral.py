@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit, EigensolverFailure, UnsupportedDataSpec
-from .grids import product_grid, radial_quadrature, unit_directions
+from .grids import antipodal_fold, product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import check_placement
 from .symbols import DEFECT_COND_LIMIT, assemble_M_stack
@@ -75,9 +75,17 @@ def _transform_at(spec, xi, n):
 
 
 def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
-    """Fill a mode ensemble with exact transforms of the initial data."""
+    """Fill a mode ensemble with exact transforms of the initial data.
+
+    The data are real, and so are the model's coefficients, so
+    Uhat(-xi, t) = conj Uhat(xi, t) and both modes of a pair {xi, -xi} have
+    the same norm at all times: the ensemble keeps one mode of each pair of
+    the grid (`antipodal_fold`) with the summed quadrature weight of both.
+    """
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     xi, w = grid_spec.build(model.d)
+    keep, src = antipodal_fold(xi)
+    xi, w = xi[keep], np.bincount(src, weights=w)
     n = model.n
     coeff = np.zeros((len(xi), 2 * n), dtype=complex)
     br = np.sqrt(1.0 + np.sum(xi**2, axis=1))

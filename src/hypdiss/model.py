@@ -418,6 +418,9 @@ def _matrix_table(doc, n, d, family):
     indices in 0..d and n x n matrices, into a state-stack evaluator; the
     family names the entries in error messages."""
     form = "j" if family == "A" else "j,k"
+    if not isinstance(doc, dict):
+        raise InvalidParameter(f"model document entry {family} is not an object of matrices "
+                               f"keyed {form!r}")
     table = {}
     state_dependent = False
     for key, rows in doc.items():
@@ -462,6 +465,24 @@ def _reject_non_finite(value, where):
         raise InvalidParameter(f"model document entry {where} = {value} is not finite")
 
 
+def _document_integer(doc, key):
+    # a whole number (integral floats included) under key
+    if key not in doc:
+        raise InvalidParameter(f"model document missing key {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value != int(value):
+        raise InvalidParameter(f"model document entry {key} = {value!r} is not an integer")
+    return int(value)
+
+
+def _document_array(doc, key, default):
+    # the numbers under key (or the default) as a float array
+    try:
+        return np.array(doc.get(key, default), dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidParameter(f"model document entry {key} = {doc[key]!r} is not numeric") from e
+
+
 def model_from_dict(doc):
     """Build a model from a JSON document.
 
@@ -482,19 +503,16 @@ def model_from_dict(doc):
             )
         return _BUILTINS[name](b.get("params", {}))
 
-    try:
-        n, d = int(doc["n"]), int(doc["d"])
-    except KeyError as e:
-        raise InvalidParameter(f"model document missing key {e}") from e
+    n, d = _document_integer(doc, "n"), _document_integer(doc, "d")
     if n < 1 or d < 1:
         raise InvalidParameter(f"model document needs n >= 1 and d >= 1, got n = {n}, d = {d}")
-    ref = np.array(doc.get("reference_state", np.zeros(n)), dtype=float)
+    ref = _document_array(doc, "reference_state", np.zeros(n))
     if ref.shape != (n,):
         raise InvalidParameter("reference_state must have length n")
     A_eval, a_dep = _matrix_table(doc.get("A", {}), n, d, "A")
     B_eval, b_dep = _matrix_table(doc.get("B", {}), n, d, "B")
-    lo = np.array(doc.get("domain_lo", ref - 1.0), dtype=float)
-    hi = np.array(doc.get("domain_hi", ref + 1.0), dtype=float)
+    lo = _document_array(doc, "domain_lo", ref - 1.0)
+    hi = _document_array(doc, "domain_hi", ref + 1.0)
     if lo.shape != (n,) or hi.shape != (n,) or np.any(lo > hi):
         raise InvalidParameter(f"model document entries domain_lo = {lo.tolist()} and domain_hi = "
                                f"{hi.tolist()} need length n = {n} and domain_lo <= domain_hi")

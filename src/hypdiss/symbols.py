@@ -68,6 +68,16 @@ def coefficient_tensors(model, u):
     return CoefficientTensors(A0, A, C, B)
 
 
+def frequency_stack(xi, d):
+    """xi as a float stack (Q, d); a stack whose frequencies do not have d
+    components raises InvalidParameter."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2 or xi.shape[1] != d:
+        raise InvalidParameter(f"frequency stack of shape {xi.shape} for a model with d = {d}; "
+                               f"expected (Q, {d})")
+    return xi
+
+
 def frequency_polynomials(tensors, xi):
     """A(u, xi), B(u, xi), C(u, xi) for a frequency stack xi of shape (Q, d).
 
@@ -76,11 +86,7 @@ def frequency_polynomials(tensors, xi):
     directional symbols A_dir, B_dir, C_dir.  A stack whose frequencies do
     not have the model's d components raises InvalidParameter.
     """
-    xi = np.asarray(xi, dtype=float)
-    d = tensors.A.shape[-3]
-    if xi.ndim != 2 or xi.shape[1] != d:
-        raise InvalidParameter(f"frequency stack of shape {xi.shape} for a model with d = {d}; "
-                               f"expected (Q, {d})")
+    xi = frequency_stack(xi, tensors.A.shape[-3])
     A = np.einsum("qj,...jab->...qab", xi, tensors.A)
     C = np.einsum("qj,...jab->...qab", xi, tensors.C)
     B = np.einsum("qjk,...jkab->...qab", xi[:, :, None] * xi[:, None, :], tensors.B)

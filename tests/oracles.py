@@ -134,6 +134,19 @@ def weighted_symbol_oracle(model, u, xi_vec):
     return Z @ mbar @ np.linalg.inv(Z), mbar
 
 
+def d3_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
+    """The D3 margins one grid point at a time: per point, in direction-major
+    order, (|xi|, direction index, largest real part of the eigenvalues of
+    the Mbar of `weighted_symbol_oracle`), as in the library's per_point."""
+    from hypdiss.conditions import CheckConfig, frequency_grid
+
+    config = CheckConfig() if config is None else config
+    omegas, xis = frequency_grid(model, omega_grid, xi_loggrid, config)[:2]
+    u = model.reference_state
+    return [(float(x), i, float(np.linalg.eigvals(weighted_symbol_oracle(model, u, x * om)[1]).real.max()))
+            for i, om in enumerate(omegas) for x in xis]
+
+
 def coefficient_tensors_oracle(model, u):
     """The coefficient tensors of `hypdiss.symbols.coefficient_tensors`, with
     every evaluator called on one state at a time."""

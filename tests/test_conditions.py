@@ -514,8 +514,9 @@ class TestBatchedUniform:
         monkeypatch.setattr(cond, "lyapunov_certificate", lambda M, r: calls.append(r) or solve(M, r))
         model = builtin_damped_wave(2.0, d=d)
         rep = check_uniform_dissipativity(model)
-        assert len(calls) > 0
-        assert len(calls) == len(rep.per_point) // len(rep.trace["xi_grid"])
+        # one Jordan point per direction, solved on one direction of each pair
+        # {omega, -omega}: 1 of the 2 directions in d = 1, 13 of the 26 in d = 3
+        assert len(calls) == {1: 1, 3: 13}[d]
         _assert_same_uniform(rep, uniform_oracle(model))
 
     @pytest.mark.parametrize("name", ["fluid-0", "dw-d1", "cdw-0.5", "random-n3-d1"])
@@ -543,7 +544,8 @@ class TestBatchedUniform:
         m = ensure_normalized(builtin_barotropic_fluid(FLUID))
         xis = np.logspace(-3, 3, 13)
         xi, idx, mags = direction_major_grid(unit_directions(3)[0], xis)
-        q = 40
+        # on direction 2, which is solved; direction 3 = -direction 2 is not
+        q = 27
         target = assemble_M(m, m.reference_state, xi[q])
         real = getattr(np.linalg, what)
 
@@ -563,6 +565,57 @@ class TestBatchedUniform:
         assert f"stacked {what} failed" in str(err.value)
         if what == "eig":
             assert str(err.value).endswith(f"at xi={mags[q]:g}, omega index {idx[q]}")
+
+
+def _asymmetric_directions():
+    # five unit directions in d = 3 among which no two are antipodal
+    om = np.random.default_rng(7).normal(size=(5, 3))
+    return om / np.linalg.norm(om, axis=1)[:, None]
+
+
+FOLD_MODELS = [("fluid", builtin_barotropic_fluid(FLUID)), ("dw-d3", builtin_damped_wave(2.0, d=3)),
+               ("random-n3-d3", dict(UNIFORM_MODELS)["random-n3-d3"])]
+
+
+class TestAntipodalFold:
+    """D3 and UNIFORM solve one frequency of each pair {xi, -xi} and report
+    every grid point as the unfolded per-point oracles do; a direction set
+    without pairs is solved whole."""
+
+    GRIDS = [(None, 13 * 49), (_asymmetric_directions(), 5 * 49)]
+
+    def _solved_rows(self, monkeypatch, name):
+        import hypdiss.conditions as cond
+
+        rows = []
+        solve = getattr(cond, name)
+        monkeypatch.setattr(cond, name, lambda m, u, xi: rows.append(len(xi)) or solve(m, u, xi))
+        return rows
+
+    @pytest.mark.parametrize("grid, solved", GRIDS, ids=["lebedev", "asymmetric"])
+    @pytest.mark.parametrize("model", [m for _, m in FOLD_MODELS], ids=[k for k, _ in FOLD_MODELS])
+    def test_d3_matches_unfolded_oracle(self, monkeypatch, model, grid, solved):
+        from oracles import d3_oracle
+
+        rows = self._solved_rows(monkeypatch, "dispersion_root_stack")
+        rep = check_d3(model, omega_grid=grid)
+        want = d3_oracle(model, omega_grid=grid)
+        assert rows == [solved]
+        assert [p[:2] for p in rep.per_point] == [p[:2] for p in want]
+        np.testing.assert_allclose([p[2] for p in rep.per_point], [p[2] for p in want],
+                                   rtol=1e-12, atol=0)
+        assert rep.margin == pytest.approx(max(p[2] for p in want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("grid, solved", GRIDS, ids=["lebedev", "asymmetric"])
+    @pytest.mark.parametrize("model", [m for _, m in FOLD_MODELS], ids=[k for k, _ in FOLD_MODELS])
+    def test_uniform_matches_unfolded_oracle(self, monkeypatch, model, grid, solved):
+        # a failure names the point of the full grid, as the oracle does
+        from oracles import uniform_oracle
+
+        rows = self._solved_rows(monkeypatch, "assemble_M_stack")
+        got = _uniform_or_error(check_uniform_dissipativity, model, omega_grid=grid)
+        assert rows == [solved]
+        _assert_same_uniform(got, _uniform_or_error(uniform_oracle, model, omega_grid=grid))
 
 
 class TestDegenerateGrids:

@@ -5,6 +5,7 @@ from hypdiss.conditions import check_uniform_dissipativity, rho_profile
 from hypdiss.errors import DegenerateFit, InvalidParameter, UnsupportedDataSpec
 from hypdiss.linear_spectral import (
     GaussianData,
+    ModeEnsemble,
     ModePropagator,
     SpectralGrid,
     decay_fit,
@@ -81,6 +82,38 @@ class TestInitEnsemble:
         m = builtin_damped_wave(2.0, d=3)
         with pytest.raises(UnsupportedDataSpec):
             init_ensemble(m, GaussianData(amplitude=1.0, component=3))
+
+
+class TestAntipodalFold:
+    """The ensemble keeps one mode of each pair {xi, -xi} of the grid."""
+
+    def test_pairs_share_one_mode_and_their_weight(self):
+        xi, w = SpectralGrid().build(3)
+        ens = init_ensemble(builtin_damped_wave(2.0, d=3), GaussianData(amplitude=1.0))
+        assert len(ens.xi) == len(xi) // 2 == 832
+        # each kept mode carries the weight of both modes of its pair
+        for q, x in enumerate(ens.xi):
+            pair = np.all(xi == x, axis=1) | np.all(xi == -x, axis=1)
+            assert pair.sum() == 2 and ens.weights[q] == w[pair].sum()
+
+    def test_folded_norms_match_the_full_grid(self):
+        # the README fluid decay data: four real Gaussian bumps, sigma = 3
+        m = builtin_barotropic_fluid(FLUID)
+        data = [GaussianData(amplitude=1e-2, sigma=3.0, component=c) for c in range(m.n)]
+        study = decay_study(m, data)
+        xi, w = SpectralGrid().build(3)
+        mags = np.linalg.norm(xi, axis=1)
+        br = np.sqrt(1.0 + mags**2)
+        coeff = np.zeros((len(xi), 2 * m.n), dtype=complex)
+        coeff[:, :m.n] = (br * 1e-2 * 3.0**3 * np.exp(-4.5 * mags**2))[:, None]
+        prop = ModePropagator(m, xi)
+        full = [sobolev_norm(ModeEnsemble(m.n, 3, xi, w, prop.propagate(coeff, t), t), 2.0)
+                for t in study.times]
+        np.testing.assert_allclose(study.norms_u, [f.u for f in full], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(study.combined, [f.combined for f in full], rtol=1e-13, atol=0)
+        # at t = 0 the u_t norm is rounding noise of zero on either grid
+        np.testing.assert_allclose(study.norms_ut[1:], [f.ut for f in full[1:]], rtol=1e-13, atol=0)
+        assert study.norms_ut[0] < 1e-14 * study.norms_u[0]
 
 
 class TestSobolevNorm:

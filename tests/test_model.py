@@ -366,6 +366,16 @@ class TestDocumentShape:
         with pytest.raises(InvalidParameter, match=re.escape(f"{family}[{key!r}]")):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("changes, entry", [
+        ({"n": "x"}, "entry n = 'x' is not an integer"),
+        ({"A": [[1.0]]}, "entry A is not an object of matrices keyed 'j'"),
+        ({"reference_state": "ab"}, "entry reference_state = 'ab' is not numeric"),
+    ], ids=["scalar", "container", "vector"])
+    def test_malformed_entry(self, changes, entry):
+        # these used to raise ValueError, AttributeError and ValueError
+        with pytest.raises(InvalidParameter, match=re.escape(entry)):
+            model_from_dict(self.doc(**changes))
+
     @pytest.mark.parametrize("changes, entries", [
         ({"domain_lo": [-1.0, -1.0]}, "domain_lo = [-1.0, -1.0] and domain_hi = [1.0]"),
         ({"domain_hi": []}, "domain_lo = [-1.0] and domain_hi = []"),

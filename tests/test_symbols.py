@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypdiss.errors import InvalidParameter, NonUnitDirection
 from hypdiss.model import (
@@ -356,6 +358,22 @@ class TestStackedSymbols:
             for q in range(6):
                 want, _ = weighted_symbol_oracle(m, states[s_], xi[q])
                 assert np.abs(M[s_, q] - want).max() / np.abs(want).max() < 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_symbols_at_negated_frequencies_are_conjugates(n, d, seed):
+    # real coefficients give M(u, -xi) = conj M(u, xi) exactly, which lets D3,
+    # UNIFORM and the decay ensemble solve one frequency of each pair
+    # {xi, -xi}; == leaves the sign of a zero entry free
+    rng = np.random.default_rng(seed)
+    m = random_stable_model(rng, n=n, d=d)
+    xi = rng.normal(size=(12, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(12, 1))
+    xi[0] = 0.0
+    xi[1, 0] = -0.0
+    u = m.reference_state
+    assert np.array_equal(assemble_M_stack(m, u, -xi), np.conj(assemble_M_stack(m, u, xi)))
+    assert np.array_equal(assemble_Mbar_stack(m, u, -xi), np.conj(assemble_Mbar_stack(m, u, xi)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
