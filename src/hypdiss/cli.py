@@ -188,6 +188,7 @@ def cmd_dispersion(args):
     import numpy as np
 
     from .conditions import CheckConfig, frequency_grid
+    from .grids import antipodal_fold
     from .io import write_csv_atomic
     from .symbols import dispersion_root_stack, sorted_roots
 
@@ -195,7 +196,12 @@ def cmd_dispersion(args):
     config = CheckConfig(**_effective_config(args))
     model = _load_model(args)
     omegas, _, xi, idx, mags, _ = frequency_grid(model, config=config)
-    roots = sorted_roots(dispersion_root_stack(model, model.reference_state, xi))
+    # the roots at -xi are the conjugates of those at xi (real coefficients)
+    keep, src = antipodal_fold(xi)
+    roots = dispersion_root_stack(model, model.reference_state, xi[keep])[src]
+    flip = np.any(xi != xi[keep][src], axis=1)
+    roots[flip] = np.conj(roots[flip])
+    roots = sorted_roots(roots)
     parts = np.stack([roots.real, roots.imag], axis=-1).reshape(len(xi), -1)
     rows = [[i, x] + r for i, x, r in zip(idx.tolist(), mags.tolist(), parts.tolist())]
     hdr = ["omega_index", "xi"]

@@ -375,14 +375,33 @@ def fluid_block_decomposition(model, omega):
 # ---------------------------------------------------------------------------
 
 _BUILTINS = {
-    "damped-wave": lambda p: builtin_damped_wave(p["a"], int(p.get("d", 1))),
-    "convected-damped-wave": lambda p: builtin_convected_damped_wave(p["a"]),
+    "damped-wave": lambda p: builtin_damped_wave(p("a"), p("d", 1, integer=True)),
+    "convected-damped-wave": lambda p: builtin_convected_damped_wave(p("a")),
     "fluid": lambda p: builtin_barotropic_fluid(
-        FluidParameters(
-            r=p["r"], mu=p["mu"], nu=p["nu"], eta=p["eta"], zeta=p.get("zeta", 0.0)
-        )
+        FluidParameters(r=p("r"), mu=p("mu"), nu=p("nu"), eta=p("eta"), zeta=p("zeta", 0.0))
     ),
 }
+
+
+def _builtin_reader(params):
+    """p(key, default=None, integer=False) reads one builtin parameter: a
+    number (a whole one with integer=True) under key, or the default when
+    key is absent and a default is given."""
+
+    def read(key, default=None, integer=False):
+        where = f"builtin['params'][{key!r}]"
+        if key not in params:
+            if default is None:
+                raise InvalidParameter(f"model document entry {where} is missing")
+            return default
+        value = params[key]
+        kind = "an integer" if integer else "a number"
+        if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer))
+                or (integer and value != int(value))):
+            raise InvalidParameter(f"model document entry {where} = {value!r} is not {kind}")
+        return int(value) if integer else value
+
+    return read
 
 
 def _poly_entry(spec, n, where):
@@ -496,12 +515,17 @@ def model_from_dict(doc):
         _reject_non_finite(value, key)
     if "builtin" in doc:
         b = doc["builtin"]
-        name = b["name"]
-        if name not in _BUILTINS:
+        if not isinstance(b, dict) or "name" not in b:
+            raise InvalidParameter("model document entry builtin is not an object with a 'name'")
+        name, params = b["name"], b.get("params", {})
+        if not isinstance(name, str) or name not in _BUILTINS:
             raise InvalidParameter(
                 f"unknown builtin {name!r}; known: {sorted(_BUILTINS)}"
             )
-        return _BUILTINS[name](b.get("params", {}))
+        if not isinstance(params, dict):
+            raise InvalidParameter(f"model document entry builtin['params'] = {params!r} "
+                                   "is not an object")
+        return _BUILTINS[name](_builtin_reader(params))
 
     n, d = _document_integer(doc, "n"), _document_integer(doc, "d")
     if n < 1 or d < 1:

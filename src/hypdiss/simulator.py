@@ -3,7 +3,8 @@
 The state is U = (u, u_t), real samples on a periodic lattice with
 2/3-rule dealiasing.  An RK4 step works on the dealiased half spectrum of the
 state (real transforms, `Lattice.fft(..., half=True)`), so all four stages
-stay in Fourier space.  The right-hand side splits at the reference state
+stay in Fourier space, and each state carries that spectrum into the next
+step.  The right-hand side splits at the reference state
 ubar: the constant-coefficient part acts on the Fourier coefficients mode by
 mode through Mbar(ubar, xi), and a state-dependent model adds the remainder
 [coeffs(u) - coeffs(ubar)] . derivatives, with spectral derivatives and
@@ -71,12 +72,19 @@ LYAPUNOV_BATCH_BYTES = 2**25
 @dataclass
 class FieldState:
     """Periodic-grid physical state (u, u_t) as real samples of shape (P, n);
-    a 1-D array is one component, and complex samples keep their real part."""
+    a 1-D array is one component, and complex samples keep their real part.
+
+    `spectrum`, when set, holds the dealiased half-spectrum coefficients
+    (2n, Q) of (u, u_t) that the samples were formed from (`LinearPart`
+    order), so the next step need not transform the samples again; a state
+    whose samples are changed after construction must drop it.
+    """
 
     lattice: Lattice
     u: np.ndarray
     ut: np.ndarray
     time: float = 0.0
+    spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.u = _real_samples(self.u)
@@ -165,8 +173,9 @@ def _length_d(value, what, d):
 
 
 def initial_state(linear, data_spec):
-    """Dealiased initial data on the lattice of a `LinearPart`; UnsupportedDataSpec
-    for data that does not fit the model's components or the lattice's dimension."""
+    """Dealiased initial data on the lattice of a `LinearPart`, carrying its
+    spectrum; UnsupportedDataSpec for data that does not fit the model's
+    components or the lattice's dimension."""
     model, lattice = linear.model, linear.lattice
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     x = lattice.x_vectors()
@@ -192,7 +201,7 @@ def initial_state(linear, data_spec):
             u[:, spec.component] += vals
         else:
             ut[:, spec.component] += vals
-    return FieldState(lattice, linear.dealias(u), linear.dealias(ut))
+    return _state_of(linear, linear.spectrum(np.concatenate([u.T, ut.T])), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +239,9 @@ class LinearPart:
 
     Stepping works on the half spectrum of the real state: `mask` marks the
     dealiased frequencies (two_thirds_mask) among `lattice.xi_vectors(half=
-    True)`, `xi` (Q, d) lists them, and `spectrum`/`samples` move between
-    real samples (m, P) and coefficients there (m, Q).  Every Fourier mode of
+    True)`, `xi` (Q, d) lists them in FFT order (the zero frequency first),
+    and `spectrum`/`samples` move between real samples (m, P) and
+    coefficients there (m, Q).  Every Fourier mode of
     the linearized system evolves by Mbar(ubar, xi); `rows` holds its bottom
     n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at `xi`, shape (Q, n, 2n),
     and Mbar(ubar, -xi) = conj(Mbar(ubar, xi)) covers the other half.  The
@@ -274,10 +284,6 @@ class LinearPart:
         buf[:, self.mask] = hat
         return self.lattice.ifft(buf, half=True)
 
-    def dealias(self, values):
-        """The dealiased part of real samples (P, n)."""
-        return self.samples(self.spectrum(np.transpose(values))).T
-
 
 def _remainder(linear, y, time):
     """[coeffs(u) - coeffs(ubar)] . derivatives in physical space, (n, P), at
@@ -310,26 +316,57 @@ def _remainder(linear, y, time):
     return out
 
 
+def _sample_interval(uh):
+    """Per component, an interval (low, high) that holds every sample of the
+    dealiased coefficients uh (n, Q): |u_i(x) - Re c0_i| <= 2 sum_{k != 0}
+    |c_{k,i}| over the half spectrum, whose column 0 is the zero frequency."""
+    c0 = uh[:, 0].real
+    bound = 2.0 * np.sum(np.abs(uh[:, 1:]), axis=1)
+    return c0 - bound, c0 + bound
+
+
+def _inside_box(model, uh):
+    # the sample interval of uh is finite and inside the domain box
+    lo, hi = model.state_domain
+    low, high = _sample_interval(uh)
+    return bool(np.all(np.isfinite(low) & np.isfinite(high) & (low >= lo) & (high <= hi)))
+
+
 def _stage(linear, y, time, u=None):
     """Time derivative of the dealiased coefficients y = (u_hat, v_hat),
     shape (2n, Q).  A constant-coefficient model checks the stage's u
-    against the domain box: the samples u (P, n) when given, else the
-    transform of y; a state-dependent model checks the u of its remainder."""
+    against the domain box: the samples u (P, n) when given; else the
+    sample interval of its coefficients (`_sample_interval`), forming the
+    samples of y only when that interval is not both finite and inside the
+    box.  A state-dependent model checks the u of its remainder."""
     model = linear.model
     n = model.n
     k = np.empty_like(y)
     k[:n] = y[n:]
     k[n:] = np.einsum("qij,jq->iq", linear.rows, y)
     if model.constant_coefficients:
-        _check_domain(model, linear.samples(y[:n]).T if u is None else u, time)
+        if u is not None:
+            _check_domain(model, u, time)
+        elif not _inside_box(model, y[:n]):
+            _check_domain(model, linear.samples(y[:n]).T, time)
     else:
         k[n:] += linear.spectrum(_remainder(linear, y, time))
     return k
 
 
 def _spectrum(linear, state):
-    # one forward transform of the stacked (u, u_t) samples
+    # a copy of the carried spectrum, else one forward transform of the
+    # stacked (u, u_t) samples
+    if state.spectrum is not None:
+        return state.spectrum.copy()
     return linear.spectrum(np.concatenate([state.u.T, state.ut.T]))
+
+
+def _state_of(linear, y, time):
+    # the state with dealiased coefficients y (2n, Q), which it carries
+    n = linear.model.n
+    out = linear.samples(y)
+    return FieldState(linear.lattice, out[:n].T, out[n:].T, time, spectrum=y)
 
 
 def rhs(linear, state):
@@ -354,15 +391,19 @@ def step_rk4(linear, state, dt):
     the state; raises CFLViolation when |dt| is above the stability bound
     `linear.dt_max`.
 
-    All four stages stay on the dealiased half spectrum.  Physical samples
-    are formed only for each stage's domain check (the state's own samples
-    at the first stage), for a state-dependent remainder, and for the new
-    state: one forward and four inverse real transforms per step for a
-    constant-coefficient model.
+    All four stages stay on the dealiased half spectrum.  The state's
+    spectrum is the one it carries (`FieldState.spectrum`), else one forward
+    transform of its samples; the new state carries its own.  The first
+    stage checks the domain box on the state's samples, later stages of a
+    constant-coefficient model on a bound from their coefficients, with an
+    inverse transform only where the bound cannot clear the box.  So a
+    constant-coefficient step from a state that carries its spectrum takes
+    one inverse real transform, for the new state's samples; a
+    state-dependent model adds the transforms of its remainder.
     """
     if abs(dt) > linear.dt_max:
         raise CFLViolation(f"|dt| = {abs(dt):g} exceeds stability bound {linear.dt_max:g}")
-    n, t = linear.model.n, state.time
+    t = state.time
     y0 = _spectrum(linear, state)
     k = _stage(linear, y0, t, state.u)
     acc = k.copy()
@@ -370,8 +411,7 @@ def step_rk4(linear, state, dt):
         k = _stage(linear, y0 + (c * dt) * k, t + c * dt)
         acc += w * k
     y0 += (dt / 6.0) * acc
-    out = linear.samples(y0)
-    return FieldState(state.lattice, out[:n].T, out[n:].T, t + dt)
+    return _state_of(linear, y0, t + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,42 @@ class TestOtherCommands:
         assert res[0] == pytest.approx(-1.0 - np.sqrt(1 - xi**2), abs=1e-9)
         assert res[1] == pytest.approx(-1.0 + np.sqrt(1 - xi**2), abs=1e-9)
 
+    @pytest.mark.parametrize("name, params", [
+        ("fluid", {"r": 3, "mu": 2, "nu": 1, "eta": 1, "zeta": 0}),
+        ("damped-wave", {"a": 2, "d": 2}),
+    ])
+    def test_dispersion_folds_antipodal_pairs(self, tmp_path, monkeypatch, name, params):
+        # one solve per pair {xi, -xi}; each row's roots are those of the
+        # unfolded solve to 1e-12 (a pair whose real parts tie to rounding
+        # may list in either order)
+        from hypdiss import symbols
+        from hypdiss.conditions import CheckConfig, frequency_grid
+        from hypdiss.model import model_from_dict
+
+        solved = []
+        real_stack = symbols.dispersion_root_stack
+
+        def counted(model, u, xi):
+            solved.append(len(xi))
+            return real_stack(model, u, xi)
+
+        monkeypatch.setattr(symbols, "dispersion_root_stack", counted)
+        out = tmp_path / "out"
+        flags = [s for k, v in params.items() for s in (f"--{k}", str(v))]
+        assert main(["dispersion", "--builtin", name, *flags, "--output-dir", str(out)]) == EXIT_OK
+        a = np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1)
+        got = a[:, 2::2] + 1j * a[:, 3::2]
+        model = model_from_dict({"builtin": {"name": name, "params": params}})
+        xi = frequency_grid(model, config=CheckConfig())[2]
+        want = real_stack(model, model.reference_state, xi)
+        assert solved == [len(xi) // 2]
+
+        def canon(r):
+            order = np.lexsort((r.imag, np.round(r.real, 9)), axis=-1)
+            return np.take_along_axis(r, order, axis=-1)
+
+        assert np.abs(canon(got) - canon(want)).max() <= 1e-12
+
     def test_dispersion_reads_check_config(self, tmp_path):
         # a --config file sets the same frequency grid for dispersion as for check
         cfg = tmp_path / "cfg.json"

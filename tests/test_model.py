@@ -218,6 +218,25 @@ class TestJsonModels:
         with pytest.raises(InvalidParameter):
             model_from_dict({"builtin": {"name": "nonsense"}})
 
+    @pytest.mark.parametrize("builtin, entry", [
+        ("fluid", "entry builtin is not an object with a 'name'"),
+        ({"params": {}}, "entry builtin is not an object with a 'name'"),
+        ({"name": "fluid", "params": [1]}, "entry builtin['params'] = [1] is not an object"),
+        ({"name": "fluid", "params": {"r": "x"}}, "builtin['params']['r'] = 'x' is not a number"),
+        ({"name": "fluid", "params": {"r": 3, "mu": 2, "nu": 1}},
+         "builtin['params']['eta'] is missing"),
+        ({"name": "damped-wave", "params": {"a": "x"}},
+         "builtin['params']['a'] = 'x' is not a number"),
+        ({"name": "damped-wave", "params": {"a": 1, "d": 1.5}},
+         "builtin['params']['d'] = 1.5 is not an integer"),
+        ({"name": ["fluid"]}, "unknown builtin ['fluid']"),
+    ], ids=["string", "no-name", "params-list", "fluid-r-string", "fluid-eta-missing",
+            "damped-a-string", "damped-d-fraction", "name-list"])
+    def test_malformed_builtin(self, builtin, entry):
+        # these used to raise TypeError, KeyError or (d = 1.5) truncate silently
+        with pytest.raises(InvalidParameter, match=re.escape(entry)):
+            model_from_dict({"builtin": builtin})
+
     def test_missing_dimensions(self):
         with pytest.raises(InvalidParameter):
             model_from_dict({"A": {}})

@@ -1,6 +1,13 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+import hypdiss.simulator as sim
 
 from hypdiss.errors import (BlowUp, CFLViolation, DomainExit, InvalidParameter,
                             UnsupportedDataSpec)
@@ -30,7 +37,7 @@ from hypdiss.simulator import (
     two_thirds_mask,
     w_hat,
 )
-from hypdiss.symbols import assemble_Mbar
+from hypdiss.symbols import assemble_Mbar, assemble_Mbar_stack
 
 LAT = Lattice(d=1, N=64)
 
@@ -70,12 +77,17 @@ def coupled_state_dependent_model():
     )
 
 
+def dealiased(linear, values):
+    # the dealiased part of real samples (P, n)
+    return linear.samples(linear.spectrum(np.transpose(values))).T
+
+
 def dealiased_random_state(linear, scale, seed):
     # random samples with energy in every dealiased mode and none above
     rng = np.random.default_rng(seed)
     shape = (linear.lattice.points, linear.model.n)
-    return FieldState(linear.lattice, linear.dealias(scale * rng.normal(size=shape)),
-                      linear.dealias(scale * rng.normal(size=shape)))
+    return FieldState(linear.lattice, dealiased(linear, scale * rng.normal(size=shape)),
+                      dealiased(linear, scale * rng.normal(size=shape)))
 
 
 def assert_rhs_matches_oracle(m, st):
@@ -161,7 +173,7 @@ class TestRhs:
         rng = np.random.default_rng(5)
         raw = FieldState(lin.lattice, 0.1 * rng.normal(size=(lin.lattice.points, 2)),
                          0.1 * rng.normal(size=(lin.lattice.points, 2)))
-        clean = FieldState(lin.lattice, lin.dealias(raw.u), lin.dealias(raw.ut))
+        clean = FieldState(lin.lattice, dealiased(lin, raw.u), dealiased(lin, raw.ut))
         for g, w in zip(rhs(lin, raw), rhs(lin, clean)):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -231,10 +243,12 @@ class TestStepping:
 
     @pytest.mark.parametrize("which, limit", [("fluid", 5), ("quasilinear", 10)])
     def test_transforms_per_step(self, monkeypatch, which, limit):
-        # constant coefficients: one forward transform of the state, one
-        # inverse for the domain check of stages 2-4 and one for the new
-        # state; the README quasi-linear model transforms every stage's
-        # derivatives and its remainder instead
+        # bounds that hold whether or not the state carries its spectrum:
+        # constant coefficients take at most one forward transform of the
+        # state, three inverse ones for the domain check of stages 2-4 and
+        # one for the new state; the README quasi-linear model transforms
+        # every stage's derivatives and its remainder instead
+        # (TestCarriedSpectrum counts the carried case exactly)
         from hypdiss.model import FluidParameters, builtin_barotropic_fluid
 
         if which == "fluid":
@@ -273,6 +287,155 @@ class TestStepping:
             st = step_rk4(lin, st, 0.02)
         hat = LAT.fft(st.u)
         assert np.abs(hat[~two_thirds_mask(LAT)]).max() < 1e-15
+
+
+def count_transforms(monkeypatch):
+    # a Counter of Lattice.fft and Lattice.ifft calls from here on
+    calls = Counter()
+    for name in ("fft", "ifft"):
+        orig = getattr(Lattice, name)
+
+        def counted(self, values, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(self, values, **kwargs)
+
+        monkeypatch.setattr(Lattice, name, counted)
+    return calls
+
+
+class TestCoefficientBound:
+    """Stages 2-4 of a constant-coefficient step clear the domain box from
+    their Fourier coefficients when they can, and check their samples when
+    they cannot."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(d=hst.integers(1, 3), N=hst.integers(3, 10), m=hst.integers(1, 3),
+           seed=hst.integers(0, 2**32 - 1), scale=hst.floats(1e-3, 1e3),
+           density=hst.sampled_from([0.05, 0.5, 1.0]))
+    def test_samples_lie_in_the_interval(self, d, N, m, seed, scale, density):
+        # any dealiased half spectrum, also one whose zero plane is not
+        # hermitian, sparse ones included, where the bound is nearly attained
+        lin = LinearPart(builtin_damped_wave(1.0, d=d), Lattice(d=d, N=N))
+        rng = np.random.default_rng(seed)
+        shape = (m, len(lin.xi))
+        hat = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        hat *= rng.random(shape) < density
+        low, high = sim._sample_interval(hat)
+        slack = (1e-13 * np.abs(hat).sum(axis=1))[:, None]
+        u = lin.samples(hat)
+        assert np.all(u >= low[:, None] - slack) and np.all(u <= high[:, None] + slack)
+
+    def test_data_just_inside_the_box_takes_the_exact_check(self, monkeypatch):
+        # u = 0.6 (sin x + sin 3x) lies in [-1, 1] at every sample (max
+        # 0.92); its interval 0 -+ 1.2 does not, so stages 2-4 transform
+        # their u and pass
+        lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
+        s0 = initial_state(lin, [TrigData(amplitude=0.6, wavenumber=(k,)) for k in (1, 3)])
+        low, high = sim._sample_interval(s0.spectrum[:1])
+        assert low[0] < -1.0 and high[0] > 1.0
+        calls = count_transforms(monkeypatch)
+        state = step_rk4(lin, s0, lin.dt_max)
+        assert calls == {"ifft": 4}
+        for _ in range(4):
+            state = step_rk4(lin, state, lin.dt_max)
+        assert np.abs(state.u).max() < 1.0
+
+    @pytest.mark.parametrize("hat", [[[0.0, np.inf]], [[np.inf, 0.0]], [[0.0, np.nan]]],
+                             ids=["inf-mode", "inf-mean", "nan-mode"])
+    def test_non_finite_interval_clears_nothing(self, hat):
+        # not even a box without edges, which contains the infinite interval
+        m = builtin_convected_damped_wave(0.5)
+        unbounded = dataclasses.replace(m, state_domain=(np.full(1, -np.inf), np.full(1, np.inf)))
+        assert not sim._inside_box(unbounded, np.array(hat, dtype=complex))
+        assert sim._inside_box(unbounded, np.array([[0.0, 1e300]], dtype=complex))
+
+    @pytest.mark.parametrize("which", ["outside", "nan", "inf-in-unbounded-box"])
+    def test_exit_matches_the_exact_check(self, monkeypatch, which):
+        # stage 1 passes on the state's samples and stage 2 leaves the box:
+        # a large u_t, or a NaN (inf) u_t coefficient, which makes the
+        # samples of the stage's u non-finite, also in a box without edges,
+        # which an infinite interval would otherwise clear; the exit
+        # carries the exact check's report
+        m = builtin_convected_damped_wave(0.5)
+        if which == "inf-in-unbounded-box":
+            m = dataclasses.replace(m, state_domain=(np.full(1, -np.inf), np.full(1, np.inf)))
+        lin = LinearPart(m, LAT)
+        if which == "outside":
+            s0 = initial_state(lin, [TrigData(amplitude=0.5),
+                                     TrigData(amplitude=50.0, target="u1")])
+        else:
+            s0 = initial_state(lin, TrigData(amplitude=0.5))
+            s0.spectrum[1, 3] = np.nan if which == "nan" else np.inf
+        dt = lin.dt_max
+
+        def exit_report():
+            with pytest.raises(DomainExit) as exc, np.errstate(invalid="ignore"):
+                step_rk4(lin, s0, dt)
+            return exc.value.report
+
+        got = exit_report()
+        monkeypatch.setattr(sim, "_inside_box", lambda model, uh: False)
+        assert repr(exit_report()) == repr(got)  # NaN-aware
+        assert got["time"] == 0.5 * dt and got["finite"] is (which == "outside")
+
+
+def constant_case(which):
+    # a LinearPart of a constant model and small data on its lattice
+    m, lat = ((builtin_convected_damped_wave(0.5), LAT) if which == "convected"
+              else (readme_fluid(), Lattice(d=3, N=8)))
+    lin = LinearPart(m, lat)
+    return lin, initial_state(lin, PeriodicBumpData(amplitude=1e-2))
+
+
+class TestCarriedSpectrum:
+    """A step carries the dealiased spectrum of its new state, so the next
+    step starts from it instead of transforming the samples again."""
+
+    @pytest.mark.parametrize("which", ["convected", "fluid"])
+    def test_carried_agrees_with_dropped(self, which):
+        lin, carried = constant_case(which)
+        dropped = carried
+        for _ in range(10):
+            carried = step_rk4(lin, carried, lin.dt_max)
+            dropped = step_rk4(lin, dataclasses.replace(dropped, spectrum=None), lin.dt_max)
+            scale = max(np.abs(dropped.u).max(), np.abs(dropped.ut).max())
+            for g, w in ((carried.u, dropped.u), (carried.ut, dropped.ut)):
+                assert np.abs(g - w).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("which", ["convected", "fluid"])
+    def test_steps_are_the_rk4_polynomial_of_mbar(self, which):
+        # for a linear system k RK4 steps are R(dt Mbar)^k mode by mode,
+        # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+        lin, s0 = constant_case(which)
+        dt, k = 0.7 * lin.dt_max, 12
+        Z = dt * assemble_Mbar_stack(lin.model, lin.model.reference_state, lin.xi)
+        R, term = np.eye(Z.shape[-1]) + Z, Z
+        for j in (2, 3, 4):
+            term = term @ Z / j
+            R = R + term
+        want = np.einsum("qij,jq->iq", np.linalg.matrix_power(R, k), s0.spectrum)
+        state = s0
+        for _ in range(k):
+            state = step_rk4(lin, state, dt)
+        assert np.abs(state.spectrum - want).max() <= 1e-12 * np.abs(s0.spectrum).max()
+
+    def test_step_leaves_its_input_spectrum(self):
+        # the monitor steps one state forward and backward
+        lin, s0 = constant_case("convected")
+        before = s0.spectrum.copy()
+        fwd = step_rk4(lin, s0, lin.dt_max)
+        assert np.array_equal(s0.spectrum, before)
+        assert np.array_equal(step_rk4(lin, s0, lin.dt_max).u, fwd.u)
+
+    @pytest.mark.parametrize("which", ["convected", "fluid"])
+    def test_one_inverse_transform_per_step(self, monkeypatch, which):
+        # small data: the coefficient bound clears stages 2-4
+        lin, s0 = constant_case(which)
+        state = step_rk4(lin, s0, lin.dt_max)
+        calls = count_transforms(monkeypatch)
+        for _ in range(3):
+            state = step_rk4(lin, state, lin.dt_max)
+        assert calls == {"ifft": 3}
 
 
 class TestStepOracle:
