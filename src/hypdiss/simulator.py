@@ -1,17 +1,17 @@
 """Pseudo-spectral time integration of the nonlinear first-order system.
 
-The state is U = (u, u_t), real samples on a periodic lattice with
-2/3-rule dealiasing.  An RK4 step works on the dealiased half spectrum of the
-state (real transforms, `Lattice.fft(..., half=True)`), so all four stages
-stay in Fourier space, and each state carries that spectrum into the next
-step.  The right-hand side splits at the reference state
-ubar: the constant-coefficient part acts on the Fourier coefficients mode by
-mode through Mbar(ubar, xi), and a state-dependent model adds the remainder
-[coeffs(u) - coeffs(ubar)] . derivatives, with spectral derivatives and
-pointwise products in physical space.  Time stepping is classical RK4 under
-a spectral-radius CFL bound.  An energy monitor assembles the
-symmetrized para-differential quadratic form built from the per-frequency
-dissipation symbol and checks the decay inequality
+The state is U = (u, u_t), real samples on a periodic lattice with 2/3-rule
+dealiasing.  An RK4 step works on the dealiased half spectrum of the state
+(real transforms, `Lattice.fft(..., half=True)`), so all four stages stay in
+Fourier space, and each state carries that spectrum into the next step and
+into the Sobolev norms that `run` traces.  The right-hand side splits at the
+reference state ubar: the constant-coefficient part acts on the Fourier
+coefficients mode by mode through Mbar(ubar, xi), and a state-dependent
+model adds the remainder [coeffs(u) - coeffs(ubar)] . derivatives, with
+spectral derivatives and pointwise products in physical space.  Time
+stepping is classical RK4 under a spectral-radius CFL bound.  An energy
+monitor assembles the symmetrized para-differential quadratic form built
+from the per-frequency dissipation symbol and checks the decay inequality
 
     1/2 d/dt <G_u W, W> + c ||W||^2  <=  C_low ||W_low||^2 + K ||W||^3
 
@@ -51,8 +51,11 @@ ENERGY_BUDGET_SLACK = 10.0
 #: Decay constant c in the energy inequality; also the margin added to C_low.
 C_MONITOR = 0.25
 
-#: Fraction of the RK4 stability bound taken as the default step.
+#: Fraction of the RK4 stability bound taken as the step of `run`.
 CFL_FACTOR = 0.9
+
+#: `run` raises BlowUp when the W-norm exceeds this multiple of its initial value.
+NORM_CEILING_FACTOR = 10.0
 
 #: Largest step of the monitor's centered time difference.
 DT_FD = 1e-3
@@ -418,15 +421,18 @@ def step_rk4(linear, state, dt):
 # Sobolev norms on the lattice
 # ---------------------------------------------------------------------------
 
-def _block_norms(what, lattice):
-    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) from the two blocks of `w_hat`."""
-    sq = lattice.L_box**lattice.d * np.sum(np.abs(what) ** 2, axis=0)
-    return tuple(float(np.sqrt(np.sum(b))) for b in np.split(sq, 2))
-
-
-def state_norms(model, state):
-    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) on the lattice, s = SOBOLEV_INDEX."""
-    return _block_norms(w_hat(model, state), state.lattice)
+def state_norms(linear, state):
+    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) of the dealiased part of the
+    state, s = SOBOLEV_INDEX, from its half spectrum (`_spectrum`): a mode
+    with positive last frequency component also stands for its partner at
+    -xi and weighs 2, one with last component 0 weighs 1."""
+    n, lat = linear.model.n, linear.lattice
+    y = _spectrum(linear, state)
+    y[:n, 0] -= linear.model.reference_state
+    br2 = 1.0 + np.sum(linear.xi**2, axis=1)
+    sq = np.where(linear.xi[:, -1] > 0.0, 2.0, 1.0) * lat.L_box**lat.d * np.abs(y) ** 2
+    return (float(np.sqrt(np.sum(br2 ** (1.0 + SOBOLEV_INDEX) * sq[:n]))),
+            float(np.sqrt(np.sum(br2**SOBOLEV_INDEX * sq[n:]))))
 
 
 def w_hat(model, state):
@@ -654,10 +660,8 @@ class SimConfig:
     """Run settings."""
 
     lattice: Lattice = field(default_factory=lambda: Lattice(d=1, N=128))
-    dt: Optional[float] = None
     t_final: float = 10.0
     snapshots: int = 41
-    norm_ceiling_factor: float = 10.0
     monitor: bool = False
 
 
@@ -684,12 +688,12 @@ class EnergyTrace:
 def run(model, data_spec, config=SimConfig()):
     """Integrate to t_final recording Sobolev norms and the energy functional.
 
-    Raises BlowUp when the W-norm is not finite or exceeds the configured
-    multiple of its initial value, DomainExit when the state leaves the
-    model's box (or stops being finite), CFLViolation for an unstable step
-    size, and InvalidParameter for fewer than two snapshots (one when
-    t_final = 0) or a t_final that is negative or not finite.  One
-    `LinearPart` (and, with the monitor on, one energy form) is built per run.
+    Steps at `LinearPart.dt_max`.  Raises BlowUp when the W-norm is not
+    finite or exceeds NORM_CEILING_FACTOR times its initial value, DomainExit
+    when the state leaves the model's box (or stops being finite), and
+    InvalidParameter for fewer than two snapshots (one when t_final = 0) or
+    a t_final that is negative or not finite.  One `LinearPart` (and, with
+    the monitor on, one energy form) is built per run.
     """
     least = 2 if config.t_final > 0.0 else 1  # a single snapshot is t = 0 only
     if config.snapshots < least:
@@ -697,15 +701,8 @@ def run(model, data_spec, config=SimConfig()):
                                f"{config.t_final:g}, got {config.snapshots}")
     if not 0.0 <= config.t_final < np.inf:
         raise InvalidParameter(f"t_final = {config.t_final:g} must be finite and nonnegative")
-    lat = config.lattice
-    linear = LinearPart(model, lat)
-    model = linear.model
+    linear = LinearPart(model, config.lattice)
     state = initial_state(linear, data_spec)
-    dt = linear.dt_max if config.dt is None else config.dt
-    if not dt > 0.0:
-        raise InvalidParameter(f"configured dt = {dt:g} must be positive")
-    if dt > linear.dt_max:
-        raise CFLViolation(f"configured dt = {dt:g} exceeds bound {linear.dt_max:g}")
 
     snap_times = np.linspace(0.0, config.t_final, config.snapshots)
     form = EnergyForm(linear) if config.monitor else None
@@ -716,23 +713,22 @@ def run(model, data_spec, config=SimConfig()):
     energy = np.zeros(config.snapshots) if config.monitor else None
 
     def record(k, st):
-        what = w_hat(model, st)
-        norms_u[k], norms_ut[k] = _block_norms(what, lat)
-        wn[k] = np.sqrt(np.sum(np.abs(what) ** 2) * lat.L_box**lat.d)
+        norms_u[k], norms_ut[k] = state_norms(linear, st)
+        wn[k] = np.hypot(norms_u[k], norms_ut[k])
         if not np.isfinite(wn[k]):
             raise BlowUp(f"W-norm is not finite at t={st.time:g}")
         if k > 0:
             dtk = snap_times[k] - snap_times[k - 1]
             diss[k] = diss[k - 1] + 0.5 * dtk * (wn[k] ** 2 + wn[k - 1] ** 2)
         if form is not None:
-            energy[k] = form.apply(form.operator(st.u), lat.ifft(what), what)
+            energy[k] = form.value(st)
 
     record(0, state)
-    ceiling = config.norm_ceiling_factor * max(wn[0], 1e-300)
+    ceiling = NORM_CEILING_FACTOR * max(wn[0], 1e-300)
     for k in range(1, config.snapshots):
         t_target = snap_times[k]
         while state.time < t_target - 1e-12:
-            step = min(dt, t_target - state.time)
+            step = min(linear.dt_max, t_target - state.time)
             state = step_rk4(linear, state, step)
         record(k, state)
         if wn[k] > ceiling:

@@ -237,10 +237,13 @@ class DispersionRoots:
 
 
 def sorted_roots(roots):
-    """Canonical (real, imag) lexicographic order along the last axis, used
-    only for comparisons."""
-    roots = np.asarray(roots)
-    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    """Canonical order along the last axis (the columns of `dispersion`): by
+    real part, where neighbours within 1e-9 (1 + max |root|) in real part
+    chain into one group, ordered by imaginary part."""
+    roots = np.sort(np.asarray(roots), axis=-1)
+    tol = 1e-9 * (1.0 + np.max(np.abs(roots), axis=-1, keepdims=True))
+    group = np.cumsum(np.diff(roots.real, axis=-1, prepend=roots.real[..., :1]) > tol, axis=-1)
+    order = np.lexsort((roots.imag, group), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 

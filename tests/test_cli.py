@@ -270,9 +270,9 @@ class TestOtherCommands:
         ("damped-wave", {"a": 2, "d": 2}),
     ])
     def test_dispersion_folds_antipodal_pairs(self, tmp_path, monkeypatch, name, params):
-        # one solve per pair {xi, -xi}; each row's roots are those of the
-        # unfolded solve to 1e-12 (a pair whose real parts tie to rounding
-        # may list in either order)
+        # one solve per pair {xi, -xi}; each row lists the roots of the
+        # unfolded solve in the same canonical order, to 1e-12, also where
+        # the real parts of a complex pair tie to rounding
         from hypdiss import symbols
         from hypdiss.conditions import CheckConfig, frequency_grid
         from hypdiss.model import model_from_dict
@@ -294,12 +294,7 @@ class TestOtherCommands:
         xi = frequency_grid(model, config=CheckConfig())[2]
         want = real_stack(model, model.reference_state, xi)
         assert solved == [len(xi) // 2]
-
-        def canon(r):
-            order = np.lexsort((r.imag, np.round(r.real, 9)), axis=-1)
-            return np.take_along_axis(r, order, axis=-1)
-
-        assert np.abs(canon(got) - canon(want)).max() <= 1e-12
+        assert np.abs(got - symbols.sorted_roots(want)).max() <= 1e-12
 
     def test_dispersion_reads_check_config(self, tmp_path):
         # a --config file sets the same frequency grid for dispersion as for check

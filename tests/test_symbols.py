@@ -20,6 +20,7 @@ from hypdiss.symbols import (
     assemble_Mbar,
     assemble_Mbar_stack,
     dispersion_roots,
+    sorted_roots,
     weight_ztilde,
     xi_bracket,
 )
@@ -382,3 +383,15 @@ def test_frequency_stack_of_another_dimension_is_refused(dim):
     f = builtin_barotropic_fluid(FLUID)
     with pytest.raises(InvalidParameter, match=rf"\(3, {dim}\) for a model with d = 3"):
         assemble_M_stack(f, f.reference_state, np.ones((3, dim)))
+
+
+def test_sorted_roots_orders_tied_real_parts_by_imaginary_part():
+    # the two rows hold the same roots up to rounding; real parts within the
+    # tie tolerance chain into one group, ordered by imaginary part
+    eps = 1e-15
+    rows = np.array([[-1.0 + 2j, -1.0 - eps - 2j, -3.0 + 0j, -1.0 + 6e-10 + 0.5j],
+                     [-1.0 - eps + 2j, -1.0 - 2j, -3.0 + 0j, -1.0 + 6e-10 + 0.5j]])
+    got = sorted_roots(rows)
+    want = np.array([-3.0, -1.0 - 2j, -1.0 + 6e-10 + 0.5j, -1.0 + 2j])
+    assert np.abs(got - want).max() <= 1e-14
+    assert np.array_equal(sorted_roots(got[0]), got[0])
