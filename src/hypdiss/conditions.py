@@ -12,17 +12,20 @@ Six conditions are certified on sampled grids:
   restricted to eigenspaces of W0 = (A^0)^{-1}A is uniformly negative.
 * D2: high-frequency eigenspace dissipativity, the form of calH calA
   restricted to eigenspaces of calB is uniformly negative.
-* D3: strict spectral stability, all dispersion roots have Re < 0 for
-  xi != 0.
+* D3: strict spectral stability, all dispersion roots (the eigenvalues of
+  M(ubar, xi)) have Re < 0 for xi != 0.
 * UNIFORM: all Fourier modes decay at least like exp(-c rho(xi) t) with
   rho(xi) = |xi|^2 / (1 + |xi|^2); certified both through the spectral
   abscissa and through a per-frequency Lyapunov equation.
 
 Margins follow one convention: pass <=> margin < -floor at every grid
 point.  For the definiteness conditions (D1, D2) the margin is the largest
-eigenvalue of the tested quadratic form; for D3 the largest real part; for
-structural conditions (HA, HB) a dimensionless violation score (imaginary
-mass + defectiveness + multiplicity jumps, minus the structural tolerance).
+eigenvalue of the tested quadratic form; for D3 and UNIFORM's abscissa the
+decay margin max Re lambda(xi) / rho(|xi|), which stays of order one as
+xi -> 0 on a dissipative model, so the verdict does not depend on how close
+the grid comes to 0; for structural conditions (HA, HB) a dimensionless
+violation score (imaginary mass + defectiveness + multiplicity jumps, minus
+the structural tolerance).
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +52,6 @@ from .symbols import (
     assemble_calB_stack,
     assemble_M_stack,
     directional_stack,
-    dispersion_root_stack,
     frequency_stack,
 )
 
@@ -68,6 +70,23 @@ class CheckConfig:
     cond_ceiling: float = 1e8
     trend_xi_min: float = 10.0
     trend_xi_max_low: float = 1e-2
+
+    def __post_init__(self):
+        # an empty or reversed radial window is refused by the grid builders
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+                    or not np.isfinite(value):
+                raise InvalidParameter(f"CheckConfig.{name} must be a finite real number; got {value!r}")
+        for name, ok, need in (
+            ("strictness_floor", self.strictness_floor >= 0, ">= 0"),
+            ("structural_tol", self.structural_tol >= 0, ">= 0"),
+            ("cluster_tolerance", self.cluster_tolerance > 0, "> 0"),
+            ("cond_ceiling", self.cond_ceiling > 0, "> 0"),
+            ("xi_count", self.xi_count == int(self.xi_count), "an integer"),
+            ("directions_2d", self.directions_2d == int(self.directions_2d), "an integer"),
+        ):
+            if not ok:
+                raise InvalidParameter(f"CheckConfig.{name} must be {need}; got {getattr(self, name)!r}")
 
 
 def rho_profile(xi_mag):
@@ -570,21 +589,41 @@ def frequency_grid(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()
         raise GridEmpty("empty radial frequency grid")
     if np.any(xis <= 0):
         raise InvalidParameter("xi grid must exclude 0")
-    spec = f"xi in [{config.xi_lo:g}, {config.xi_hi:g}] x {len(xis)} log points, {len(omegas)} directions"
+    spec = f"xi in [{xis.min():g}, {xis.max():g}] x {len(xis)} log points, {len(omegas)} directions"
     xi, idx, mags = direction_major_grid(omegas, xis)
     return omegas, xis, frequency_stack(xi, model.d), idx, mags, spec
 
 
-def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
-    """Strict spectral stability over a log frequency grid (0 excluded)."""
-    omegas, _, xi, idx, mags, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
-    ubar = model.reference_state
+def _decay_stack(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
+    """The one eigendecomposition M(ubar, xi) = V diag(w) V^{-1} that D3 and
+    UNIFORM read, on the folded `frequency_grid`: (grid, keep, src, Ms, rho, w,
+    V, margins) with Ms, rho(|xi|), w, V over the rows keep and each row's decay
+    margin max Re lambda / rho.  An eig failure names |xi| and the direction."""
+    grid = frequency_grid(model, omega_grid, xi_loggrid, config)
+    xi, idx, mags = grid[2:5]
     keep, src = antipodal_fold(xi)
-    mg = dispersion_root_stack(model, ubar, xi[keep]).real.max(axis=1)[src]
+    Ms = assemble_M_stack(model, model.reference_state, xi[keep])
+    rho = rho_profile(mags[keep])
+    try:
+        w, V = _stacked(np.linalg.eig, Ms, keep, "eig", EigensolverFailure)
+    except EigensolverFailure as e:
+        raise EigensolverFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}", index=e.index) from e
+    return grid, keep, src, Ms, rho, w, V, (w.real.max(axis=1) / rho)[src]
+
+
+def _decay_report(name, model, stack, config, margin=None, **extra):
+    """The report of a `_decay_stack`'s margins, at the largest unless margin is given."""
+    (omegas, _, _, idx, mags, spec), mg = stack[0], stack[-1]
     q = int(np.argmax(mg))
-    witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
-    per_point = list(zip(mags.tolist(), idx.tolist(), mg.tolist()))
-    return _report("D3", float(mg[q]), witness, spec, config, per_point=per_point)
+    witness = {"u": model.reference_state.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
+    return _report(name, mg[q] if margin is None else margin, witness, spec, config,
+                   per_point=list(zip(mags.tolist(), idx.tolist(), mg.tolist())), **extra)
+
+
+def check_d3(model, omega_grid=None, xi_loggrid=None, config=CheckConfig(), stack=None):
+    """Strict spectral stability over a log frequency grid (0 excluded), with
+    the margin max Re lambda / rho(|xi|) of a `_decay_stack` (stack, if given)."""
+    return _decay_report("D3", model, stack or _decay_stack(model, omega_grid, xi_loggrid, config), config)
 
 
 def _herm(A):
@@ -601,13 +640,13 @@ def _first_failure(fn, A):
     return 0
 
 
-def _stacked(fn, A, pts, what):
-    """fn(A) over a stack; a LinAlgError names the first point it fails on."""
+def _stacked(fn, A, pts, what, error=LyapunovSolveFailure):
+    """fn(A) over a stack; a LinAlgError raises error naming the first point it fails on."""
     try:
         return fn(A)
     except np.linalg.LinAlgError as e:
         q = _first_failure(fn, A)
-        raise LyapunovSolveFailure(f"stacked {what} failed: {e}", index=int(pts[q])) from e
+        raise error(f"stacked {what} failed: {e}", index=int(pts[q])) from e
 
 
 def _eigvalsh(P, pts):
@@ -643,17 +682,16 @@ def lyapunov_certificate(M, rho):
     return P, float(_positive_cond(_eigvalsh(P[None], [0]), "Lyapunov solution", [0])[0])
 
 
-def _eig_solve(Ms, rho, pts):
+def _eig_solve(Ms, rho, pts, w, V):
     """Solutions of P M + M^* P = -rho I over a stack, in the eigenbasis.
 
     With M = V diag(w) V^{-1}, P = V^{-*} X V^{-1} where
     X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point whose cond(V) is not
     below DEFECT_COND_LIMIT is solved by `lyapunov_certificate` instead; the
     first point whose spectral abscissa is not negative is refused.  Returns
-    (P, w, V, ok) with ok the points solved in the eigenbasis; pts are the
-    points' indices, used to name a failing one.
+    (P, ok) with ok the points solved in the eigenbasis; pts are the points'
+    indices, used to name a failing one.
     """
-    w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
     alpha = w.real.max(axis=1)
     if np.any(alpha >= 0.0):
         q = int(np.argmax(alpha >= 0.0))
@@ -670,7 +708,7 @@ def _eig_solve(Ms, rho, pts):
             P[q] = lyapunov_certificate(Ms[q], rho[q])[0]
         except LyapunovSolveFailure as e:
             raise LyapunovSolveFailure(str(e), index=int(pts[q])) from e
-    return 0.5 * (P + _herm(P)), w, V, ok
+    return 0.5 * (P + _herm(P)), ok
 
 
 def _first_group(lam):
@@ -792,7 +830,8 @@ def _balanced_stack(Ms, rho, P, ev, lam, V, ok, pts):
 
 def _certify(Ms, rho, pts):
     """Balanced certificates of a stack of stable blocks."""
-    P, w, V, ok = _eig_solve(Ms, rho, pts)
+    w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
+    P, ok = _eig_solve(Ms, rho, pts, w, V)
     return _balanced_stack(Ms, rho, P, _eigvalsh(P, pts), w, V, ok, pts)
 
 
@@ -812,46 +851,38 @@ def balanced_lyapunov_certificate(M, rho):
     return P[0], float(_positive_cond(_eigvalsh(P, [0]), "balanced certificate", [0])[0])
 
 
-def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
+def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=CheckConfig(), stack=None):
     """Certify uniform Fourier-mode decay -c rho(xi) at the reference state.
 
-    Per grid point: (i) abscissa certificate c_abs = inf -alpha(xi)/rho(xi)
-    with alpha the spectral abscissa of M(0, xi); (ii) Lyapunov certificate
-    P M + M^* P = -rho(xi) I with P positive definite and uniformly bounded
-    condition number.  Pass iff c_abs > 0 and sup cond(P) stays below the
-    configured ceiling.  All grid points are certified together: one stacked
-    solve gives cond_raw, and the balanced certificates grow from it.  One
-    point of each pair {xi, -xi} is solved (see `frequency_grid`).
+    Per grid point: (i) abscissa certificate c_abs = inf -alpha(xi)/rho(xi),
+    minus D3's margin; (ii) Lyapunov certificate P M + M^* P = -rho(xi) I with
+    P positive definite and uniformly bounded condition number.  Pass iff
+    c_abs > 0 and sup cond(P) stays below the configured ceiling.  All grid
+    points are certified together from the eigenbasis of one `_decay_stack`
+    (stack, if given): one solve gives cond_raw, and the balanced
+    certificates grow from it.  One point of each pair {xi, -xi} is solved.
     """
-    omegas, xis, xi, idx, mags, spec = frequency_grid(model, omega_grid, xi_loggrid, config)
+    stack = stack or _decay_stack(model, omega_grid, xi_loggrid, config)
+    (omegas, xis, _, idx, mags, _), keep, src, Ms, rho, w, V, mg = stack
     radii = len(np.unique(xis))
     if radii < 2:
         raise InvalidParameter(
             f"UNIFORM fits conditioning slopes over |xi| and needs at least 2 distinct "
             f"radii; got {radii}"
         )
-    ubar = model.reference_state
-    keep, src = antipodal_fold(xi)
-    Ms = assemble_M_stack(model, ubar, xi[keep])
-    rho = rho_profile(mags[keep])
-    alphas, cond_raw, cond = np.empty(len(Ms)), np.empty(len(Ms)), np.empty(len(Ms))
+    cond_raw, cond = np.empty(len(Ms)), np.empty(len(Ms))
     try:
         for at in np.array_split(np.arange(len(Ms)), max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
             # failures name the point of the full grid
             pts = keep[at]
-            P, w, V, ok = _eig_solve(Ms[at], rho[at], pts)
-            alphas[at] = w.real.max(axis=1)
+            P, ok = _eig_solve(Ms[at], rho[at], pts, w[at], V[at])
             ev = _eigvalsh(P, pts)
             cond_raw[at] = _positive_cond(ev, "Lyapunov solution", pts)
-            P = _balanced_stack(Ms[at], rho[at], P, ev, w, V, ok, pts)
+            P = _balanced_stack(Ms[at], rho[at], P, ev, w[at], V[at], ok, pts)
             cond[at] = _positive_cond(_eigvalsh(P, pts), "balanced certificate", pts)
     except LyapunovSolveFailure as e:
         raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
-    c_pts, cond_raw, cond = (-alphas / rho)[src], cond_raw[src], cond[src]
-    c_abs = float(c_pts.min())
-    q = int(np.argmax(-c_pts))
-    witness = {"u": ubar.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
-    per_point = list(zip(mags.tolist(), idx.tolist(), (-c_pts).tolist()))
+    c_abs, cond_raw, cond = -float(mg.max()), cond_raw[src], cond[src]
     cond_by_xi = cond.reshape(len(omegas), len(xis)).max(axis=0)
     cond_max = float(cond_by_xi.max())
     log_xi, log_cond = np.log(xis), np.log(cond_by_xi)
@@ -861,10 +892,9 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
         # log-log slope over the masked points; the full-grid slope below 3
         return float(np.polyfit(log_xi[mask], log_cond[mask], 1)[0]) if np.sum(mask) >= 3 else slope
 
-    ok_cond = cond_max <= config.cond_ceiling
-    margin = -c_pts[q] if ok_cond else cond_max / config.cond_ceiling
-    return _report(
-        "UNIFORM", margin, witness, spec, config,
+    margin = None if cond_max <= config.cond_ceiling else cond_max / config.cond_ceiling
+    return _decay_report(
+        "UNIFORM", model, stack, config, margin,
         c_bar=c_abs,
         trace={
             "c_abs": c_abs,
@@ -876,7 +906,6 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
             "cond_raw_by_xi": cond_raw.reshape(len(omegas), len(xis)).max(axis=0).tolist(),
             "xi_grid": xis.tolist(),
         },
-        per_point=per_point,
     )
 
 
@@ -914,10 +943,11 @@ def run_all_checks(model, config=CheckConfig()):
         reports["D2"] = check_d2(model, hb=hb, config=config)
     else:
         reports["D2"] = skipped("D2", "prerequisite_missing:HB")
-    reports["D3"] = check_d3(model, config=config)
+    stack = _decay_stack(model, config=config)
+    reports["D3"] = check_d3(model, config=config, stack=stack)
     if reports["D3"].verdict == "pass":
         try:
-            reports["UNIFORM"] = check_uniform_dissipativity(model, config=config)
+            reports["UNIFORM"] = check_uniform_dissipativity(model, config=config, stack=stack)
         except LyapunovSolveFailure as e:
             reports["UNIFORM"] = skipped("UNIFORM", f"lyapunov_failure:{e}")
     else:

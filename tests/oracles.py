@@ -137,13 +137,16 @@ def weighted_symbol_oracle(model, u, xi_vec):
 def d3_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
     """The D3 margins one grid point at a time: per point, in direction-major
     order, (|xi|, direction index, largest real part of the eigenvalues of
-    the Mbar of `weighted_symbol_oracle`), as in the library's per_point."""
-    from hypdiss.conditions import CheckConfig, frequency_grid
+    the one-point `assemble_M` over rho(|xi|)), as in the library's
+    per_point.  The assembly itself is checked against
+    `weighted_symbol_oracle` in test_symbols."""
+    from hypdiss.conditions import CheckConfig, frequency_grid, rho_profile
+    from hypdiss.symbols import assemble_M
 
     config = CheckConfig() if config is None else config
     omegas, xis = frequency_grid(model, omega_grid, xi_loggrid, config)[:2]
     u = model.reference_state
-    return [(float(x), i, float(np.linalg.eigvals(weighted_symbol_oracle(model, u, x * om)[1]).real.max()))
+    return [(float(x), i, float(np.linalg.eigvals(assemble_M(model, u, x * om)).real.max() / rho_profile(x)))
             for i, om in enumerate(omegas) for x in xis]
 
 
@@ -170,10 +173,12 @@ def coefficient_tensors_oracle(model, u):
     return CoefficientTensors(A0, A, C, B)
 
 
-def random_stable_model(rng, n=2, d=2):
+def random_stable_model(rng, n=2, d=2, coupling=1.0):
     """A random constant-coefficient model with symmetric positive B-part.
 
     Not necessarily dissipative; used only for spectrum/oracle agreement.
+    coupling scales the first-order A^j and the mixed B^{0j}, B^{j0} (j >= 1);
+    small values leave the damping A^0 dominant.
     """
     from hypdiss.model import model_from_dict
 
@@ -185,12 +190,12 @@ def random_stable_model(rng, n=2, d=2):
     A = {"0": spd().tolist()}
     for j in range(1, d + 1):
         s = rng.normal(size=(n, n))
-        A[str(j)] = (0.5 * (s + s.T)).tolist()
+        A[str(j)] = (coupling * 0.5 * (s + s.T)).tolist()
     B = {"0,0": (-np.eye(n)).tolist()}
     for j in range(1, d + 1):
         B[f"{j},{j}"] = spd().tolist()
-        B[f"0,{j}"] = (0.3 * rng.normal(size=(n, n))).tolist()
-        B[f"{j},0"] = (0.3 * rng.normal(size=(n, n))).tolist()
+        B[f"0,{j}"] = (coupling * 0.3 * rng.normal(size=(n, n))).tolist()
+        B[f"{j},0"] = (coupling * 0.3 * rng.normal(size=(n, n))).tolist()
     doc["A"] = A
     doc["B"] = B
     return model_from_dict(doc)

@@ -192,6 +192,29 @@ class TestFlagScope:
         assert "InvalidParameter" in err and key in err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"strictness_floor": -2}, {"structural_tol": -1e-9}, {"cluster_tolerance": 0},
+        {"cond_ceiling": -1.0}, {"xi_count": 20.7}, {"directions_2d": 3.5},
+        {"strictness_floor": "x"}, {"xi_hi": True}, {"trend_xi_min": None},
+    ], ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items()))
+    def test_config_value_out_of_range_is_refused(self, tmp_path, capsys, doc):
+        # a negative floor used to pass the supercharacteristic D2 and D3; a
+        # negative ceiling flipped UNIFORM; 20.7 radii silently scanned 20
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["check", "--builtin", "convected-damped-wave", "--a", "1.5",
+                     "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameter: CheckConfig.") and next(iter(doc)) in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--floor", "-2"], ["--cluster-tol", "0"], ["--xi-lo", "nan"]])
+    def test_config_flag_out_of_range_is_refused(self, tmp_path, capsys, argv):
+        code = main(["check", "--builtin", "damped-wave", *argv, "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: InvalidParameter: CheckConfig.")
+
 
 class TestDeterminism:
     def test_check_byte_identical(self, tmp_path):

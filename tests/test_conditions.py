@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from hypdiss.conditions import (
     CheckConfig,
@@ -18,6 +22,7 @@ from hypdiss.conditions import (
 )
 from hypdiss.errors import (
     ClusterAmbiguity,
+    EigensolverFailure,
     GridEmpty,
     InvalidParameter,
     LyapunovSolveFailure,
@@ -307,9 +312,10 @@ class TestD3:
         m = builtin_damped_wave(2.0, d=1)
         rep = check_d3(m)
         assert rep.verdict == "pass"
-        # margin attained as xi -> 0, behaving like -xi^2/2
+        # Re lambda behaves like -xi^2/2 as xi -> 0, so the margin
+        # max Re lambda / rho tends to -1/2 and is attained at the lowest xi
         assert rep.witness["xi"] == pytest.approx(1e-3)
-        assert rep.margin == pytest.approx(-0.5e-6, rel=1e-2)
+        assert rep.margin == pytest.approx(-0.5, rel=1e-2)
 
     def test_fluid_passes_on_default_grid(self):
         rep = check_d3(builtin_barotropic_fluid(FLUID))
@@ -490,7 +496,15 @@ class TestBatchedUniform:
         from oracles import uniform_oracle
 
         want = _uniform_or_error(uniform_oracle, model)
-        _assert_same_uniform(_uniform_or_error(check_uniform_dissipativity, model), want)
+        got = _uniform_or_error(check_uniform_dissipativity, model)
+        _assert_same_uniform(got, want)
+        # D3 reads the same margins; UNIFORM refuses an abscissa >= 0, which fails D3
+        d3 = check_d3(model)
+        if isinstance(got, Exception):
+            assert d3.verdict == "fail" and "spectral abscissa" in str(got)
+        else:
+            assert d3.per_point == got.per_point and d3.witness == got.witness
+            assert d3.margin == -got.trace["c_abs"]
 
     def test_antidamped_first_point_message(self):
         from oracles import uniform_oracle
@@ -556,7 +570,9 @@ class TestBatchedUniform:
             return real(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, what, failing)
-        with pytest.raises(LyapunovSolveFailure, match=r"at xi=\S+, omega index \d+$") as err:
+        # the eig is the one D3 and UNIFORM share, an eigensolver failure
+        error = EigensolverFailure if what == "eig" else LyapunovSolveFailure
+        with pytest.raises(error, match=r"at xi=\S+, omega index \d+$") as err:
             check_uniform_dissipativity(m, xi_loggrid=xis)
         causes = [err.value]
         while causes[-1].__cause__ is not None:
@@ -597,7 +613,7 @@ class TestAntipodalFold:
     def test_d3_matches_unfolded_oracle(self, monkeypatch, model, grid, solved):
         from oracles import d3_oracle
 
-        rows = self._solved_rows(monkeypatch, "dispersion_root_stack")
+        rows = self._solved_rows(monkeypatch, "assemble_M_stack")
         rep = check_d3(model, omega_grid=grid)
         want = d3_oracle(model, omega_grid=grid)
         assert rows == [solved]
@@ -643,3 +659,38 @@ def test_d3_refuses_directions_of_another_dimension():
     # d = 1 directions used to pass D3 on the d = 3 fluid
     with pytest.raises(InvalidParameter, match=r"\(98, 1\) for a model with d = 3"):
         check_d3(builtin_barotropic_fluid(FLUID), omega_grid=[[1.0], [-1.0]])
+
+
+class TestSharedDecayMargin:
+    """D3 and UNIFORM read one margin, max Re lambda / rho(|xi|), from one
+    eigendecomposition of M over the folded frequency grid."""
+
+    CONFIG = CheckConfig(xi_count=9, directions_2d=8)
+
+    def test_grid_spec_names_the_scanned_window(self):
+        rep = check_uniform_dissipativity(builtin_damped_wave(2.0, d=1), xi_loggrid=[10.0, 0.1])
+        assert rep.grid_spec == "xi in [0.1, 10] x 2 log points, 2 directions"
+        assert check_d3(builtin_damped_wave(2.0, d=1)).grid_spec == (
+            "xi in [0.001, 1000] x 49 log points, 2 directions")
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=hst.integers(1, 3), d=hst.integers(1, 3), seed=hst.integers(0, 2**32 - 1),
+           coupling=hst.sampled_from([0.1, 0.25]))
+    def test_one_margin_whatever_the_window(self, n, d, seed, coupling):
+        import hypdiss.conditions as cond
+
+        from oracles import random_stable_model
+
+        model = random_stable_model(np.random.default_rng(seed), n=n, d=d, coupling=coupling)
+        stack = cond._decay_stack(model, config=self.CONFIG)
+        d3 = check_d3(model, config=self.CONFIG, stack=stack)
+        assume(d3.verdict == "pass")
+        # the verdict does not depend on how close the window comes to 0
+        for xi_lo in (1e-5, 1e-7):
+            assert check_d3(model, config=replace(self.CONFIG, xi_lo=xi_lo)).verdict == "pass"
+        # D3's margins are UNIFORM's, and the shared stack changes no report
+        uniform = check_uniform_dissipativity(model, config=self.CONFIG, stack=stack)
+        assert d3.per_point == uniform.per_point
+        assert d3.margin == -uniform.trace["c_abs"]
+        assert check_d3(model, config=self.CONFIG) == d3
+        assert check_uniform_dissipativity(model, config=self.CONFIG) == uniform
