@@ -188,7 +188,7 @@ def cmd_dispersion(args):
     import numpy as np
 
     from .conditions import CheckConfig, frequency_grid
-    from .grids import antipodal_fold
+    from .grids import antipodal_expand, antipodal_fold
     from .io import write_csv_atomic
     from .symbols import dispersion_root_stack, sorted_roots
 
@@ -198,10 +198,8 @@ def cmd_dispersion(args):
     omegas, _, xi, idx, mags, _ = frequency_grid(model, config=config)
     # the roots at -xi are the conjugates of those at xi (real coefficients)
     keep, src = antipodal_fold(xi)
-    roots = dispersion_root_stack(model, model.reference_state, xi[keep])[src]
-    flip = np.any(xi != xi[keep][src], axis=1)
-    roots[flip] = np.conj(roots[flip])
-    roots = sorted_roots(roots)
+    roots = dispersion_root_stack(model, model.reference_state, xi[keep])
+    roots = sorted_roots(antipodal_expand(roots, xi, keep, src))
     parts = np.stack([roots.real, roots.imag], axis=-1).reshape(len(xi), -1)
     rows = [[i, x] + r for i, x, r in zip(idx.tolist(), mags.tolist(), parts.tolist())]
     hdr = ["omega_index", "xi"]
@@ -313,6 +311,7 @@ def cmd_paradiff_test(args):
         SeparableFamily,
         check_adjoint_product_errors,
         check_garding,
+        cutoff_mask,
         lp_decompose,
         make_cutoff,
         separable_symbol,
@@ -338,7 +337,7 @@ def cmd_paradiff_test(args):
     # rounding alone: the symbol grows like <xi>, so the gate is relative
     rec_bound = LP_RECONSTRUCTION_ULPS * np.finfo(float).eps * float(np.abs(sym.values).max())
 
-    sm = smooth_symbol(sym, chi)
+    sm = smooth_symbol(sym, cutoff_mask(lat, chi))
     eta = lat.xi_mags()
     br = lat.brackets()
     hatx = lat.fft(sm.values[:, :, 0, 0])

@@ -149,6 +149,21 @@ def antipodal_fold(points):
     return np.array(keep, dtype=int), src
 
 
+def antipodal_expand(values, points, keep, src, axis=0):
+    """Expand values computed on points[keep] to every row of points.
+
+    (keep, src) is the `antipodal_fold` of points, and values holds one
+    entry per kept point along axis.  Row q takes entry src[q], conjugated
+    where points[q] is the negation of the kept point: a quantity built from
+    real coefficients satisfies f(-xi) = conj f(xi).
+    """
+    pts = np.asarray(points)
+    out = np.take(values, src, axis=axis)
+    flip = (slice(None),) * axis + (np.any(pts != pts[keep][src], axis=1),)
+    out[flip] = np.conj(out[flip])
+    return out
+
+
 def check_unit(omega):
     """Validate that omega is a unit vector, or a stack (Q, d) of unit
     vectors, to 1e-12; returns it as a float array of shape (d,) or (Q, d)."""

@@ -208,16 +208,23 @@ def separable_symbol(lattice, gvals, mfun):
     return DiscreteSymbol(lattice, np.einsum("iab,jbc->ijac", g, m))
 
 
-def smooth_symbol(symbol, chi):
+def cutoff_mask(lattice, chi):
+    """The cut-off chi(|eta|, |xi|) on the lattice, (P, P) with eta (the
+    x-frequency) along rows; formed once by each owner that smooths.  chi is
+    evaluated once per pair of distinct magnitudes and gathered."""
+    mags, inv = np.unique(lattice.xi_mags(), return_inverse=True)
+    inv = inv.reshape(-1)
+    return chi(mags[:, None], mags[None, :])[inv[:, None], inv[None, :]]
+
+
+def smooth_symbol(symbol, mask):
     """Frequency-localize the x-dependence: multiply the first-variable DFT
-    by chi(eta, xi) and transform back.
+    by the cut-off mask chi(eta, xi) of `cutoff_mask` and transform back.
 
     The output's x-spectrum vanishes identically on {|eta| >= eps2 <xi>}, so
     it realizes the restricted symbol class membership exactly on the lattice.
     """
     lat = symbol.lattice
-    mags = lat.xi_mags()
-    mask = chi(mags[:, None], mags[None, :])
     out = lat.ifft(lat.fft(symbol.values) * mask[:, :, None, None])
     return DiscreteSymbol(lat, out)
 
@@ -236,7 +243,7 @@ def apply_op(symbol, f):
 
 def para_op(symbol, chi, f):
     """Op_chi[A] f = op[R_chi(A)] f."""
-    return apply_op(smooth_symbol(symbol, chi), f)
+    return apply_op(smooth_symbol(symbol, cutoff_mask(symbol.lattice, chi)), f)
 
 
 def op_matrix(symbol):
@@ -373,16 +380,17 @@ def check_adjoint_product_errors(F, G, chi, u_base, amplitudes=AMPLITUDES):
     adn = np.zeros(len(amps))
     prn = np.zeros(len(amps))
     Fadj = _adjoint_family(F)
+    mask = cutoff_mask(lat, chi)
     for k, a in enumerate(amps):
         uv = a * u_base.values
         AF = F.symbol(lat, uv)
         AG = G.symbol(lat, uv)
-        TF = op_matrix(smooth_symbol(AF, chi))
-        TFs = op_matrix(smooth_symbol(Fadj.symbol(lat, uv), chi))
+        TF = op_matrix(smooth_symbol(AF, mask))
+        TFs = op_matrix(smooth_symbol(Fadj.symbol(lat, uv), mask))
         E1 = TF.conj().T - TFs
         adn[k] = operator_sobolev_norm(E1, lat, 0.0, F.order - 1.0, AF.n)
-        TG = op_matrix(smooth_symbol(AG, chi))
-        TGF = op_matrix(smooth_symbol(symbol_product(AG, AF), chi))
+        TG = op_matrix(smooth_symbol(AG, mask))
+        TGF = op_matrix(smooth_symbol(symbol_product(AG, AF), mask))
         E2 = TG @ TF - TGF
         prn[k] = operator_sobolev_norm(E2, lat, 0.0, F.order + G.order - 1.0, AF.n)
     return ScalingReport(
@@ -440,9 +448,10 @@ def check_garding(F, u_base, chi):
     lat = u_base.lattice
     amps = np.asarray(AMPLITUDES, dtype=float)
     hi = lat.xi_mags() > 0.0
+    mask = cutoff_mask(lat, chi)
 
     def negative_form(sym):
-        T = op_matrix(smooth_symbol(sym, chi))
+        T = op_matrix(smooth_symbol(sym, mask))
         return -(T + T.conj().T)
 
     S0 = F.symbol(lat, 0.0 * u_base.values)

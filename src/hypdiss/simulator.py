@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter, UnsupportedDataSpec
+from .grids import antipodal_expand, antipodal_fold
 from .io import write_csv_atomic
 from .model import check_placement, ensure_normalized
 from .paradiff import (
@@ -32,6 +33,7 @@ from .paradiff import (
     GridFunction,
     Lattice,
     apply_op,
+    cutoff_mask,
     make_cutoff,
     smooth_symbol,
 )
@@ -491,7 +493,7 @@ def _require_field_fits(n, lattice):
 def _require_multiplier_fits(n, lattice):
     # building the (P, 2n, 2n) multiplier holds about four stacks of its size
     # and three Kronecker-form Lyapunov slices of (2n)^4 values a point
-    # (tracemalloc peaks of EnergyForm: 0.86-0.96 of this on the builtins
+    # (tracemalloc peaks of EnergyForm: 0.51-0.93 of this on the builtins
     # with 1024 to 65536 lattice points)
     P, m, item = lattice.points, 2 * n, np.dtype(complex).itemsize
     slice_points = min(P, max(1, LYAPUNOV_BATCH_BYTES // (m**4 * item)))
@@ -503,7 +505,9 @@ def _dissipation_values(model, states, lattice):
     """phi(xi) D(u, xi) + psi(xi) I for a state stack (S, n): (S, Q, 2n, 2n).
 
     D solves D M + M^* D = -I at every (state, active frequency) pair of one
-    batch; inactive frequencies carry the identity patch only.
+    batch; inactive frequencies carry the identity patch only.  Real
+    coefficients give M(u, -xi) = conj M(u, xi), hence D(u, -xi) = conj
+    D(u, xi), so only one frequency of each pair {xi, -xi} is solved.
     """
     xi = lattice.xi_vectors()
     mags = np.linalg.norm(xi, axis=1)
@@ -513,9 +517,11 @@ def _dissipation_values(model, states, lattice):
     out += _psi(mags)[:, None, None] * np.eye(n2)
     active = phi > 0.0
     if np.any(active):
-        Ms = assemble_M_stack(model, states, xi[active])
+        xa = xi[active]
+        keep, src = antipodal_fold(xa)
+        Ms = assemble_M_stack(model, states, xa[keep])
         Ds = _batched_lyapunov(Ms.reshape(-1, n2, n2)).reshape(Ms.shape)
-        out[:, active] += phi[active][:, None, None] * Ds
+        out[:, active] += phi[active][:, None, None] * antipodal_expand(Ds, xa, keep, src, axis=1)
     return out
 
 
@@ -540,19 +546,25 @@ class EnergyForm:
     x-independent symbol a is the multiplier chi(0, xi) a(xi), so G_u =
     op[D-tilde(ubar, xi)] + Op_chi[D-tilde(u, .) - D-tilde(ubar, .)].  The
     multiplier `reference` is built here once; only a state-dependent model
-    has the remainder, on the (P, P) field.  low_band marks the frequencies
-    where the dissipation symbol is not fully active.  A lattice on which
-    building the multiplier (or, through `dissipation_symbol_field`, the
-    field) would exceed SYMBOL_FIELD_MAX_BYTES is refused.
+    has the remainder, on the (P, P) field, and the (P, P) cut-off mask
+    `cutoff` that smooths it is formed here once (None for a constant
+    model).  low_band marks the frequencies where the dissipation symbol is
+    not fully active.  A lattice on which the multiplier or the remainder's
+    field would exceed SYMBOL_FIELD_MAX_BYTES is refused before either is
+    built.
     """
 
     def __init__(self, linear):
         self.linear = linear
         self.model, self.lattice = linear.model, linear.lattice
         _require_multiplier_fits(self.model.n, self.lattice)
+        remainder = not self.model.constant_coefficients
+        if remainder:
+            _require_field_fits(self.model.n, self.lattice)
         ref_state = self.model.reference_state[None, :]
         self.reference = _dissipation_values(self.model, ref_state, self.lattice)[0]
         self.low_band = _phi(self.lattice.xi_mags()) < 1.0
+        self.cutoff = cutoff_mask(self.lattice, CHI) if remainder else None
 
     def operator(self, u_phys):
         """The smoothed symbol of Op_chi[D-tilde(u, .) - D-tilde(ubar, .)];
@@ -561,7 +573,7 @@ class EnergyForm:
             return None
         field = dissipation_symbol_field(self.model, u_phys, self.lattice)
         field.values -= self.reference
-        return smooth_symbol(field, CHI)
+        return smooth_symbol(field, self.cutoff)
 
     def apply(self, op, values, hat):
         """<G W, W> from the lattice values of W and its Fourier coefficients;

@@ -311,6 +311,27 @@ def rk4_step_oracle(model, state, dt):
     return dealias(un), dealias(vn)
 
 
+def unfolded_dissipation_values(model, states, lattice):
+    """phi(xi) D(u, xi) + psi(xi) I for a state stack (S, n), with
+    `_batched_lyapunov` run on every active frequency of the lattice: the
+    dissipation values before the fold over {xi, -xi}."""
+    from hypdiss.simulator import _batched_lyapunov, _phi, _psi
+    from hypdiss.symbols import assemble_M_stack
+
+    xi = lattice.xi_vectors()
+    mags = np.linalg.norm(xi, axis=1)
+    phi = _phi(mags)
+    n2 = 2 * model.n
+    out = np.zeros((len(states), len(xi), n2, n2), dtype=complex)
+    out += _psi(mags)[:, None, None] * np.eye(n2)
+    active = phi > 0.0
+    if np.any(active):
+        Ms = assemble_M_stack(model, states, xi[active])
+        Ds = _batched_lyapunov(Ms.reshape(-1, n2, n2)).reshape(Ms.shape)
+        out[:, active] += phi[active][:, None, None] * Ds
+    return out
+
+
 def energy_form_oracle(model, u_phys, lattice, values):
     """<G_u W, W> for W given by its lattice values, with the full para-operator
 
@@ -322,7 +343,7 @@ def energy_form_oracle(model, u_phys, lattice, values):
     the reference state.  This is the form before its split at ubar.
     """
     from hypdiss.model import ensure_normalized
-    from hypdiss.paradiff import DiscreteSymbol, GridFunction, apply_op, smooth_symbol
+    from hypdiss.paradiff import DiscreteSymbol, GridFunction, apply_op, cutoff_mask, smooth_symbol
     from hypdiss.simulator import CHI, _dissipation_values
 
     model = ensure_normalized(model)
@@ -333,7 +354,7 @@ def energy_form_oracle(model, u_phys, lattice, values):
     else:
         states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
         field = _dissipation_values(model, states, lat)[back.reshape(-1)]
-    op = smooth_symbol(DiscreteSymbol(lat, field), CHI)
+    op = smooth_symbol(DiscreteSymbol(lat, field), cutoff_mask(lat, CHI))
     opw = apply_op(op, GridFunction(lat, values)).values
     val = float(np.real(np.sum(np.conj(values) * opw)) * lat.L_box**lat.d / P)
     mags = lat.xi_mags()

@@ -35,6 +35,7 @@ from hypdiss.paradiff import (
     SeparableFamily,
     check_adjoint_product_errors,
     check_garding,
+    cutoff_mask,
     lp_decompose,
     make_cutoff,
     separable_symbol,
@@ -237,7 +238,7 @@ def test_criterion_6_paradiff_property_suite():
     parts = lp_decompose(sym)
     lp_err = float(np.abs(sum(p.values for p in parts) - sym.values).max())
 
-    sm = smooth_symbol(sym, chi)
+    sm = smooth_symbol(sym, cutoff_mask(lat, chi))
     hat = lat.fft(sm.values[:, :, 0, 0])
     eta = lat.xi_mags()
     br = lat.brackets()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypdiss.grids import (
+    antipodal_expand,
     antipodal_fold,
     direction_major_grid,
     product_grid,
@@ -70,6 +71,24 @@ class TestAntipodalFold:
     def test_empty_stack(self):
         keep, src = antipodal_fold(np.zeros((0, 3)))
         assert keep.shape == (0,) and src.shape == (0,)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_expand_conjugates_the_negated_rows(self, axis):
+        # f(xi) = i a.xi + |xi|^2 has f(-xi) = conj f(xi) exactly; the
+        # signed zeros are one row and are not conjugated
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(7, 3))
+        pts = np.concatenate([pts, -pts[:4], [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]])
+        pts = pts[rng.permutation(len(pts))]
+        a = rng.normal(size=3)
+
+        def f(x):
+            v = 1j * (x @ a) + np.sum(x * x, axis=1) + 0.0
+            return np.stack([v, 2.0 * v], axis=1 - axis)
+
+        keep, src = antipodal_fold(pts)
+        assert len(keep) == 8
+        assert np.array_equal(antipodal_expand(f(pts[keep]), pts, keep, src, axis=axis), f(pts))
 
 
 def test_even_equiangular_set_is_exactly_antipodal():

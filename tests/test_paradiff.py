@@ -12,6 +12,7 @@ from hypdiss.paradiff import (
     apply_op,
     check_adjoint_product_errors,
     check_garding,
+    cutoff_mask,
     lp_decompose,
     make_cutoff,
     op_matrix,
@@ -86,7 +87,7 @@ class TestCutoff:
 class TestSmoothing:
     def test_constant_in_x(self):
         a = separable_symbol(LAT, np.ones(LAT.points), lambda v: bracket(v))
-        sm = smooth_symbol(a, CHI)
+        sm = smooth_symbol(a, cutoff_mask(LAT, CHI))
         ximag = np.abs(LAT.xi_vectors()[:, 0])
         expect = CHI(0.0, ximag) * bracket(LAT.xi_vectors())
         assert np.abs(sm.values[:, :, 0, 0] - expect[None, :]).max() < 1e-12
@@ -100,13 +101,13 @@ class TestSmoothing:
         ximag = np.abs(LAT.xi_vectors()[:, 0])
         sel = 40 >= CHI.eps2 * np.sqrt(1 + ximag**2)
         a = separable_symbol(LAT, gx, lambda v: np.ones(len(v)))
-        sm = smooth_symbol(a, CHI)
+        sm = smooth_symbol(a, cutoff_mask(LAT, CHI))
         assert np.abs(sm.values[:, sel]).max() < 1e-12
 
     def test_forbidden_region_spectrum_vanishes(self):
         gx = np.exp(np.cos(X))
         a = separable_symbol(LAT, gx, bracket)
-        sm = smooth_symbol(a, CHI)
+        sm = smooth_symbol(a, cutoff_mask(LAT, CHI))
         hat = LAT.fft(sm.values[:, :, 0, 0])
         eta = LAT.xi_mags()
         br = LAT.brackets()
@@ -114,12 +115,24 @@ class TestSmoothing:
         scale = np.abs(sm.values).max()
         assert np.abs(hat[forbidden]).max() / scale < 1e-12
 
+    @pytest.mark.parametrize("lat", [LAT, Lattice(d=2, N=9)], ids=["d1-N128", "d2-N9"])
+    def test_mask_matches_chi_evaluated_directly(self, lat):
+        # the mask formed once smooths bit for bit as chi(|eta|, |xi|) does
+        x = lat.x_vectors()
+        a = separable_symbol(lat, np.exp(np.cos(x).sum(axis=1)), bracket)
+        mags = lat.xi_mags()
+        chi = CHI(mags[:, None], mags[None, :])
+        want = lat.ifft(lat.fft(a.values) * chi[:, :, None, None])
+        mask = cutoff_mask(lat, CHI)
+        assert mask.shape == (lat.points, lat.points)
+        assert np.array_equal(smooth_symbol(a, mask).values, want)
+
     def test_order_reduction_of_smoothing_error(self):
         # for A = f(x) <xi> with algebraically decaying f-spectrum the
         # residual R(A) - A grows one order slower than A along xi
         f = powerlaw_state(2.0)
         a = separable_symbol(LAT, f, bracket)
-        sm = smooth_symbol(a, CHI)
+        sm = smooth_symbol(a, cutoff_mask(LAT, CHI))
         resid = np.abs(sm.values - a.values)[:, :, 0, 0].max(axis=0)
         amax = np.abs(a.values)[:, :, 0, 0].max(axis=0)
         ximag = np.abs(LAT.xi_vectors()[:, 0])
@@ -193,6 +206,36 @@ class TestApplyOp:
             tracemalloc.stop()
         assert np.abs(out.values - f.values).max() < 1e-12
         assert held < P**2 * 16
+
+
+    def test_cutoff_mask_not_retained(self):
+        # an EnergyForm owns its P x P cut-off mask: once the form is dropped
+        # no P x P array is held anywhere (no cache outlives its owner)
+        import gc
+        import tracemalloc
+
+        from hypdiss.model import model_from_dict
+        from hypdiss.simulator import EnergyForm, LinearPart, PeriodicBumpData, initial_state
+
+        m = model_from_dict({"n": 1, "d": 1, "reference_state": [0.0],
+                             "A": {"0": [[1.0]], "1": [[[[0.5, 0], [1.0, 1]]]]},
+                             "B": {"0,0": [[-1.0]], "1,1": [[1.0]]}})
+        lat = Lattice(d=1, N=256)
+        P = lat.points
+        linear = LinearPart(m, lat)
+        st = initial_state(linear, PeriodicBumpData(amplitude=1e-2))
+        tracemalloc.start()
+        try:
+            form = EnergyForm(linear)
+            assert form.cutoff.shape == (P, P)
+            value = form.value(st)
+            del form
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert held < P**2 * 8 // 4
 
 
 class TestParaOp:
@@ -335,10 +378,11 @@ class TestScalingChecks:
             u0 = GridFunction(lat, 0.5 * np.exp(-((x - np.pi) ** 2) / (2 * 0.6**2)) + 0j)
             F = SeparableFamily(lambda uv: uv[:, 0], bracket, 1.0)
             G = SeparableFamily(lambda uv: 1.0 + uv[:, 0], bracket, 1.0)
-            AF = smooth_symbol(F.symbol(lat, u0.values), CHI)
-            AG = smooth_symbol(G.symbol(lat, u0.values), CHI)
+            mask = cutoff_mask(lat, CHI)
+            AF = smooth_symbol(F.symbol(lat, u0.values), mask)
+            AG = smooth_symbol(G.symbol(lat, u0.values), mask)
             TF, TG = op_matrix(AF), op_matrix(AG)
-            TGF = op_matrix(smooth_symbol(symbol_product(G.symbol(lat, u0.values), F.symbol(lat, u0.values)), CHI))
+            TGF = op_matrix(smooth_symbol(symbol_product(G.symbol(lat, u0.values), F.symbol(lat, u0.values)), mask))
             # both measured H^1 -> H^0: the order-2 product grows like
             # <xi_max> there while the order-1 error stays bounded
             err = operator_sobolev_norm(TG @ TF - TGF, lat, 0.0, 1.0, 1)
@@ -406,7 +450,7 @@ class TestGarding:
             return (-q - c0 * v.sobolev_norm(-2.0) ** 2) / v.sobolev_norm(halfw) ** 2
 
         for k, a in enumerate(rep.amplitudes):
-            T = op_matrix(smooth_symbol(F.symbol(LAT, a * u0.values), CHI))
+            T = op_matrix(smooth_symbol(F.symbol(LAT, a * u0.values), cutoff_mask(LAT, CHI)))
             S = T + T.conj().T
             for mask in (np.ones(LAT.points, dtype=bool), band):
                 for _ in range(8):
@@ -426,7 +470,7 @@ class TestGarding:
             x = lat.x_vectors()[:, 0]
             u0 = GridFunction(lat, 0.5 * np.exp(-((x - np.pi) ** 2) / 0.72) + 0j)
             F = SeparableFamily(lambda uv: 1.0 + uv[:, 0] ** 2, bracket, 1.0)
-            sym = smooth_symbol(F.symbol(lat, u0.values), CHI)
+            sym = smooth_symbol(F.symbol(lat, u0.values), cutoff_mask(lat, CHI))
             T = op_matrix(sym)
             S = T + T.conj().T
             kmax = int(np.argmax(lat.xi_vectors()[:, 0]))

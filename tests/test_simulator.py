@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import hypdiss.simulator as sim
@@ -1015,6 +1015,20 @@ class TestDissipationSymbolField:
         tr = run(f, PeriodicBumpData(amplitude=1e-2), cfg)
         assert np.all(np.isfinite(tr.energy)) and tr.energy[0] > 0.0
 
+    def test_state_dependent_form_refuses_the_field_up_front(self, monkeypatch):
+        # the form forms its (P, P) cut-off mask only once the remainder's
+        # field is known to fit; the multiplier alone would fit here
+        lin = LinearPart(nonlinear_convected_model(0.5), LAT)
+        field_bytes = LAT.points**2 * 2 * 2 * 16
+        monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes - 1)
+        calls = []
+        monkeypatch.setattr(sim, "cutoff_mask", lambda *args: calls.append(args))
+        with pytest.raises(InvalidParameter, match=str(field_bytes)):
+            EnergyForm(lin)
+        assert calls == []
+        EnergyForm(LinearPart(builtin_convected_damped_wave(0.5), LAT))
+        assert calls == []
+
     def test_size_guard_allocates_nothing(self, monkeypatch):
         import tracemalloc
 
@@ -1034,6 +1048,57 @@ class TestDissipationSymbolField:
         assert peak < field_bytes // 4
         monkeypatch.setattr(sim, "SYMBOL_FIELD_MAX_BYTES", field_bytes)
         assert dissipation_symbol_field(m, st.u, LAT).values.nbytes == field_bytes
+
+
+def lattice_negation(lattice):
+    """(q, r) index pairs with xi_r = -xi_q, over every q whose negation is
+    on the lattice (all of them for odd N; not the Nyquist rows of even N)."""
+    xi = lattice.xi_vectors()
+    where = {tuple(x): r for r, x in enumerate((xi + 0.0).tolist())}
+    pairs = [(q, where.get(tuple(x))) for q, x in enumerate((0.0 - xi).tolist())]
+    return np.array([p for p in pairs if p[1] is not None]).T
+
+
+class TestDissipationFold:
+    """`_dissipation_values` solves one frequency of each pair {xi, -xi}."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=hst.integers(1, 3), d=hst.integers(1, 3), odd=hst.booleans(),
+           count=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1))
+    @example(n=3, d=2, odd=False, count=4, seed=0)
+    @example(n=3, d=2, odd=True, count=2, seed=1)
+    def test_matches_unfolded_oracle(self, n, d, odd, count, seed):
+        from oracles import random_stable_model, unfolded_dissipation_values
+
+        from hypdiss.simulator import _dissipation_values
+
+        rng = np.random.default_rng(seed)
+        m = ensure_normalized(random_stable_model(rng, n=n, d=d))
+        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 4}[d] + odd)
+        states = m.reference_state + 0.05 * rng.normal(size=(count, n))
+        got = _dissipation_values(m, states, lat)
+        assert np.array_equal(got, unfolded_dissipation_values(m, states, lat))
+        q, r = lattice_negation(lat)
+        assert len(q) == (lat.points if odd else (lat.N - 1) ** d)
+        assert np.array_equal(got[:, r], np.conj(got[:, q]))
+
+    @pytest.mark.parametrize("N", [16, 15])
+    def test_state_dependent_models(self, N):
+        # distinct states of the README quasi-linear model and of a coupled
+        # n = d = 2 model, each against the unfolded oracle
+        from oracles import unfolded_dissipation_values
+
+        from hypdiss.simulator import _dissipation_values
+
+        rng = np.random.default_rng(N)
+        for m, d in ((nonlinear_convected_model(0.5), 1), (coupled_state_dependent_model(), 2)):
+            m = ensure_normalized(m)
+            lat = Lattice(d=d, N=N if d == 1 else N // 2)
+            states = 0.2 * rng.normal(size=(5, m.n))
+            got = _dissipation_values(m, states, lat)
+            assert np.array_equal(got, unfolded_dissipation_values(m, states, lat))
+            q, r = lattice_negation(lat)
+            assert np.array_equal(got[:, r], np.conj(got[:, q]))
 
 
 def test_lattice_of_another_dimension_is_refused():
