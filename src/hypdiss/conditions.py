@@ -654,16 +654,22 @@ def _eigvalsh(P, pts):
     return _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
 
 
+def _cond(w):
+    """cond over a hermitian stack from its eigenvalues w (`_eigvalsh`); NaN
+    at the points that are not positive definite."""
+    good = (w[:, 0] > 0.0) & np.all(np.isfinite(w), axis=1)
+    return np.where(good, w[:, -1], np.nan) / np.where(good, w[:, 0], 1.0)
+
+
 def _positive_cond(w, what, pts):
-    """cond over a hermitian stack from its eigenvalues w (`_eigvalsh`);
-    raises at the first point that is not positive definite."""
-    bad = ~((w[:, 0] > 0.0) & np.all(np.isfinite(w), axis=1))
-    if bad.any():
-        q = int(np.argmax(bad))
+    """`_cond`, raising at the first point that is not positive definite."""
+    cond = _cond(w)
+    if np.isnan(cond).any():
+        q = int(np.argmax(np.isnan(cond)))
         raise LyapunovSolveFailure(
             f"{what} not positive definite (lambda_min = {w[q, 0]:.3e})", index=int(pts[q])
         )
-    return w[:, -1] / w[:, 0]
+    return cond
 
 
 def lyapunov_certificate(M, rho):
@@ -810,7 +816,7 @@ def _balanced_stack(Ms, rho, P, ev, lam, V, ok, pts):
     if bad.any():
         raise LyapunovSolveFailure("Lyapunov block solve degenerate", index=int(pts[np.argmax(bad)]))
     P = P / top[:, None, None]
-    todo = np.flatnonzero(~((ev[:, 0] > 0.0) & (ev[:, -1] / ev[:, 0] <= BALANCE_COND_TARGET)))
+    todo = np.flatnonzero(~(_cond(ev) <= BALANCE_COND_TARGET))
     if todo.size == 0:
         return P
     m = Ms.shape[-1]
@@ -860,7 +866,9 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     c_abs > 0 and sup cond(P) stays below the configured ceiling.  All grid
     points are certified together from the eigenbasis of one `_decay_stack`
     (stack, if given): one solve gives cond_raw, and the balanced
-    certificates grow from it.  One point of each pair {xi, -xi} is solved.
+    certificates grow from it.  Only the balanced certificates decide the
+    verdict: cond_raw_by_xi is null at a radius where a raw solve is not
+    positive definite.  One point of each pair {xi, -xi} is solved.
     """
     stack = stack or _decay_stack(model, omega_grid, xi_loggrid, config)
     (omegas, xis, _, idx, mags, _), keep, src, Ms, rho, w, V, mg = stack
@@ -877,12 +885,13 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
             pts = keep[at]
             P, ok = _eig_solve(Ms[at], rho[at], pts, w[at], V[at])
             ev = _eigvalsh(P, pts)
-            cond_raw[at] = _positive_cond(ev, "Lyapunov solution", pts)
+            cond_raw[at] = _cond(ev)
             P = _balanced_stack(Ms[at], rho[at], P, ev, w[at], V[at], ok, pts)
             cond[at] = _positive_cond(_eigvalsh(P, pts), "balanced certificate", pts)
     except LyapunovSolveFailure as e:
         raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
     c_abs, cond_raw, cond = -float(mg.max()), cond_raw[src], cond[src]
+    raw_by_xi = cond_raw.reshape(len(omegas), len(xis)).max(axis=0)
     cond_by_xi = cond.reshape(len(omegas), len(xis)).max(axis=0)
     cond_max = float(cond_by_xi.max())
     log_xi, log_cond = np.log(xis), np.log(cond_by_xi)
@@ -903,7 +912,7 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
             "cond_tail_slope": trend(xis >= config.trend_xi_min),
             "cond_head_slope": trend(xis <= config.trend_xi_max_low),
             "cond_by_xi": cond_by_xi.tolist(),
-            "cond_raw_by_xi": cond_raw.reshape(len(omegas), len(xis)).max(axis=0).tolist(),
+            "cond_raw_by_xi": [None if np.isnan(c) else c for c in raw_by_xi.tolist()],
             "xi_grid": xis.tolist(),
         },
     )

@@ -246,7 +246,10 @@ class LinearPart:
     dealiased frequencies (two_thirds_mask) among `lattice.xi_vectors(half=
     True)`, `xi` (Q, d) lists them in FFT order (the zero frequency first),
     and `spectrum`/`samples` move between real samples (m, P) and
-    coefficients there (m, Q).  Every Fourier mode of
+    coefficients there (m, Q).  A real field has ||f||^2 = sum `weights`
+    |f_hat|^2 there: a mode with positive last frequency component stands
+    for its partner at -xi too and weighs 2 L^d, one with last component 0
+    weighs L^d (the mask drops the Nyquist column).  Every Fourier mode of
     the linearized system evolves by Mbar(ubar, xi); `rows` holds its bottom
     n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at `xi`, shape (Q, n, 2n),
     and Mbar(ubar, -xi) = conj(Mbar(ubar, xi)) covers the other half.  The
@@ -272,6 +275,7 @@ class LinearPart:
         self.dt_max = CFL_FACTOR * RK4_IMAG_LIMIT / radius
         self.mask = two_thirds_mask(lattice, half=True)
         self.xi = lattice.xi_vectors(half=True)[self.mask]
+        self.weights = np.where(self.xi[:, -1] > 0.0, 2.0, 1.0) * lattice.L_box**lattice.d
         A, B, C = frequency_polynomials(T, self.xi)
         self.rows = np.concatenate([-1j * A - B, 1j * C - T.A0], axis=-1)
         self._padded = {}
@@ -423,29 +427,26 @@ def step_rk4(linear, state, dt):
 # Sobolev norms on the lattice
 # ---------------------------------------------------------------------------
 
-def state_norms(linear, state):
-    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) of the dealiased part of the
-    state, s = SOBOLEV_INDEX, from its half spectrum (`_spectrum`): a mode
-    with positive last frequency component also stands for its partner at
-    -xi and weighs 2, one with last component 0 weighs 1."""
-    n, lat = linear.model.n, linear.lattice
+def w_spectrum(linear, state):
+    """Dealiased half-spectrum coefficients (2n, Q) of W = <D>^s (<D>(u -
+    ubar), u_t), s = SOBOLEV_INDEX, from the state's spectrum (`_spectrum`):
+    the one representation of W that the norms and the energy form read."""
+    n = linear.model.n
     y = _spectrum(linear, state)
     y[:n, 0] -= linear.model.reference_state
-    br2 = 1.0 + np.sum(linear.xi**2, axis=1)
-    sq = np.where(linear.xi[:, -1] > 0.0, 2.0, 1.0) * lat.L_box**lat.d * np.abs(y) ** 2
-    return (float(np.sqrt(np.sum(br2 ** (1.0 + SOBOLEV_INDEX) * sq[:n]))),
-            float(np.sqrt(np.sum(br2**SOBOLEV_INDEX * sq[n:]))))
+    br = np.sqrt(1.0 + np.sum(linear.xi**2, axis=1))
+    y[:n] *= br ** (1.0 + SOBOLEV_INDEX)
+    y[n:] *= br**SOBOLEV_INDEX
+    return y
 
 
-def w_hat(model, state):
-    """Fourier coefficients of W = <D>^s (<D>(u - ubar), u_t), s = SOBOLEV_INDEX."""
-    lat = state.lattice
-    br = lat.brackets()
-    du_hat = lat.fft(state.u - model.reference_state[None, :])
-    vt_hat = lat.fft(state.ut)
-    top = (br ** (1.0 + SOBOLEV_INDEX))[:, None] * du_hat
-    bot = (br**SOBOLEV_INDEX)[:, None] * vt_hat
-    return np.concatenate([top, bot], axis=1)
+def state_norms(linear, state):
+    """(||u - ubar||_{H^{s+1}}, ||u_t||_{H^s}) of the dealiased part of the
+    state, s = SOBOLEV_INDEX: the norms of W's two blocks (`w_spectrum`)
+    under `linear.weights`."""
+    n = linear.model.n
+    sq = linear.weights * np.abs(w_spectrum(linear, state)) ** 2
+    return float(np.sqrt(np.sum(sq[:n]))), float(np.sqrt(np.sum(sq[n:])))
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +491,26 @@ def _require_field_fits(n, lattice):
     _refuse_above_limit(P * P * m * m * np.dtype(complex).itemsize, what)
 
 
-def _require_multiplier_fits(n, lattice):
-    # building the (P, 2n, 2n) multiplier holds about four stacks of its size
-    # and three Kronecker-form Lyapunov slices of (2n)^4 values a point
-    # (tracemalloc peaks of EnergyForm: 0.51-0.93 of this on the builtins
-    # with 1024 to 65536 lattice points)
-    P, m, item = lattice.points, 2 * n, np.dtype(complex).itemsize
-    slice_points = min(P, max(1, LYAPUNOV_BATCH_BYTES // (m**4 * item)))
-    what = f"the energy multiplier on {P} lattice points with {m}x{m} symbols"
-    _refuse_above_limit(item * (4 * P * m * m + 3 * slice_points * m**4), what)
+def _require_multiplier_fits(n, count):
+    # the (Q, 2n, 2n) multiplier on the Q half-spectrum frequencies holds
+    # about four stacks of its size and three Kronecker-form Lyapunov slices
+    # of (2n)^4 values a point (tracemalloc peaks of EnergyForm: 0.94-0.99
+    # of this for the fluid at N = 16 to 64, 0.91-0.94 for the damped waves)
+    m, item = 2 * n, np.dtype(complex).itemsize
+    slice_points = min(count, max(1, LYAPUNOV_BATCH_BYTES // (m**4 * item)))
+    what = f"the energy multiplier on {count} frequencies with {m}x{m} symbols"
+    _refuse_above_limit(item * (4 * count * m * m + 3 * slice_points * m**4), what)
 
 
-def _dissipation_values(model, states, lattice):
-    """phi(xi) D(u, xi) + psi(xi) I for a state stack (S, n): (S, Q, 2n, 2n).
+def _dissipation_values(model, states, xi):
+    """phi(xi) D(u, xi) + psi(xi) I for a state stack (S, n) at the
+    frequencies xi (K, d): (S, K, 2n, 2n).
 
     D solves D M + M^* D = -I at every (state, active frequency) pair of one
     batch; inactive frequencies carry the identity patch only.  Real
     coefficients give M(u, -xi) = conj M(u, xi), hence D(u, -xi) = conj
-    D(u, xi), so only one frequency of each pair {xi, -xi} is solved.
+    D(u, xi), so only one frequency of each pair {xi, -xi} in xi is solved.
     """
-    xi = lattice.xi_vectors()
     mags = np.linalg.norm(xi, axis=1)
     phi = _phi(mags)
     n2 = 2 * model.n
@@ -534,37 +535,43 @@ def dissipation_symbol_field(model, u_phys, lattice):
     """
     _require_field_fits(model.n, lattice)
     states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
-    vals = _dissipation_values(model, states, lattice)[back.reshape(-1)]
+    vals = _dissipation_values(model, states, lattice.xi_vectors())[back.reshape(-1)]
     return DiscreteSymbol(lattice, vals)
 
 
 class EnergyForm:
     """The quadratic form <G_u W, W> of the model on the lattice of a
-    `LinearPart`, which the monitor steps with.
+    `LinearPart`, which the monitor steps with; W is given by its dealiased
+    half-spectrum coefficients (`w_spectrum`).
 
     G_u = Op_chi[D-tilde(u, .)] splits at the reference state: Op_chi of an
     x-independent symbol a is the multiplier chi(0, xi) a(xi), so G_u =
     op[D-tilde(ubar, xi)] + Op_chi[D-tilde(u, .) - D-tilde(ubar, .)].  The
-    multiplier `reference` is built here once; only a state-dependent model
-    has the remainder, on the (P, P) field, and the (P, P) cut-off mask
-    `cutoff` that smooths it is formed here once (None for a constant
-    model).  low_band marks the frequencies where the dissipation symbol is
-    not fully active.  A lattice on which the multiplier or the remainder's
-    field would exceed SYMBOL_FIELD_MAX_BYTES is refused before either is
-    built.
+    multiplier `reference` (Q, 2n, 2n) at `linear.xi` is built here once and
+    summed with `linear.weights`, since D-tilde(ubar, -xi) = conj
+    D-tilde(ubar, xi).  Only a state-dependent model has the remainder, on
+    the (P, P) field of W's samples: its subtrahend `reference_field`, the
+    multiplier at every lattice frequency (P, 2n, 2n), and the (P, P)
+    cut-off mask `cutoff` that smooths it are formed here once (both None
+    for a constant model).  low_band marks the frequencies of `linear.xi`
+    where the dissipation symbol is not fully active.  A lattice on which
+    the multiplier or the remainder's field would exceed
+    SYMBOL_FIELD_MAX_BYTES is refused before either is built.
     """
 
     def __init__(self, linear):
         self.linear = linear
         self.model, self.lattice = linear.model, linear.lattice
-        _require_multiplier_fits(self.model.n, self.lattice)
-        remainder = not self.model.constant_coefficients
-        if remainder:
+        _require_multiplier_fits(self.model.n, len(linear.xi))
+        ubar = self.model.reference_state[None, :]
+        self.reference_field = self.cutoff = None
+        if not self.model.constant_coefficients:
             _require_field_fits(self.model.n, self.lattice)
-        ref_state = self.model.reference_state[None, :]
-        self.reference = _dissipation_values(self.model, ref_state, self.lattice)[0]
-        self.low_band = _phi(self.lattice.xi_mags()) < 1.0
-        self.cutoff = cutoff_mask(self.lattice, CHI) if remainder else None
+            xi = self.lattice.xi_vectors()
+            self.reference_field = _dissipation_values(self.model, ubar, xi)[0]
+            self.cutoff = cutoff_mask(self.lattice, CHI)
+        self.reference = _dissipation_values(self.model, ubar, linear.xi)[0]
+        self.low_band = _phi(np.linalg.norm(linear.xi, axis=1)) < 1.0
 
     def operator(self, u_phys):
         """The smoothed symbol of Op_chi[D-tilde(u, .) - D-tilde(ubar, .)];
@@ -572,25 +579,26 @@ class EnergyForm:
         if self.model.constant_coefficients:
             return None
         field = dissipation_symbol_field(self.model, u_phys, self.lattice)
-        field.values -= self.reference
+        field.values -= self.reference_field
         return smooth_symbol(field, self.cutoff)
 
-    def apply(self, op, values, hat):
-        """<G W, W> from the lattice values of W and its Fourier coefficients;
-        op is what `operator` returned for the state."""
-        lat = self.lattice
-        vol = lat.L_box**lat.d
-        Dw = np.einsum("qab,qb->qa", self.reference, hat)
-        val = float(np.real(np.sum(np.conj(hat) * Dw)) * vol)
+    def apply(self, op, what):
+        """<G W, W> from W's dealiased half-spectrum coefficients (2n, Q); op
+        is what `operator` returned for the state.  The remainder acts on W's
+        real samples, one inverse transform of what."""
+        linear = self.linear
+        Dw = np.einsum("qab,bq->aq", self.reference, what)
+        val = float(np.sum(linear.weights * np.real(np.sum(np.conj(what) * Dw, axis=0))))
         if op is not None:
+            lat = self.lattice
+            values = linear.samples(what).T
             opw = apply_op(op, GridFunction(lat, values))
-            val += float(np.real(np.sum(np.conj(values) * opw.values)) * vol / lat.points)
+            val += float(np.real(np.sum(values * opw.values)) * lat.L_box**lat.d / lat.points)
         return val
 
     def value(self, state):
         """<G_u W, W> with W = <D>^s (<D>(u - ubar), u_t) of the state."""
-        what = w_hat(self.model, state)
-        return self.apply(self.operator(state.u), self.lattice.ifft(what), what)
+        return self.apply(self.operator(state.u), w_spectrum(self.linear, state))
 
     def low_band_allowance(self):
         """Computed allowance C_low: the worst positive drift of the quadratic
@@ -598,7 +606,7 @@ class EnergyForm:
         sel = self.low_band
         if not np.any(sel):
             return 0.0
-        xi = self.lattice.xi_vectors()[sel]
+        xi = self.linear.xi[sel]
         H = self.reference[sel] @ assemble_M_stack(self.model, self.model.reference_state, xi)
         lam = np.linalg.eigvalsh(H + np.conj(np.swapaxes(H, 1, 2))).max(axis=1) / 2.0
         return max(0.0, float(np.max(lam)) + C_MONITOR)
@@ -626,17 +634,17 @@ def energy_monitor(form, state):
     `LinearPart`), and the budget test
     1/2 d/dt + c ||W||^2 <= C_low ||W_low||^2 + K ||W||^3.
     """
-    lat = state.lattice
-    h = min(DT_FD, 0.25 * form.linear.dt_max)
-    what = w_hat(form.model, state)
-    val0 = form.apply(form.operator(state.u), lat.ifft(what), what)
-    fwd = step_rk4(form.linear, state, h)
-    bwd = step_rk4(form.linear, state, -h)
+    linear = form.linear
+    h = min(DT_FD, 0.25 * linear.dt_max)
+    what = w_spectrum(linear, state)
+    val0 = form.apply(form.operator(state.u), what)
+    fwd = step_rk4(linear, state, h)
+    bwd = step_rk4(linear, state, -h)
     deriv = (form.value(fwd) - form.value(bwd)) / (2.0 * h)
 
-    voln = lat.L_box**lat.d
-    w2 = float(np.sum(np.abs(what) ** 2) * voln)
-    wlow2 = float(np.sum(np.abs(what[form.low_band]) ** 2) * voln)
+    sq = linear.weights * np.sum(np.abs(what) ** 2, axis=0)
+    w2 = float(np.sum(sq))
+    wlow2 = float(np.sum(sq[form.low_band]))
     budget = form.low_band_allowance() * wlow2 + ENERGY_BUDGET_SLACK * w2**1.5
     return MonitorResult(
         value=val0,
@@ -649,17 +657,16 @@ def energy_monitor(form, state):
 
 
 def monitor_rayleigh_floor(form, state, count=50):
-    """Sampled positivity of G_u: min <G w, w>/<w, w> over random fields."""
-    lat = state.lattice
+    """Sampled positivity of G_u: min <G w, w>/<w, w> over the dealiased
+    parts of random real fields, the only fields the form is given."""
+    linear = form.linear
     op = form.operator(state.u)
     rng = np.random.default_rng(3)
-    n2 = 2 * form.model.n
-    voln = lat.L_box**lat.d / lat.points
     floor = np.inf
     for _ in range(count):
-        vals = rng.normal(size=(lat.points, n2)) + 1j * rng.normal(size=(lat.points, n2))
-        den = float(np.sum(np.abs(vals) ** 2) * voln)
-        floor = min(floor, form.apply(op, vals, lat.fft(vals)) / den)
+        what = linear.spectrum(rng.normal(size=(2 * form.model.n, form.lattice.points)))
+        den = float(np.sum(linear.weights * np.abs(what) ** 2))
+        floor = min(floor, form.apply(op, what) / den)
     return floor
 
 

@@ -332,6 +332,22 @@ def unfolded_dissipation_values(model, states, lattice):
     return out
 
 
+def w_hat(model, state):
+    """Full-spectrum Fourier coefficients (P, 2n) of W = <D>^s (<D>(u - ubar),
+    u_t), s = SOBOLEV_INDEX, from two complex transforms of the samples: the
+    reference for `simulator.w_spectrum`, which reads W from the dealiased
+    half spectrum."""
+    from hypdiss.simulator import SOBOLEV_INDEX
+
+    lat = state.lattice
+    br = lat.brackets()
+    du_hat = lat.fft(state.u - model.reference_state[None, :])
+    vt_hat = lat.fft(state.ut)
+    top = (br ** (1.0 + SOBOLEV_INDEX))[:, None] * du_hat
+    bot = (br**SOBOLEV_INDEX)[:, None] * vt_hat
+    return np.concatenate([top, bot], axis=1)
+
+
 def energy_form_oracle(model, u_phys, lattice, values):
     """<G_u W, W> for W given by its lattice values, with the full para-operator
 
@@ -348,12 +364,13 @@ def energy_form_oracle(model, u_phys, lattice, values):
 
     model = ensure_normalized(model)
     lat, P = lattice, lattice.points
-    ref = _dissipation_values(model, model.reference_state[None, :], lat)[0]
+    xi = lat.xi_vectors()
+    ref = _dissipation_values(model, model.reference_state[None, :], xi)[0]
     if model.constant_coefficients:
         field = np.broadcast_to(ref, (P,) + ref.shape).copy()
     else:
         states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
-        field = _dissipation_values(model, states, lat)[back.reshape(-1)]
+        field = _dissipation_values(model, states, xi)[back.reshape(-1)]
     op = smooth_symbol(DiscreteSymbol(lat, field), cutoff_mask(lat, CHI))
     opw = apply_op(op, GridFunction(lat, values)).values
     val = float(np.real(np.sum(np.conj(values) * opw)) * lat.L_box**lat.d / P)

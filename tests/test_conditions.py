@@ -694,3 +694,22 @@ class TestSharedDecayMargin:
         assert d3.margin == -uniform.trace["c_abs"]
         assert check_d3(model, config=self.CONFIG) == d3
         assert check_uniform_dissipativity(model, config=self.CONFIG) == uniform
+
+    def test_raw_certificate_is_a_trace_only(self, tmp_path):
+        # at xi_lo = 1e-8 the raw Lyapunov solve of the d = 3 damped wave is
+        # not positive definite at the smallest radius (lambda_min 0); the
+        # balanced certificates alone decide UNIFORM, and the raw trace
+        # reads null at that radius
+        import json
+
+        from hypdiss.cli import main
+
+        argv = ["check", "--builtin", "damped-wave", "--a", "2", "--d", "3", "--xi-lo", "1e-8"]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary["verdicts"].values()) == {"pass"}
+        uniform = json.loads((tmp_path / "report_UNIFORM.json").read_text())
+        assert uniform["c_bar"] == pytest.approx(0.5, rel=1e-12)
+        raw = uniform["trace"]["cond_raw_by_xi"]
+        assert raw[0] is None and all(c > 1.0 for c in raw[1:])
+        assert all(c > 1.0 for c in uniform["trace"]["cond_by_xi"])

@@ -35,7 +35,7 @@ from hypdiss.simulator import (
     state_norms,
     step_rk4,
     two_thirds_mask,
-    w_hat,
+    w_spectrum,
 )
 from hypdiss.symbols import assemble_Mbar, assemble_Mbar_stack
 
@@ -581,21 +581,53 @@ class TestRun:
 class TestEnergyMonitor:
     def test_constant_coefficient_multiplier_exactness(self):
         # at the reference state the functional is a Fourier multiplier:
-        # <G W, W> = sum_xi What^* Dtilde(ubar, xi) What exactly
+        # <G W, W> = sum_xi What^* Dtilde(ubar, xi) What exactly, summed over
+        # the half spectrum (a mode at xi > 0 also stands for -xi) and over
+        # the full spectrum of W
+        from oracles import w_hat
+
         m = builtin_convected_damped_wave(0.5)
         lin = LinearPart(m, LAT)
-        st = initial_state(lin, TrigData(amplitude=0.0))
         # put energy into u_t only so u stays at the reference state
         st2 = initial_state(lin, TrigData(amplitude=1e-3, wavenumber=(2,), target="u1"))
         form = EnergyForm(lin)
         val = form.value(st2)
         ref = form.reference
-        what = w_hat(m, st2)
+        assert ref.shape == (len(lin.xi), 2, 2)
+        what = w_spectrum(lin, st2)
+        half = sum((2.0 if xi > 0.0 else 1.0) * np.vdot(what[:, q], ref[q] @ what[:, q]).real
+                   for q, xi in enumerate(lin.xi[:, 0])) * LAT.L_box
+        assert val == pytest.approx(half, rel=1e-13)
+        full_ref = sim._dissipation_values(m, m.reference_state[None, :], LAT.xi_vectors())[0]
+        full = w_hat(m, st2)
         want = float(
-            np.real(np.sum(np.conj(what) * np.einsum("qab,qb->qa", ref, what)))
+            np.real(np.sum(np.conj(full) * np.einsum("qab,qb->qa", full_ref, full)))
             * LAT.L_box
         )
         assert val == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("which", ["convected-0.5", "quasilinear", "fluid"])
+    def test_w_norms_match_state_norms(self, which):
+        # the monitor's ||W||^2 is the traced norms' sum of squares, and its
+        # low band the full spectrum's, for a carried and a samples-only state
+        from oracles import w_hat
+
+        m, lat = {
+            "convected-0.5": (builtin_convected_damped_wave(0.5), LAT),
+            "quasilinear": (nonlinear_convected_model(0.5), LAT),
+            "fluid": (readme_fluid(), Lattice(d=3, N=8)),
+        }[which]
+        form = EnergyForm(LinearPart(m, lat))
+        st = step_rk4(form.linear, initial_state(form.linear, PeriodicBumpData(amplitude=0.05)),
+                      0.01)
+        low = np.linalg.norm(lat.xi_vectors(), axis=1) < 3.0
+        for state in (st, FieldState(lat, st.u, st.ut)):
+            res = energy_monitor(form, state)
+            want = sum(x**2 for x in state_norms(form.linear, state))
+            assert res.w_norm2 == pytest.approx(want, rel=1e-13)
+            full = w_hat(form.model, state)
+            want_low = np.sum(np.abs(full[low]) ** 2) * lat.L_box**lat.d
+            assert res.w_low_norm2 == pytest.approx(want_low, rel=1e-12)
 
     def test_inequality_along_run(self):
         form = EnergyForm(LinearPart(builtin_convected_damped_wave(0.5), LAT))
@@ -680,13 +712,24 @@ def readme_fluid():
 
 
 def assert_form_matches_oracle(m, st):
-    # the split form against the full (P, P) para-operator plus correction
-    from oracles import energy_form_oracle
+    # the split form on the half spectrum against the full (P, P)
+    # para-operator plus correction, given the dealiased W on the full
+    # spectrum: the W the form reads
+    from oracles import energy_form_oracle, w_hat
 
     lat = st.lattice
-    want = energy_form_oracle(m, st.u, lat, lat.ifft(w_hat(m, st)))
+    what = w_hat(m, st)
+    what[~two_thirds_mask(lat)] = 0.0
+    want = energy_form_oracle(m, st.u, lat, lat.ifft(what))
     got = EnergyForm(LinearPart(m, lat)).value(st)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def oracle_inputs(linear, st):
+    # a state of raw samples, the carried-spectrum state one step from it,
+    # and that state's samples alone
+    carried = step_rk4(linear, st, 0.5 * linear.dt_max)
+    return st, carried, FieldState(st.lattice, carried.u, carried.ut)
 
 
 class TestEnergyFormSplit:
@@ -695,17 +738,17 @@ class TestEnergyFormSplit:
         m, lat = {
             "convected-0.5": (builtin_convected_damped_wave(0.5), LAT),
             "quasilinear": (nonlinear_convected_model(0.5), LAT),
-            "fluid": (readme_fluid(), Lattice(d=3, N=4)),
-            "damped-wave-d3": (builtin_damped_wave(2.0, d=3), Lattice(d=3, N=4)),
+            "fluid": (readme_fluid(), Lattice(d=3, N=6)),
+            "damped-wave-d3": (builtin_damped_wave(2.0, d=3), Lattice(d=3, N=6)),
         }[which]
-        # not dealiased, so that the active band |xi| >= 2 of N = 4 is populated
-        from hypdiss.simulator import FieldState
-
+        # N = 6 in d = 3: the 2/3 mask keeps |xi_j| <= 2, so the active band
+        # |xi| >= 2 is populated (at N = 4 it keeps |xi_j| <= 1)
         rng = np.random.default_rng(7)
         shape = (lat.points, m.n)
         st = FieldState(lat, m.reference_state + 0.05 * rng.normal(size=shape),
                         0.05 * rng.normal(size=shape))
-        assert_form_matches_oracle(m, st)
+        for state in oracle_inputs(LinearPart(m, lat), st):
+            assert_form_matches_oracle(m, state)
 
     def test_quasilinear_along_a_run(self):
         m = nonlinear_convected_model(0.5)
@@ -722,18 +765,18 @@ class TestEnergyFormSplit:
     def test_random_models_match_oracle(self, n, d):
         from oracles import random_stable_model
 
-        from hypdiss.simulator import FieldState
-
         rng = np.random.default_rng(100 + 10 * n + d)
         m = random_stable_model(rng, n=n, d=d)
-        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 4}[d])
+        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d])
         st = FieldState(lat, 0.05 * rng.normal(size=(lat.points, n)),
                         0.05 * rng.normal(size=(lat.points, n)))
-        assert_form_matches_oracle(m, st)
+        for state in oracle_inputs(LinearPart(m, lat), st):
+            assert_form_matches_oracle(m, state)
 
     @pytest.mark.parametrize("which", ["convected-0.5", "quasilinear"])
     def test_rayleigh_floor_matches_oracle(self, which):
-        # the same random fields through the full para-operator
+        # the dealiased parts of the same random real fields through the
+        # full para-operator
         from oracles import energy_form_oracle
 
         if which == "quasilinear":
@@ -745,7 +788,9 @@ class TestEnergyFormSplit:
         rng = np.random.default_rng(3)
         want = np.inf
         for _ in range(10):
-            vals = rng.normal(size=(LAT.points, 2)) + 1j * rng.normal(size=(LAT.points, 2))
+            hat = LAT.fft(rng.normal(size=(2, LAT.points)).T)
+            hat[~two_thirds_mask(LAT)] = 0.0
+            vals = LAT.ifft(hat)
             den = float(np.sum(np.abs(vals) ** 2) * LAT.L_box / LAT.points)
             want = min(want, energy_form_oracle(m, st.u, LAT, vals) / den)
         got = monitor_rayleigh_floor(form, st, count=10)
@@ -783,31 +828,37 @@ class TestEnergyFormSplit:
         else:
             assert {"dissipation_symbol_field", "smooth_symbol", "apply_op", "phase"} <= set(calls)
 
-    def test_multiplier_guard_refuses_fluid_n64_up_front(self):
-        # fluid, d=3, N=64: P = 262144 points, 8x8 symbols; four (P, 8, 8)
-        # complex stacks plus three Kronecker slices of 512 points x 8^4
-        # values need 16 (4 P 64 + 3 512 4096) = 1174405120 bytes
+    def test_multiplier_guard_refuses_fluid_n66_up_front(self):
+        # fluid, d=3, N=66: the half spectrum keeps Q = 45 x 45 x 23 = 46575
+        # frequencies, 8x8 symbols; four (Q, 8, 8) complex stacks plus three
+        # Kronecker slices of 512 points x 8^4 values need
+        # 16 (4 Q 64 + 3 512 4096) = 291434496 bytes.  N = 64 (Q = 40678,
+        # 267280384 bytes) is the finest power of two that fits.
         import tracemalloc
 
         import hypdiss.simulator as sim
 
         f = readme_fluid()
-        lat = Lattice(d=3, N=64)
-        lin = LinearPart(f, lat)
+        lin = LinearPart(f, Lattice(d=3, N=66))
+        Q = len(lin.xi)
+        assert Q == 45 * 45 * 23
+        need = 16 * (4 * Q * 64 + 3 * 512 * 4096)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidParameter, match="needs about 1174405120 bytes"):
+            with pytest.raises(InvalidParameter, match=f"needs about {need} bytes"):
                 EnergyForm(lin)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < lat.points * 8 * 8 * 16 // 100
-        sim._require_multiplier_fits(f.n, Lattice(d=3, N=32))
+        assert peak < Q * 8 * 8 * 16 // 100
+        sim._require_multiplier_fits(f.n, len(LinearPart(f, Lattice(d=3, N=64)).xi))
 
 
 def test_state_norms_match_grid_functions():
     # the norms read from the half spectrum against the H^{s+1} and H^s
     # norms of GridFunctions of u - ubar and u_t, computed independently
+    from oracles import w_hat
+
     cases = [
         (builtin_convected_damped_wave(0.5), TrigData(amplitude=0.1, wavenumber=(2,)), LAT),
         (nonlinear_convected_model(), [PeriodicBumpData(amplitude=0.05),
@@ -840,7 +891,7 @@ def test_state_norms_match_w_hat(n, d, N, seed):
     # the norms read from the half spectrum equal the block norms of the full
     # spectrum of W, for a state that carries its spectrum (after a step) and
     # for one built from its samples alone
-    from oracles import random_stable_model
+    from oracles import random_stable_model, w_hat
 
     rng = np.random.default_rng(seed)
     linear = LinearPart(random_stable_model(rng, n=n, d=d), Lattice(d=d, N=N))
@@ -1076,7 +1127,7 @@ class TestDissipationFold:
         m = ensure_normalized(random_stable_model(rng, n=n, d=d))
         lat = Lattice(d=d, N={1: 16, 2: 8, 3: 4}[d] + odd)
         states = m.reference_state + 0.05 * rng.normal(size=(count, n))
-        got = _dissipation_values(m, states, lat)
+        got = _dissipation_values(m, states, lat.xi_vectors())
         assert np.array_equal(got, unfolded_dissipation_values(m, states, lat))
         q, r = lattice_negation(lat)
         assert len(q) == (lat.points if odd else (lat.N - 1) ** d)
@@ -1095,7 +1146,7 @@ class TestDissipationFold:
             m = ensure_normalized(m)
             lat = Lattice(d=d, N=N if d == 1 else N // 2)
             states = 0.2 * rng.normal(size=(5, m.n))
-            got = _dissipation_values(m, states, lat)
+            got = _dissipation_values(m, states, lat.xi_vectors())
             assert np.array_equal(got, unfolded_dissipation_values(m, states, lat))
             q, r = lattice_negation(lat)
             assert np.array_equal(got[:, r], np.conj(got[:, q]))
