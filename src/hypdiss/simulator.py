@@ -9,14 +9,16 @@ reference state ubar: the constant-coefficient part acts on the Fourier
 coefficients mode by mode through Mbar(ubar, xi), and a state-dependent
 model adds the remainder [coeffs(u) - coeffs(ubar)] . derivatives, with
 spectral derivatives and pointwise products in physical space.  Time
-stepping is classical RK4 under a spectral-radius CFL bound.  An energy
-monitor assembles the symmetrized para-differential quadratic form built
-from the per-frequency dissipation symbol and checks the decay inequality
+stepping is classical RK4 under a spectral-radius CFL bound.  The energy
+form <G_u W, W>, W = <D>^s (<D>(u - ubar), u_t), is the symmetrized
+para-differential quadratic form of the per-frequency dissipation symbol;
+with the monitor on, `run` records its value, and `energy_monitor` tests
+the decay inequality
 
     1/2 d/dt <G_u W, W> + c ||W||^2  <=  C_low ||W_low||^2 + K ||W||^3
 
-with W = <D>^s (<D> u, u_t), an explicitly computed low-frequency allowance
-C_low, and a pinned nonlinear slack constant K.
+with an explicitly computed low-frequency allowance C_low and a pinned
+nonlinear slack constant K.
 """
 
 from dataclasses import dataclass, field
@@ -28,15 +30,7 @@ from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter, Unsuppor
 from .grids import antipodal_expand, antipodal_fold
 from .io import write_csv_atomic
 from .model import check_placement, ensure_normalized
-from .paradiff import (
-    DiscreteSymbol,
-    GridFunction,
-    Lattice,
-    apply_op,
-    cutoff_mask,
-    make_cutoff,
-    smooth_symbol,
-)
+from .paradiff import Lattice, make_cutoff
 from .profiles import ramp_down, ramp_up
 from .symbols import (assemble_M_stack, assemble_Mbar_stack, coefficient_tensors,
                       frequency_polynomials)
@@ -66,8 +60,8 @@ DT_FD = 1e-3
 CHI = make_cutoff(0.2, 0.5)
 
 #: Largest working set a simulation may hold (the RK4 step, the energy
-#: form's multiplier or its P x P x 2n x 2n dissipation-symbol field on a
-#: lattice of P points); 256 MiB.
+#: form's multiplier or its remainder's P x Q x 2n x 2n dissipation-symbol
+#: fields on P points and Q half-spectrum frequencies); 256 MiB.
 SYMBOL_FIELD_MAX_BYTES = 2**28
 
 #: Size of one slice of Kronecker-form Lyapunov systems; 32 MiB.
@@ -485,10 +479,23 @@ def _batched_lyapunov(Ms):
     return 0.5 * (D + np.conj(np.swapaxes(D, 1, 2)))
 
 
-def _require_field_fits(n, lattice):
-    P, m = lattice.points, 2 * n
-    what = f"the dissipation-symbol field on {P} lattice points with {m}x{m} symbols"
-    _refuse_above_limit(P * P * m * m * np.dtype(complex).itemsize, what)
+def _field_bytes(n, points, count):
+    # the remainder on P points and Q frequencies holds its (P, Q) phase and
+    # cut-off, and at its peak two (P, Q, 2n, 2n) fields beside three Lyapunov
+    # slices or three fields while one is transformed (tracemalloc peaks of
+    # EnergyForm and one value on distinct samples: 0.77-0.91 of this for the
+    # README quasi-linear model at N = 16 to 1024, 0.77-0.95 for n = 1 and 2,
+    # d = 2 models at N = 16 and 32; 0.39 at N = 8, with few active frequencies)
+    m, item = 2 * n, np.dtype(complex).itemsize
+    pairs = points * count
+    slice_points = min(pairs, max(1, LYAPUNOV_BATCH_BYTES // (m**4 * item)))
+    fields = max(3 * pairs * m * m, 2 * pairs * m * m + 3 * slice_points * m**4)
+    return item * fields + (item + np.dtype(float).itemsize) * pairs
+
+
+def _require_field_fits(n, points, count):
+    what = f"the dissipation-symbol field on {points} points and {count} frequencies"
+    _refuse_above_limit(_field_bytes(n, points, count), what)
 
 
 def _require_multiplier_fits(n, count):
@@ -510,33 +517,37 @@ def _dissipation_values(model, states, xi):
     batch; inactive frequencies carry the identity patch only.  Real
     coefficients give M(u, -xi) = conj M(u, xi), hence D(u, -xi) = conj
     D(u, xi), so only one frequency of each pair {xi, -xi} in xi is solved.
+    The output is allocated only after the solves.
     """
     mags = np.linalg.norm(xi, axis=1)
-    phi = _phi(mags)
     n2 = 2 * model.n
-    out = np.zeros((len(states), len(xi), n2, n2), dtype=complex)
-    out += _psi(mags)[:, None, None] * np.eye(n2)
-    active = phi > 0.0
+    active = _phi(mags) > 0.0
+    patch = _psi(mags)[:, None, None] * np.eye(n2)
+    Ds = patch[active]
     if np.any(active):
         xa = xi[active]
         keep, src = antipodal_fold(xa)
         Ms = assemble_M_stack(model, states, xa[keep])
         Ds = _batched_lyapunov(Ms.reshape(-1, n2, n2)).reshape(Ms.shape)
-        out[:, active] += phi[active][:, None, None] * antipodal_expand(Ds, xa, keep, src, axis=1)
+        Ds = antipodal_expand(Ds, xa, keep, src, axis=1)
+        Ds *= _phi(mags[active])[:, None, None]
+        Ds += patch[active]
+    out = np.broadcast_to(patch, (len(states),) + patch.shape).astype(complex)
+    out[:, active] = Ds
     return out
 
 
-def dissipation_symbol_field(model, u_phys, lattice):
-    """D-tilde(u(x), xi) = phi(xi) D(u(x), xi) + psi(xi) I on the lattice.
+def dissipation_symbol_field(model, u_phys, xi):
+    """D-tilde(u(x), xi) = phi(xi) D(u(x), xi) + psi(xi) I at the grid points
+    of the samples u_phys (P, n) and the frequencies xi (K, d): (P, K, 2n, 2n).
 
-    The symbol is computed once per distinct state and scattered to the
-    grid points; a field above SYMBOL_FIELD_MAX_BYTES is refused with
-    InvalidParameter before anything is allocated.
+    The symbol is computed once per distinct state and scattered to the grid
+    points; a field whose remainder working set (`_field_bytes`) is above
+    SYMBOL_FIELD_MAX_BYTES is refused with InvalidParameter up front.
     """
-    _require_field_fits(model.n, lattice)
+    _require_field_fits(model.n, len(u_phys), len(xi))
     states, back = np.unique(np.round(u_phys.real, 12), axis=0, return_inverse=True)
-    vals = _dissipation_values(model, states, lattice.xi_vectors())[back.reshape(-1)]
-    return DiscreteSymbol(lattice, vals)
+    return _dissipation_values(model, states, xi)[back.reshape(-1)]
 
 
 class EnergyForm:
@@ -546,54 +557,56 @@ class EnergyForm:
 
     G_u = Op_chi[D-tilde(u, .)] splits at the reference state: Op_chi of an
     x-independent symbol a is the multiplier chi(0, xi) a(xi), so G_u =
-    op[D-tilde(ubar, xi)] + Op_chi[D-tilde(u, .) - D-tilde(ubar, .)].  The
-    multiplier `reference` (Q, 2n, 2n) at `linear.xi` is built here once and
-    summed with `linear.weights`, since D-tilde(ubar, -xi) = conj
-    D-tilde(ubar, xi).  Only a state-dependent model has the remainder, on
-    the (P, P) field of W's samples: its subtrahend `reference_field`, the
-    multiplier at every lattice frequency (P, 2n, 2n), and the (P, P)
-    cut-off mask `cutoff` that smooths it are formed here once (both None
-    for a constant model).  low_band marks the frequencies of `linear.xi`
-    where the dissipation symbol is not fully active.  A lattice on which
-    the multiplier or the remainder's field would exceed
+    op[D-tilde(ubar, xi)] + Op_chi[D-tilde(u, .) - D-tilde(ubar, .)].  Both
+    parts live on `linear.xi`, where W's coefficients do: the multiplier
+    `reference` (Q, 2n, 2n), summed with `linear.weights` since
+    D-tilde(ubar, -xi) = conj D-tilde(ubar, xi), and the remainder of a
+    state-dependent model, smoothed in x by the (P, Q) cut-off `cutoff`
+    chi(|eta|, |xi|) and quantized with the (P, Q) `phase` e^{i x.xi}
+    weights / L^d.  All three are formed here once (`cutoff` and `phase` are
+    None for a constant model).  low_band marks the frequencies of
+    `linear.xi` where the dissipation symbol is not fully active.  A lattice
+    on which the multiplier or the remainder would exceed
     SYMBOL_FIELD_MAX_BYTES is refused before either is built.
     """
 
     def __init__(self, linear):
         self.linear = linear
         self.model, self.lattice = linear.model, linear.lattice
-        _require_multiplier_fits(self.model.n, len(linear.xi))
-        ubar = self.model.reference_state[None, :]
-        self.reference_field = self.cutoff = None
+        lat, xi = self.lattice, linear.xi
+        _require_multiplier_fits(self.model.n, len(xi))
+        self.cutoff = self.phase = None
         if not self.model.constant_coefficients:
-            _require_field_fits(self.model.n, self.lattice)
-            xi = self.lattice.xi_vectors()
-            self.reference_field = _dissipation_values(self.model, ubar, xi)[0]
-            self.cutoff = cutoff_mask(self.lattice, CHI)
-        self.reference = _dissipation_values(self.model, ubar, linear.xi)[0]
-        self.low_band = _phi(np.linalg.norm(linear.xi, axis=1)) < 1.0
+            _require_field_fits(self.model.n, lat.points, len(xi))
+            self.cutoff = CHI(lat.xi_mags()[:, None], np.linalg.norm(xi, axis=1)[None, :])
+            self.phase = np.exp(1j * (lat.x_vectors() @ xi.T)) * (linear.weights / lat.L_box**lat.d)
+        self.reference = _dissipation_values(self.model, self.model.reference_state[None, :], xi)[0]
+        self.low_band = _phi(np.linalg.norm(xi, axis=1)) < 1.0
 
     def operator(self, u_phys):
-        """The smoothed symbol of Op_chi[D-tilde(u, .) - D-tilde(ubar, .)];
-        None for a constant-coefficient model, whose remainder is zero."""
+        """The smoothed symbol of D-tilde(u, .) - D-tilde(ubar, .) at the grid
+        points and `linear.xi`, (P, Q, 2n, 2n); None for a
+        constant-coefficient model, whose remainder is zero."""
         if self.model.constant_coefficients:
             return None
-        field = dissipation_symbol_field(self.model, u_phys, self.lattice)
-        field.values -= self.reference_field
-        return smooth_symbol(field, self.cutoff)
+        field = dissipation_symbol_field(self.model, u_phys, self.linear.xi)
+        field -= self.reference
+        field = self.lattice.fft(field)
+        field *= self.cutoff[:, :, None, None]
+        return self.lattice.ifft(field)
 
     def apply(self, op, what):
         """<G W, W> from W's dealiased half-spectrum coefficients (2n, Q); op
-        is what `operator` returned for the state.  The remainder acts on W's
-        real samples, one inverse transform of what."""
+        is what `operator` returned for the state.  The remainder's image Re
+        sum_q `phase` a(x, xi_q) W^(xi_q) covers each -xi_q, as a(x, -xi) =
+        conj a(x, xi), and meets W's real samples, one transform of what."""
         linear = self.linear
         Dw = np.einsum("qab,bq->aq", self.reference, what)
         val = float(np.sum(linear.weights * np.real(np.sum(np.conj(what) * Dw, axis=0))))
         if op is not None:
             lat = self.lattice
-            values = linear.samples(what).T
-            opw = apply_op(op, GridFunction(lat, values))
-            val += float(np.real(np.sum(values * opw.values)) * lat.L_box**lat.d / lat.points)
+            opw = np.einsum("pq,pqab,bq->ap", self.phase, op, what, optimize=True)
+            val += float(np.sum(linear.samples(what) * opw.real) * lat.L_box**lat.d / lat.points)
         return val
 
     def value(self, state):
@@ -646,14 +659,8 @@ def energy_monitor(form, state):
     w2 = float(np.sum(sq))
     wlow2 = float(np.sum(sq[form.low_band]))
     budget = form.low_band_allowance() * wlow2 + ENERGY_BUDGET_SLACK * w2**1.5
-    return MonitorResult(
-        value=val0,
-        derivative=deriv,
-        w_norm2=w2,
-        w_low_norm2=wlow2,
-        budget=budget,
-        lhs=0.5 * deriv + C_MONITOR * w2,
-    )
+    return MonitorResult(value=val0, derivative=deriv, w_norm2=w2, w_low_norm2=wlow2,
+                         budget=budget, lhs=0.5 * deriv + C_MONITOR * w2)
 
 
 def monitor_rayleigh_floor(form, state, count=50):
@@ -754,12 +761,5 @@ def run(model, data_spec, config=SimConfig()):
             raise BlowUp(
                 f"W-norm {wn[k]:.3e} exceeded ceiling {ceiling:.3e} at t={state.time:g}"
             )
-    return EnergyTrace(
-        times=snap_times,
-        norms_u=norms_u,
-        norms_ut=norms_ut,
-        w_norm=wn,
-        dissipation_integral=diss,
-        energy=energy,
-        final_state=state,
-    )
+    return EnergyTrace(times=snap_times, norms_u=norms_u, norms_ut=norms_ut, w_norm=wn,
+                       dissipation_integral=diss, energy=energy, final_state=state)

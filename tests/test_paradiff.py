@@ -209,8 +209,8 @@ class TestApplyOp:
 
 
     def test_cutoff_mask_not_retained(self):
-        # an EnergyForm owns its P x P cut-off mask: once the form is dropped
-        # no P x P array is held anywhere (no cache outlives its owner)
+        # an EnergyForm owns its (P, Q) cut-off: once the form is dropped no
+        # array of that size is held anywhere (no cache outlives its owner)
         import gc
         import tracemalloc
 
@@ -227,7 +227,7 @@ class TestApplyOp:
         tracemalloc.start()
         try:
             form = EnergyForm(linear)
-            assert form.cutoff.shape == (P, P)
+            assert form.cutoff.shape == (P, len(linear.xi))
             value = form.value(st)
             del form
             gc.collect()
@@ -235,7 +235,7 @@ class TestApplyOp:
         finally:
             tracemalloc.stop()
         assert np.isfinite(value)
-        assert held < P**2 * 8 // 4
+        assert held < P * len(linear.xi) * 8 // 4
 
 
 class TestParaOp:
