@@ -93,8 +93,9 @@ class Lattice:
                                axes=tuple(range(-self.d, 0)), norm="forward")
             return out.reshape(lead + (-1,))
         shp = (self.N,) * self.d + v.shape[1:]
-        out = np.fft.fftn(v.reshape(shp), axes=tuple(range(self.d)))
-        return out.reshape(v.shape) / self.points
+        out = np.fft.fftn(v.reshape(shp), axes=tuple(range(self.d))).reshape(v.shape)
+        out /= self.points
+        return out
 
     def ifft(self, coeff, half=False):
         """Lattice samples of Fourier coefficients; half=True inverts
@@ -107,8 +108,9 @@ class Lattice:
                                 axes=tuple(range(-self.d, 0)), norm="forward")
             return out.reshape(lead + (-1,))
         shp = (self.N,) * self.d + c.shape[1:]
-        out = np.fft.ifftn(c.reshape(shp), axes=tuple(range(self.d)))
-        return out.reshape(c.shape) * self.points
+        out = np.fft.ifftn(c.reshape(shp), axes=tuple(range(self.d))).reshape(c.shape)
+        out *= self.points
+        return out
 
 
 @dataclass

@@ -1,16 +1,16 @@
 """Pseudo-spectral time integration of the nonlinear first-order system.
 
-The state is U = (u, u_t), real samples on a periodic lattice with 2/3-rule
-dealiasing.  An RK4 step works on the dealiased half spectrum of the state
-(real transforms, `Lattice.fft(..., half=True)`), so all four stages stay in
-Fourier space, and each state carries that spectrum into the next step and
-into the Sobolev norms that `run` traces.  The right-hand side splits at the
-reference state ubar: the constant-coefficient part acts on the Fourier
-coefficients mode by mode through Mbar(ubar, xi), and a state-dependent
-model adds the remainder [coeffs(u) - coeffs(ubar)] . derivatives, with
-spectral derivatives and pointwise products in physical space.  Time
-stepping is classical RK4 under a spectral-radius CFL bound.  The energy
-form <G_u W, W>, W = <D>^s (<D>(u - ubar), u_t), is the symmetrized
+The state U = (u, u_t) on a periodic lattice is its dealiased half spectrum
+(2/3 rule, real transforms `Lattice.fft(..., half=True)`); its real samples
+are formed when they are read.  An RK4 step works on that spectrum alone,
+so all four stages stay in Fourier space, and the Sobolev norms that `run`
+traces read it too.  The right-hand side splits at the reference state
+ubar: the constant-coefficient part acts on the Fourier coefficients mode
+by mode through Mbar(ubar, xi), and a state-dependent model adds the
+remainder [coeffs(u) - coeffs(ubar)] . derivatives, with spectral
+derivatives and pointwise products in physical space.  Time stepping is
+classical RK4 under a spectral-radius CFL bound.  The energy form
+<G_u W, W>, W = <D>^s (<D>(u - ubar), u_t), is the symmetrized
 para-differential quadratic form of the per-frequency dissipation symbol;
 with the monitor on, `run` records its value, and `energy_monitor` tests
 the decay inequality
@@ -70,29 +70,29 @@ LYAPUNOV_BATCH_BYTES = 2**25
 
 @dataclass
 class FieldState:
-    """Periodic-grid physical state (u, u_t) as real samples of shape (P, n);
-    a 1-D array is one component, and complex samples keep their real part.
+    """Periodic-grid state (u, u_t) at `time` on the lattice of a
+    `LinearPart`: its dealiased half-spectrum coefficients `spectrum`
+    (2n, Q), in `LinearPart` order.
 
-    `spectrum`, when set, holds the dealiased half-spectrum coefficients
-    (2n, Q) of (u, u_t) that the samples were formed from (`LinearPart`
-    order), so the next step need not transform the samples again; a state
-    whose samples are changed after construction must drop it.
+    `u` and `ut`, real samples (P, n), are formed from the spectrum on each
+    read (one inverse real transform each) and are not kept.
     """
 
-    lattice: Lattice
-    u: np.ndarray
-    ut: np.ndarray
+    linear: "LinearPart" = field(repr=False)
+    spectrum: np.ndarray
     time: float = 0.0
-    spectrum: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.u = _real_samples(self.u)
-        self.ut = _real_samples(self.ut)
+    @property
+    def lattice(self):
+        return self.linear.lattice
 
+    @property
+    def u(self):
+        return self.linear.samples(self.spectrum[:self.linear.model.n]).T
 
-def _real_samples(values):
-    v = np.asarray(values)
-    return np.asarray(v.real, dtype=float).reshape(len(v), -1)
+    @property
+    def ut(self):
+        return self.linear.samples(self.spectrum[self.linear.model.n:]).T
 
 
 def two_thirds_mask(lattice, half=False):
@@ -129,19 +129,21 @@ class PeriodicBumpData:
 
 
 def _rk4_bytes(model, lattice):
-    # an RK4 step holds about 16 + n real (P, n) arrays at its peak: the
-    # reference rows (about n of them), the zero-padded half spectra, the
-    # state in and out, and a real transform's input, complex intermediates
-    # and output (tracemalloc of a `LinearPart` and one step: 0.69-0.80 of
-    # this on the builtins, 0.64 on a state-dependent n = d = 2 model); a
-    # state-dependent model adds four arrays for each of
-    # its 2 + 2d + d(d+1)/2 transformed fields, and its (1 + d)^2
-    # coefficient blocks and their remainder at every point
+    # a run holds about 4n + 2d real lattice fields while it forms and
+    # transforms its initial data (2n sample rows, their complex half
+    # spectrum, the coordinates), and on its Q ~ (2/3)^d P / 2 dealiased
+    # half-spectrum frequencies the (Q, n, 2n) rows of Mbar and a step's
+    # (2n, Q) stage spectra, 2n^2 + 10n fields at (2/3)^d each (tracemalloc
+    # of the larger phase: 0.70-0.94 of this on the builtins and on constant
+    # models with n <= 4, d <= 3; of a step alone on the d = 3 fluid,
+    # 0.54-0.67); a state-dependent model adds four arrays for each of its
+    # 2 + 2d + d(d+1)/2 transformed fields, and its (1 + d)^2 coefficient
+    # blocks and their remainder at every point, all (P, n)
     P, n, d = lattice.points, model.n, lattice.d
-    arrays = 16 + n
+    fields = 4 * n + 2 * d + (2.0 / 3.0) ** d * (2 * n * n + 10 * n)
     if not model.constant_coefficients:
-        arrays += 4 * (2 + 2 * d + d * (d + 1) // 2) + 2 * (1 + d) ** 2 * n
-    return arrays * P * n * np.dtype(float).itemsize
+        fields += n * (4 * (2 + 2 * d + d * (d + 1) // 2) + 2 * (1 + d) ** 2 * n)
+    return int(fields * P * np.dtype(float).itemsize)
 
 
 def _refuse_above_limit(need, what):
@@ -172,14 +174,14 @@ def _length_d(value, what, d):
 
 
 def initial_state(linear, data_spec):
-    """Dealiased initial data on the lattice of a `LinearPart`, carrying its
-    spectrum; UnsupportedDataSpec for data that does not fit the model's
-    components or the lattice's dimension."""
+    """Dealiased initial data on the lattice of a `LinearPart`;
+    UnsupportedDataSpec for data that does not fit the model's components
+    or the lattice's dimension."""
     model, lattice = linear.model, linear.lattice
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     x = lattice.x_vectors()
-    u = np.tile(model.reference_state.astype(float), (lattice.points, 1))
-    ut = np.zeros((lattice.points, model.n))
+    rows = np.zeros((2 * model.n, lattice.points))  # u, then u_t, as in the spectrum
+    rows[:model.n] = model.reference_state[:, None]
     for spec in specs:
         if isinstance(spec, TrigData):
             if spec.phase not in ("sin", "cos"):
@@ -196,11 +198,9 @@ def initial_state(linear, data_spec):
         else:
             raise UnsupportedDataSpec(f"unsupported simulator data spec {type(spec).__name__}")
         check_placement(spec, model.n)
-        if spec.target == "u0":
-            u[:, spec.component] += vals
-        else:
-            ut[:, spec.component] += vals
-    return _state_of(linear, linear.spectrum(np.concatenate([u.T, ut.T])), 0.0)
+        rows[spec.component + (0 if spec.target == "u0" else model.n)] += vals
+    del x  # freed before the transform, the peak of a constant-coefficient run
+    return FieldState(linear, linear.spectrum(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -335,46 +335,29 @@ def _inside_box(model, uh):
     return bool(np.all(np.isfinite(low) & np.isfinite(high) & (low >= lo) & (high <= hi)))
 
 
-def _stage(linear, y, time, u=None):
+def _stage(linear, y, time):
     """Time derivative of the dealiased coefficients y = (u_hat, v_hat),
     shape (2n, Q).  A constant-coefficient model checks the stage's u
-    against the domain box: the samples u (P, n) when given; else the
-    sample interval of its coefficients (`_sample_interval`), forming the
-    samples of y only when that interval is not both finite and inside the
-    box.  A state-dependent model checks the u of its remainder."""
+    against the domain box by the sample interval of its coefficients
+    (`_sample_interval`), forming the samples of y only when that interval
+    is not both finite and inside the box.  A state-dependent model checks
+    the u of its remainder."""
     model = linear.model
     n = model.n
     k = np.empty_like(y)
     k[:n] = y[n:]
     k[n:] = np.einsum("qij,jq->iq", linear.rows, y)
     if model.constant_coefficients:
-        if u is not None:
-            _check_domain(model, u, time)
-        elif not _inside_box(model, y[:n]):
+        if not _inside_box(model, y[:n]):
             _check_domain(model, linear.samples(y[:n]).T, time)
     else:
         k[n:] += linear.spectrum(_remainder(linear, y, time))
     return k
 
 
-def _spectrum(linear, state):
-    # a copy of the carried spectrum, else one forward transform of the
-    # stacked (u, u_t) samples
-    if state.spectrum is not None:
-        return state.spectrum.copy()
-    return linear.spectrum(np.concatenate([state.u.T, state.ut.T]))
-
-
-def _state_of(linear, y, time):
-    # the state with dealiased coefficients y (2n, Q), which it carries
-    n = linear.model.n
-    out = linear.samples(y)
-    return FieldState(linear.lattice, out[:n].T, out[n:].T, time, spectrum=y)
-
-
 def rhs(linear, state):
-    """Time derivative (u_t, v_t) of the first-order system at the dealiased
-    part of the state, as real samples (P, n).
+    """Time derivative (u_t, v_t) of the first-order system at the state, as
+    real samples (P, n).
 
     v_t = sum_j (B^{j0}+B^{0j})(u) v_{x_j} + sum_jk B^{jk}(u) u_{x_j x_k}
           - A^0(u) v - sum_j A^j(u) u_{x_j}.
@@ -384,37 +367,33 @@ def rhs(linear, state):
     derivatives, formed in physical space and transformed once.
     """
     n = linear.model.n
-    k = _stage(linear, _spectrum(linear, state), state.time, state.u)
-    out = linear.samples(k)
+    out = linear.samples(_stage(linear, state.spectrum, state.time))
     return out[:n].T, out[n:].T
 
 
 def step_rk4(linear, state, dt):
-    """One classical RK4 step (dt may be negative) of the dealiased part of
-    the state; raises CFLViolation when |dt| is above the stability bound
-    `linear.dt_max`.
+    """One classical RK4 step (dt may be negative) of the state; raises
+    CFLViolation when |dt| is above the stability bound `linear.dt_max`.
 
-    All four stages stay on the dealiased half spectrum.  The state's
-    spectrum is the one it carries (`FieldState.spectrum`), else one forward
-    transform of its samples; the new state carries its own.  The first
-    stage checks the domain box on the state's samples, later stages of a
-    constant-coefficient model on a bound from their coefficients, with an
-    inverse transform only where the bound cannot clear the box.  So a
-    constant-coefficient step from a state that carries its spectrum takes
-    one inverse real transform, for the new state's samples; a
-    state-dependent model adds the transforms of its remainder.
+    All four stages stay on the dealiased half spectrum, and the input
+    state's spectrum is left as it is.  Every stage of a
+    constant-coefficient model checks the domain box on a bound from its
+    coefficients, with an inverse transform only where the bound cannot
+    clear the box, so such a step usually takes no transform; a
+    state-dependent model takes one inverse and one forward transform a
+    stage for its remainder.
     """
     if abs(dt) > linear.dt_max:
         raise CFLViolation(f"|dt| = {abs(dt):g} exceeds stability bound {linear.dt_max:g}")
-    t = state.time
-    y0 = _spectrum(linear, state)
-    k = _stage(linear, y0, t, state.u)
+    t, y0 = state.time, state.spectrum
+    k = _stage(linear, y0, t)
     acc = k.copy()
     for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         k = _stage(linear, y0 + (c * dt) * k, t + c * dt)
         acc += w * k
-    y0 += (dt / 6.0) * acc
-    return _state_of(linear, y0, t + dt)
+    acc *= dt / 6.0
+    acc += y0
+    return FieldState(linear, acc, t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +402,10 @@ def step_rk4(linear, state, dt):
 
 def w_spectrum(linear, state):
     """Dealiased half-spectrum coefficients (2n, Q) of W = <D>^s (<D>(u -
-    ubar), u_t), s = SOBOLEV_INDEX, from the state's spectrum (`_spectrum`):
-    the one representation of W that the norms and the energy form read."""
+    ubar), u_t), s = SOBOLEV_INDEX, from the state's spectrum: the one
+    representation of W that the norms and the energy form read."""
     n = linear.model.n
-    y = _spectrum(linear, state)
+    y = state.spectrum.copy()
     y[:n, 0] -= linear.model.reference_state
     br = np.sqrt(1.0 + np.sum(linear.xi**2, axis=1))
     y[:n] *= br ** (1.0 + SOBOLEV_INDEX)
@@ -583,13 +562,14 @@ class EnergyForm:
         self.reference = _dissipation_values(self.model, self.model.reference_state[None, :], xi)[0]
         self.low_band = _phi(np.linalg.norm(xi, axis=1)) < 1.0
 
-    def operator(self, u_phys):
+    def operator(self, state):
         """The smoothed symbol of D-tilde(u, .) - D-tilde(ubar, .) at the grid
-        points and `linear.xi`, (P, Q, 2n, 2n); None for a
-        constant-coefficient model, whose remainder is zero."""
+        points and `linear.xi`, (P, Q, 2n, 2n), for the u of the state; None
+        for a constant-coefficient model, whose remainder is zero and which
+        reads no samples."""
         if self.model.constant_coefficients:
             return None
-        field = dissipation_symbol_field(self.model, u_phys, self.linear.xi)
+        field = dissipation_symbol_field(self.model, state.u, self.linear.xi)
         field -= self.reference
         field = self.lattice.fft(field)
         field *= self.cutoff[:, :, None, None]
@@ -611,7 +591,7 @@ class EnergyForm:
 
     def value(self, state):
         """<G_u W, W> with W = <D>^s (<D>(u - ubar), u_t) of the state."""
-        return self.apply(self.operator(state.u), w_spectrum(self.linear, state))
+        return self.apply(self.operator(state), w_spectrum(self.linear, state))
 
     def low_band_allowance(self):
         """Computed allowance C_low: the worst positive drift of the quadratic
@@ -650,7 +630,7 @@ def energy_monitor(form, state):
     linear = form.linear
     h = min(DT_FD, 0.25 * linear.dt_max)
     what = w_spectrum(linear, state)
-    val0 = form.apply(form.operator(state.u), what)
+    val0 = form.apply(form.operator(state), what)
     fwd = step_rk4(linear, state, h)
     bwd = step_rk4(linear, state, -h)
     deriv = (form.value(fwd) - form.value(bwd)) / (2.0 * h)
@@ -667,7 +647,7 @@ def monitor_rayleigh_floor(form, state, count=50):
     """Sampled positivity of G_u: min <G w, w>/<w, w> over the dealiased
     parts of random real fields, the only fields the form is given."""
     linear = form.linear
-    op = form.operator(state.u)
+    op = form.operator(state)
     rng = np.random.default_rng(3)
     floor = np.inf
     for _ in range(count):

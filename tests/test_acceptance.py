@@ -7,7 +7,6 @@ pass/fail lines.
 import time
 
 import numpy as np
-import pytest
 
 from hypdiss.cli import EXIT_OK, main
 from hypdiss.conditions import (

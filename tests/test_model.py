@@ -11,7 +11,6 @@ from hypdiss.model import (
     builtin_barotropic_fluid,
     builtin_convected_damped_wave,
     builtin_damped_wave,
-    ensure_normalized,
     fluid_block_decomposition,
     load_model,
     model_from_dict,

@@ -4,7 +4,6 @@ import pytest
 from hypdiss.errors import GridMismatch, InvalidEpsilon, InvalidParameter, PrecheckFailed
 from hypdiss.paradiff import (
     AMPLITUDES,
-    CutoffSpec,
     DiscreteSymbol,
     GridFunction,
     Lattice,
@@ -503,3 +502,23 @@ def test_half_spectrum_is_the_full_transform_with_nonnegative_last_index(d, N):
     assert np.all(lat.xi_vectors(half=True)[:, -1] >= 0.0)
     back = lat.ifft(half, half=True)
     assert back.dtype == float and np.abs(back - v).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", ["fft", "ifft"])
+def test_complex_transform_scales_in_place(name):
+    # d = 1: the output is the only field-sized array the transform holds,
+    # and it equals numpy's transform scaled by 1 / P (fft) or P (ifft)
+    import tracemalloc
+
+    lat = Lattice(d=1, N=256)
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(lat.points, 50, 4, 4)) + 1j * rng.normal(size=(lat.points, 50, 4, 4))
+    tracemalloc.start()
+    try:
+        out = getattr(lat, name)(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * v.nbytes
+    raw = np.fft.fft(v, axis=0) / lat.points if name == "fft" else np.fft.ifft(v, axis=0) * lat.points
+    assert np.array_equal(out, raw)

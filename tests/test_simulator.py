@@ -77,24 +77,25 @@ def coupled_state_dependent_model():
     )
 
 
-def dealiased(linear, values):
-    # the dealiased part of real samples (P, n)
-    return linear.samples(linear.spectrum(np.transpose(values))).T
+def sampled_state(linear, u, ut, time=0.0):
+    # the state of samples u, ut (P, n) on the lattice of a LinearPart: the
+    # dealiased half spectrum of their real parts
+    rows = np.concatenate([np.transpose(u), np.transpose(ut)])
+    return FieldState(linear, linear.spectrum(rows.real), time)
 
 
 def dealiased_random_state(linear, scale, seed):
-    # random samples with energy in every dealiased mode and none above
+    # random samples with energy in every dealiased mode
     rng = np.random.default_rng(seed)
     shape = (linear.lattice.points, linear.model.n)
-    return FieldState(linear.lattice, dealiased(linear, scale * rng.normal(size=shape)),
-                      dealiased(linear, scale * rng.normal(size=shape)))
+    return sampled_state(linear, scale * rng.normal(size=shape), scale * rng.normal(size=shape))
 
 
 def assert_rhs_matches_oracle(m, st):
     # the physical-space right-hand side, to 1e-12 of its largest value
     from oracles import physical_rhs_oracle
 
-    got, want = rhs(LinearPart(m, st.lattice), st), physical_rhs_oracle(m, st)
+    got, want = rhs(st.linear, st), physical_rhs_oracle(m, st)
     scale = max(np.abs(w).max() for w in want)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * scale
@@ -138,16 +139,14 @@ class TestRhs:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_physical_space_oracle(self, n, d):
-        # random fields with energy in every mode, the dealiased band included
+        # random fields with energy in every dealiased mode
         from oracles import random_stable_model
-
-        from hypdiss.simulator import FieldState
 
         rng = np.random.default_rng(10 * n + d)
         m = random_stable_model(rng, n=n, d=d)
         lat = Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d])
-        st = FieldState(lat, 0.05 * rng.normal(size=(lat.points, n)),
-                        0.05 * rng.normal(size=(lat.points, n)))
+        st = sampled_state(LinearPart(m, lat), 0.05 * rng.normal(size=(lat.points, n)),
+                           0.05 * rng.normal(size=(lat.points, n)))
         assert_rhs_matches_oracle(m, st)
 
     @pytest.mark.parametrize("which", ["readme", "coupled-2d"])
@@ -165,15 +164,14 @@ class TestRhs:
         assert_rhs_matches_oracle(m, st)
 
     def test_state_dependent_rhs_acts_on_the_dealiased_state(self):
-        # the remainder is formed from the dealiased part of the state, as
-        # every state of a run is; the oracle's full-spectrum derivatives of a
-        # random field would carry its (even-N Nyquist: imaginary) band
+        # a state is the dealiased part of the samples it is built from, so
+        # rebuilding it from its own samples leaves its remainder as it is
         m = coupled_state_dependent_model()
         lin = LinearPart(m, Lattice(d=2, N=8))
         rng = np.random.default_rng(5)
-        raw = FieldState(lin.lattice, 0.1 * rng.normal(size=(lin.lattice.points, 2)),
-                         0.1 * rng.normal(size=(lin.lattice.points, 2)))
-        clean = FieldState(lin.lattice, dealiased(lin, raw.u), dealiased(lin, raw.ut))
+        raw = sampled_state(lin, 0.1 * rng.normal(size=(lin.lattice.points, 2)),
+                            0.1 * rng.normal(size=(lin.lattice.points, 2)))
+        clean = sampled_state(lin, raw.u, raw.ut)
         for g, w in zip(rhs(lin, raw), rhs(lin, clean)):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -181,10 +179,24 @@ class TestRhs:
         # NaN compares False against both box edges
         lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
         st = initial_state(lin, TrigData(amplitude=1e-2))
-        st.u[5, 0] = np.nan
+        st.spectrum[0, 3] = np.nan
         with pytest.raises(DomainExit) as exc:
             rhs(lin, st)
         assert exc.value.report["finite"] is False
+
+
+def count_transforms(monkeypatch):
+    # a Counter of Lattice.fft and Lattice.ifft calls from here on
+    calls = Counter()
+    for name in ("fft", "ifft"):
+        orig = getattr(Lattice, name)
+
+        def counted(self, values, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(self, values, **kwargs)
+
+        monkeypatch.setattr(Lattice, name, counted)
+    return calls
 
 
 class TestStepping:
@@ -234,34 +246,23 @@ class TestStepping:
             step_rk4(lin, st, -1.01 * dt_max)
         step_rk4(lin, st, -0.25 * dt_max)
 
-    @pytest.mark.parametrize("which, limit", [("fluid", 5), ("quasilinear", 10)])
-    def test_transforms_per_step(self, monkeypatch, which, limit):
-        # bounds that hold whether or not the state carries its spectrum:
-        # constant coefficients take at most one forward transform of the
-        # state, three inverse ones for the domain check of stages 2-4 and
-        # one for the new state; the README quasi-linear model transforms
-        # every stage's derivatives and its remainder instead
-        # (TestCarriedSpectrum counts the carried case exactly)
-        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
-
+    @pytest.mark.parametrize("which, counts", [("fluid", {}),
+                                               ("quasilinear", {"fft": 4, "ifft": 4})],
+                             ids=["fluid", "quasilinear"])
+    def test_transforms_per_step(self, monkeypatch, which, counts):
+        # small data: the coefficient bound clears every stage of the
+        # constant-coefficient fluid, which transforms nothing; the README
+        # quasi-linear model samples each stage's derivatives in one inverse
+        # transform and transforms its remainder back in one forward one
         if which == "fluid":
-            m = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
-            lat = Lattice(d=3, N=8)
+            m, lat = readme_fluid(), Lattice(d=3, N=8)
         else:
             m, lat = nonlinear_convected_model(0.5), LAT
         lin = LinearPart(m, lat)
         st = initial_state(lin, PeriodicBumpData(amplitude=1e-2))
-        calls = []
-        for name in ("fft", "ifft"):
-            orig = getattr(Lattice, name)
-
-            def counted(self, values, _orig=orig, **kwargs):
-                calls.append(1)
-                return _orig(self, values, **kwargs)
-
-            monkeypatch.setattr(Lattice, name, counted)
+        calls = count_transforms(monkeypatch)
         step_rk4(lin, st, 0.5 * lin.dt_max)
-        assert 0 < len(calls) <= limit
+        assert calls == counts
 
     def test_reality_preservation(self):
         lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
@@ -282,24 +283,10 @@ class TestStepping:
         assert np.abs(hat[~two_thirds_mask(LAT)]).max() < 1e-15
 
 
-def count_transforms(monkeypatch):
-    # a Counter of Lattice.fft and Lattice.ifft calls from here on
-    calls = Counter()
-    for name in ("fft", "ifft"):
-        orig = getattr(Lattice, name)
-
-        def counted(self, values, _orig=orig, _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(self, values, **kwargs)
-
-        monkeypatch.setattr(Lattice, name, counted)
-    return calls
-
-
 class TestCoefficientBound:
-    """Stages 2-4 of a constant-coefficient step clear the domain box from
-    their Fourier coefficients when they can, and check their samples when
-    they cannot."""
+    """Every stage of a constant-coefficient step clears the domain box from
+    its Fourier coefficients when it can, and checks its samples when it
+    cannot."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(d=hst.integers(1, 3), N=hst.integers(3, 10), m=hst.integers(1, 3),
@@ -320,8 +307,8 @@ class TestCoefficientBound:
 
     def test_data_just_inside_the_box_takes_the_exact_check(self, monkeypatch):
         # u = 0.6 (sin x + sin 3x) lies in [-1, 1] at every sample (max
-        # 0.92); its interval 0 -+ 1.2 does not, so stages 2-4 transform
-        # their u and pass
+        # 0.92); its interval 0 -+ 1.2 does not, so all four stages
+        # transform their u and pass
         lin = LinearPart(builtin_convected_damped_wave(0.5), LAT)
         s0 = initial_state(lin, [TrigData(amplitude=0.6, wavenumber=(k,)) for k in (1, 3)])
         low, high = sim._sample_interval(s0.spectrum[:1])
@@ -344,7 +331,7 @@ class TestCoefficientBound:
 
     @pytest.mark.parametrize("which", ["outside", "nan", "inf-in-unbounded-box"])
     def test_exit_matches_the_exact_check(self, monkeypatch, which):
-        # stage 1 passes on the state's samples and stage 2 leaves the box:
+        # stage 1 passes and stage 2 leaves the box:
         # a large u_t, or a NaN (inf) u_t coefficient, which makes the
         # samples of the stage's u non-finite, also in a box without edges,
         # which an infinite interval would otherwise clear; the exit
@@ -381,19 +368,20 @@ def constant_case(which):
 
 
 class TestCarriedSpectrum:
-    """A step carries the dealiased spectrum of its new state, so the next
-    step starts from it instead of transforming the samples again."""
+    """A state is its dealiased spectrum, which a step carries into the
+    next; samples are formed only where they are read."""
 
     @pytest.mark.parametrize("which", ["convected", "fluid"])
-    def test_carried_agrees_with_dropped(self, which):
-        lin, carried = constant_case(which)
-        dropped = carried
-        for _ in range(10):
-            carried = step_rk4(lin, carried, lin.dt_max)
-            dropped = step_rk4(lin, dataclasses.replace(dropped, spectrum=None), lin.dt_max)
-            scale = max(np.abs(dropped.u).max(), np.abs(dropped.ut).max())
-            for g, w in ((carried.u, dropped.u), (carried.ut, dropped.ut)):
-                assert np.abs(g - w).max() <= 1e-13 * scale
+    def test_samples_are_read_from_the_spectrum(self, which):
+        # formed on each read, so they follow a change of the spectrum
+        lin, state = constant_case(which)
+        state = step_rk4(lin, state, lin.dt_max)
+        n = lin.model.n
+        both = lin.samples(state.spectrum)
+        assert np.array_equal(state.u, both[:n].T) and np.array_equal(state.ut, both[n:].T)
+        assert state.lattice is lin.lattice
+        state.spectrum *= 2.0
+        assert np.array_equal(state.u, 2.0 * both[:n].T)
 
     @pytest.mark.parametrize("which", ["convected", "fluid"])
     def test_steps_are_the_rk4_polynomial_of_mbar(self, which):
@@ -421,14 +409,23 @@ class TestCarriedSpectrum:
         assert np.array_equal(step_rk4(lin, s0, lin.dt_max).u, fwd.u)
 
     @pytest.mark.parametrize("which", ["convected", "fluid"])
-    def test_one_inverse_transform_per_step(self, monkeypatch, which):
-        # small data: the coefficient bound clears stages 2-4
-        lin, s0 = constant_case(which)
-        state = step_rk4(lin, s0, lin.dt_max)
+    def test_no_transform_per_step(self, monkeypatch, which):
+        # small data: the coefficient bound clears every stage
+        lin, state = constant_case(which)
         calls = count_transforms(monkeypatch)
         for _ in range(3):
             state = step_rk4(lin, state, lin.dt_max)
-        assert calls == {"ifft": 3}
+        assert calls == {}
+
+    @pytest.mark.parametrize("which", ["convected", "fluid"])
+    def test_run_transforms_only_the_initial_data(self, monkeypatch, which):
+        # without the monitor: one forward transform, none per step or
+        # per snapshot
+        lin, _ = constant_case(which)
+        calls = count_transforms(monkeypatch)
+        tr = run(lin.model, PeriodicBumpData(amplitude=1e-2),
+                 SimConfig(lattice=lin.lattice, t_final=10 * lin.dt_max, snapshots=4))
+        assert calls == {"fft": 1} and tr.times[-1] > 9 * lin.dt_max
 
 
 class TestStepOracle:
@@ -443,7 +440,7 @@ class TestStepOracle:
         ref = st
         for _ in range(steps):
             st = step_rk4(linear, st, dt)
-            ref = FieldState(st.lattice, *rk4_step_oracle(m, ref, dt), st.time)
+            ref = sampled_state(linear, *rk4_step_oracle(m, ref, dt), st.time)
             scale = max(np.abs(ref.u).max(), np.abs(ref.ut).max())
             for g, w in zip((st.u, st.ut), (ref.u, ref.ut)):
                 assert np.abs(g - w).max() <= 1e-12 * scale
@@ -458,8 +455,9 @@ class TestStepOracle:
         m = random_stable_model(rng, n=n, d=d)
         lat = Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d])
         shape = (lat.points, n)
-        st = FieldState(lat, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
-        self.assert_steps_match(m, LinearPart(m, lat), st)
+        linear = LinearPart(m, lat)
+        st = sampled_state(linear, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
+        self.assert_steps_match(m, linear, st)
 
     @pytest.mark.parametrize("N", [64, 15])
     @pytest.mark.parametrize("which", ["convected", "quasilinear"])
@@ -609,7 +607,8 @@ class TestEnergyMonitor:
     @pytest.mark.parametrize("which", ["convected-0.5", "quasilinear", "fluid"])
     def test_w_norms_match_state_norms(self, which):
         # the monitor's ||W||^2 is the traced norms' sum of squares, and its
-        # low band the full spectrum's, for a carried and a samples-only state
+        # low band the full spectrum's, for a stepped state and for that
+        # state rebuilt from its samples
         from oracles import w_hat
 
         m, lat = {
@@ -621,7 +620,7 @@ class TestEnergyMonitor:
         st = step_rk4(form.linear, initial_state(form.linear, PeriodicBumpData(amplitude=0.05)),
                       0.01)
         low = np.linalg.norm(lat.xi_vectors(), axis=1) < 3.0
-        for state in (st, FieldState(lat, st.u, st.ut)):
+        for state in (st, sampled_state(form.linear, st.u, st.ut)):
             res = energy_monitor(form, state)
             want = sum(x**2 for x in state_norms(form.linear, state))
             assert res.w_norm2 == pytest.approx(want, rel=1e-13)
@@ -726,10 +725,10 @@ def assert_form_matches_oracle(m, st):
 
 
 def oracle_inputs(linear, st):
-    # a state of raw samples, the carried-spectrum state one step from it,
-    # and that state's samples alone
-    carried = step_rk4(linear, st, 0.5 * linear.dt_max)
-    return st, carried, FieldState(st.lattice, carried.u, carried.ut)
+    # a state of random samples, the state one step from it, and that state
+    # rebuilt from its samples
+    stepped = step_rk4(linear, st, 0.5 * linear.dt_max)
+    return st, stepped, sampled_state(linear, stepped.u, stepped.ut)
 
 
 class TestEnergyFormSplit:
@@ -745,9 +744,10 @@ class TestEnergyFormSplit:
         # |xi| >= 2 is populated (at N = 4 it keeps |xi_j| <= 1)
         rng = np.random.default_rng(7)
         shape = (lat.points, m.n)
-        st = FieldState(lat, m.reference_state + 0.05 * rng.normal(size=shape),
-                        0.05 * rng.normal(size=shape))
-        for state in oracle_inputs(LinearPart(m, lat), st):
+        linear = LinearPart(m, lat)
+        st = sampled_state(linear, m.reference_state + 0.05 * rng.normal(size=shape),
+                           0.05 * rng.normal(size=shape))
+        for state in oracle_inputs(linear, st):
             assert_form_matches_oracle(m, state)
 
     def test_quasilinear_along_a_run(self):
@@ -767,10 +767,10 @@ class TestEnergyFormSplit:
 
         rng = np.random.default_rng(100 + 10 * n + d)
         m = random_stable_model(rng, n=n, d=d)
-        lat = Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d])
-        st = FieldState(lat, 0.05 * rng.normal(size=(lat.points, n)),
-                        0.05 * rng.normal(size=(lat.points, n)))
-        for state in oracle_inputs(LinearPart(m, lat), st):
+        linear = LinearPart(m, Lattice(d=d, N={1: 16, 2: 8, 3: 6}[d]))
+        P = linear.lattice.points
+        st = sampled_state(linear, 0.05 * rng.normal(size=(P, n)), 0.05 * rng.normal(size=(P, n)))
+        for state in oracle_inputs(linear, st):
             assert_form_matches_oracle(m, state)
 
     @pytest.mark.parametrize("N", [7, 8])
@@ -778,11 +778,11 @@ class TestEnergyFormSplit:
         # a state-dependent d = 2 model: besides xi = 0, the half spectrum
         # holds the plane xi_2 = 0, whose pairs {xi, -xi} weigh 1 each
         m = coupled_state_dependent_model()
-        lat = Lattice(d=2, N=N)
+        linear = LinearPart(m, Lattice(d=2, N=N))
         rng = np.random.default_rng(N)
-        shape = (lat.points, m.n)
-        st = FieldState(lat, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
-        for state in oracle_inputs(LinearPart(m, lat), st):
+        shape = (linear.lattice.points, m.n)
+        st = sampled_state(linear, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
+        for state in oracle_inputs(linear, st):
             assert_form_matches_oracle(m, state)
 
     @pytest.mark.parametrize("which", ["convected-0.5", "quasilinear"])
@@ -893,7 +893,7 @@ def test_state_norms_match_grid_functions():
     for model, data, lat in cases:
         linear = LinearPart(model, lat)
         st = initial_state(linear, data)
-        st = FieldState(lat, st.u + 0.01 * np.cos(lat.x_vectors()[:, :1]), st.ut)
+        st = sampled_state(linear, st.u + 0.01 * np.cos(lat.x_vectors()[:, :1]), st.ut)
         nu, nut = state_norms(linear, st)
         ubar = ensure_normalized(model).reference_state
         assert nu == pytest.approx(GridFunction(lat, st.u - ubar).sobolev_norm(3.0), rel=1e-13)
@@ -908,19 +908,19 @@ def test_state_norms_match_grid_functions():
        seed=hst.integers(0, 2**32 - 1))
 def test_state_norms_match_w_hat(n, d, N, seed):
     # the norms read from the half spectrum equal the block norms of the full
-    # spectrum of W, for a state that carries its spectrum (after a step) and
-    # for one built from its samples alone
+    # spectrum of W, for a state after a step and for that state rebuilt
+    # from its samples
     from oracles import random_stable_model, w_hat
 
     rng = np.random.default_rng(seed)
     linear = LinearPart(random_stable_model(rng, n=n, d=d), Lattice(d=d, N=N))
     lat = linear.lattice
-    st = FieldState(lat, 0.05 * rng.normal(size=(lat.points, n)),
-                    0.05 * rng.normal(size=(lat.points, n)))
+    st = sampled_state(linear, 0.05 * rng.normal(size=(lat.points, n)),
+                       0.05 * rng.normal(size=(lat.points, n)))
     st = step_rk4(linear, st, linear.dt_max)
     sq = lat.L_box**d * np.sum(np.abs(w_hat(linear.model, st)) ** 2, axis=0)
     want = [np.sqrt(np.sum(b)) for b in np.split(sq, 2)]
-    for state in (st, FieldState(lat, st.u, st.ut)):
+    for state in (st, sampled_state(linear, st.u, st.ut)):
         assert state_norms(linear, state) == pytest.approx(want, rel=1e-13)
 
 
@@ -943,7 +943,8 @@ def test_initial_state_refuses_data_it_cannot_place(spec):
 class TestLatticeGuard:
     def test_refuses_fluid_n128_without_allocating(self):
         # the CLI's default --n-grid 128 in d=3: 2.1 M points, 128 MiB per
-        # (P, n) complex array; the step would hold 16 + n real ones
+        # (P, n) complex array; a run would hold 4n + 2d + (8/27)(2n^2 + 10n)
+        # = 130/3 real lattice fields
         import tracemalloc
 
         from hypdiss.model import FluidParameters, builtin_barotropic_fluid
@@ -954,7 +955,7 @@ class TestLatticeGuard:
         cfg = SimConfig(lattice=lat, t_final=0.1, snapshots=2)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidParameter, match=str((16 + f.n) * array_bytes // 2)):
+            with pytest.raises(InvalidParameter, match=str(130 * 8 * lat.points // 3)):
                 run(f, PeriodicBumpData(amplitude=1e-2), cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -971,7 +972,7 @@ class TestLatticeGuard:
 
     @pytest.mark.parametrize("argv,lattice", [
         (["--builtin", "fluid"], Lattice(d=3, N=64)),
-        (["--builtin", "damped-wave", "--d", "3"], Lattice(d=3, N=64)),
+        (["--builtin", "damped-wave", "--d", "3"], Lattice(d=3, N=128)),
         (["--builtin", "damped-wave", "--d", "2"], Lattice(d=2, N=128)),
         (["--builtin", "convected-damped-wave", "--a", "0.5"], Lattice(d=1, N=128)),
         (["--builtin", "fluid", "--n-grid", "16"], Lattice(d=3, N=16)),
@@ -994,24 +995,25 @@ class TestLatticeGuard:
         assert seen == [lattice]
 
     def test_largest_fluid_lattice_allowed(self):
-        # 20 real (P, 4) arrays: N = 74 in d=3 fits, N = 75 does not; a
+        # 130/3 real lattice fields: N = 91 in d=3 fits, N = 92 does not; a
         # working set of exactly the limit is still accepted
         import hypdiss.simulator as sim
         from hypdiss.model import FluidParameters, builtin_barotropic_fluid
 
         f = builtin_barotropic_fluid(FluidParameters(r=3, mu=2, nu=1, eta=1))
         sim._require_lattice_fits(f, Lattice(d=3, N=64))
-        sim._require_lattice_fits(f, Lattice(d=3, N=74))
+        sim._require_lattice_fits(f, Lattice(d=3, N=91))
         with pytest.raises(InvalidParameter):
-            sim._require_lattice_fits(f, Lattice(d=3, N=75))
+            sim._require_lattice_fits(f, Lattice(d=3, N=92))
         sim._refuse_above_limit(sim.SYMBOL_FIELD_MAX_BYTES, "exactly the limit")
         with pytest.raises(InvalidParameter):
             sim._refuse_above_limit(sim.SYMBOL_FIELD_MAX_BYTES + 1, "one byte above")
 
     @pytest.mark.parametrize("N", [16, 32])
     def test_estimate_bounds_measured_step(self, N):
-        # a LinearPart and one step of the d=3 fluid, the zero-padded work
-        # spectra included, peak at about 0.7 of the guard's estimate
+        # a LinearPart and one step of the d=3 fluid peak at 0.67 (N = 16)
+        # and 0.54 (N = 32) of the guard's estimate, whose largest phase is
+        # the transform of the initial data
         import tracemalloc
 
         import hypdiss.simulator as sim
@@ -1140,7 +1142,7 @@ class TestDissipationSymbolField:
         lin = LinearPart(m, lat)
         rng = np.random.default_rng(0)
         shape = (lat.points, m.n)
-        st = FieldState(lat, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
+        st = sampled_state(lin, 0.05 * rng.normal(size=shape), 0.05 * rng.normal(size=shape))
         assert len(np.unique(st.u, axis=0)) == lat.points
         tracemalloc.start()
         try:
