@@ -47,11 +47,11 @@ from .grids import antipodal_fold, direction_major_grid, radial_loggrid, unit_di
 from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
-    DEFECT_COND_LIMIT,
     assemble_calA_stack,
     assemble_calB_stack,
     assemble_M_stack,
     directional_stack,
+    eigenbasis_inverse,
     frequency_stack,
 )
 
@@ -205,8 +205,9 @@ def spectral_stack(K, cluster_tolerance=1e-7):
     clusters closer than 10 thr raise ClusterAmbiguity whose ``index`` is the
     first such point.  A cluster's basis is a QR of its eigenvectors (the
     identity for a cluster holding the whole spectrum).  A point whose
-    eigenvector matrix has cond >= DEFECT_COND_LIMIT takes its bases from
-    sorted Schur forms instead, which stay reliable for defective clusters.
+    eigenvector matrix `eigenbasis_inverse` does not trust takes its bases
+    from sorted Schur forms instead, which stay reliable for defective
+    clusters.
     Semi-simplicity is decided by the numerical kernel dimension of
     K - value I, from one stacked SVD.  A stack with non-finite entries
     raises EigensolverFailure whose ``index`` is the first such point.
@@ -232,7 +233,7 @@ def spectral_stack(K, cluster_tolerance=1e-7):
     semi_simple = np.sum(sv <= thr[point, None], axis=1) == mult
 
     V = np.take_along_axis(V, order[:, None, :], axis=2)
-    ok = np.linalg.cond(V) < DEFECT_COND_LIMIT
+    ok = eigenbasis_inverse(V)[1]
     cols = _cluster_columns(point, mult, m)
     basis = np.broadcast_to(np.eye(m, dtype=complex), K.shape).copy()
     for k in np.unique(mult[(mult < m) & ok[point]]):
@@ -692,21 +693,20 @@ def _eig_solve(Ms, rho, pts, w, V):
     """Solutions of P M + M^* P = -rho I over a stack, in the eigenbasis.
 
     With M = V diag(w) V^{-1}, P = V^{-*} X V^{-1} where
-    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point whose cond(V) is not
-    below DEFECT_COND_LIMIT is solved by `lyapunov_certificate` instead; the
-    first point whose spectral abscissa is not negative is refused.  Returns
-    (P, ok) with ok the points solved in the eigenbasis; pts are the points'
-    indices, used to name a failing one.
+    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point whose eigenbasis
+    `eigenbasis_inverse` does not trust is solved by `lyapunov_certificate`
+    instead; the first point whose spectral abscissa is not negative is
+    refused.  Returns (P, ok) with ok the points solved in the eigenbasis;
+    pts are the points' indices, used to name a failing one.
     """
     alpha = w.real.max(axis=1)
     if np.any(alpha >= 0.0):
         q = int(np.argmax(alpha >= 0.0))
         raise LyapunovSolveFailure(f"spectral abscissa {alpha[q]:.3e} >= 0", index=int(pts[q]))
-    ok = _stacked(np.linalg.cond, V, pts, "cond") < DEFECT_COND_LIMIT
+    Vinv, ok = _stacked(eigenbasis_inverse, V, pts, "inv")
     P = np.empty_like(V)
     if ok.any():
-        Vo, wo = V[ok], w[ok]
-        Vinv = _stacked(np.linalg.inv, Vo, pts[ok], "inv")
+        Vo, wo, Vinv = V[ok], w[ok], Vinv[ok]
         X = -rho[ok, None, None] * (_herm(Vo) @ Vo) / (wo.conj()[:, :, None] + wo[:, None, :])
         P[ok] = _herm(Vinv) @ X @ Vinv
     for q in np.flatnonzero(~ok):

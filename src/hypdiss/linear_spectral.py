@@ -19,7 +19,7 @@ from .errors import DegenerateFit, EigensolverFailure, UnsupportedDataSpec
 from .grids import antipodal_fold, product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import check_placement
-from .symbols import DEFECT_COND_LIMIT, assemble_M_stack
+from .symbols import assemble_M_stack, eigenbasis_inverse
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,16 @@ class ModePropagator:
     """Eigen-decompositions of the weighted symbol at a stack of modes, with an
     expm fallback wherever a mode is numerically defective.
 
-    `eig` lists per mode the views (w, V, Vinv) into the stacked
-    decomposition, or None for a defective mode: one whose eigenbasis has
-    cond(V) >= DEFECT_COND_LIMIT (or is not finite).  A symbol stack the
-    stacked solvers refuse (non-finite entries) raises EigensolverFailure.
+    Data are projected once onto the eigenbases (`project`, the modal
+    coordinates V^{-1} coeff) and then propagated to any time with one
+    stacked product V (e^{dt w} * modal) (`propagate`).  `eig` lists per
+    mode the views (w, V, Vinv) into the stacked decomposition, or None for
+    a defective mode: one whose eigenbasis `eigenbasis_inverse` does not
+    trust (kappa_F(V) >= DEFECT_COND_LIMIT, or V singular).  A defective
+    mode's inverse block is the identity, so its modal coordinates are its
+    coefficients, which `propagate` advances with scipy's expm.  A symbol
+    stack the stacked solvers refuse (non-finite entries) raises
+    EigensolverFailure.
     """
 
     def __init__(self, model, xi):
@@ -113,23 +119,26 @@ class ModePropagator:
         self.mats = assemble_M_stack(model, model.reference_state, self.xi)
         try:
             w, V = np.linalg.eig(self.mats)
-            self.defective = ~(np.linalg.cond(V) < DEFECT_COND_LIMIT)
-            # defective modes invert the identity instead; their product is replaced
-            Vinv = np.linalg.inv(np.where(self.defective[:, None, None], np.eye(V.shape[-1]), V))
+            Vinv, trusted = eigenbasis_inverse(V)
         except np.linalg.LinAlgError as e:
             raise EigensolverFailure(f"eig failed on {len(self.xi)} frequencies: {e}") from e
+        self.defective = ~trusted
         self._w, self._V, self._Vinv = w, V, Vinv
         self.eig = [None if bad else dec
                     for bad, dec in zip(self.defective, zip(w, V, Vinv))]
 
-    def propagate(self, coeff, dt):
-        growth = np.exp(dt * self._w) * np.einsum("qij,qj->qi", self._Vinv, coeff)
-        out = np.einsum("qij,qj->qi", self._V, growth)
+    def project(self, coeff):
+        """Modal coordinates V^{-1} coeff (Q, 2n) of coefficients coeff (Q, 2n)."""
+        return (self._Vinv @ coeff[:, :, None])[:, :, 0]
+
+    def propagate(self, modal, dt):
+        """Coefficients (Q, 2n) at time dt of the modal coordinates `project` formed."""
+        out = (self._V @ (np.exp(dt * self._w) * modal)[:, :, None])[:, :, 0]
         bad = self.defective
         if np.any(bad):
             import scipy.linalg as sla
 
-            out[bad] = np.einsum("qij,qj->qi", sla.expm(dt * self.mats[bad]), coeff[bad])
+            out[bad] = np.einsum("qij,qj->qi", sla.expm(dt * self.mats[bad]), modal[bad])
         return out
 
 
@@ -233,10 +242,11 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     times = default_decay_times(fit_window[1])
     ens = init_ensemble(model, data_spec)
     prop = ModePropagator(model, ens.xi)
+    modal = prop.project(ens.coefficients)
     nu = np.zeros(len(times))
     nut = np.zeros(len(times))
     for k, t in enumerate(times):
-        coeff = prop.propagate(ens.coefficients, t)
+        coeff = prop.propagate(modal, t)
         cur = ModeEnsemble(ens.n, ens.d, ens.xi, ens.weights, coeff, t)
         norms = sobolev_norm(cur, s)
         nu[k] = norms.u

@@ -443,9 +443,12 @@ def check_garding(F, u_base, chi):
     negativity at each amplitude is the worst constant
     max(0, sup_v (-q(v) - c0 ||v||_{-2}^2) / ||v||^2_{(m-1)/2}), where the
     smoothing-tail constant c0 = 1.05 max(0, sup_v -q(v) / ||v||_{-2}^2) + 1e-14
-    is taken at u = 0.  Both suprema over all lattice functions are the top
-    eigenvalues of dense P x P matrices in the Fourier basis, where the
-    Sobolev weights are diagonal (volume factors cancel in the ratios).
+    is taken at u = 0.  Both suprema over all lattice functions are top
+    eigenvalues in the Fourier basis, where the Sobolev weights are diagonal
+    (volume factors cancel in the ratios).  The negativity's is that of a
+    dense P x P matrix.  F(0, xi) is x-independent, so its para-operator is
+    the multiplier chi(0, xi) F(0, xi), and c0's is the largest over its
+    n x n blocks.
     """
     lat = u_base.lattice
     amps = np.asarray(AMPLITUDES, dtype=float)
@@ -458,7 +461,9 @@ def check_garding(F, u_base, chi):
 
     S0 = F.symbol(lat, 0.0 * u_base.values)
     n = S0.n
-    c0 = max(_worst_ratio(negative_form(S0), sobolev_weights(lat, 2.0, n)), 0.0) * 1.05 + 1e-14
+    a0 = mask[0][:, None, None] * S0.values[0]  # row 0 of the mask: eta = 0
+    G0 = lat.brackets()[:, None, None] ** 4 * -(a0 + np.conj(np.swapaxes(a0, 1, 2)))
+    c0 = max(float(np.max(np.linalg.eigvalsh(G0))), 0.0) * 1.05 + 1e-14
     tail = c0 * sobolev_weights(lat, -2.0, n) ** 2
     whalf = sobolev_weights(lat, -0.5 * (F.order - 1.0), n)
 

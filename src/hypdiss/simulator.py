@@ -271,7 +271,13 @@ class LinearPart:
         self.xi = lattice.xi_vectors(half=True)[self.mask]
         self.weights = np.where(self.xi[:, -1] > 0.0, 2.0, 1.0) * lattice.L_box**lattice.d
         A, B, C = frequency_polynomials(T, self.xi)
-        self.rows = np.concatenate([-1j * A - B, 1j * C - T.A0], axis=-1)
+        n = model.n
+        # both halves pass through one contiguous (Q, n, n) buffer: numpy
+        # buffers a ufunc whose output is a strided view
+        self.rows = rows = np.empty(A.shape[:-1] + (2 * n,), dtype=complex)
+        half = np.multiply(A, -1j)
+        rows[..., :n] = np.subtract(half, B, out=half)
+        rows[..., n:] = np.subtract(np.multiply(C, 1j, out=half), T.A0, out=half)
         self._padded = {}
 
     def spectrum(self, values):

@@ -28,9 +28,10 @@ from .grids import check_unit
 from .model import ensure_normalized, evaluate_stack
 
 #: Eigenvector condition number from which a stacked eigen-decomposition is
-#: not trusted at a point: `ModePropagator` propagates such a mode with expm,
-#: and UNIFORM's stacked Lyapunov solve (`conditions._eig_solve`) solves it
-#: with scipy's Schur method.
+#: not trusted at a point (`eigenbasis_inverse`, in the Frobenius norm):
+#: `ModePropagator` propagates such a mode with expm, UNIFORM's stacked
+#: Lyapunov solve (`conditions._eig_solve`) solves it with scipy's Schur
+#: method, and `conditions.spectral_stack` takes its bases from Schur forms.
 DEFECT_COND_LIMIT = 1e8
 
 
@@ -187,6 +188,25 @@ def assemble_M_stack(model, u, xi):
     A, B, C = frequency_polynomials(T, xi)
     br = np.sqrt(1.0 + np.sum(xi * xi, axis=1))
     return _first_order(br, (-1j * A - B) / br[:, None, None], 1j * C - T.A0[..., None, :, :])
+
+
+def eigenbasis_inverse(V):
+    """(Vinv, trusted) for a stack of eigenvector matrices V (..., m, m).
+
+    An exactly singular V (det = 0) is screened out before the stacked inv;
+    a point is trusted when kappa_F(V) = ||V||_F ||V^{-1}||_F is below
+    DEFECT_COND_LIMIT.  kappa_F >= cond_2(V), so the guard flags at least
+    the points that cond_2 would.  Vinv is inv(V) where trusted and the
+    identity elsewhere.  A failing inv raises LinAlgError.
+    """
+    eye = np.eye(V.shape[-1])
+    singular = np.linalg.det(V) == 0.0
+    Vinv = np.linalg.inv(np.where(singular[..., None, None], eye, V))
+    with np.errstate(over="ignore"):  # an overflowing kappa is not trusted
+        kappa = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
+    trusted = ~singular & (kappa < DEFECT_COND_LIMIT)
+    Vinv[~trusted] = eye
+    return Vinv, trusted
 
 
 def _one(xi_vec):

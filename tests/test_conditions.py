@@ -538,11 +538,12 @@ class TestBatchedUniform:
         # with the eigenbasis guard at 0 every solve and every split takes the
         # per-point scipy / sorted-Schur path
         import hypdiss.conditions as cond
+        import hypdiss.symbols as symbols
 
         from oracles import uniform_oracle
 
         model = dict(UNIFORM_MODELS)[name]
-        monkeypatch.setattr(cond, "DEFECT_COND_LIMIT", 0.0)
+        monkeypatch.setattr(symbols, "DEFECT_COND_LIMIT", 0.0)
         splits = []
         schur = cond._schur_split
         monkeypatch.setattr(cond, "_schur_split", lambda *a: splits.append(1) or schur(*a))

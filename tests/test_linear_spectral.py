@@ -107,7 +107,7 @@ class TestAntipodalFold:
         coeff = np.zeros((len(xi), 2 * m.n), dtype=complex)
         coeff[:, :m.n] = (br * 1e-2 * 3.0**3 * np.exp(-4.5 * mags**2))[:, None]
         prop = ModePropagator(m, xi)
-        full = [sobolev_norm(ModeEnsemble(m.n, 3, xi, w, prop.propagate(coeff, t), t), 2.0)
+        full = [sobolev_norm(ModeEnsemble(m.n, 3, xi, w, prop.propagate(prop.project(coeff), t), t), 2.0)
                 for t in study.times]
         np.testing.assert_allclose(study.norms_u, [f.u for f in full], rtol=1e-13, atol=0)
         np.testing.assert_allclose(study.combined, [f.combined for f in full], rtol=1e-13, atol=0)
@@ -184,6 +184,24 @@ class TestPipelines:
         study = decay_study(m, GaussianData(amplitude=1e-2, sigma=2.0))
         assert -1.1 < study.fit.exponent < -0.6
 
+    def test_fluid_study_peak_memory(self):
+        # the data are projected once and propagated time by time: the peak
+        # stays at about 4.3 (Q, 2n, 2n) complex stacks (the symbols, V, its
+        # inverse and the decomposition's work space); a (T, Q, 2n) stack of
+        # the 40 times would add 5 more
+        import tracemalloc
+
+        m = builtin_barotropic_fluid(FLUID)
+        data = [GaussianData(amplitude=1e-2, sigma=3.0, component=c) for c in range(m.n)]
+        stack = len(init_ensemble(m, data).xi) * (2 * m.n) ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            decay_study(m, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * stack
+
     def test_linearity_of_evolution(self):
         m = builtin_damped_wave(2.0, d=3)
         e1 = init_ensemble(m, GaussianData(amplitude=0.4, sigma=1.0))
@@ -194,18 +212,19 @@ class TestPipelines:
              GaussianData(amplitude=0.3, sigma=0.7, target="u1")],
         )
         prop = ModePropagator(m, e1.xi)
-        a = prop.propagate(e1.coefficients, 3.0) + prop.propagate(e2.coefficients, 3.0)
-        b = prop.propagate(esum.coefficients, 3.0)
+        a = (prop.propagate(prop.project(e1.coefficients), 3.0)
+             + prop.propagate(prop.project(e2.coefficients), 3.0))
+        b = prop.propagate(prop.project(esum.coefficients), 3.0)
         assert np.abs(a - b).max() < 1e-10
 
     def test_mode_decoupling_bitwise(self):
         m = builtin_damped_wave(2.0, d=3)
         ens = init_ensemble(m, GaussianData(amplitude=1.0))
         prop = ModePropagator(m, ens.xi)
-        base = prop.propagate(ens.coefficients, 2.0)
+        base = prop.propagate(prop.project(ens.coefficients), 2.0)
         pert = ens.coefficients.copy()
         pert[37] *= 3.0
-        out = prop.propagate(pert, 2.0)
+        out = prop.propagate(prop.project(pert), 2.0)
         mask = np.ones(len(ens.xi), dtype=bool)
         mask[37] = False
         assert np.array_equal(out[mask], base[mask])
@@ -257,7 +276,7 @@ class TestModePropagator:
     def test_matches_per_mode_expm_with_defective_mode(self):
         import scipy.linalg as sla
 
-        from hypdiss.linear_spectral import DEFECT_COND_LIMIT
+        from hypdiss.symbols import DEFECT_COND_LIMIT
         from oracles import weighted_symbol_oracle
 
         m = builtin_damped_wave(2.0, d=3)
@@ -271,7 +290,7 @@ class TestModePropagator:
         assert all(e is not None for e in prop.eig[1:])
         coeff = rng.normal(size=(len(xi), 2)) + 1j * rng.normal(size=(len(xi), 2))
         for dt in (0.0, 0.7, 5.0):
-            got = prop.propagate(coeff, dt)
+            got = prop.propagate(prop.project(coeff), dt)
             for q in range(len(xi)):
                 M, _ = weighted_symbol_oracle(m, m.reference_state, xi[q])
                 want = sla.expm(dt * M) @ coeff[q]

@@ -415,6 +415,26 @@ class TestGarding:
         check_garding(SeparableFamily(state_factor, bracket, 1.0), bump_function(), CHI)
         assert len(calls) == 1 + len(AMPLITUDES)
 
+    @pytest.mark.parametrize("name,family,exact", [
+        ("skew", SeparableFamily(lambda uv: 1j * uv[:, 0], bracket, 1.0), True),
+        ("positive", SeparableFamily(lambda uv: 1.0 + uv[:, 0] ** 2, bracket, 1.0), True),
+        ("negative-at-0", SeparableFamily(lambda uv: np.where(uv[:, 0] == 0.0, -1.0, 1.0),
+                                          bracket, 1.0), False),
+    ])
+    def test_smoothing_constant_matches_the_dense_form(self, name, family, exact):
+        # the u = 0 multiplier's n x n blocks give the dense P x P form's top
+        # eigenvalue: bit for bit where it clips to 0, to rounding otherwise
+        # (the third family is -<xi> at u = 0 only, where c0 is large)
+        u0 = bump_function()
+        T = op_matrix(smooth_symbol(family.symbol(LAT, 0.0 * u0.values), cutoff_mask(LAT, CHI)))
+        G = sobolev_weights(LAT, 2.0)[:, None] * -(T + T.conj().T) * sobolev_weights(LAT, 2.0)
+        want = max(float(np.linalg.eigvalsh(0.5 * (G + G.conj().T))[-1]), 0.0) * 1.05 + 1e-14
+        got = check_garding(family, u0, CHI).smoothing_constant
+        if exact:
+            assert got == want == 1e-14
+        else:
+            assert got == pytest.approx(want, rel=1e-12) and got > 1.0
+
     def test_positive_family_bound_shrinks(self):
         # F = (1 + y^2) <xi>: the measured bound goes to zero with the state
         F = SeparableFamily(lambda uv: 1.0 + uv[:, 0] ** 2, bracket, 1.0)

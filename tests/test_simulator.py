@@ -1032,6 +1032,26 @@ class TestLatticeGuard:
             tracemalloc.stop()
         assert 0.5 <= peak / sim._rk4_bytes(lin.model, lat) <= 1.0
 
+    def test_rows_are_built_in_place(self):
+        # the bottom rows of Mbar, bit for bit, built through one (Q, n, n)
+        # buffer: 0.82 of the guard's estimate for n = 4, d = 1 at N = 4096
+        # (0.92 with both halves and their concatenation)
+        import tracemalloc
+
+        from oracles import random_stable_model
+
+        m = ensure_normalized(random_stable_model(np.random.default_rng(4), n=4, d=1))
+        lat = Lattice(d=1, N=4096)
+        tracemalloc.start()
+        try:
+            lin = LinearPart(m, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.85 * sim._rk4_bytes(m, lat)
+        want = assemble_Mbar_stack(m, m.reference_state, lin.xi)[:, m.n:]
+        assert lin.rows.tobytes() == want.tobytes()
+
 
 class TestDissipationSymbolField:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

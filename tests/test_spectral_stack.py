@@ -258,13 +258,13 @@ def test_fluid_eigenspace_margins_are_isotropic(params):
 def test_schur_fallback_gives_the_same_margins(monkeypatch, name):
     # with the eigenvector guard at 0 every basis comes from sorted Schur
     # forms; S = sum P_c^* P_c does not depend on the basis inside a cluster
-    import hypdiss.conditions as cond
+    import hypdiss.symbols as symbols
 
     model = dict(MODELS)[name]
     want = {}
     for key, fn in (("HA", check_ha), ("HB", check_hb)):
         want[key] = fn(model)
-    monkeypatch.setattr(cond, "DEFECT_COND_LIMIT", 0.0)
+    monkeypatch.setattr(symbols, "DEFECT_COND_LIMIT", 0.0)
     for key, fn, dfn, arg in (("HA", check_ha, check_d1, "ha"), ("HB", check_hb, check_d2, "hb")):
         got = fn(model)
         np.testing.assert_allclose(_margins(got.report), _margins(want[key].report), rtol=1e-10)

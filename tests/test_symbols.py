@@ -11,6 +11,7 @@ from hypdiss.model import (
     ensure_normalized,
 )
 from hypdiss.symbols import (
+    DEFECT_COND_LIMIT,
     assemble_calA,
     assemble_calB,
     assemble_directional,
@@ -20,6 +21,7 @@ from hypdiss.symbols import (
     assemble_Mbar,
     assemble_Mbar_stack,
     dispersion_roots,
+    eigenbasis_inverse,
     sorted_roots,
     weight_ztilde,
     xi_bracket,
@@ -395,3 +397,58 @@ def test_sorted_roots_orders_tied_real_parts_by_imaginary_part():
     want = np.array([-3.0, -1.0 - 2j, -1.0 + 6e-10 + 0.5j, -1.0 + 2j])
     assert np.abs(got - want).max() <= 1e-14
     assert np.array_equal(sorted_roots(got[0]), got[0])
+
+
+def _damped_wave_jordan_basis():
+    # d = 3 damped wave (a = 2) at |xi| = 1: the double root -1 is a Jordan
+    # block, so eig's two eigenvectors for it are (nearly) parallel
+    m = ensure_normalized(builtin_damped_wave(2.0, d=3))
+    return np.linalg.eig(assemble_M(m, m.reference_state, E1))[1]
+
+
+@st.composite
+def eigenvector_stacks(draw):
+    family = draw(st.sampled_from(["random", "eig", "jordan", "singular", "damped-wave"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def one():
+        V = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        if family == "eig":
+            V = np.linalg.eig(V)[1]
+        elif family == "jordan" and m > 1:
+            J = np.diag(rng.normal(size=m)).astype(complex)
+            J[1, 1], J[0, 1] = J[0, 0], 1.0
+            V = np.linalg.eig(rng.normal(size=(m, m)) @ J @ np.linalg.inv(rng.normal(size=(m, m))))[1]
+        elif family == "singular":
+            V[:, rng.integers(m)] = 0.0
+        return V
+
+    if family == "damped-wave":
+        return np.stack([_damped_wave_jordan_basis()] * count)
+    return np.stack([one() for _ in range(count)])
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(eigenvector_stacks())
+def test_eigenbasis_inverse_trusts_only_well_conditioned_bases(V):
+    # kappa_F >= cond_2 >= kappa_F / m: a trusted basis has cond_2 below the
+    # limit, and one with cond_2 below limit / m is trusted
+    Vinv, trusted = eigenbasis_inverse(V)
+    m = V.shape[-1]
+    for q in range(len(V)):
+        cond2 = np.linalg.cond(V[q])
+        if trusted[q]:
+            assert cond2 < DEFECT_COND_LIMIT
+            assert np.array_equal(Vinv[q], np.linalg.inv(V[q]))
+        else:
+            assert not cond2 < DEFECT_COND_LIMIT / (2 * m)
+            assert np.array_equal(Vinv[q], np.eye(m))
+
+
+def test_eigenbasis_inverse_refuses_the_damped_wave_jordan_point():
+    V = _damped_wave_jordan_basis()
+    Vinv, trusted = eigenbasis_inverse(V[None])
+    assert np.linalg.cond(V) >= DEFECT_COND_LIMIT
+    assert not trusted[0]
+    assert np.array_equal(Vinv[0], np.eye(2))
