@@ -156,7 +156,7 @@ def _write_summary(out, model_label, verdicts, cfg):
 
 def cmd_check(args):
     from .conditions import CONDITION_ORDER, CheckConfig, run_all_checks
-    from .io import write_json_atomic
+    from .io import write_atomic, write_json_atomic
 
     out = _outdir(args)
     cfg_dict = _effective_config(args)
@@ -165,6 +165,7 @@ def cmd_check(args):
     reports = run_all_checks(model, config=config)
 
     verdicts = {}
+    rows = text = None
     for name in CONDITION_ORDER:
         rep = reports[name]
         payload = rep.to_json_dict()
@@ -172,7 +173,10 @@ def cmd_check(args):
         payload["model"] = model.label
         write_json_atomic(os.path.join(out, f"report_{name}.json"), payload)
         if rep.per_point:
-            rep.write_margins_csv(os.path.join(out, f"margins_{name}.csv"))
+            # D3 and UNIFORM report the same rows: their text is formatted once
+            if rep.per_point != rows:
+                rows, text = rep.per_point, rep.margins_csv()
+            write_atomic(os.path.join(out, f"margins_{name}.csv"), text)
         verdicts[name] = rep.verdict
     _write_summary(out, model.label, verdicts, cfg_dict)
     for name in CONDITION_ORDER:

@@ -29,7 +29,7 @@ the structural tolerance).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .errors import (
     SingularA0,
 )
 from .grids import antipodal_fold, direction_major_grid, radial_loggrid, unit_directions
-from .io import write_csv_atomic
 from .model import ensure_normalized
 from .symbols import (
     assemble_calA_stack,
@@ -52,6 +51,7 @@ from .symbols import (
     assemble_M_stack,
     directional_stack,
     eigenbasis_inverse,
+    eigenbasis_trusted,
     frequency_stack,
 )
 
@@ -335,8 +335,12 @@ class ConditionReport:
             d["trace"] = self.trace
         return d
 
-    def write_margins_csv(self, path):
-        write_csv_atomic(path, ["xi", "omega_index", "margin"], self.per_point)
+    def margins_csv(self):
+        """per_point as CSV text, as `csv.writer` writes it: floats with 17
+        significant digits, an empty cell for a missing xi, \\r\\n line ends."""
+        return "xi,omega_index,margin\r\n" + "".join(
+            f"{'' if x is None else format(x, '.17g')},{i},{mg:.17g}\r\n"
+            for x, i, mg in self.per_point)
 
 
 def _report(condition, margin, witness, grid_spec, config, **extra):
@@ -689,24 +693,45 @@ def lyapunov_certificate(M, rho):
     return P, float(_positive_cond(_eigvalsh(P[None], [0]), "Lyapunov solution", [0])[0])
 
 
-def _eig_solve(Ms, rho, pts, w, V):
-    """Solutions of P M + M^* P = -rho I over a stack, in the eigenbasis.
+class _Eigenbasis(NamedTuple):
+    """Eigendecompositions M = V diag(w) Vinv over a stack (T, m, m), trusted
+    where ok (Vinv is the identity elsewhere); scale (T,) is the Frobenius
+    norm of the matrices they were computed on, which sets their absolute
+    error."""
+
+    w: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+    ok: np.ndarray
+    scale: np.ndarray
+
+    def take(self, rows):
+        return _Eigenbasis(*(x[rows] for x in self))
+
+
+def _guarded(Ms, w, V, pts):
+    """The `_Eigenbasis` of Ms from its eig (w, V), trusted by `eigenbasis_inverse`."""
+    return _Eigenbasis(w, V, *_stacked(eigenbasis_inverse, V, pts, "inv"),
+                      np.linalg.norm(Ms, axis=(1, 2)))
+
+
+def _eig_solve(Ms, rho, pts, eb):
+    """Solutions of P M + M^* P = -rho I over a stack, in the eigenbasis eb.
 
     With M = V diag(w) V^{-1}, P = V^{-*} X V^{-1} where
-    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point whose eigenbasis
-    `eigenbasis_inverse` does not trust is solved by `lyapunov_certificate`
+    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point outside eb.ok,
+    whose eigenbasis is not trusted, is solved by `lyapunov_certificate`
     instead; the first point whose spectral abscissa is not negative is
-    refused.  Returns (P, ok) with ok the points solved in the eigenbasis;
-    pts are the points' indices, used to name a failing one.
+    refused.  pts are the points' indices, used to name a failing one.
     """
-    alpha = w.real.max(axis=1)
+    alpha = eb.w.real.max(axis=1)
     if np.any(alpha >= 0.0):
         q = int(np.argmax(alpha >= 0.0))
         raise LyapunovSolveFailure(f"spectral abscissa {alpha[q]:.3e} >= 0", index=int(pts[q]))
-    Vinv, ok = _stacked(eigenbasis_inverse, V, pts, "inv")
-    P = np.empty_like(V)
+    ok = eb.ok
+    P = np.empty_like(eb.V)
     if ok.any():
-        Vo, wo, Vinv = V[ok], w[ok], Vinv[ok]
+        Vo, wo, Vinv = eb.V[ok], eb.w[ok], eb.Vinv[ok]
         X = -rho[ok, None, None] * (_herm(Vo) @ Vo) / (wo.conj()[:, :, None] + wo[:, None, :])
         P[ok] = _herm(Vinv) @ X @ Vinv
     for q in np.flatnonzero(~ok):
@@ -714,7 +739,7 @@ def _eig_solve(Ms, rho, pts, w, V):
             P[q] = lyapunov_certificate(Ms[q], rho[q])[0]
         except LyapunovSolveFailure as e:
             raise LyapunovSolveFailure(str(e), index=int(pts[q])) from e
-    return 0.5 * (P + _herm(P)), ok
+    return 0.5 * (P + _herm(P))
 
 
 def _first_group(lam):
@@ -757,37 +782,67 @@ def _schur_split(M, lam, first):
     return Z[:, :k], Z[:, k:] - Z[:, :k] @ R, Z[:, k:]
 
 
-def _invariant_bases(Ms, lam, V, ok, first, pts):
+def _invariant_bases(Ms, eb, first, pts):
     """Bases of the invariant subspaces of the first group (k eigenvalues at
-    every point) and of the rest.
+    every point) and of the rest, and the `_Eigenbasis` each block inherits.
 
     Q1 (m, k) is orthonormal, Z2 (m, m - k) its orthogonal complement, and
     B2 = E2 (Z2^* E2)^{-1}, with E2 the eigenvectors of the rest, is the basis
     of the second subspace with Z2^* B2 = I: the one a sorted Schur form and
-    a Sylvester solve give.  Points outside ok take that per-point Schur
-    path.  Returns (keep, Q1, B2, Z2); keep is False where the Schur sort
-    could not realize the group.
+    a Sylvester solve give.  With E = [E1 E2] the eigenvectors sorted group
+    first, F = [F1; F2] the matching rows of Vinv and [Q1 Z2] = qr(E1), the
+    block Q1^* M Q1 has the eigenvectors R1 = Q1^* E1 with inverse F1 Q1, and
+    Z2^* M B2 has G = Z2^* E2 with inverse F2 Z2 (so B2 = E2 F2 Z2), with
+    no eig or inv.  A block is trusted where its point is and
+    `eigenbasis_trusted` holds.  Points outside eb.ok take the per-point
+    sorted-Schur path and pass on their eigenvalues only.  Returns
+    (keep, Q1, B2, Z2, blocks); keep is False where the Schur sort could not
+    realize the group, and blocks holds the two blocks' `_Eigenbasis`.
     """
     n_pts, m = first.shape
     k = int(first[0].sum())
+    ok = eb.ok
+    order = np.argsort(~first, axis=1, kind="stable")
     Q1 = np.empty((n_pts, m, k), dtype=complex)
     B2 = np.empty((n_pts, m, m - k), dtype=complex)
     Z2 = np.empty((n_pts, m, m - k), dtype=complex)
+    R1, R1inv = np.zeros((2, n_pts, k, k), dtype=complex)
+    G, Ginv = np.zeros((2, n_pts, m - k, m - k), dtype=complex)
     if ok.any():
-        order = np.argsort(~first[ok], axis=1, kind="stable")
-        E = np.take_along_axis(V[ok], order[:, None, :], axis=2)
-        Qf = _stacked(lambda A: np.linalg.qr(A, mode="complete")[0], E[:, :, :k], pts[ok], "qr")
+        E = np.take_along_axis(eb.V[ok], order[ok][:, None, :], axis=2)
+        F = np.take_along_axis(eb.Vinv[ok], order[ok][:, :, None], axis=1)
+        Qf, Rf = _stacked(lambda A: np.linalg.qr(A, mode="complete"), E[:, :, :k], pts[ok], "qr")
         Q1[ok], Z2[ok] = Qf[:, :, :k], Qf[:, :, k:]
-        B2[ok] = E[:, :, k:] @ _stacked(np.linalg.inv, _herm(Qf[:, :, k:]) @ E[:, :, k:],
-                                        pts[ok], "inv")
+        R1[ok], R1inv[ok] = Rf[:, :k], F[:, :k] @ Q1[ok]
+        G[ok], Ginv[ok] = _herm(Z2[ok]) @ E[:, :, k:], F[:, k:] @ Z2[ok]
+        B2[ok] = E[:, :, k:] @ Ginv[ok]
     keep = np.ones(n_pts, dtype=bool)
     for j in np.flatnonzero(~ok):
-        split = _schur_split(Ms[j], lam[j], first[j])
+        split = _schur_split(Ms[j], eb.w[j], first[j])
         if split is None:
             keep[j] = False
         else:
             Q1[j], B2[j], Z2[j] = split
-    return keep, Q1, B2, Z2
+    lam = np.take_along_axis(eb.w, order, axis=1)
+    blocks = (_Eigenbasis(lam[:, :k], R1, R1inv, ok & eigenbasis_trusted(R1, R1inv), eb.scale),
+              _Eigenbasis(lam[:, k:], G, Ginv, ok & eigenbasis_trusted(G, Ginv), eb.scale))
+    return keep, Q1, B2, Z2, blocks
+
+
+def _block_eigenbasis(T, eb, pts):
+    """The `_Eigenbasis` of the blocks T: the inherited eb, except where a
+    block's norm is below INHERIT_SCALE_MIN of eb.scale.  There the
+    inherited pairs' absolute error is no longer small against the block's
+    own spectrum (the slow block near xi = 0), and one stacked eig
+    decomposes the block again at its own scale."""
+    fresh = np.linalg.norm(T, axis=(1, 2)) < INHERIT_SCALE_MIN * eb.scale
+    if not fresh.any():
+        return eb
+    w, V = _stacked(np.linalg.eig, T[fresh], pts[fresh], "eig")
+    eb = _Eigenbasis(*(x.copy() for x in eb))
+    for x, y in zip(eb, _guarded(T[fresh], w, V, pts[fresh])):
+        x[fresh] = y
+    return eb
 
 
 #: Size of the symbol stacks UNIFORM certifies at once; the certificates
@@ -798,63 +853,90 @@ CERTIFICATE_CHUNK_BYTES = 2**18
 #: value; otherwise the spectrum is split at its gaps.
 BALANCE_COND_TARGET = 200.0
 
+#: A split block whose norm is below this fraction of the norm of the
+#: matrix its inherited eigendecomposition came from is decomposed again.
+INHERIT_SCALE_MIN = 1e-4
 
-def _balanced_stack(Ms, rho, P, ev, lam, V, ok, pts):
+
+def _balanced_stack(Ms, rho, P, ev, eb, pts):
     """Balanced certificates of a stack of stable blocks from their direct
-    solutions P (with their eigenvalues ev, and the eigenvalues lam and the
-    output V, ok of `_eig_solve`).
+    solutions P (with their eigenvalues ev, and the `_Eigenbasis` eb that
+    `_eig_solve` solved in).
 
     Each P is scaled to unit norm.  Where its conditioning exceeds
     BALANCE_COND_TARGET, the spectrum is split into its first single-linkage
     group and the rest; the points that split into groups of equal sizes are
-    certified together on the blocks T11 = Q1^* M Q1 and T22 = Z2^* M B2, and
-    the blocks are joined as V^{-*} blockdiag(P1, P2) V^{-1} with V = [Q1, B2],
-    whose inverse has the rows Q1^* (I - B2 Z2^*) and Z2^*.
+    certified together on the blocks T11 = Q1^* M Q1 and T22 = Z2^* M B2,
+    which inherit their eigenstructure from eb (`_invariant_bases`,
+    `_block_eigenbasis`), and the blocks are joined as
+    V^{-*} blockdiag(P1, P2) V^{-1} with V = [Q1, B2], whose inverse has the
+    rows Q1^* (I - B2 Z2^*) and Z2^*.  Returns (P, split) with split the
+    points whose certificate was joined from blocks.
     """
     top = ev[:, -1]
     bad = ~(np.isfinite(top) & (top > 0.0))
     if bad.any():
         raise LyapunovSolveFailure("Lyapunov block solve degenerate", index=int(pts[np.argmax(bad)]))
     P = P / top[:, None, None]
+    split = np.zeros(len(P), dtype=bool)
     todo = np.flatnonzero(~(_cond(ev) <= BALANCE_COND_TARGET))
     if todo.size == 0:
-        return P
+        return P, split
     m = Ms.shape[-1]
-    first = _first_group(lam[todo])
+    first = _first_group(eb.w[todo])
     sizes = first.sum(axis=1)
     for k in np.unique(sizes[sizes < m]):
         at = todo[sizes == k]
-        keep, Q1, B2, Z2 = _invariant_bases(Ms[at], lam[at], V[at], ok[at], first[sizes == k], pts[at])
+        keep, Q1, B2, Z2, blocks = _invariant_bases(Ms[at], eb.take(at), first[sizes == k], pts[at])
         at, Q1, B2, Z2 = at[keep], Q1[keep], B2[keep], Z2[keep]
-        P1 = _certify(_herm(Q1) @ Ms[at] @ Q1, rho[at], pts[at])
-        P2 = _certify(_herm(Z2) @ Ms[at] @ B2, rho[at], pts[at])
+        T = (_herm(Q1) @ Ms[at] @ Q1, _herm(Z2) @ Ms[at] @ B2)
+        P1, P2 = (_certify(t, rho[at], pts[at], _block_eigenbasis(t, b.take(keep), pts[at]))[0]
+                  for t, b in zip(T, blocks))
         Y1 = _herm(Q1) - (_herm(Q1) @ B2) @ _herm(Z2)
         Pb = _herm(Y1) @ P1 @ Y1 + Z2 @ P2 @ _herm(Z2)
         P[at] = 0.5 * (Pb + _herm(Pb))
-    return P
+        split[at] = True
+    return P, split
 
 
-def _certify(Ms, rho, pts):
-    """Balanced certificates of a stack of stable blocks."""
-    w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
-    P, ok = _eig_solve(Ms, rho, pts, w, V)
-    return _balanced_stack(Ms, rho, P, _eigvalsh(P, pts), w, V, ok, pts)
+def _certify(Ms, rho, pts, eb):
+    """Balanced certificates of a stack of stable blocks with the
+    `_Eigenbasis` eb: (P, split, ev) with split as in `_balanced_stack` and ev
+    the eigenvalues of the direct solutions."""
+    P = _eig_solve(Ms, rho, pts, eb)
+    ev = _eigvalsh(P, pts)
+    return (*_balanced_stack(Ms, rho, P, ev, eb, pts), ev)
+
+
+def _guarded_certify(Ms, rho, pts, w, V):
+    """(cond_raw, P, cond) of `_certify` on the eigendecompositions (w, V) of
+    Ms, trusted by `eigenbasis_inverse`.  The balanced conditioning cond is
+    the raw one where the certificate was not split, and comes from a new
+    eigvalsh only where it was."""
+    P, split, ev = _certify(Ms, rho, pts, _guarded(Ms, w, V, pts))
+    cond_raw = _cond(ev)
+    ev = ev / ev[:, -1:]
+    ev[split] = _eigvalsh(P[split], pts[split])
+    return cond_raw, P, _positive_cond(ev, "balanced certificate", pts)
 
 
 def balanced_lyapunov_certificate(M, rho):
-    """Spectral-gap-balanced decay certificate with bounded conditioning.
+    """Spectral-gap-balanced Lyapunov certificate with bounded conditioning.
 
     The plain solution of P M + M^* P = -rho I has lambda_min(P) ~ rho as
     xi -> 0 (the zero-frequency symbol is singular), so its condition number
     grows like 1/rho for every model.  When the direct solve is badly
     conditioned, the spectrum is split at its gaps, one Lyapunov equation is
-    solved per group, and each block is rescaled to unit norm; the result is
-    an equally valid decay certificate P M + M^* P <= -c rho P whose
-    conditioning stays bounded uniformly in xi exactly when the mode decay
-    is uniform.  Returns (P, cond); an unstable M raises LyapunovSolveFailure.
+    solved per group, and each block is rescaled to unit norm.  The result P
+    is hermitian positive definite with P M + M^* P negative definite, so
+    |exp(tM)| <= sqrt(cond(P)) for t >= 0.  Returns (P, cond) with cond the
+    condition number of P; an unstable M raises LyapunovSolveFailure.
     """
-    P = _certify(np.asarray(M, dtype=complex)[None], np.array([float(rho)]), np.zeros(1, int))
-    return P[0], float(_positive_cond(_eigvalsh(P, [0]), "balanced certificate", [0])[0])
+    Ms = np.asarray(M, dtype=complex)[None]
+    pts = np.zeros(1, int)
+    w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
+    _, P, cond = _guarded_certify(Ms, np.array([float(rho)]), pts, w, V)
+    return P[0], float(cond[0])
 
 
 def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=CheckConfig(), stack=None):
@@ -866,7 +948,8 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     c_abs > 0 and sup cond(P) stays below the configured ceiling.  All grid
     points are certified together from the eigenbasis of one `_decay_stack`
     (stack, if given): one solve gives cond_raw, and the balanced
-    certificates grow from it.  Only the balanced certificates decide the
+    certificates grow from it on blocks that inherit that eigenbasis, so
+    UNIFORM reads D3's eigenvalues.  Only the balanced certificates decide the
     verdict: cond_raw_by_xi is null at a radius where a raw solve is not
     positive definite.  One point of each pair {xi, -xi} is solved.
     """
@@ -882,12 +965,7 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     try:
         for at in np.array_split(np.arange(len(Ms)), max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
             # failures name the point of the full grid
-            pts = keep[at]
-            P, ok = _eig_solve(Ms[at], rho[at], pts, w[at], V[at])
-            ev = _eigvalsh(P, pts)
-            cond_raw[at] = _cond(ev)
-            P = _balanced_stack(Ms[at], rho[at], P, ev, w[at], V[at], ok, pts)
-            cond[at] = _positive_cond(_eigvalsh(P, pts), "balanced certificate", pts)
+            cond_raw[at], _, cond[at] = _guarded_certify(Ms[at], rho[at], keep[at], w[at], V[at])
     except LyapunovSolveFailure as e:
         raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
     c_abs, cond_raw, cond = -float(mg.max()), cond_raw[src], cond[src]

@@ -28,10 +28,11 @@ from .grids import check_unit
 from .model import ensure_normalized, evaluate_stack
 
 #: Eigenvector condition number from which a stacked eigen-decomposition is
-#: not trusted at a point (`eigenbasis_inverse`, in the Frobenius norm):
+#: not trusted at a point (`eigenbasis_trusted`, in the Frobenius norm):
 #: `ModePropagator` propagates such a mode with expm, UNIFORM's stacked
-#: Lyapunov solve (`conditions._eig_solve`) solves it with scipy's Schur
-#: method, and `conditions.spectral_stack` takes its bases from Schur forms.
+#: Lyapunov solve (`conditions._eig_solve`) solves it, or a block of its
+#: spectral split, with scipy's Schur method, and `conditions.spectral_stack`
+#: takes its bases from Schur forms.
 DEFECT_COND_LIMIT = 1e8
 
 
@@ -190,21 +191,27 @@ def assemble_M_stack(model, u, xi):
     return _first_order(br, (-1j * A - B) / br[:, None, None], 1j * C - T.A0[..., None, :, :])
 
 
+def eigenbasis_trusted(V, Vinv):
+    """(...,) True where an eigenbasis V (..., m, m) with inverse Vinv is
+    trusted: kappa_F(V) = ||V||_F ||Vinv||_F below DEFECT_COND_LIMIT (read at
+    call time).  kappa_F >= cond_2(V), so the rule flags at least the points
+    that cond_2 would; an overflowing or NaN kappa is not trusted."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
+    return kappa < DEFECT_COND_LIMIT
+
+
 def eigenbasis_inverse(V):
     """(Vinv, trusted) for a stack of eigenvector matrices V (..., m, m).
 
     An exactly singular V (det = 0) is screened out before the stacked inv;
-    a point is trusted when kappa_F(V) = ||V||_F ||V^{-1}||_F is below
-    DEFECT_COND_LIMIT.  kappa_F >= cond_2(V), so the guard flags at least
-    the points that cond_2 would.  Vinv is inv(V) where trusted and the
-    identity elsewhere.  A failing inv raises LinAlgError.
+    a point is trusted by `eigenbasis_trusted`.  Vinv is inv(V) where
+    trusted and the identity elsewhere.  A failing inv raises LinAlgError.
     """
     eye = np.eye(V.shape[-1])
     singular = np.linalg.det(V) == 0.0
     Vinv = np.linalg.inv(np.where(singular[..., None, None], eye, V))
-    with np.errstate(over="ignore"):  # an overflowing kappa is not trusted
-        kappa = np.linalg.norm(V, axis=(-2, -1)) * np.linalg.norm(Vinv, axis=(-2, -1))
-    trusted = ~singular & (kappa < DEFECT_COND_LIMIT)
+    trusted = ~singular & eigenbasis_trusted(V, Vinv)
     Vinv[~trusted] = eye
     return Vinv, trusted
 

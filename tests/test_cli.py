@@ -51,6 +51,28 @@ class TestCheck:
         assert lines[0] == "xi,omega_index,margin"
         assert len(lines) > 1
 
+    def test_margin_csv_bytes(self, tmp_path):
+        # D3 and UNIFORM write the same text: CRLF lines, floats that read back
+        # bit-equal to the reports' per_point rows
+        from hypdiss.conditions import CheckConfig, run_all_checks
+        from hypdiss.model import FluidParameters, builtin_barotropic_fluid
+
+        out = tmp_path / "out"
+        main(["check", "--builtin", "fluid", "--r", "3", "--mu", "2", "--nu", "1", "--eta", "1",
+              "--zeta", "0", "--output-dir", str(out)])
+        text = (out / "margins_D3.csv").read_bytes()
+        assert text == (out / "margins_UNIFORM.csv").read_bytes()
+        lines = text.decode().split("\r\n")
+        assert lines[0] == "xi,omega_index,margin" and lines[-1] == ""
+        assert not any("\n" in line or "\r" in line for line in lines)
+        rows = [(float(x), int(i), float(mg)) for x, i, mg in (ln.split(",") for ln in lines[1:-1])]
+        reports = run_all_checks(builtin_barotropic_fluid(FluidParameters(3, 2, 1, 1, 0)),
+                                 CheckConfig())
+        assert rows == reports["D3"].per_point == reports["UNIFORM"].per_point
+        # the structural reports leave xi empty
+        hb = (out / "margins_HB.csv").read_bytes().decode().split("\r\n")
+        assert hb[1].startswith(",0,") and float(hb[1].split(",")[2]) == reports["HB"].per_point[0][2]
+
     def test_invalid_model_exit_one(self, tmp_path):
         code = main(["check", "--builtin", "fluid", "--mu", "0.5",
                      "--output-dir", str(tmp_path / "out")])

@@ -452,6 +452,10 @@ class TestMergedIdentities:
             assert got == pytest.approx(max(conds), rel=1e-8)
 
 
+def _herm(A):
+    return A.conj().swapaxes(-1, -2)
+
+
 def _uniform_models():
     from oracles import random_stable_model
 
@@ -551,6 +555,64 @@ class TestBatchedUniform:
         rep = check_uniform_dissipativity(model, xi_loggrid=xis)
         assert len(splits) > 0
         _assert_same_uniform(rep, uniform_oracle(model, xi_loggrid=xis))
+
+    def test_split_blocks_inherit_the_eigendecomposition(self, monkeypatch):
+        # UNIFORM decomposes nothing D3's eig already has: one det and one inv
+        # per certificate chunk, and the eigvalsh of the re-balanced
+        # certificates only (decomposing each split block again takes 8 eigs
+        # over 858 points, 10 dets and 14 invs over 1495 and 1924, and 2132
+        # eigvalsh points)
+        import hypdiss.conditions as cond
+
+        model = ensure_normalized(builtin_barotropic_fluid(FLUID))
+        stack = cond._decay_stack(model)
+        points = {}
+        for name in ("eig", "det", "inv", "eigvalsh", "qr"):
+            def counted(A, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                points.setdefault(_name, []).append(len(A))
+                return _real(A, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        check_uniform_dissipativity(model, stack=stack)
+        chunks = stack[3].nbytes // cond.CERTIFICATE_CHUNK_BYTES
+        assert "eig" not in points and len(points["qr"]) > 0
+        assert len(points["det"]) == len(points["inv"]) == chunks == 2
+        assert sum(points["det"]) == sum(points["inv"]) == len(stack[3]) == 637
+        assert sum(points["eigvalsh"]) <= 1716
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(n=hst.integers(1, 3), d=hst.integers(1, 3), seed=hst.integers(0, 2**32 - 1),
+           coupling=hst.sampled_from([0.1, 0.25, 1.0]))
+    def test_inherited_blocks_are_eigendecompositions(self, n, d, seed, coupling):
+        # at every trusted point of every split block T = Q1^* M Q1 or
+        # Z2^* M B2, the inherited (lam, R, Rinv) satisfy T R = R diag(lam)
+        # and R Rinv = I
+        import hypdiss.conditions as cond
+
+        from oracles import random_stable_model
+
+        model = random_stable_model(np.random.default_rng(seed), n=n, d=d, coupling=coupling)
+        splits = []
+        bases = cond._invariant_bases
+
+        def spy(Ms, *args):
+            out = bases(Ms, *args)
+            splits.append((Ms, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cond, "_invariant_bases", spy)
+            _uniform_or_error(check_uniform_dissipativity, model, config=TestSharedDecayMargin.CONFIG)
+        checked = 0
+        for Ms, (keep, Q1, B2, Z2, blocks) in splits:
+            for T, b in zip((_herm(Q1) @ Ms @ Q1, _herm(Z2) @ Ms @ B2), blocks):
+                at = keep & b.ok
+                R, Rinv = b.V[at], b.Vinv[at]
+                scale = np.linalg.norm(Ms[at], axis=(1, 2))[:, None, None]
+                assert np.all(np.abs(T[at] @ R - R * b.w[at][:, None, :]) <= 1e-10 * scale)
+                assert np.all(np.abs(R @ Rinv - np.eye(R.shape[-1])) <= 1e-10)
+                checked += int(at.sum())
+        assume(checked > 0)
 
     @pytest.mark.parametrize("what", ["eig", "inv", "qr"])
     def test_stacked_linalg_failure_names_the_point(self, monkeypatch, what):
@@ -714,3 +776,31 @@ class TestSharedDecayMargin:
         raw = uniform["trace"]["cond_raw_by_xi"]
         assert raw[0] is None and all(c > 1.0 for c in raw[1:])
         assert all(c > 1.0 for c in uniform["trace"]["cond_by_xi"])
+
+    def test_fluid_passes_at_xi_lo_1e_8(self, tmp_path):
+        # the split blocks read D3's eigenvalues: the own eig of a block that
+        # still holds the fast roots reads a spectral abscissa of +3.3e-14 at
+        # |xi| = 1e-8 here
+        import json
+
+        from hypdiss.cli import main
+
+        argv = ["check", "--builtin", "fluid", "--r", "3", "--mu", "2", "--nu", "1",
+                "--eta", "1", "--zeta", "0", "--xi-lo", "1e-8"]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["all_pass"] and set(summary["verdicts"].values()) == {"pass"}
+
+    @pytest.mark.parametrize("params", FLUID_SETS, ids=["fluid", "fluid-2", "fluid-3"])
+    def test_slow_blocks_keep_the_profile_flat_down_to_1e_8(self, params):
+        # near xi = 0 the slow block's norm is ~|xi| of its parent's, and its
+        # inherited eigenpairs carry the parent's absolute error: inherited
+        # as they are, they read 8.9e6 (fluid) and 3.2e8 (fluid-2) at 1e-8
+        # against 4.2e3 and 2.8e3 from 1e-6 up; decomposed again, the
+        # profile stays flat
+        rep = check_uniform_dissipativity(builtin_barotropic_fluid(params),
+                                          config=CheckConfig(xi_lo=1e-8))
+        assert rep.verdict == "pass"
+        cond = dict(zip(rep.trace["xi_grid"], rep.trace["cond_by_xi"]))
+        ref = cond[min(cond, key=lambda x: abs(np.log(x / 1e-6)))]
+        assert cond[1e-8] < 2.0 * ref
