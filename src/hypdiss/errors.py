@@ -17,10 +17,6 @@ class SingularA0(HypdissError):
     pass
 
 
-class NotFluidModel(HypdissError):
-    pass
-
-
 class NonUnitDirection(HypdissError):
     pass
 

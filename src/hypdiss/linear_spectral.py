@@ -58,7 +58,6 @@ class ModeEnsemble:
     xi: np.ndarray
     weights: np.ndarray
     coefficients: np.ndarray
-    time: float = 0.0
 
     def brackets(self):
         return np.sqrt(1.0 + np.sum(self.xi**2, axis=1))
@@ -147,10 +146,6 @@ class SobolevNorms:
     u: float
     ut: float
 
-    @property
-    def combined(self):
-        return self.u + self.ut
-
 
 def sobolev_norm(ensemble, s):
     """(||u||_{H^s}, ||u_t||_{H^{s-1}}) from the weighted coefficients.
@@ -180,8 +175,9 @@ class DecayFit:
 def decay_fit(times, norms, fit_window):
     """Least-squares line in log(norm) vs log(1+t) over the window.
 
-    Raises DegenerateFit when a norm is nonpositive; a span below one decade
-    only clears the `reliable` flag.
+    Raises DegenerateFit, naming the first such time, when a norm in the
+    window is not finite or not positive; a span below one decade only
+    clears the `reliable` flag.
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -190,8 +186,11 @@ def decay_fit(times, norms, fit_window):
     if np.sum(mask) < 8:
         raise DegenerateFit(f"only {np.sum(mask)} samples inside window {fit_window}")
     tt, nn = times[mask], norms[mask]
-    if np.any(nn <= 0.0):
-        raise DegenerateFit("nonpositive norms in fit window")
+    bad = ~(np.isfinite(nn) & (nn > 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise DegenerateFit(f"norm {nn[k]:g} at t={tt[k]:g} in fit window {fit_window} "
+                            f"is not finite and positive")
     x = np.log1p(tt)
     y = np.log(nn)
     slope, intercept = np.polyfit(x, y, 1)
@@ -215,7 +214,6 @@ class DecayStudy:
     norms_ut: np.ndarray
     combined: np.ndarray
     fit: DecayFit
-    s: float
 
     def write_csv(self, path):
         cols = (self.times, self.norms_u, self.norms_ut, self.combined)
@@ -247,10 +245,10 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     nut = np.zeros(len(times))
     for k, t in enumerate(times):
         coeff = prop.propagate(modal, t)
-        cur = ModeEnsemble(ens.n, ens.d, ens.xi, ens.weights, coeff, t)
+        cur = ModeEnsemble(ens.n, ens.d, ens.xi, ens.weights, coeff)
         norms = sobolev_norm(cur, s)
         nu[k] = norms.u
         nut[k] = norms.ut
     combined = nu + nut
     fit = decay_fit(times, combined, fit_window)
-    return DecayStudy(times=times, norms_u=nu, norms_ut=nut, combined=combined, fit=fit, s=s)
+    return DecayStudy(times=times, norms_u=nu, norms_ut=nut, combined=combined, fit=fit)

@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, NotFluidModel, SingularB00, UnsupportedDataSpec
-from .grids import check_unit
+from .errors import InvalidParameter, SingularB00, UnsupportedDataSpec
 
 #: Number of low-discrepancy state samples used by domain-wide checks.
 STATE_SAMPLES = 256
@@ -75,7 +74,7 @@ class CoefficientModel:
     A : evaluator (j, u) -> (..., n, n) array for u of shape (..., n), j = 0..d
     B : evaluator (j, k, u) -> (..., n, n) array, j, k = 0..d
     constant_coefficients : evaluators ignore u (enables fast paths)
-    is_fluid : carries the longitudinal/transverse decomposition structure
+    is_fluid : the barotropic fluid (its decay data are wider, sigma = 3)
     """
 
     n: int
@@ -307,69 +306,6 @@ def ensure_normalized(model):
     return normalize_b00(model)
 
 
-@dataclass(frozen=True)
-class FluidBlocks:
-    """Longitudinal and transverse 2x2 reductions of the fluid symbols.
-
-    longitudinal/transverse map the five families "A0", "A", "B00", "B", "C"
-    to 2x2 arrays; basis_l and basis_t hold the orthonormal embedding
-    vectors as columns of 4x2 arrays.
-    """
-
-    longitudinal: dict
-    transverse: dict
-    basis_l: np.ndarray
-    basis_t: np.ndarray
-
-    def reassemble(self, key):
-        Fl, Ft = self.basis_l, self.basis_t
-        return (
-            Fl @ self.longitudinal[key] @ Fl.conj().T
-            + Ft @ self.transverse[key] @ Ft.conj().T
-        )
-
-
-def _transverse_pair(omega):
-    # deterministic orthonormal completion of omega in R^3
-    k = int(np.argmin(np.abs(omega)))
-    t1 = np.zeros(3)
-    t1[k] = 1.0
-    t1 -= np.dot(t1, omega) * omega
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(omega, t1)
-    return t1, t2
-
-
-def fluid_block_decomposition(model, omega):
-    """Split the fluid's directional symbols along C^4 = (C x wC) + ({0} x w^perp).
-
-    Returns FluidBlocks whose longitudinal part carries the sound/frame
-    dynamics and whose transverse part is a pair of damped wave equations
-    (A0_t = I, A_t = 0, B00_t = -nu I, B_t = eta I, C_t = 0).
-    """
-    if not model.is_fluid:
-        raise NotFluidModel(f"model {model.label!r} has no fluid block structure")
-    om = check_unit(omega)
-    u = model.reference_state
-    from .symbols import assemble_directional
-
-    A_dir, B_dir, C_dir = assemble_directional(model, u, om)
-    A0 = model.A(0, u)
-    B00 = model.B(0, 0, u)
-
-    f1 = np.zeros(4)
-    f1[0] = 1.0
-    f2 = np.concatenate([[0.0], om])
-    t1, t2 = _transverse_pair(om)
-    Fl = np.stack([f1, f2], axis=1)
-    Ft = np.stack([np.concatenate([[0.0], t1]), np.concatenate([[0.0], t2])], axis=1)
-
-    full = {"A0": A0, "A": A_dir, "B00": B00, "B": B_dir, "C": C_dir}
-    longitudinal = {k: Fl.T @ v @ Fl for k, v in full.items()}
-    transverse = {k: Ft.T @ v @ Ft for k, v in full.items()}
-    return FluidBlocks(longitudinal, transverse, Fl, Ft)
-
-
 # ---------------------------------------------------------------------------
 # JSON model documents
 # ---------------------------------------------------------------------------
@@ -404,17 +340,24 @@ def _builtin_reader(params):
     return read
 
 
+def _is_number(value):
+    # a JSON number; true and false are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _poly_entry(spec, n, where):
     """An entry is a number or a list of monomials [coeff, e_1, ..., e_n]
     with integer exponents e_k."""
-    if isinstance(spec, (int, float)):
+    if _is_number(spec):
         return None, float(spec)
+    if not isinstance(spec, list):
+        raise InvalidParameter(f"model document entry {where} = {spec!r} is neither a number "
+                               "nor a list of monomials")
     terms = []
     for mono in spec:
-        if len(mono) != n + 1:
-            raise InvalidParameter(
-                f"monomial needs 1 + n = {n + 1} numbers, got {len(mono)}"
-            )
+        if not (isinstance(mono, list) and len(mono) == n + 1 and all(map(_is_number, mono))):
+            raise InvalidParameter(f"model document entry {where} has monomial {mono!r}; "
+                                   f"a monomial is a list of 1 + n = {n + 1} numbers")
         exps = np.array(mono[1:], dtype=float)
         if not np.all(exps == np.round(exps)):
             raise InvalidParameter(

@@ -34,11 +34,11 @@ from .profiles import ramp_down, smoothstep
 
 @dataclass(frozen=True)
 class Lattice:
-    """Periodic lattice with N points per axis on a box of length L_box."""
+    """Periodic lattice with N points per axis on the box [0, L_box)^d."""
 
     d: int = 1
     N: int = 256
-    L_box: float = 2.0 * np.pi
+    L_box = 2.0 * np.pi  # a class constant, not a field
 
     def __post_init__(self):
         if self.N < 2 or self.d < 1:
@@ -241,11 +241,6 @@ def apply_op(symbol, f):
     phase = lat.phase_matrix()
     out = np.einsum("jk,jkab,kb->ja", phase, symbol.values, f.hat(), optimize=True)
     return GridFunction(lat, out)
-
-
-def para_op(symbol, chi, f):
-    """Op_chi[A] f = op[R_chi(A)] f."""
-    return apply_op(smooth_symbol(symbol, cutoff_mask(symbol.lattice, chi)), f)
 
 
 def op_matrix(symbol):

@@ -7,14 +7,15 @@ For a model with B^{00} = -I the first-order system in U = (u, u_t) has the
 
 whose eigenvalues are exactly the dispersion roots, i.e. the solutions of
 det(lambda^2 I + lambda (A^0 - iC) + B + iA) = 0.  M(u, xi) is the
-similarity-transformed symbol Z Mbar Z^{-1} with Z = diag(<xi> I, I); the
-interpolation family K(u, eta, omega) connects the high-frequency principal
-symbol calB (at eta = 0) with M (at eta = 1/|xi|).
+similarity-transformed symbol Z Mbar Z^{-1} with Z = diag(<xi> I, I); calB
+and calA are the high-frequency principal and first-order correction symbols
+over unit directions.
 
 All symbols come from one assembly: the coefficient tensors (A^0, A^j,
 C^j = B^{0j} + B^{j0}, B^{jk}) are evaluated once per state and contracted
 with a frequency stack xi of shape (Q, d) into (Q, 2n, 2n) symbol stacks
-(`assemble_M_stack`, `assemble_Mbar_stack`); the single-frequency functions
+(`assemble_calB_stack`, `assemble_calA_stack`, `assemble_M_stack`,
+`assemble_Mbar_stack`); `assemble_Mbar`, `assemble_M` and `dispersion_roots`
 are Q = 1 calls of the same contraction.
 """
 
@@ -107,12 +108,6 @@ def _first_order(top, lower_left, lower_right):
     return out
 
 
-def xi_bracket(xi_vec):
-    """Japanese bracket <xi> = (1 + |xi|^2)^{1/2}."""
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    return float(np.sqrt(1.0 + np.dot(xi_vec, xi_vec)))
-
-
 def directional_stack(model, u, omegas):
     """(A^0, A_dir, B_dir, C_dir) at a state u (n,) or a state stack (..., n)
     and a stack of unit directions omegas (Q, d): A^0 has the state axes,
@@ -122,48 +117,19 @@ def directional_stack(model, u, omegas):
     return T.A0, A, B, C
 
 
-def _directional(model, u, omega):
-    # (A^0, A_dir, B_dir, C_dir) at one state and unit direction
-    A0, A, B, C = directional_stack(model, u, check_unit(omega)[None, :])
-    return A0, A[0], B[0], C[0]
-
-
-def assemble_directional(model, u, omega):
-    """Directional symbols at |xi| = 1.
-
-    A_dir = sum_j A^j(u) w_j, B_dir = sum_jk B^{jk}(u) w_j w_k (space
-    indices only), C_dir = sum_j (B^{0j}(u) + B^{j0}(u)) w_j.
-    """
-    return _directional(model, u, omega)[1:]
-
-
 def assemble_calB_stack(model, u, omegas):
-    """Principal symbols calB over unit directions omegas (Q, d): (..., Q, 2n, 2n)
-    with the state axes of u, from one coefficient evaluation."""
+    """Principal symbols calB = [[0, I], [-B_dir, i C_dir]] of the B^{00}-normalized
+    model over unit directions omegas (Q, d): (..., Q, 2n, 2n) with the state
+    axes of u, from one coefficient evaluation."""
     _, _, B, C = directional_stack(ensure_normalized(model), u, omegas)
     return _first_order(1.0, -B, 1j * C)
 
 
 def assemble_calA_stack(model, u, omegas):
-    """Correction symbols calA over unit directions omegas (Q, d), shaped as in
-    `assemble_calB_stack`."""
+    """Correction symbols calA = [[0, 0], [-i A_dir, -A^0]] over unit directions
+    omegas (Q, d), shaped as in `assemble_calB_stack`."""
     A0, A, _, _ = directional_stack(ensure_normalized(model), u, omegas)
     return _first_order(0.0, -1j * A, -A0[..., None, :, :])
-
-
-def assemble_calB(model, u, omega):
-    """Principal high-frequency symbol calB = [[0, I], [-B_dir, i C_dir]].
-
-    calB is homogeneous of degree 0 in xi after the |xi| weightings, so the
-    |xi| = 1 slice is canonical.  The model is normalized to B^{00} = -I
-    first; the directional symbols entering calB are the normalized ones.
-    """
-    return assemble_calB_stack(model, u, check_unit(omega)[None, :])[0]
-
-
-def assemble_calA(model, u, omega):
-    """First-order correction symbol calA = [[0, 0], [-i A_dir, -A^0]]."""
-    return assemble_calA_stack(model, u, check_unit(omega)[None, :])[0]
 
 
 def assemble_Mbar_stack(model, u, xi):
@@ -228,30 +194,6 @@ def assemble_Mbar(model, u, xi_vec):
 def assemble_M(model, u, xi_vec):
     """Weighted symbol M = Z Mbar Z^{-1} at one frequency xi."""
     return assemble_M_stack(model, u, _one(xi_vec))[0]
-
-
-def assemble_K(model, u, eta, omega):
-    """Interpolation family K(u, eta, omega) for eta >= 0.
-
-    K = [[0, I], [-i eta A_dir - B_dir, i C_dir - eta A^0]].  At eta = 0 it
-    equals calB(u, omega); its eta-derivative there is calA(u, omega); and
-    |xi| K(u, 1/|xi|, omega) = Ztilde^{-1} M(u, xi) Ztilde with
-    Ztilde = diag((<xi>/|xi|) I, I).
-    """
-    A0, A_dir, B_dir, C_dir = _directional(ensure_normalized(model), u, omega)
-    return _first_order(1.0, -1j * eta * A_dir - B_dir, 1j * C_dir - eta * A0)
-
-
-def weight_z(xi_vec, n):
-    """Z(xi) = diag(<xi> I_n, I_n)."""
-    br = xi_bracket(xi_vec)
-    return np.diag(np.concatenate([np.full(n, br), np.ones(n)]))
-
-
-def weight_ztilde(xi_mag, n):
-    """Ztilde(|xi|) = diag((<xi>/|xi|) I_n, I_n), |xi| > 0."""
-    br = np.sqrt(1.0 + xi_mag**2)
-    return np.diag(np.concatenate([np.full(n, br / xi_mag), np.ones(n)]))
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,31 @@ def weighted_symbol_oracle(model, u, xi_vec):
     return Z @ mbar @ np.linalg.inv(Z), mbar
 
 
+def k_family(model, u, eta, omega):
+    """K(u, eta, omega) = [[0, I], [-i eta A_dir - B_dir, i C_dir - eta A^0]] of
+    the B^{00}-normalized model: calB at eta = 0 with eta-derivative calA, and
+    |xi| K(u, 1/|xi|, omega) = Ztilde^{-1} M(u, xi) Ztilde, Ztilde = diag((<xi>/|xi|) I, I)."""
+    from hypdiss.model import ensure_normalized
+    from hypdiss.symbols import directional_stack
+
+    A0, A, B, C = directional_stack(ensure_normalized(model), u, omega)
+    return np.block([[np.zeros_like(A0), np.eye(model.n)],
+                     [-1j * eta * A[0] - B[0], 1j * C[0] - eta * A0]])
+
+
+def fluid_bases(omega):
+    """Orthonormal 4 x 2 bases (Fl, Ft) of the fluid's longitudinal plane
+    C x omega C and transverse plane {0} x omega^perp, omega a unit vector in R^3."""
+    t1 = np.eye(3)[np.argmin(np.abs(omega))]
+    t1 = t1 - (t1 @ omega) * omega
+    t1 /= np.linalg.norm(t1)
+    Fl = np.zeros((4, 2))
+    Ft = np.zeros((4, 2))
+    Fl[0, 0], Fl[1:, 1] = 1.0, omega
+    Ft[1:, 0], Ft[1:, 1] = t1, np.cross(omega, t1)
+    return Fl, Ft
+
+
 def d3_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
     """The D3 margins one grid point at a time: per point, in direction-major
     order, (|xi|, direction index, largest real part of the eigenvalues of
@@ -661,7 +686,7 @@ def structural_oracle(model, config=None):
     from hypdiss.errors import NotSymmetrizable
     from hypdiss.grids import unit_directions
     from hypdiss.model import ensure_normalized
-    from hypdiss.symbols import assemble_calA, assemble_calB, assemble_directional
+    from hypdiss.symbols import assemble_calA_stack, assemble_calB_stack, directional_stack
 
     config = config or CheckConfig()
     model = ensure_normalized(model)
@@ -683,10 +708,10 @@ def structural_oracle(model, config=None):
 
     def w0(u, om):
         return np.linalg.solve(np.asarray(model.A(0, u), dtype=float),
-                               assemble_directional(model, u, om)[0])
+                               directional_stack(model, u, om)[1][0])
 
     def d1_form(om):
-        A_dir, B_dir, C_dir = assemble_directional(model, ubar, om)
+        _, (A_dir,), (B_dir,), (C_dir,) = directional_stack(model, ubar, om)
         A0inv = np.linalg.inv(np.asarray(model.A(0, ubar), dtype=float))
         W0A = A0inv @ A_dir
         return A0inv @ (-B_dir + W0A @ W0A + C_dir @ W0A)
@@ -694,8 +719,8 @@ def structural_oracle(model, config=None):
     out = {}
     for name, symbol, form in (
         ("HA", w0, d1_form),
-        ("HB", lambda u, om: 1j * assemble_calB(model, u, om),
-         lambda om: assemble_calA(model, ubar, om)),
+        ("HB", lambda u, om: 1j * assemble_calB_stack(model, u, om[None])[0],
+         lambda om: assemble_calA_stack(model, ubar, om[None])[0]),
     ):
         per_point, ref_multiset, syms = [], None, []
         for om in omegas:

@@ -25,7 +25,6 @@ from hypdiss.model import (
     builtin_convected_damped_wave,
     builtin_damped_wave,
     ensure_normalized,
-    fluid_block_decomposition,
     model_from_dict,
 )
 from hypdiss.paradiff import (
@@ -52,14 +51,14 @@ from hypdiss.simulator import (
     step_rk4,
 )
 from hypdiss.symbols import (
-    assemble_calA,
-    assemble_calB,
-    assemble_K,
+    assemble_calA_stack,
+    assemble_calB_stack,
     assemble_M,
     assemble_Mbar,
-    weight_z,
-    weight_ztilde,
+    directional_stack,
 )
+
+from oracles import fluid_bases, k_family
 
 FLUID = FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0)
 FLUID_SETS = [
@@ -144,25 +143,24 @@ def test_criterion_3_condition_checkers_on_fluid():
         details.append(f"(r={p.r},mu={p.mu}): {','.join(verdicts.values())}")
 
         # transverse damped-wave identification via block reassembly
-        from hypdiss.symbols import assemble_directional
-
         rng = np.random.default_rng(1)
         u = f.reference_state
         for _ in range(10):
             om = rng.normal(size=3)
             om /= np.linalg.norm(om)
-            blocks = fluid_block_decomposition(f, om)
-            t = blocks.transverse
+            _, (A_dir,), (B_dir,), (C_dir,) = directional_stack(f, u, om)
+            full = {"A0": f.A(0, u), "A": A_dir, "B00": f.B(0, 0, u),
+                    "B": B_dir, "C": C_dir}
+            Fl, Ft = fluid_bases(om)
+            t = {k: Ft.T @ v @ Ft for k, v in full.items()}
             ok = ok and np.allclose(t["A0"], np.eye(2), atol=1e-12)
             ok = ok and np.allclose(t["A"], 0.0, atol=1e-12)
             ok = ok and np.allclose(t["B00"], -p.nu * np.eye(2), atol=1e-12)
             ok = ok and np.allclose(t["B"], p.eta * np.eye(2), atol=1e-12)
             ok = ok and np.allclose(t["C"], 0.0, atol=1e-12)
-            A_dir, B_dir, C_dir = assemble_directional(f, u, om)
-            full = {"A0": f.A(0, u), "A": A_dir, "B00": f.B(0, 0, u),
-                    "B": B_dir, "C": C_dir}
             for key, mat in full.items():
-                ok = ok and np.abs(blocks.reassemble(key) - mat).max() < 1e-12
+                parts = Fl @ (Fl.T @ mat @ Fl) @ Fl.T + Ft @ (Ft.T @ mat @ Ft) @ Ft.T
+                ok = ok and np.abs(parts - mat).max() < 1e-12
     verdict(3, "fluid condition checkers + transverse blocks", ok, "; ".join(details))
 
 
@@ -206,20 +204,20 @@ def test_criterion_5_symbol_identity_suite():
 
         M = assemble_M(f, u, xi)
         mbar = assemble_Mbar(f, u, xi)
-        Z = weight_z(xi, f.n)
+        Z = np.diag(np.r_[np.full(f.n, np.sqrt(1.0 + xi @ xi)), np.ones(f.n)])
         e1 = np.abs(M - Z @ mbar @ np.linalg.inv(Z)).max() / max(np.abs(M).max(), 1.0)
 
-        K = assemble_K(f, u, 1.0 / x, om)
-        Zt = weight_ztilde(x, f.n)
+        K = k_family(f, u, 1.0 / x, om)
+        Zt = np.diag(np.r_[np.full(f.n, np.sqrt(1.0 + x**2) / x), np.ones(f.n)])
         lhs = x * K
         rhs = np.linalg.solve(Zt, M @ Zt)
         e2 = np.abs(lhs - rhs).max() / max(np.abs(lhs).max(), 1.0)
 
-        e3 = np.abs(assemble_K(f, u, 0.0, om) - assemble_calB(f, u, om)).max()
+        e3 = np.abs(k_family(f, u, 0.0, om) - assemble_calB_stack(f, u, om[None])[0]).max()
 
         h = 1e-4
-        dK = (assemble_K(f, u, h, om) - assemble_K(f, u, -h, om)) / (2 * h)
-        e4 = np.abs(dK - assemble_calA(f, u, om)).max()
+        dK = (k_family(f, u, h, om) - k_family(f, u, -h, om)) / (2 * h)
+        e4 = np.abs(dK - assemble_calA_stack(f, u, om[None])[0]).max()
 
         worst = max(worst, e1, e2, e3, e4)
     elapsed = time.time() - t0

@@ -95,6 +95,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "InvalidParameter" in err and "A['1'][0][0]" in err
 
+    def test_null_entry_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text('{"n": 1, "d": 1, "A": {"0": [[null]]}, '
+                        '"B": {"0,0": [[-1.0]], "1,1": [[1.0]]}}')
+        code = main(["check", "--model", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "InvalidParameter" in err and "A['0'][0][0]" in err
+
     def test_key_outside_the_model_exit_one(self, tmp_path, capsys):
         # "2" is no coefficient index at d = 1; it used to be dropped silently
         path = tmp_path / "key.json"
@@ -282,6 +291,16 @@ class TestDecay:
         assert code == EXIT_OK
         fit = json.loads((out / "decay_fit.json").read_text())
         assert not fit["asserted"]
+
+    @pytest.mark.parametrize("flag", ["--amplitude", "--s"])
+    def test_nan_norms_exit_one(self, tmp_path, capsys, flag):
+        # these used to write "exponent": NaN and exit 2
+        out = tmp_path / "out"
+        code = main(["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3",
+                     flag, "nan", "--output-dir", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: DegenerateFit:" in capsys.readouterr().err
+        assert not (out / "decay_fit.json").exists()
 
     def test_fit_window_beyond_200_is_evolved_to_its_end(self, tmp_path):
         out = tmp_path / "out"

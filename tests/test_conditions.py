@@ -39,7 +39,7 @@ from hypdiss.model import (
     ensure_normalized,
     model_from_dict,
 )
-from hypdiss.symbols import assemble_calB, assemble_M, dispersion_roots
+from hypdiss.symbols import assemble_calB_stack, assemble_M, dispersion_roots
 
 FLUID = FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0)
 FLUID_SETS = [
@@ -97,7 +97,7 @@ class TestEigstructure:
 
     def test_calb_damped_wave_clusters(self):
         m = builtin_damped_wave(2.0, d=1)
-        calB = assemble_calB(m, m.reference_state, np.array([1.0]))
+        calB = assemble_calB_stack(m, m.reference_state, np.array([[1.0]]))[0]
         es = eigstructure(calB)
         assert sorted(es.mult.tolist()) == [1, 1]
         assert es.semi_simple.all()
@@ -164,7 +164,7 @@ class TestSymmetrizer:
         rng = np.random.default_rng(8)
         om = rng.normal(size=3)
         om /= np.linalg.norm(om)
-        iB = 1j * assemble_calB(f, f.reference_state, om)
+        iB = 1j * assemble_calB_stack(f, f.reference_state, om[None])[0]
         S, _ = build_symmetrizer(iB)
         SK = S @ iB
         assert np.abs(SK - SK.conj().T).max() <= 1e-8 * np.linalg.norm(S, 2) * np.linalg.norm(iB, 2)

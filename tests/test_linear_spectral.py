@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ class TestInitEnsemble:
         ens = init_ensemble(m, GaussianData(amplitude=0.0))
         assert np.all(ens.coefficients == 0.0)
         norms = sobolev_norm(ens, 2.0)
-        assert norms.combined == 0.0
+        assert norms.u + norms.ut == 0.0
 
     def test_two_bump_linearity(self):
         m = builtin_damped_wave(2.0, d=3)
@@ -107,10 +109,10 @@ class TestAntipodalFold:
         coeff = np.zeros((len(xi), 2 * m.n), dtype=complex)
         coeff[:, :m.n] = (br * 1e-2 * 3.0**3 * np.exp(-4.5 * mags**2))[:, None]
         prop = ModePropagator(m, xi)
-        full = [sobolev_norm(ModeEnsemble(m.n, 3, xi, w, prop.propagate(prop.project(coeff), t), t), 2.0)
+        full = [sobolev_norm(ModeEnsemble(m.n, 3, xi, w, prop.propagate(prop.project(coeff), t)), 2.0)
                 for t in study.times]
         np.testing.assert_allclose(study.norms_u, [f.u for f in full], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(study.combined, [f.combined for f in full], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(study.combined, [f.u + f.ut for f in full], rtol=1e-13, atol=0)
         # at t = 0 the u_t norm is rounding noise of zero on either grid
         np.testing.assert_allclose(study.norms_ut[1:], [f.ut for f in full[1:]], rtol=1e-13, atol=0)
         assert study.norms_ut[0] < 1e-14 * study.norms_u[0]
@@ -166,6 +168,15 @@ class TestDecayFit:
         t = np.linspace(0.0, 50.0, 20)
         with pytest.raises(DegenerateFit):
             decay_fit(t, np.zeros(20), (0.0, 50.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_first_bad_norm_is_named(self, bad):
+        # NaN used to pass the nonpositive screen and give a NaN exponent
+        t = np.linspace(0.0, 50.0, 20)
+        norms = np.exp(-0.1 * t)
+        norms[[12, 15]] = bad
+        with pytest.raises(DegenerateFit, match=re.escape(f"at t={t[12]:g} ")):
+            decay_fit(t, norms, (0.0, 50.0))
 
     def test_small_window_rejected(self):
         with pytest.raises(DegenerateFit):

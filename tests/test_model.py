@@ -4,21 +4,20 @@ import re
 import numpy as np
 import pytest
 
-from hypdiss.errors import InvalidParameter, NotFluidModel, SingularB00
+from hypdiss.errors import InvalidParameter, SingularB00
 from hypdiss.model import (
     CoefficientModel,
     FluidParameters,
     builtin_barotropic_fluid,
     builtin_convected_damped_wave,
     builtin_damped_wave,
-    fluid_block_decomposition,
     load_model,
     model_from_dict,
     normalize_b00,
 )
-from hypdiss.symbols import dispersion_roots
+from hypdiss.symbols import directional_stack, dispersion_roots
 
-from oracles import multiset_distance
+from oracles import fluid_bases, multiset_distance
 
 FLUID = FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0)
 
@@ -153,11 +152,23 @@ class TestNormalization:
             normalize_b00(m)
 
 
+def _fluid_symbols(f, om):
+    # the fluid's five coefficient families in direction om at the reference state
+    u = f.reference_state
+    _, (A_dir,), (B_dir,), (C_dir,) = directional_stack(f, u, om)
+    return {"A0": f.A(0, u), "A": A_dir, "B00": f.B(0, 0, u), "B": B_dir, "C": C_dir}
+
+
+def _reduce(full, F):
+    # the 2x2 reductions F^T X F along a 4x2 orthonormal basis F
+    return {k: F.T @ v @ F for k, v in full.items()}
+
+
 class TestBlockDecomposition:
     def test_transverse_damped_wave_identification(self):
         f = builtin_barotropic_fluid(FLUID)
-        blocks = fluid_block_decomposition(f, np.array([0.0, 1.0, 0.0]))
-        t = blocks.transverse
+        om = np.array([0.0, 1.0, 0.0])
+        t = _reduce(_fluid_symbols(f, om), fluid_bases(om)[1])
         assert np.allclose(t["A0"], np.eye(2))
         assert np.allclose(t["A"], 0.0)
         assert np.allclose(t["B00"], -FLUID.nu * np.eye(2))
@@ -166,28 +177,22 @@ class TestBlockDecomposition:
 
     def test_longitudinal_second_order_block(self):
         f = builtin_barotropic_fluid(FLUID)
-        blocks = fluid_block_decomposition(f, np.array([1.0, 0.0, 0.0]))
+        om = np.array([1.0, 0.0, 0.0])
+        longitudinal = _reduce(_fluid_symbols(f, om), fluid_bases(om)[0])
         expect = np.diag([-FLUID.nu, FLUID.eta_tilde - FLUID.mu])
-        assert np.allclose(blocks.longitudinal["B"], expect, atol=1e-14)
+        assert np.allclose(longitudinal["B"], expect, atol=1e-14)
 
     def test_reassembly_many_directions(self):
-        from hypdiss.symbols import assemble_directional
-
         f = builtin_barotropic_fluid(FLUID)
-        u = f.reference_state
         rng = np.random.default_rng(7)
         for _ in range(50):
             om = rng.normal(size=3)
             om /= np.linalg.norm(om)
-            blocks = fluid_block_decomposition(f, om)
-            A_dir, B_dir, C_dir = assemble_directional(f, u, om)
-            full = {"A0": f.A(0, u), "A": A_dir, "B00": f.B(0, 0, u), "B": B_dir, "C": C_dir}
+            full = _fluid_symbols(f, om)
+            Fl, Ft = fluid_bases(om)
+            lon, tra = _reduce(full, Fl), _reduce(full, Ft)
             for key, mat in full.items():
-                assert np.abs(blocks.reassemble(key) - mat).max() < 1e-12
-
-    def test_requires_fluid(self):
-        with pytest.raises(NotFluidModel):
-            fluid_block_decomposition(builtin_damped_wave(1.0, d=3), np.array([1.0, 0, 0]))
+                assert np.abs(Fl @ lon[key] @ Fl.T + Ft @ tra[key] @ Ft.T - mat).max() < 1e-12
 
 
 class TestJsonModels:
@@ -342,6 +347,17 @@ class TestMonomialExponents:
         doc["A"]["1"] = [[[[1.0, 3.0]]]]
         m = model_from_dict(doc)
         assert m.A(1, np.array([2.0]))[0, 0] == 8.0
+
+    @pytest.mark.parametrize("entry", [
+        [[True]], [[None]], [[[5]]], [[[["a", 1]]]], [[[[1.0, True]]]], [[[[1.0, 1, 2]]]],
+    ], ids=["bool", "null", "monomial-not-a-list", "string-coefficient", "bool-exponent",
+            "monomial-length"])
+    def test_malformed_entry_is_named(self, entry):
+        # these used to be accepted (true as 1.0) or raise TypeError and ValueError
+        doc = json.loads(json.dumps(self.DOC))
+        doc["A"]["0"] = entry
+        with pytest.raises(InvalidParameter, match=re.escape("A['0'][0][0]")):
+            model_from_dict(doc)
 
 
 class TestDocumentShape:

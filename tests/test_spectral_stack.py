@@ -25,7 +25,7 @@ from hypdiss.model import (
     ensure_normalized,
     model_from_dict,
 )
-from hypdiss.symbols import assemble_calB, assemble_directional, assemble_M
+from hypdiss.symbols import assemble_calB_stack, assemble_M, directional_stack
 
 from oracles import (
     cluster_bases,
@@ -72,8 +72,8 @@ def _fluid_symbols(rng, which):
     om /= np.linalg.norm(om)
     u = f.reference_state
     if which == "W0":
-        return np.linalg.solve(f.A(0, u), assemble_directional(f, u, om)[0])
-    return 1j * assemble_calB(f, u, om)
+        return np.linalg.solve(f.A(0, u), directional_stack(f, u, om)[1][0])
+    return 1j * assemble_calB_stack(f, u, om[None])[0]
 
 
 def _jordan(rng, m):
@@ -170,8 +170,8 @@ def test_cached_symmetrizers_meet_the_contract(n, d, seed):
     # symmetric matrix in every direction
     assert ha.symmetrizable.all()
     for cache, symbol in (
-        (ha, lambda om: np.linalg.solve(m.A(0, u), assemble_directional(m, u, om)[0])),
-        (hb, lambda om: 1j * assemble_calB(m, u, om)),
+        (ha, lambda om: np.linalg.solve(m.A(0, u), directional_stack(m, u, om)[1][0])),
+        (hb, lambda om: 1j * assemble_calB_stack(m, u, om[None])[0]),
     ):
         for i in np.flatnonzero(cache.symmetrizable):
             S, K = cache.S[i], symbol(cache.omegas[i])
@@ -227,8 +227,8 @@ def test_checkers_match_per_point_oracle(model):
     m = ensure_normalized(model)
     u = m.reference_state
     symbols = {
-        "D1": (ha, lambda om: np.linalg.solve(m.A(0, u), assemble_directional(m, u, om)[0])),
-        "D2": (hb, lambda om: 1j * assemble_calB(m, u, om)),
+        "D1": (ha, lambda om: np.linalg.solve(m.A(0, u), directional_stack(m, u, om)[1][0])),
+        "D2": (hb, lambda om: 1j * assemble_calB_stack(m, u, om[None])[0]),
     }
     for name, check in (("D1", check_d1), ("D2", check_d2)):
         cache, symbol = symbols[name]
@@ -311,7 +311,7 @@ def test_ambiguity_names_the_first_point_of_the_scan():
     for i, om in enumerate(unit_directions(1)[0]):
         for s, u in enumerate(m.state_samples()):
             try:
-                eigstructure_oracle(1j * assemble_calB(m, u, om))
+                eigstructure_oracle(1j * assemble_calB_stack(m, u, om[None])[0])
             except ClusterAmbiguity as e:
                 want = f"{e} at state index {s}, omega index {i}"
                 break
