@@ -13,7 +13,7 @@ deterministic; constant-coefficient built-ins return copies of one n x n array.
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class CoefficientModel:
     reference_state : the homogeneous state the analysis linearizes at
     A : evaluator (j, u) -> (..., n, n) array for u of shape (..., n), j = 0..d
     B : evaluator (j, k, u) -> (..., n, n) array, j, k = 0..d
-    constant_coefficients : evaluators ignore u (enables fast paths)
+    varying : the evaluator indices ("A", j) and ("B", j, k) whose matrices
+        depend on u, or None when any may (a model built from bare callables)
     is_fluid : the barotropic fluid (its decay data are wider, sigma = 3)
     """
 
@@ -84,9 +85,19 @@ class CoefficientModel:
     A: Callable[[int, np.ndarray], np.ndarray]
     B: Callable[[int, int, np.ndarray], np.ndarray]
     label: str = "model"
-    constant_coefficients: bool = False
+    varying: Optional[frozenset] = None
     is_fluid: bool = False
     normalized: bool = False
+
+    @property
+    def constant_coefficients(self):
+        """No evaluator depends on u (enables fast paths)."""
+        return self.varying is not None and not self.varying
+
+    def varies(self, family, *index):
+        """Whether model.A(*index, u) (family "A") or model.B(*index, u)
+        (family "B") may depend on u."""
+        return self.varying is None or (family, *index) in self.varying
 
     def state_samples(self, count=STATE_SAMPLES):
         """Deterministic low-discrepancy sample of the state domain."""
@@ -146,7 +157,7 @@ def _constant_model(n, d, A0, Aj, B, label, ref=None, is_fluid=False):
         A=A_eval,
         B=B_eval,
         label=label,
-        constant_coefficients=True,
+        varying=frozenset(),
         is_fluid=is_fluid,
     )
 
@@ -253,6 +264,9 @@ def normalize_b00(model):
     roots at every (u, xi).  B^{00} is evaluated once on the STATE_SAMPLES
     sampled states; SingularB00 names the first sample at which -B^{00}(u)
     is not finite, singular or worse conditioned than B00_COND_CEILING.
+    A B^{00} that does not vary is inverted once, here, and every family
+    keeps its dependence on u; one that varies is inverted at every call,
+    and every family of the result varies.
     """
     us = model.state_samples()
     ident = np.eye(model.n)
@@ -283,9 +297,19 @@ def normalize_b00(model):
         return replace(norm, state_domain=model.state_domain, normalized=True)
 
     A_old, B_old = model.A, model.B
+    if model.varies("B", 0, 0):
+        # every family now depends on u through (-B^{00}(u))^{-1}
+        def inv_factor(u):
+            return np.linalg.inv(-np.asarray(B_old(0, 0, u), float))
 
-    def inv_factor(u):
-        return np.linalg.inv(-np.asarray(B_old(0, 0, u), float))
+        varying = None
+    else:
+        inv = np.linalg.inv(-np.asarray(B_old(0, 0, model.reference_state), float))
+
+        def inv_factor(u):
+            return inv
+
+        varying = model.varying
 
     def A_new(j, u):
         return inv_factor(u) @ np.asarray(A_old(j, u), float)
@@ -294,7 +318,7 @@ def normalize_b00(model):
         return inv_factor(u) @ np.asarray(B_old(j, k, u), float)
 
     return replace(
-        model, A=A_new, B=B_new, normalized=True,
+        model, A=A_new, B=B_new, varying=varying, normalized=True,
         label=model.label + "|b00-normalized",
     )
 
@@ -347,7 +371,9 @@ def _is_number(value):
 
 def _poly_entry(spec, n, where):
     """An entry is a number or a list of monomials [coeff, e_1, ..., e_n]
-    with integer exponents e_k."""
+    with integer exponents e_k; (None, value) for a number or a list whose
+    exponents are all zero, which does not vary with u, else (evaluator,
+    None)."""
     if _is_number(spec):
         return None, float(spec)
     if not isinstance(spec, list):
@@ -365,6 +391,8 @@ def _poly_entry(spec, n, where):
                 f"{mono[1:]}; monomial exponents must be integers"
             )
         terms.append((float(mono[0]), exps.astype(int)))
+    if not any(e.any() for _, e in terms):
+        return None, float(sum(c for c, _ in terms))
 
     def ev(u, _t=terms):
         # an overflowing term stays a silent inf/nan: the typed non-finite
@@ -377,14 +405,15 @@ def _poly_entry(spec, n, where):
 
 def _matrix_table(doc, n, d, family):
     """Parse {"j" (family "A") or "j,k" (family "B"): [[entry ...] ...]}, with
-    indices in 0..d and n x n matrices, into a state-stack evaluator; the
+    indices in 0..d and n x n matrices, into a state-stack evaluator and the
+    set of evaluator indices (family, *index) with an entry that varies; the
     family names the entries in error messages."""
     form = "j" if family == "A" else "j,k"
     if not isinstance(doc, dict):
         raise InvalidParameter(f"model document entry {family} is not an object of matrices "
                                f"keyed {form!r}")
     table = {}
-    state_dependent = False
+    varying = set()
     for key, rows in doc.items():
         where = f"{family}[{key!r}]"
         idx = tuple(int(i) if i.strip().isdigit() else -1 for i in str(key).split(","))
@@ -402,7 +431,7 @@ def _matrix_table(doc, n, d, family):
                     const[r, c] = val
                 else:
                     funcs[(r, c)] = ev
-                    state_dependent = True
+                    varying.add((family,) + idx)
         table[idx] = (const, funcs)
 
     def evaluate(idx, u):
@@ -412,7 +441,7 @@ def _matrix_table(doc, n, d, family):
             m[..., r, c] += ev(u)
         return m
 
-    return evaluate, state_dependent
+    return evaluate, varying
 
 
 def _reject_non_finite(value, where):
@@ -438,11 +467,16 @@ def _document_integer(doc, key):
 
 
 def _document_array(doc, key, default):
-    # the numbers under key (or the default) as a float array
+    # the numbers under key (or the default) as a float array; true and
+    # false are not numbers
+    value = doc.get(key, default)
+    refusal = InvalidParameter(f"model document entry {key} = {value!r} is not numeric")
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise refusal
     try:
-        return np.array(doc.get(key, default), dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError) as e:
-        raise InvalidParameter(f"model document entry {key} = {doc[key]!r} is not numeric") from e
+        raise refusal from e
 
 
 def model_from_dict(doc):
@@ -476,8 +510,8 @@ def model_from_dict(doc):
     ref = _document_array(doc, "reference_state", np.zeros(n))
     if ref.shape != (n,):
         raise InvalidParameter("reference_state must have length n")
-    A_eval, a_dep = _matrix_table(doc.get("A", {}), n, d, "A")
-    B_eval, b_dep = _matrix_table(doc.get("B", {}), n, d, "B")
+    A_eval, a_var = _matrix_table(doc.get("A", {}), n, d, "A")
+    B_eval, b_var = _matrix_table(doc.get("B", {}), n, d, "B")
     lo = _document_array(doc, "domain_lo", ref - 1.0)
     hi = _document_array(doc, "domain_hi", ref + 1.0)
     if lo.shape != (n,) or hi.shape != (n,) or np.any(lo > hi):
@@ -491,7 +525,7 @@ def model_from_dict(doc):
         A=lambda j, u: A_eval((j,), u),
         B=lambda j, k, u: B_eval((j, k), u),
         label=doc.get("label", "json-model"),
-        constant_coefficients=not (a_dep or b_dep),
+        varying=frozenset(a_var | b_var),
     )
 
 

@@ -22,14 +22,15 @@ nonlinear slack constant K.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import reduce
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter, UnsupportedDataSpec
 from .grids import antipodal_expand, antipodal_fold
 from .io import write_csv_atomic
-from .model import check_placement, ensure_normalized
+from .model import check_placement, ensure_normalized, evaluate_stack
 from .paradiff import Lattice, make_cutoff
 from .profiles import ramp_down, ramp_up
 from .symbols import (assemble_M_stack, assemble_Mbar_stack, coefficient_tensors,
@@ -212,6 +213,62 @@ def _matvec(mats, vecs):
     return np.einsum("pij,jp->ip", mats, vecs)
 
 
+class RemainderTerm(NamedTuple):
+    """One term [c(u) - c(ubar)] . field of the remainder.
+
+    c is the coefficient `family`[`index`] of `CoefficientTensors` ("A0",
+    "A", "C" or "B"; the term of B at (j, k), k > j, carries B^{jk} +
+    B^{kj}).  The field's coefficients are `multiplier` (Q,) times the
+    u_hat (`block` 0) or v_hat (`block` 1) coefficients, the term's sign
+    included: -v, -u_{x_j}, v_{x_j} or u_{x_j x_k}.  Terms of one `group`
+    are summed before they join the total.
+    """
+
+    group: int
+    family: str
+    index: tuple
+    block: int
+    multiplier: np.ndarray
+
+
+def _remainder_terms(model, xi):
+    """The remainder's terms whose coefficients vary with u, in the order
+    `_remainder` sums them, at the frequencies xi (Q, d); every term left
+    out is exactly zero."""
+    d, x = model.d, xi.T
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    # each term with the evaluator indices its coefficient reads
+    terms = [(RemainderTerm(0, "A0", (), 1, -np.ones(len(xi))), [("A", 0)])]
+    for j in range(d):
+        terms += [(RemainderTerm(1 + j, "C", (j,), 1, 1j * x[j]),
+                   [("B", 0, j + 1), ("B", j + 1, 0)]),
+                  (RemainderTerm(1 + j, "A", (j,), 0, -1j * x[j]), [("A", j + 1)])]
+    terms += [(RemainderTerm(1 + d + p, "B", (j, k), 0, -x[j] * x[k]),
+               [("B", j + 1, k + 1), ("B", k + 1, j + 1)]) for p, (j, k) in enumerate(pairs)]
+    return [t for t, reads in terms if any(model.varies(*r) for r in reads)]
+
+
+def _coefficient_change(model, term, u, R):
+    """c(u) - c(ubar) of one remainder term, (P, n, n), at the samples u
+    (P, n) with the reference tensors R, in the arithmetic of the full
+    coefficient tensors."""
+    def at(family, *index):
+        return evaluate_stack(model, family, *index, u=u)
+
+    if term.family == "A0":
+        return at("A", 0) - R.A0
+    j = term.index[0]
+    if term.family == "A":
+        return at("A", j + 1) - R.A[j]
+    if term.family == "C":
+        return (at("B", 0, j + 1) + at("B", j + 1, 0)) - R.C[j]
+    k = term.index[1]
+    B = at("B", j + 1, k + 1) - R.B[j, k]
+    if k > j:
+        B = B + at("B", k + 1, j + 1) - R.B[k, j]
+    return B
+
+
 def _check_domain(model, u_phys, time):
     # a non-finite state has left every box, although NaN compares False
     lo, hi = model.state_domain
@@ -250,7 +307,9 @@ class LinearPart:
     zero-padded spectra behind `samples` are reused, so one LinearPart
     serves one caller at a time.
     `tensors` are the coefficient tensors at ubar, which the remainder of a
-    state-dependent model subtracts.  `dt_max` is the RK4 step bound from
+    state-dependent model subtracts, and `terms` the remainder's terms
+    whose coefficients vary with u (`_remainder_terms`; none for a
+    constant-coefficient model).  `dt_max` is the RK4 step bound from
     |spec(Mbar)| at the largest dealiased frequencies.  A lattice whose RK4
     working set exceeds SYMBOL_FIELD_MAX_BYTES is refused before allocating.
     """
@@ -278,6 +337,7 @@ class LinearPart:
         half = np.multiply(A, -1j)
         rows[..., :n] = np.subtract(half, B, out=half)
         rows[..., n:] = np.subtract(np.multiply(C, 1j, out=half), T.A0, out=half)
+        self.terms = _remainder_terms(model, self.xi)
         self._padded = {}
 
     def spectrum(self, values):
@@ -296,33 +356,22 @@ class LinearPart:
 
 def _remainder(linear, y, time):
     """[coeffs(u) - coeffs(ubar)] . derivatives in physical space, (n, P), at
-    the stage y = (u_hat, v_hat); u is checked against the domain box before
-    any coefficient is evaluated.
+    the stage y = (u_hat, v_hat), summed over `linear.terms`; u is checked
+    against the domain box before any coefficient is evaluated.
 
-    u, v, their d first derivatives and the d(d+1)/2 distinct second
-    derivatives of u come from one inverse transform; the second derivatives
-    carry B^{jk} + B^{kj}.
+    u and the fields of the terms come from one inverse transform, and only
+    the coefficients of the terms are evaluated.
     """
-    d, n = linear.lattice.d, linear.model.n
-    uh, vh = y[:n], y[n:]
-    xi = linear.xi.T
-    pairs = [(j, k) for j in range(d) for k in range(j, d)]
-    hats = ([uh, vh] + [1j * xi[j] * uh for j in range(d)]
-            + [1j * xi[j] * vh for j in range(d)] + [-xi[j] * xi[k] * uh for j, k in pairs])
-    u, v, *fields = linear.samples(np.concatenate(hats)).reshape(len(hats), n, -1)
-    _check_domain(linear.model, u.T, time)
-    u_x, v_x, u_xx = fields[:d], fields[d:2 * d], fields[2 * d:]
-    T = coefficient_tensors(linear.model, u.T)
-    R = linear.tensors
-    out = -_matvec(T.A0 - R.A0, v)
-    for j in range(d):
-        out += _matvec(T.C[:, j] - R.C[j], v_x[j]) - _matvec(T.A[:, j] - R.A[j], u_x[j])
-    for (j, k), w in zip(pairs, u_xx):
-        B = T.B[:, j, k] - R.B[j, k]
-        if k > j:
-            B = B + T.B[:, k, j] - R.B[k, j]
-        out += _matvec(B, w)
-    return out
+    model, n = linear.model, linear.model.n
+    blocks = (y[:n], y[n:])
+    hats = [blocks[0]] + [t.multiplier * blocks[t.block] for t in linear.terms]
+    u, *fields = linear.samples(np.concatenate(hats)).reshape(len(hats), n, -1)
+    _check_domain(model, u.T, time)
+    groups = {}
+    for term, w in zip(linear.terms, fields):
+        groups.setdefault(term.group, []).append(
+            _matvec(_coefficient_change(model, term, u.T, linear.tensors), w))
+    return reduce(np.add, (reduce(np.add, g) for g in groups.values()))
 
 
 def _sample_interval(uh):
@@ -343,17 +392,18 @@ def _inside_box(model, uh):
 
 def _stage(linear, y, time):
     """Time derivative of the dealiased coefficients y = (u_hat, v_hat),
-    shape (2n, Q).  A constant-coefficient model checks the stage's u
-    against the domain box by the sample interval of its coefficients
+    shape (2n, Q).  A model without remainder terms (`linear.terms`; a
+    constant-coefficient one among them) checks the stage's u against the
+    domain box by the sample interval of its coefficients
     (`_sample_interval`), forming the samples of y only when that interval
-    is not both finite and inside the box.  A state-dependent model checks
-    the u of its remainder."""
+    is not both finite and inside the box.  A model with remainder terms
+    checks the u of its remainder."""
     model = linear.model
     n = model.n
     k = np.empty_like(y)
     k[:n] = y[n:]
     k[n:] = np.einsum("qij,jq->iq", linear.rows, y)
-    if model.constant_coefficients:
+    if not linear.terms:
         if not _inside_box(model, y[:n]):
             _check_domain(model, linear.samples(y[:n]).T, time)
     else:

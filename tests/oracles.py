@@ -267,6 +267,40 @@ def physical_rhs_oracle(model, state):
     return dealias(state.ut), dealias(vt)
 
 
+def remainder_all_families(linear, y):
+    """The simulator's remainder [coeffs(u) - coeffs(ubar)] . derivatives,
+    (n, P), at the stage y = (u_hat, v_hat) of a LinearPart, with every
+    coefficient family evaluated and every term summed, in the arithmetic
+    of `simulator._remainder`: u, v, their first derivatives and the
+    distinct second derivatives of u from one inverse transform, and the
+    second derivatives carrying B^{jk} + B^{kj}."""
+    from hypdiss.symbols import coefficient_tensors
+
+    def matvec(mats, vecs):
+        return np.einsum("pij,jp->ip", mats, vecs)
+
+    model, d = linear.model, linear.lattice.d
+    n = model.n
+    uh, vh = y[:n], y[n:]
+    xi = linear.xi.T
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    hats = ([uh, vh] + [1j * xi[j] * uh for j in range(d)]
+            + [1j * xi[j] * vh for j in range(d)] + [-xi[j] * xi[k] * uh for j, k in pairs])
+    u, v, *fields = linear.samples(np.concatenate(hats)).reshape(len(hats), n, -1)
+    u_x, v_x, u_xx = fields[:d], fields[d:2 * d], fields[2 * d:]
+    T = coefficient_tensors(model, u.T)
+    R = coefficient_tensors(model, model.reference_state)
+    out = -matvec(T.A0 - R.A0, v)
+    for j in range(d):
+        out += matvec(T.C[:, j] - R.C[j], v_x[j]) - matvec(T.A[:, j] - R.A[j], u_x[j])
+    for (j, k), w in zip(pairs, u_xx):
+        B = T.B[:, j, k] - R.B[j, k]
+        if k > j:
+            B = B + T.B[:, k, j] - R.B[k, j]
+        out += matvec(B, w)
+    return out
+
+
 def _split_rhs(model, lat, u, ut):
     # bottom rows of Mbar(ubar, xi) on the full complex spectrum, plus the
     # remainder [coeffs(u) - coeffs(ubar)] . derivatives in physical space

@@ -277,7 +277,7 @@ class TestModePropagator:
 
         m = CoefficientModel(n=1, d=1, reference_state=np.zeros(1),
                              state_domain=(-np.ones(1), np.ones(1)), A=A, B=B,
-                             constant_coefficients=True)
+                             varying=frozenset())
         xi = np.array([[1.0], [2.0]])
         with pytest.raises(EigensolverFailure):
             dispersion_root_stack(m, m.reference_state, xi)

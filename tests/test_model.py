@@ -105,6 +105,45 @@ class TestNormalization:
         assert np.array_equal(m2.B(0, 0, u), m.B(0, 0, u))
         assert np.array_equal(m2.A(0, u), m.A(0, u))
 
+    # B^{00} = [[-2, 0.1], [0, -1.5]] (constant, or varying through u_2 in its
+    # first entry) beside entries of A^1, B^{01} and B^{11} that vary with u
+    DOC = {
+        "n": 2, "d": 1, "reference_state": [0.0, 0.0],
+        "A": {"0": [[1.0, 0.2], [0.0, 1.0]], "1": [[[[0.5, 0, 0], [1.0, 1, 0]], 0.0], [0.3, 0.2]]},
+        "B": {"0,0": [[-2.0, 0.1], [0.0, -1.5]], "1,1": [[1.0, 0.0], [[[0.2, 0, 2]], 1.0]],
+              "0,1": [[0.0, [[0.3, 1, 1]]], [0.1, 0.0]]},
+    }
+
+    @pytest.mark.parametrize("b00", ["constant", "varying"])
+    def test_values_match_the_per_call_inversion(self, b00):
+        # bit-equal to left-multiplying by the inverse of -B^{00} at every state
+        doc = json.loads(json.dumps(self.DOC))
+        if b00 == "varying":
+            doc["B"]["0,0"][0][0] = [[-2.0, 0, 0], [0.1, 0, 1]]
+        m = model_from_dict(doc)
+        nm = normalize_b00(m)
+        assert nm.varying == ({("A", 1), ("B", 1, 1), ("B", 0, 1)} if b00 == "constant" else None)
+        us = m.state_samples(64)
+        inv = np.linalg.inv(-np.asarray(m.B(0, 0, us), float))
+        for j in range(2):
+            assert np.array_equal(nm.A(j, us), inv @ m.A(j, us))
+            for k in range(2):
+                assert np.array_equal(nm.B(j, k, us), inv @ m.B(j, k, us))
+
+    def test_constant_b00_is_inverted_once(self):
+        from dataclasses import replace
+
+        calls = []
+        m = model_from_dict(self.DOC)
+        m = replace(m, B=lambda j, k, u, _B=m.B: calls.append((j, k)) or _B(j, k, u))
+        nm = normalize_b00(m)
+        calls.clear()
+        us = m.state_samples(16)
+        for j in range(2):
+            nm.A(j, us)
+            nm.B(1, j, us)
+        assert (0, 0) not in calls
+
     def test_fluid_row_blocks(self):
         f = normalize_b00(builtin_barotropic_fluid(FLUID))
         u = f.reference_state
@@ -217,6 +256,31 @@ class TestJsonModels:
         assert a1[0, 0] == pytest.approx(0.3)
         assert a1[1, 1] == pytest.approx(0.25)  # u_0^2
         assert not m.constant_coefficients
+
+    def test_varying_entries(self):
+        # an entry varies when it is a monomial list with a nonzero exponent
+        doc = {
+            "n": 2, "d": 2, "reference_state": [0.0, 0.0],
+            "A": {"0": [[1.0, 0.0], [0.0, [[1.0, 0, 0], [0.5, 0, 0]]]],
+                  "2": [[0.0, [[0.2, 0, 1]]], [0.0, 0.0]]},
+            "B": {"0,0": [[-1.0, 0.0], [0.0, -1.0]], "1,2": [[[[0.1, 1, 0]], 0.0], [0.0, 0.0]],
+                  "2,0": [[0.0, 0.0], [[[0.3, 2, 1]], 0.0]]},
+        }
+        m = model_from_dict(doc)
+        assert m.varying == {("A", 2), ("B", 1, 2), ("B", 2, 0)}
+        assert m.varies("B", 2, 0) and not m.varies("A", 0) and not m.varies("B", 2, 1)
+        assert m.A(0, np.array([0.3, -0.7]))[1, 1] == 1.5
+        doc["A"]["2"] = doc["B"]["1,2"] = doc["B"]["2,0"] = [[0.0, 0.0], [0.0, 0.0]]
+        assert model_from_dict(doc).constant_coefficients
+
+    def test_builtins_and_callables(self):
+        # builtins vary nowhere; a model from bare callables varies everywhere
+        assert builtin_barotropic_fluid(FLUID).varying == frozenset()
+        assert builtin_damped_wave(2.0, d=2).constant_coefficients
+        m = CoefficientModel(n=1, d=1, reference_state=np.zeros(1),
+                             state_domain=(-np.ones(1), np.ones(1)),
+                             A=lambda j, u: np.eye(1), B=lambda j, k, u: -np.eye(1))
+        assert m.varying is None and m.varies("A", 0) and not m.constant_coefficients
 
     def test_unknown_builtin(self):
         with pytest.raises(InvalidParameter):
@@ -418,4 +482,11 @@ class TestDocumentShape:
     def test_bad_state_domain(self, changes, entries):
         with pytest.raises(InvalidParameter, match=re.escape(entries)):
             model_from_dict(self.doc(**changes))
+
+    @pytest.mark.parametrize("key, value", [("reference_state", [True]), ("domain_lo", [False]),
+                                            ("domain_hi", [True]), ("reference_state", True)])
+    def test_boolean_state_entry(self, key, value):
+        # these used to load as 1.0 and 0.0
+        with pytest.raises(InvalidParameter, match=re.escape(f"entry {key} = {value!r} is not numeric")):
+            model_from_dict(self.doc(**{key: value}))
 

@@ -199,6 +199,68 @@ def count_transforms(monkeypatch):
     return calls
 
 
+@hst.composite
+def varying_documents(draw):
+    """JSON models with n, d in {1, 2} and random constant parts, each of
+    whose families A^j and B^{jk} but B^{00} varies with u in one random
+    entry with probability 1/2, through one or two monomials (exponents in
+    0..2, so some are constant); B^{00} is diagonal: -I, -2I (normalized)
+    or varying."""
+    n, d = draw(hst.integers(1, 2)), draw(hst.integers(1, 2))
+    b00 = draw(hst.sampled_from(["identity", "scaled", "varying"]))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+
+    def constant(diagonal):
+        return (diagonal * np.eye(n) + 0.3 * rng.uniform(-1.0, 1.0, (n, n))).tolist()
+
+    doc = {"n": n, "d": d, "reference_state": [0.0] * n,
+           "A": {str(j): constant(j == 0) for j in range(d + 1)},
+           "B": {f"{j},{k}": constant(j == k) for j in range(d + 1) for k in range(d + 1)}}
+    doc["B"]["0,0"] = (-(1.0 if b00 == "identity" else 2.0) * np.eye(n)).tolist()
+    if b00 == "varying":
+        doc["B"]["0,0"][0][0] = [[-2.0] + [0] * n, [0.3] + [1] * n]
+    # two monomials move an entry by at most 0.8 on the box, so A^0 and
+    # B^{jj} stay away from 0
+    for f in ("A", "B"):
+        for key in doc[f]:
+            if key != "0,0" and rng.random() < 0.5:
+                r, c = rng.integers(0, n, size=2)
+                doc[f][key][r][c] = [[doc[f][key][r][c]] + [0] * n] + [
+                    [rng.uniform(-0.4, 0.4)] + rng.integers(0, 3, size=n).tolist()
+                    for _ in range(rng.integers(1, 3))]
+    return doc
+
+
+class TestRemainderTerms:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(doc=varying_documents(), seed=hst.integers(0, 2**32 - 1))
+    def test_matches_all_families(self, doc, seed):
+        # the terms left out are exactly zero, and the kept ones are summed
+        # in the arithmetic of evaluating and transforming everything
+        from oracles import remainder_all_families
+
+        linear = LinearPart(model_from_dict(doc), Lattice(d=doc["d"], N={1: 16, 2: 8}[doc["d"]]))
+        y = dealiased_random_state(linear, 0.05, seed).spectrum
+        want = remainder_all_families(linear, y)
+        if linear.terms:
+            assert np.array_equal(sim._remainder(linear, y, 0.0), want)
+        else:
+            assert not np.any(want)
+
+    def test_readme_stage_transforms_u_and_u_x(self, monkeypatch):
+        # A^1 = 0.5 + u is the one family that varies: the stage transforms
+        # 2 rows (u, u_x) instead of the 2 + 2d + d(d+1)/2 = 5 of every family
+        linear = LinearPart(nonlinear_convected_model(0.5), LAT)
+        st = initial_state(linear, PeriodicBumpData(amplitude=0.2))
+        assert [(t.family, t.index) for t in linear.terms] == [("A", (0,))]
+        rows = []
+        ifft = Lattice.ifft
+        monkeypatch.setattr(Lattice, "ifft",
+                            lambda self, c, half=False: rows.append(len(c)) or ifft(self, c, half))
+        sim._stage(linear, st.spectrum, 0.0)
+        assert rows == [2]
+
+
 class TestStepping:
     def test_rk4_fourth_order(self):
         m = builtin_damped_wave(2.0, d=1)
