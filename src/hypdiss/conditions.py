@@ -53,6 +53,7 @@ from .symbols import (
     eigenbasis_inverse,
     eigenbasis_trusted,
     frequency_stack,
+    sign_stack,
 )
 
 
@@ -68,8 +69,6 @@ class CheckConfig:
     xi_count: int = 49
     directions_2d: int = 64
     cond_ceiling: float = 1e8
-    trend_xi_min: float = 10.0
-    trend_xi_max_low: float = 1e-2
 
     def __post_init__(self):
         # an empty or reversed radial window is refused by the grid builders
@@ -176,26 +175,6 @@ class SpectralStack:
                              self.semi_simple[c], self.basis[pts])
 
 
-def _schur_bases(K, value, mult, cols, thr, basis):
-    """Orthonormal cluster bases of one matrix from sorted Schur forms, for
-    the clusters smaller than the spectrum; written into basis (m, m)."""
-    import scipy.linalg as sla
-
-    for center, k, j in zip(value.tolist(), mult.tolist(), cols.tolist()):
-        if k == len(K):
-            continue
-
-        def select(x, _c=center):
-            return bool(abs(x - _c) <= max(5.0 * thr, 1e-300))
-
-        _, Z, sdim = sla.schur(K, output="complex", sort=select)
-        if sdim != k:
-            raise ClusterAmbiguity(
-                f"Schur reordering selected {sdim} eigenvalues for a cluster of size {k}"
-            )
-        basis[:, j:j + k] = Z[:, :k]
-
-
 def spectral_stack(K, cluster_tolerance=1e-7):
     """Cluster the spectrum of every matrix of a stack K (P, m, m) and compute
     an orthonormal basis of each cluster's invariant subspace.
@@ -206,8 +185,10 @@ def spectral_stack(K, cluster_tolerance=1e-7):
     first such point.  A cluster's basis is a QR of its eigenvectors (the
     identity for a cluster holding the whole spectrum).  A point whose
     eigenvector matrix `eigenbasis_inverse` does not trust takes its bases
-    from sorted Schur forms instead, which stay reliable for defective
-    clusters.
+    from the projectors (sign(K - a) - sign(K - b)) / 2 instead, a and b
+    midway to the neighbouring clusters along the real axis, unless two
+    neighbours' real parts are less than thr apart (the bases stay the
+    identity; only real semi-simple spectra are read).
     Semi-simplicity is decided by the numerical kernel dimension of
     K - value I, from one stacked SVD.  A stack with non-finite entries
     raises EigensolverFailure whose ``index`` is the first such point.
@@ -234,6 +215,7 @@ def spectral_stack(K, cluster_tolerance=1e-7):
 
     V = np.take_along_axis(V, order[:, None, :], axis=2)
     ok = eigenbasis_inverse(V)[1]
+    ls = np.take_along_axis(w, order, axis=1)
     cols = _cluster_columns(point, mult, m)
     basis = np.broadcast_to(np.eye(m, dtype=complex), K.shape).copy()
     for k in np.unique(mult[(mult < m) & ok[point]]):
@@ -242,14 +224,34 @@ def spectral_stack(K, cluster_tolerance=1e-7):
         E = np.take_along_axis(V[point[c]], vecs[:, None, :], axis=2)
         Q = np.linalg.qr(E)[0]
         basis[point[c][:, None], :, cols[c][:, None] + np.arange(k)] = Q.swapaxes(1, 2)
-    for p in np.flatnonzero(~ok):
-        at = point == p
-        try:
-            _schur_bases(K[p], value[at], mult[at], cols[at], thr[p], basis[p])
-        except ClusterAmbiguity as e:
-            raise ClusterAmbiguity(str(e), index=int(p)) from e
-    ls = np.take_along_axis(w, order, axis=1)
+    re = ls.real[point]
+    lo, hi = np.where(members, re, np.inf).min(axis=1), np.where(members, re, -np.inf).max(axis=1)
+    nxt = point[1:] == point[:-1]
+    apart = np.bincount(point[1:][nxt & ~(lo[1:] - hi[:-1] >= thr[point[1:]])], minlength=len(K)) == 0
+    split = ~ok[point] & apart[point] & (mult < m)
+    if split.any():
+        cut = np.flatnonzero(nxt & split[1:])
+        shift = 0.5 * (hi[cut] + lo[cut + 1])[:, None, None] * np.eye(m)
+        signs = np.concatenate([_sign(K[point[cut]] - shift, None, point[cut], EigensolverFailure)[0],
+                                -np.eye(m)[None], np.eye(m)[None]])
+        # cluster c lies between the cuts before[c] and after[c]; the last two signs are -I and I
+        after = np.full(len(point), len(cut))
+        after[cut] = np.arange(len(cut))
+        before = np.r_[len(cut) + 1, np.where(nxt, after[:-1], len(cut) + 1)]
+        for k in np.unique(mult[split]):
+            c = np.flatnonzero(split & (mult == k))
+            Q = _stacked(np.linalg.svd, 0.5 * (signs[before[c]] - signs[after[c]]), point[c], "svd",
+                         EigensolverFailure)[0][:, :, :k]
+            basis[point[c][:, None], :, cols[c][:, None] + np.arange(k)] = Q.swapaxes(1, 2)
     return SpectralStack(ls, radius, point, value, members, mult, semi_simple, basis)
+
+
+def _sign(A, Q, pts, error):
+    """`sign_stack(A, Q)`; a point it fails on raises error naming its entry of pts."""
+    try:
+        return sign_stack(A, Q)
+    except EigensolverFailure as e:
+        raise error(str(e), index=int(pts[e.index])) from e
 
 
 def eigstructure(matrix, cluster_tolerance=1e-7):
@@ -677,22 +679,6 @@ def _positive_cond(w, what, pts):
     return cond
 
 
-def lyapunov_certificate(M, rho):
-    """Solve P M + M^* P = -rho I for hermitian P at one point with scipy's
-    Schur method (Bartels-Stewart); returns (P, cond).
-
-    This is the per-point fallback of the stacked solve `_eig_solve`.
-    """
-    import scipy.linalg as sla
-
-    try:
-        P = sla.solve_lyapunov(M.conj().T, -rho * np.eye(M.shape[0], dtype=complex))
-    except Exception as e:  # scipy raises LinAlgError or ValueError
-        raise LyapunovSolveFailure(f"Lyapunov solve failed: {e}") from e
-    P = 0.5 * (P + P.conj().T)
-    return P, float(_positive_cond(_eigvalsh(P[None], [0]), "Lyapunov solution", [0])[0])
-
-
 class _Eigenbasis(NamedTuple):
     """Eigendecompositions M = V diag(w) Vinv over a stack (T, m, m), trusted
     where ok (Vinv is the identity elsewhere); scale (T,) is the Frobenius
@@ -719,31 +705,40 @@ def _eig_solve(Ms, rho, pts, eb):
     """Solutions of P M + M^* P = -rho I over a stack, in the eigenbasis eb.
 
     With M = V diag(w) V^{-1}, P = V^{-*} X V^{-1} where
-    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  A point outside eb.ok,
-    whose eigenbasis is not trusted, is solved by `lyapunov_certificate`
-    instead; the first point whose spectral abscissa is not negative is
-    refused.  pts are the points' indices, used to name a failing one.
+    X_ij = -rho (V^* V)_ij / (conj(w_i) + w_j).  The points outside eb.ok,
+    whose eigenbasis is not trusted, take P = W / 2 instead, with W the
+    coupled limit of one `sign_stack` from A = M^*, Q = rho I; the first
+    point whose spectral abscissa is not negative is refused.  pts are the
+    points' indices, used to name a failing one.
     """
     alpha = eb.w.real.max(axis=1)
     if np.any(alpha >= 0.0):
         q = int(np.argmax(alpha >= 0.0))
         raise LyapunovSolveFailure(f"spectral abscissa {alpha[q]:.3e} >= 0", index=int(pts[q]))
     ok = eb.ok
-    P = np.empty_like(eb.V)
+    P = np.empty_like(Ms)
     if ok.any():
         Vo, wo, Vinv = eb.V[ok], eb.w[ok], eb.Vinv[ok]
         X = -rho[ok, None, None] * (_herm(Vo) @ Vo) / (wo.conj()[:, :, None] + wo[:, None, :])
         P[ok] = _herm(Vinv) @ X @ Vinv
-    for q in np.flatnonzero(~ok):
-        try:
-            P[q] = lyapunov_certificate(Ms[q], rho[q])[0]
-        except LyapunovSolveFailure as e:
-            raise LyapunovSolveFailure(str(e), index=int(pts[q])) from e
+    if not ok.all():
+        Q = rho[~ok, None, None] * np.eye(Ms.shape[-1])
+        P[~ok] = 0.5 * _sign(_herm(Ms[~ok]), Q, pts[~ok], LyapunovSolveFailure)[1]
     return 0.5 * (P + _herm(P))
 
 
+def lyapunov_certificate(M, rho):
+    """Solve P M + M^* P = -rho I for hermitian P at one point: `_eig_solve`
+    on an `_Eigenbasis` that trusts no point, so the sign iteration solves
+    it; returns (P, cond)."""
+    Ms, pts = np.asarray(M, dtype=complex)[None], np.zeros(1, int)
+    eb = _Eigenbasis(_stacked(np.linalg.eigvals, Ms, pts, "eigvals"), None, None, np.zeros(1, bool), None)
+    P = _eig_solve(Ms, np.array([float(rho)]), pts, eb)
+    return P[0], float(_positive_cond(_eigvalsh(P, pts), "Lyapunov solution", pts)[0])
+
+
 def _first_group(lam):
-    """Mask of the first single-linkage group of each row of lam (T, m).
+    """(mask, thr): the first single-linkage group of each row of lam (T, m) and thr.
 
     Eigenvalues at most thr apart are linked; thr starts at 3 min(-Re lam)
     and doubles until the groups are at least 3 thr apart.  The first group
@@ -762,27 +757,10 @@ def _first_group(lam):
         mask[pending[done]] = rows
         thr[pending[~done]] *= 2.0
         pending = pending[~done]
-    return mask
+    return mask, thr
 
 
-def _schur_split(M, lam, first):
-    """(Q1, B2, Z2) of one point from a sorted Schur form, or None when the
-    sort selects another number of eigenvalues than the group has."""
-    import scipy.linalg as sla
-
-    g, rest = lam[first], lam[~first]
-
-    def sel(x):
-        return bool(np.min(np.abs(x - g)) < np.min(np.abs(x - rest)))
-
-    T, Z, k = sla.schur(M, output="complex", sort=sel)
-    if k != len(g):
-        return None
-    R = sla.solve_sylvester(T[:k, :k], -T[k:, k:], T[:k, k:])
-    return Z[:, :k], Z[:, k:] - Z[:, :k] @ R, Z[:, k:]
-
-
-def _invariant_bases(Ms, eb, first, pts):
+def _invariant_bases(Ms, eb, first, thr, pts):
     """Bases of the invariant subspaces of the first group (k eigenvalues at
     every point) and of the rest, and the `_Eigenbasis` each block inherits.
 
@@ -794,10 +772,12 @@ def _invariant_bases(Ms, eb, first, pts):
     block Q1^* M Q1 has the eigenvectors R1 = Q1^* E1 with inverse F1 Q1, and
     Z2^* M B2 has G = Z2^* E2 with inverse F2 Z2 (so B2 = E2 F2 Z2), with
     no eig or inv.  A block is trusted where its point is and
-    `eigenbasis_trusted` holds.  Points outside eb.ok take the per-point
-    sorted-Schur path and pass on their eigenvalues only.  Returns
-    (keep, Q1, B2, Z2, blocks); keep is False where the Schur sort could not
-    realize the group, and blocks holds the two blocks' `_Eigenbasis`.
+    `eigenbasis_trusted` holds.  Points outside eb.ok pass on their
+    eigenvalues only: [Q1 Z2] are the left singular vectors of the projector
+    Pi = (I - sign(M - sigma I)) / 2, sigma midway between the group's real
+    parts and the rest's, and B2 = (I - Pi) Z2.  Returns (keep, Q1, B2, Z2,
+    blocks); keep is False where those real parts are less than the linkage
+    threshold thr apart, and blocks holds the two blocks' `_Eigenbasis`.
     """
     n_pts, m = first.shape
     k = int(first[0].sum())
@@ -816,13 +796,15 @@ def _invariant_bases(Ms, eb, first, pts):
         R1[ok], R1inv[ok] = Rf[:, :k], F[:, :k] @ Q1[ok]
         G[ok], Ginv[ok] = _herm(Z2[ok]) @ E[:, :, k:], F[:, k:] @ Z2[ok]
         B2[ok] = E[:, :, k:] @ Ginv[ok]
-    keep = np.ones(n_pts, dtype=bool)
-    for j in np.flatnonzero(~ok):
-        split = _schur_split(Ms[j], eb.w[j], first[j])
-        if split is None:
-            keep[j] = False
-        else:
-            Q1[j], B2[j], Z2[j] = split
+    hi, lo = np.where(first, eb.w.real, -np.inf).max(axis=1), np.where(first, np.inf, eb.w.real).min(axis=1)
+    keep = ok | (lo - hi >= thr)
+    cut = np.flatnonzero(~ok & keep)
+    if cut.size:
+        shift = 0.5 * (hi + lo)[cut, None, None] * np.eye(m)
+        Pi = 0.5 * (np.eye(m) - _sign(Ms[cut] - shift, None, pts[cut], LyapunovSolveFailure)[0])
+        U = _stacked(np.linalg.svd, Pi, pts[cut], "svd")[0]
+        Q1[cut], Z2[cut] = U[:, :, :k], U[:, :, k:]
+        B2[cut] = Z2[cut] - Pi @ Z2[cut]
     lam = np.take_along_axis(eb.w, order, axis=1)
     blocks = (_Eigenbasis(lam[:, :k], R1, R1inv, ok & eigenbasis_trusted(R1, R1inv), eb.scale),
               _Eigenbasis(lam[:, k:], G, Ginv, ok & eigenbasis_trusted(G, Ginv), eb.scale))
@@ -844,6 +826,9 @@ def _block_eigenbasis(T, eb, pts):
         x[fresh] = y
     return eb
 
+
+#: UNIFORM fits its conditioning's tail slope on |xi| >= TREND_XI_MIN, its head slope below the other.
+TREND_XI_MIN, TREND_XI_MAX_LOW = 10.0, 1e-2
 
 #: Size of the symbol stacks UNIFORM certifies at once; the certificates
 #: hold about ten stacks of this size.
@@ -883,11 +868,12 @@ def _balanced_stack(Ms, rho, P, ev, eb, pts):
     if todo.size == 0:
         return P, split
     m = Ms.shape[-1]
-    first = _first_group(eb.w[todo])
+    first, thr = _first_group(eb.w[todo])
     sizes = first.sum(axis=1)
     for k in np.unique(sizes[sizes < m]):
         at = todo[sizes == k]
-        keep, Q1, B2, Z2, blocks = _invariant_bases(Ms[at], eb.take(at), first[sizes == k], pts[at])
+        keep, Q1, B2, Z2, blocks = _invariant_bases(Ms[at], eb.take(at), first[sizes == k],
+                                                  thr[sizes == k], pts[at])
         at, Q1, B2, Z2 = at[keep], Q1[keep], B2[keep], Z2[keep]
         T = (_herm(Q1) @ Ms[at] @ Q1, _herm(Z2) @ Ms[at] @ B2)
         P1, P2 = (_certify(t, rho[at], pts[at], _block_eigenbasis(t, b.take(keep), pts[at]))[0]
@@ -987,8 +973,8 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
             "c_abs": c_abs,
             "cond_max": cond_max,
             "cond_loglog_slope": slope,
-            "cond_tail_slope": trend(xis >= config.trend_xi_min),
-            "cond_head_slope": trend(xis <= config.trend_xi_max_low),
+            "cond_tail_slope": trend(xis >= TREND_XI_MIN),
+            "cond_head_slope": trend(xis <= TREND_XI_MAX_LOW),
             "cond_by_xi": cond_by_xi.tolist(),
             "cond_raw_by_xi": [None if np.isnan(c) else c for c in raw_by_xi.tolist()],
             "xi_grid": xis.tolist(),

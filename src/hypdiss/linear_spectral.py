@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, EigensolverFailure, UnsupportedDataSpec
+from .errors import DegenerateFit, EigensolverFailure, InvalidParameter, UnsupportedDataSpec
 from .grids import antipodal_fold, product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import check_placement
-from .symbols import assemble_M_stack, eigenbasis_inverse
+from .symbols import assemble_M_stack, eigenbasis_inverse, expm_stack
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,22 @@ class SpectralGrid:
 class GaussianData:
     """Gaussian bump amplitude * exp(-|x|^2 / (2 sigma^2)) in one component.
 
-    Exact transform: amplitude * sigma^d * exp(-sigma^2 |xi|^2 / 2).
+    Exact transform: amplitude * sigma^d * exp(-sigma^2 |xi|^2 / 2).  An
+    infinite amplitude, or a sigma that is not finite and positive, raises
+    InvalidParameter; a NaN amplitude gives NaN norms, which `decay_fit`
+    refuses with DegenerateFit.
     """
 
     amplitude: float
     sigma: float = 1.0
     component: int = 0
     target: str = "u0"
+
+    def __post_init__(self):
+        if np.isinf(self.amplitude):
+            raise InvalidParameter(f"GaussianData.amplitude must be finite; got {self.amplitude!r}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidParameter(f"GaussianData.sigma must be finite and > 0; got {self.sigma!r}")
 
 
 @dataclass
@@ -108,7 +117,7 @@ class ModePropagator:
     a defective mode: one whose eigenbasis `eigenbasis_inverse` does not
     trust (kappa_F(V) >= DEFECT_COND_LIMIT, or V singular).  A defective
     mode's inverse block is the identity, so its modal coordinates are its
-    coefficients, which `propagate` advances with scipy's expm.  A symbol
+    coefficients, which `propagate` advances with `expm_stack`.  A symbol
     stack the stacked solvers refuse (non-finite entries) raises
     EigensolverFailure.
     """
@@ -135,9 +144,7 @@ class ModePropagator:
         out = (self._V @ (np.exp(dt * self._w) * modal)[:, :, None])[:, :, 0]
         bad = self.defective
         if np.any(bad):
-            import scipy.linalg as sla
-
-            out[bad] = np.einsum("qij,qj->qi", sla.expm(dt * self.mats[bad]), modal[bad])
+            out[bad] = np.einsum("qij,qj->qi", expm_stack(dt * self.mats[bad]), modal[bad])
         return out
 
 

@@ -283,19 +283,6 @@ def normalize_b00(model):
     if np.allclose(b00, -ident, rtol=0.0, atol=1e-14):
         return model if model.normalized else replace(model, normalized=True)
 
-    if model.constant_coefficients:
-        u0 = model.reference_state
-        inv = np.linalg.inv(-np.asarray(model.B(0, 0, u0), float))
-        Aj = [inv @ model.A(j, u0) for j in range(model.d + 1)]
-        Bm = {
-            (j, k): inv @ model.B(j, k, u0)
-            for j in range(model.d + 1)
-            for k in range(model.d + 1)
-        }
-        norm = _constant_model(model.n, model.d, Aj[0], Aj[1:], Bm, ref=u0, is_fluid=model.is_fluid,
-                               label=model.label + "|b00-normalized")
-        return replace(norm, state_domain=model.state_domain, normalized=True)
-
     A_old, B_old = model.A, model.B
     if model.varies("B", 0, 0):
         # every family now depends on u through (-B^{00}(u))^{-1}

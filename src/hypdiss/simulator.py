@@ -310,7 +310,8 @@ class LinearPart:
     state-dependent model subtracts, and `terms` the remainder's terms
     whose coefficients vary with u (`_remainder_terms`; none for a
     constant-coefficient model).  `dt_max` is the RK4 step bound from
-    |spec(Mbar)| at the largest dealiased frequencies.  A lattice whose RK4
+    |spec(Mbar)| at the largest dealiased frequencies; a spectral radius of 0
+    there raises InvalidParameter.  A lattice whose RK4
     working set exceeds SYMBOL_FIELD_MAX_BYTES is refused before allocating.
     """
 
@@ -325,6 +326,9 @@ class LinearPart:
         probes = [np.argmax(mags)] + [np.argmax(np.abs(full[:, j])) for j in range(lattice.d)]
         mbar = assemble_Mbar_stack(model, ubar, full[probes])
         radius = 1.05 * float(np.max(np.abs(np.linalg.eigvals(mbar))))
+        if not radius > 0.0:
+            raise InvalidParameter("Mbar(ubar, xi) has spectral radius 0 at the largest dealiased "
+                                   "frequencies, which bounds no RK4 step")
         self.dt_max = CFL_FACTOR * RK4_IMAG_LIMIT / radius
         self.mask = two_thirds_mask(lattice, half=True)
         self.xi = lattice.xi_vectors(half=True)[self.mask]

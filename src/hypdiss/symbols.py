@@ -30,10 +30,9 @@ from .model import ensure_normalized, evaluate_stack
 
 #: Eigenvector condition number from which a stacked eigen-decomposition is
 #: not trusted at a point (`eigenbasis_trusted`, in the Frobenius norm):
-#: `ModePropagator` propagates such a mode with expm, UNIFORM's stacked
-#: Lyapunov solve (`conditions._eig_solve`) solves it, or a block of its
-#: spectral split, with scipy's Schur method, and `conditions.spectral_stack`
-#: takes its bases from Schur forms.
+#: `ModePropagator` propagates such a mode with `expm_stack`, and UNIFORM's
+#: Lyapunov solves and splits and `conditions.spectral_stack`'s cluster
+#: bases take such a point through `sign_stack`.
 DEFECT_COND_LIMIT = 1e8
 
 
@@ -180,6 +179,49 @@ def eigenbasis_inverse(V):
     trusted = ~singular & eigenbasis_trusted(V, Vinv)
     Vinv[~trusted] = eye
     return Vinv, trusted
+
+
+def sign_stack(A, Q=None):
+    """(S, W): matrix signs of a stack A (P, m, m) by the Newton iteration
+    A <- (c A + A^{-1}/c)/2, c = |det A|^{-1/m} (Roberts 1980; Kenney and Laub
+    1995), and the limit W (None without Q) of the coupled Q <- (c Q +
+    A^{-1} Q A^{-*}/c)/2: 2X with A X + X A^* = -Q for a stable A.  A point
+    stops at a relative step ||A_new - A||_F / ||A_new||_F of 1e-14 or when
+    its step stops halving below 1e-8; one that meets a singular matrix or
+    runs 100 steps raises EigensolverFailure with its ``index``."""
+    S, W = np.array(A, dtype=complex), None if Q is None else np.array(Q, dtype=complex)
+    live, prev = np.arange(len(S)), np.full(len(S), np.inf)
+    for _ in range(100):
+        sign, logdet = np.linalg.slogdet(S[live])
+        if np.any(sign == 0):
+            raise EigensolverFailure("sign iteration met a singular matrix",
+                                     index=int(live[np.argmax(sign == 0)]))
+        c, inv = np.exp(-logdet / S.shape[-1])[:, None, None], np.linalg.inv(S[live])
+        new = 0.5 * (c * S[live] + inv / c)
+        step = np.linalg.norm(new - S[live], axis=(1, 2)) / np.linalg.norm(new, axis=(1, 2))
+        S[live] = new
+        if W is not None:
+            W[live] = 0.5 * (c * W[live] + inv @ W[live] @ inv.conj().swapaxes(1, 2) / c)
+        done = (step <= 1e-14) | ((prev[live] <= 1e-8) & (step > 0.5 * prev[live]))
+        prev[live] = step
+        live = live[~done]
+        if not live.size:
+            return S, W
+    raise EigensolverFailure("sign iteration did not converge in 100 steps", index=int(live[0]))
+
+
+def expm_stack(A):
+    """exp(A) over a stack A (P, m, m): each point is scaled by its own 2^-s
+    to a 1-norm below 1, and its degree-18 Taylor polynomial there (Horner's
+    rule) is squared s times."""
+    s = np.maximum(np.frexp(np.abs(A).sum(axis=1).max(axis=1))[1], 0)
+    X, eye = A * (0.5 ** s)[:, None, None], np.eye(A.shape[-1])
+    E = eye + X / 18
+    for k in range(17, 0, -1):
+        E = eye + X @ E / k
+    for j in range(s.max(initial=0)):
+        E[s > j] = E[s > j] @ E[s > j]
+    return E
 
 
 def _one(xi_vec):

@@ -521,26 +521,28 @@ class TestBatchedUniform:
         assert "omega index 0" in str(got.value)
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_defective_points_take_the_per_point_solve(self, monkeypatch, d):
+    def test_defective_points_take_the_sign_solve(self, monkeypatch, d):
         # at |xi| = 1 the damped wave's symbol is a Jordan block (cond(V) = inf)
         import hypdiss.conditions as cond
 
         from oracles import uniform_oracle
 
-        calls = []
-        solve = cond.lyapunov_certificate
-        monkeypatch.setattr(cond, "lyapunov_certificate", lambda M, r: calls.append(r) or solve(M, r))
+        points = []
+        sign = cond._sign
+        monkeypatch.setattr(cond, "_sign", lambda A, Q, *a: (Q is not None and points.append(len(A)))
+                            or sign(A, Q, *a))
         model = builtin_damped_wave(2.0, d=d)
         rep = check_uniform_dissipativity(model)
         # one Jordan point per direction, solved on one direction of each pair
-        # {omega, -omega}: 1 of the 2 directions in d = 1, 13 of the 26 in d = 3
-        assert len(calls) == {1: 1, 3: 13}[d]
+        # {omega, -omega}: 1 of the 2 directions in d = 1, 13 of the 26 in d = 3,
+        # all in one stacked sign iteration
+        assert points == [{1: 1, 3: 13}[d]]
         _assert_same_uniform(rep, uniform_oracle(model))
 
     @pytest.mark.parametrize("name", ["fluid-0", "dw-d1", "cdw-0.5", "random-n3-d1"])
     def test_forced_per_point_paths_match_oracle(self, monkeypatch, name):
-        # with the eigenbasis guard at 0 every solve and every split takes the
-        # per-point scipy / sorted-Schur path
+        # with the eigenbasis guard at 0 every solve takes the sign-function
+        # Lyapunov solve and every split the sign-function spectral projector
         import hypdiss.conditions as cond
         import hypdiss.symbols as symbols
 
@@ -549,11 +551,12 @@ class TestBatchedUniform:
         model = dict(UNIFORM_MODELS)[name]
         monkeypatch.setattr(symbols, "DEFECT_COND_LIMIT", 0.0)
         splits = []
-        schur = cond._schur_split
-        monkeypatch.setattr(cond, "_schur_split", lambda *a: splits.append(1) or schur(*a))
+        sign = cond._sign
+        monkeypatch.setattr(cond, "_sign", lambda A, Q, *a: (Q is None and splits.append(len(A)))
+                            or sign(A, Q, *a))
         xis = np.logspace(-3, 3, 13)
         rep = check_uniform_dissipativity(model, xi_loggrid=xis)
-        assert len(splits) > 0
+        assert sum(splits) > 0
         _assert_same_uniform(rep, uniform_oracle(model, xi_loggrid=xis))
 
     def test_split_blocks_inherit_the_eigendecomposition(self, monkeypatch):

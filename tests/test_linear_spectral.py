@@ -27,6 +27,16 @@ from hypdiss.symbols import assemble_Mbar
 FLUID = FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0)
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    ({"amplitude": np.inf}, "amplitude"), ({"amplitude": -np.inf}, "amplitude"),
+    ({"amplitude": 1.0, "sigma": -1.0}, "sigma"), ({"amplitude": 1.0, "sigma": 0.0}, "sigma"),
+    ({"amplitude": 1.0, "sigma": np.nan}, "sigma"), ({"amplitude": 1.0, "sigma": np.inf}, "sigma"),
+], ids=["amplitude-inf", "amplitude-minus-inf", "sigma-negative", "sigma-zero", "sigma-nan", "sigma-inf"])
+def test_gaussian_data_out_of_range_is_refused(kwargs, field):
+    with pytest.raises(InvalidParameter, match=f"GaussianData.{field} must be finite"):
+        GaussianData(**kwargs)
+
+
 class TestGrid:
     def test_weights_positive_and_measure(self):
         grid = SpectralGrid(xi_lo=1e-3, xi_hi=1e2, radial_count=64)

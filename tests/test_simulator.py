@@ -1295,6 +1295,23 @@ def test_lattice_of_another_dimension_is_refused():
         run(fluid, PeriodicBumpData(amplitude=1e-2), SimConfig(t_final=0.1, snapshots=2))
 
 
+def test_zero_spectral_radius_is_refused(tmp_path, capsys):
+    # Mbar(ubar, xi) = [[0, 1], [0, 0]] at every xi: no RK4 step bound (this
+    # used to raise ZeroDivisionError)
+    import json
+
+    from hypdiss.cli import EXIT_ERROR, main
+
+    doc = {"n": 1, "d": 1, "A": {"0": [[0.0]], "1": [[[[1.0, 2]]]]},
+           "B": {"0,0": [[-1.0]], "1,1": [[0.0]]}}
+    with pytest.raises(InvalidParameter, match="spectral radius 0"):
+        LinearPart(model_from_dict(doc), LAT)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--model", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: InvalidParameter: Mbar(ubar, xi) has spectral radius 0")
+
+
 def test_sobolev_index_is_a_constant(tmp_path):
     # no run setting or argument carries s; the trace header names its norms
     from hypdiss.simulator import SOBOLEV_INDEX

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypdiss.errors import InvalidParameter, NonUnitDirection
@@ -21,6 +21,8 @@ from hypdiss.symbols import (
     directional_stack,
     dispersion_roots,
     eigenbasis_inverse,
+    expm_stack,
+    sign_stack,
     sorted_roots,
 )
 
@@ -449,3 +451,33 @@ def test_eigenbasis_inverse_refuses_the_damped_wave_jordan_point():
     assert np.linalg.cond(V) >= DEFECT_COND_LIMIT
     assert not trusted[0]
     assert np.array_equal(Vinv[0], np.eye(2))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_sign_lyapunov_and_expm_kernels_on_random_models(n, d, seed):
+    # at the stable points of a random model's frequency stack, the coupled
+    # sign iteration from A = M^*, Q = rho I gives P = W / 2 with
+    # P M + M^* P = -rho I to a small relative residual, and expm_stack
+    # matches scipy's expm
+    import scipy.linalg as sla
+
+    from hypdiss.conditions import frequency_grid, rho_profile
+
+    model = random_stable_model(np.random.default_rng(seed), n=n, d=d)
+    _, _, xi, _, mags, _ = frequency_grid(model, xi_loggrid=np.logspace(-3, 3, 7))
+    Ms = assemble_M_stack(model, model.reference_state, xi)
+    stable = np.linalg.eigvals(Ms).real.max(axis=1) < 0.0
+    assume(stable.any())
+    Ms, rho = Ms[stable], rho_profile(mags[stable])
+    eye = np.eye(Ms.shape[-1])
+    S, W = sign_stack(Ms.conj().swapaxes(1, 2), rho[:, None, None] * eye)
+    P = 0.5 * W
+    residual = np.linalg.norm(P @ Ms + Ms.conj().swapaxes(1, 2) @ P + rho[:, None, None] * eye,
+                              axis=(1, 2))
+    assert np.all(residual <= 1e-12 * np.linalg.norm(P, axis=(1, 2)) * np.linalg.norm(Ms, axis=(1, 2)))
+    assert np.abs(S + eye).max() <= 1e-8
+    for t in (0.1, 1.0, 10.0, 100.0):
+        want = np.array([sla.expm(t * M) for M in Ms])
+        err = np.linalg.norm(expm_stack(t * Ms) - want, axis=(1, 2))
+        assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=(1, 2)))
