@@ -276,12 +276,12 @@ def cmd_decay(args):
 def cmd_simulate(args):
     from .io import write_json_atomic
     from .paradiff import Lattice
-    from .simulator import PeriodicBumpData, SimConfig, default_lattice, run
+    from .simulator import PeriodicBumpData, SimConfig, run
 
     out = _outdir(args)
     model = _load_model(args)
     sim_cfg = SimConfig(
-        lattice=default_lattice(model) if args.n_grid is None else Lattice(d=model.d, N=args.n_grid),
+        lattice=None if args.n_grid is None else Lattice(d=model.d, N=args.n_grid),
         t_final=args.t_final,
         snapshots=args.snapshots,
         monitor=args.monitor,

@@ -29,6 +29,7 @@ the structural tolerance).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -142,14 +143,18 @@ def _cluster_columns(point, mult, m):
 
 @dataclass(frozen=True)
 class SpectralStack:
-    """Clustered spectra of a matrix stack (P, m, m), flattened over clusters.
+    """Clustered spectra of a matrix stack K (P, m, m), flattened over clusters.
 
-    lam (P, m) holds each point's eigenvalues in (real, imag) order, radius
-    (P,) its spectral radius and basis (P, m, m) its orthonormal cluster
-    bases side by side.  Cluster c belongs to point point[c], holds the
-    eigenvalues lam[point[c], members[c]] with mean value[c], and spans
-    mult[c] columns of the basis; the clusters are ordered by point and then
-    by mean.
+    lam (P, m) holds each point's eigenvalues in (real, imag) order and
+    radius (P,) its spectral radius.  Cluster c belongs to point point[c],
+    holds the eigenvalues lam[point[c], members[c]] with mean value[c], and
+    spans mult[c] columns of basis (P, m, m), the orthonormal cluster bases
+    side by side; the clusters are ordered by point and then by mean.  A
+    cluster's basis is the kernel of K - value I whose dimension decides
+    semi_simple: the right singular vectors for its mult smallest singular
+    values (the identity for a cluster holding the whole spectrum).  That is
+    its invariant subspace where it is semi-simple, and not where it is
+    defective; only real semi-simple spectra are read.
     """
 
     lam: np.ndarray
@@ -159,7 +164,22 @@ class SpectralStack:
     members: np.ndarray
     mult: np.ndarray
     semi_simple: np.ndarray
-    basis: np.ndarray
+    K: np.ndarray
+
+    @cached_property
+    def basis(self):
+        # one stacked SVD on first read, over this stack's clusters only
+        m = self.K.shape[-1]
+        basis = np.broadcast_to(np.eye(m, dtype=complex), self.K.shape).copy()
+        c = np.flatnonzero(self.mult < m)
+        pts, mult = self.point[c], self.mult[c]
+        Vh = _stacked(lambda A: np.linalg.svd(A)[2], self.K[pts] - self.value[c, None, None] * np.eye(m),
+                      pts, "svd", EigensolverFailure)
+        cols = _cluster_columns(self.point, self.mult, m)[c]
+        for k in np.unique(mult):
+            s = mult == k
+            basis[pts[s][:, None], :, cols[s][:, None] + np.arange(k)] = Vh[s, m - k:].conj()
+        return basis
 
     def defective(self):
         """(P,) True where some cluster is not semi-simple."""
@@ -172,33 +192,27 @@ class SpectralStack:
         c = new[self.point] >= 0
         return SpectralStack(self.lam[pts], self.radius[pts], new[self.point[c]],
                              self.value[c], self.members[c], self.mult[c],
-                             self.semi_simple[c], self.basis[pts])
+                             self.semi_simple[c], self.K[pts])
 
 
 def spectral_stack(K, cluster_tolerance=1e-7):
-    """Cluster the spectrum of every matrix of a stack K (P, m, m) and compute
-    an orthonormal basis of each cluster's invariant subspace.
+    """Cluster the spectrum of every matrix of a stack K (P, m, m).
 
-    One stacked eig gives the eigenvalues and eigenvectors.  Eigenvalues
-    closer than thr = cluster_tolerance * (1 + spectral radius) are merged;
-    clusters closer than 10 thr raise ClusterAmbiguity whose ``index`` is the
-    first such point.  A cluster's basis is a QR of its eigenvectors (the
-    identity for a cluster holding the whole spectrum).  A point whose
-    eigenvector matrix `eigenbasis_inverse` does not trust takes its bases
-    from the projectors (sign(K - a) - sign(K - b)) / 2 instead, a and b
-    midway to the neighbouring clusters along the real axis, unless two
-    neighbours' real parts are less than thr apart (the bases stay the
-    identity; only real semi-simple spectra are read).
-    Semi-simplicity is decided by the numerical kernel dimension of
-    K - value I, from one stacked SVD.  A stack with non-finite entries
-    raises EigensolverFailure whose ``index`` is the first such point.
+    One stacked eigvals gives the eigenvalues.  Eigenvalues closer than
+    thr = cluster_tolerance * (1 + spectral radius) are merged; clusters
+    closer than 10 thr raise ClusterAmbiguity whose ``index`` is the first
+    such point.  Semi-simplicity is decided by the numerical kernel
+    dimension of K - value I, from one stacked SVD of singular values; the
+    kernels themselves are the cluster bases, formed when `basis` is read.
+    A stack with non-finite entries raises EigensolverFailure whose
+    ``index`` is the first such point.
     """
     K = np.asarray(K, dtype=complex)
     bad = ~np.isfinite(K).all(axis=(1, 2))
     if bad.any():
         raise EigensolverFailure("matrix has non-finite entries", index=int(np.argmax(bad)))
     m = K.shape[-1]
-    w, V = np.linalg.eig(K)
+    w = np.linalg.eigvals(K)
     radius = np.abs(w).max(axis=1)
     thr = cluster_tolerance * (1.0 + radius)
     order, gap, point, value, members = _linkage(w, thr)
@@ -212,46 +226,8 @@ def spectral_stack(K, cluster_tolerance=1e-7):
     mult = members.sum(axis=1)
     sv = np.linalg.svd(K[point] - value[:, None, None] * np.eye(m), compute_uv=False)
     semi_simple = np.sum(sv <= thr[point, None], axis=1) == mult
-
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    ok = eigenbasis_inverse(V)[1]
-    ls = np.take_along_axis(w, order, axis=1)
-    cols = _cluster_columns(point, mult, m)
-    basis = np.broadcast_to(np.eye(m, dtype=complex), K.shape).copy()
-    for k in np.unique(mult[(mult < m) & ok[point]]):
-        c = (mult == k) & ok[point]
-        vecs = np.nonzero(members[c])[1].reshape(-1, k)
-        E = np.take_along_axis(V[point[c]], vecs[:, None, :], axis=2)
-        Q = np.linalg.qr(E)[0]
-        basis[point[c][:, None], :, cols[c][:, None] + np.arange(k)] = Q.swapaxes(1, 2)
-    re = ls.real[point]
-    lo, hi = np.where(members, re, np.inf).min(axis=1), np.where(members, re, -np.inf).max(axis=1)
-    nxt = point[1:] == point[:-1]
-    apart = np.bincount(point[1:][nxt & ~(lo[1:] - hi[:-1] >= thr[point[1:]])], minlength=len(K)) == 0
-    split = ~ok[point] & apart[point] & (mult < m)
-    if split.any():
-        cut = np.flatnonzero(nxt & split[1:])
-        shift = 0.5 * (hi[cut] + lo[cut + 1])[:, None, None] * np.eye(m)
-        signs = np.concatenate([_sign(K[point[cut]] - shift, None, point[cut], EigensolverFailure)[0],
-                                -np.eye(m)[None], np.eye(m)[None]])
-        # cluster c lies between the cuts before[c] and after[c]; the last two signs are -I and I
-        after = np.full(len(point), len(cut))
-        after[cut] = np.arange(len(cut))
-        before = np.r_[len(cut) + 1, np.where(nxt, after[:-1], len(cut) + 1)]
-        for k in np.unique(mult[split]):
-            c = np.flatnonzero(split & (mult == k))
-            Q = _stacked(np.linalg.svd, 0.5 * (signs[before[c]] - signs[after[c]]), point[c], "svd",
-                         EigensolverFailure)[0][:, :, :k]
-            basis[point[c][:, None], :, cols[c][:, None] + np.arange(k)] = Q.swapaxes(1, 2)
-    return SpectralStack(ls, radius, point, value, members, mult, semi_simple, basis)
-
-
-def _sign(A, Q, pts, error):
-    """`sign_stack(A, Q)`; a point it fails on raises error naming its entry of pts."""
-    try:
-        return sign_stack(A, Q)
-    except EigensolverFailure as e:
-        raise error(str(e), index=int(pts[e.index])) from e
+    return SpectralStack(np.take_along_axis(w, order, axis=1), radius, point, value, members, mult,
+                         semi_simple, K)
 
 
 def eigstructure(matrix, cluster_tolerance=1e-7):
@@ -259,9 +235,9 @@ def eigstructure(matrix, cluster_tolerance=1e-7):
     return spectral_stack(np.asarray(matrix)[None], cluster_tolerance)
 
 
-def symmetrizer_stack(K, st, structural_tol=1e-8):
-    """Symmetrizers S = V^{-*} V^{-1} of a stack K (P, m, m) whose clustered
-    spectra are st, with V the side-by-side orthonormal cluster bases.
+def symmetrizer_stack(st, structural_tol=1e-8):
+    """Symmetrizers S = V^{-*} V^{-1} of the stack st.K (P, m, m) whose
+    clustered spectra are st, with V = st.basis.
 
     S is the sum of P_c^* P_c over the cluster projectors P_c, so it does
     not depend on the basis chosen inside a cluster.  It requires a real
@@ -271,7 +247,7 @@ def symmetrizer_stack(K, st, structural_tol=1e-8):
     not symmetrizable; S and lower_bound are NaN where the spectrum is not
     real and semi-simple.
     """
-    K = np.asarray(K, dtype=complex)
+    K = st.K
     max_imag = np.abs(st.lam.imag).max(axis=1)
     real = max_imag <= structural_tol * (1.0 + st.radius)
     defective = st.defective()
@@ -300,8 +276,7 @@ def symmetrizer_stack(K, st, structural_tol=1e-8):
 def build_symmetrizer(K, cluster_tolerance=1e-7, structural_tol=1e-8):
     """Symmetrizer of one matrix K, the one-point `symmetrizer_stack`:
     (S, lower_bound), or NotSymmetrizable where K has none."""
-    K = np.asarray(K, dtype=complex)[None]
-    S, lower, why = symmetrizer_stack(K, spectral_stack(K, cluster_tolerance), structural_tol)
+    S, lower, why = symmetrizer_stack(spectral_stack(np.asarray(K)[None], cluster_tolerance), structural_tol)
     if why[0] is not None:
         raise NotSymmetrizable(why[0])
     return S[0], float(lower[0])
@@ -432,7 +407,7 @@ def _structural_scan(name, us, ref, omegas, K, config):
     first = np.flatnonzero(st.point == 0)
     at_ref = np.arange(nq) * ns + ref
     spectra = st.take(at_ref)
-    S, _, why = symmetrizer_stack(K[at_ref], spectra, config.structural_tol)
+    S, _, why = symmetrizer_stack(spectra, config.structural_tol)
     report = _report(
         name, mg[i, s], witness, f"{len(us)} states x {len(omegas)} directions", config,
         trace={
@@ -453,7 +428,7 @@ def _a0_margins(A0, config):
         st = spectral_stack(A0, config.cluster_tolerance)
     except (ClusterAmbiguity, EigensolverFailure) as e:
         raise type(e)(f"{e} at state index {e.index}") from e
-    S, _, why = symmetrizer_stack(A0, st, config.structural_tol)
+    S, _, why = symmetrizer_stack(st, config.structural_tol)
     mg = np.maximum(_structural_scores(st, 0.0, False), 2 * config.structural_tol)
     at = np.flatnonzero([w is None for w in why])
     if at.size:
@@ -656,6 +631,14 @@ def _stacked(fn, A, pts, what, error=LyapunovSolveFailure):
         raise error(f"stacked {what} failed: {e}", index=int(pts[q])) from e
 
 
+def _sign(A, Q, pts):
+    """`sign_stack(A, Q)`; a failing point raises LyapunovSolveFailure naming its entry of pts."""
+    try:
+        return sign_stack(A, Q)
+    except EigensolverFailure as e:
+        raise LyapunovSolveFailure(str(e), index=int(pts[e.index])) from e
+
+
 def _eigvalsh(P, pts):
     """Ascending eigenvalues of a hermitian stack."""
     return _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
@@ -723,7 +706,7 @@ def _eig_solve(Ms, rho, pts, eb):
         P[ok] = _herm(Vinv) @ X @ Vinv
     if not ok.all():
         Q = rho[~ok, None, None] * np.eye(Ms.shape[-1])
-        P[~ok] = 0.5 * _sign(_herm(Ms[~ok]), Q, pts[~ok], LyapunovSolveFailure)[1]
+        P[~ok] = 0.5 * _sign(_herm(Ms[~ok]), Q, pts[~ok])[1]
     return 0.5 * (P + _herm(P))
 
 
@@ -801,7 +784,7 @@ def _invariant_bases(Ms, eb, first, thr, pts):
     cut = np.flatnonzero(~ok & keep)
     if cut.size:
         shift = 0.5 * (hi + lo)[cut, None, None] * np.eye(m)
-        Pi = 0.5 * (np.eye(m) - _sign(Ms[cut] - shift, None, pts[cut], LyapunovSolveFailure)[0])
+        Pi = 0.5 * (np.eye(m) - _sign(Ms[cut] - shift, None, pts[cut])[0])
         U = _stacked(np.linalg.svd, Pi, pts[cut], "svd")[0]
         Q1[cut], Z2[cut] = U[:, :, :k], U[:, :, k:]
         B2[cut] = Z2[cut] - Pi @ Z2[cut]

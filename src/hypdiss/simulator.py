@@ -293,14 +293,14 @@ class LinearPart:
     """The constant-coefficient system at the reference state on one lattice;
     every stepping and monitor call takes it.
 
-    Stepping works on the half spectrum of the real state: `mask` marks the
-    dealiased frequencies (two_thirds_mask) among `lattice.xi_vectors(half=
-    True)`, `xi` (Q, d) lists them in FFT order (the zero frequency first),
-    and `spectrum`/`samples` move between real samples (m, P) and
-    coefficients there (m, Q).  A real field has ||f||^2 = sum `weights`
-    |f_hat|^2 there: a mode with positive last frequency component stands
-    for its partner at -xi too and weighs 2 L^d, one with last component 0
-    weighs L^d (the mask drops the Nyquist column).  Every Fourier mode of
+    Stepping works on the half spectrum of the real state: `positions` are
+    the indices of the dealiased frequencies (two_thirds_mask) among
+    `lattice.xi_vectors(half=True)`, `xi` (Q, d) lists them in FFT order (the
+    zero frequency first), and `spectrum`/`samples` move between real
+    samples (m, P) and coefficients there (m, Q).  A real field has ||f||^2
+    = sum `weights` |f_hat|^2 there: a mode with positive last frequency
+    component stands for its partner at -xi too and weighs 2 L^d, one with
+    last component 0 weighs L^d (the mask drops the Nyquist column).  Every Fourier mode of
     the linearized system evolves by Mbar(ubar, xi); `rows` holds its bottom
     n rows [-iA(xi) - B(xi), iC(xi) - A^0](ubar) at `xi`, shape (Q, n, 2n),
     and Mbar(ubar, -xi) = conj(Mbar(ubar, xi)) covers the other half.  The
@@ -321,19 +321,18 @@ class LinearPart:
         self.model, self.lattice = model, lattice
         ubar = model.reference_state
         self.tensors = T = coefficient_tensors(model, ubar)
-        full = lattice.xi_vectors()[two_thirds_mask(lattice)]
-        mags = np.linalg.norm(full, axis=1)
-        probes = [np.argmax(mags)] + [np.argmax(np.abs(full[:, j])) for j in range(lattice.d)]
-        mbar = assemble_Mbar_stack(model, ubar, full[probes])
+        mask = two_thirds_mask(lattice, half=True)
+        self.positions = np.flatnonzero(mask)
+        self.xi = xi = lattice.xi_vectors(half=True)[self.positions]
+        probes = [np.argmax(np.linalg.norm(xi, axis=1))] + [np.argmax(np.abs(x)) for x in xi.T]
+        mbar = assemble_Mbar_stack(model, ubar, xi[probes])
         radius = 1.05 * float(np.max(np.abs(np.linalg.eigvals(mbar))))
         if not radius > 0.0:
             raise InvalidParameter("Mbar(ubar, xi) has spectral radius 0 at the largest dealiased "
                                    "frequencies, which bounds no RK4 step")
         self.dt_max = CFL_FACTOR * RK4_IMAG_LIMIT / radius
-        self.mask = two_thirds_mask(lattice, half=True)
-        self.xi = lattice.xi_vectors(half=True)[self.mask]
-        self.weights = np.where(self.xi[:, -1] > 0.0, 2.0, 1.0) * lattice.L_box**lattice.d
-        A, B, C = frequency_polynomials(T, self.xi)
+        self.weights = np.where(xi[:, -1] > 0.0, 2.0, 1.0) * lattice.L_box**lattice.d
+        A, B, C = frequency_polynomials(T, xi)
         n = model.n
         # both halves pass through one contiguous (Q, n, n) buffer: numpy
         # buffers a ufunc whose output is a strided view
@@ -341,20 +340,20 @@ class LinearPart:
         half = np.multiply(A, -1j)
         rows[..., :n] = np.subtract(half, B, out=half)
         rows[..., n:] = np.subtract(np.multiply(C, 1j, out=half), T.A0, out=half)
-        self.terms = _remainder_terms(model, self.xi)
-        self._padded = {}
+        self.terms = _remainder_terms(model, xi)
+        self._padded, self._half_size = {}, mask.size
 
     def spectrum(self, values):
         """Dealiased half-spectrum coefficients (m, Q) of real samples (m, P)."""
-        return self.lattice.fft(values, half=True)[:, self.mask]
+        return np.take(self.lattice.fft(values, half=True), self.positions, axis=1)
 
     def samples(self, hat):
         """Real samples (m, P) of dealiased coefficients (m, Q)."""
         m = len(hat)
         if m not in self._padded:
-            self._padded[m] = np.zeros((m, len(self.mask)), dtype=complex)
+            self._padded[m] = np.zeros((m, self._half_size), dtype=complex)
         buf = self._padded[m]
-        buf[:, self.mask] = hat
+        buf[:, self.positions] = hat
         return self.lattice.ifft(buf, half=True)
 
 
@@ -723,9 +722,9 @@ def monitor_rayleigh_floor(form, state, count=50):
 
 @dataclass
 class SimConfig:
-    """Run settings."""
+    """Run settings; lattice None is the model's `default_lattice`."""
 
-    lattice: Lattice = field(default_factory=lambda: Lattice(d=1, N=128))
+    lattice: Optional[Lattice] = None
     t_final: float = 10.0
     snapshots: int = 41
     monitor: bool = False
@@ -767,7 +766,7 @@ def run(model, data_spec, config=SimConfig()):
                                f"{config.t_final:g}, got {config.snapshots}")
     if not 0.0 <= config.t_final < np.inf:
         raise InvalidParameter(f"t_final = {config.t_final:g} must be finite and nonnegative")
-    linear = LinearPart(model, config.lattice)
+    linear = LinearPart(model, default_lattice(model) if config.lattice is None else config.lattice)
     state = initial_state(linear, data_spec)
 
     snap_times = np.linspace(0.0, config.t_final, config.snapshots)

@@ -31,8 +31,8 @@ from .model import ensure_normalized, evaluate_stack
 #: Eigenvector condition number from which a stacked eigen-decomposition is
 #: not trusted at a point (`eigenbasis_trusted`, in the Frobenius norm):
 #: `ModePropagator` propagates such a mode with `expm_stack`, and UNIFORM's
-#: Lyapunov solves and splits and `conditions.spectral_stack`'s cluster
-#: bases take such a point through `sign_stack`.
+#: Lyapunov solves and splits take such a point through `sign_stack`.
+#: HA/HB read no eigenvectors: their cluster bases are SVD kernels.
 DEFECT_COND_LIMIT = 1e8
 
 

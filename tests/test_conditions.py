@@ -42,6 +42,11 @@ from hypdiss.model import (
 from hypdiss.symbols import assemble_calB_stack, assemble_M, dispersion_roots
 
 FLUID = FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0)
+README_MODEL = {
+    "n": 1, "d": 1, "reference_state": [0.0],
+    "A": {"0": [[1.0]], "1": [[[[0.5, 0], [1.0, 1]]]]},
+    "B": {"0,0": [[-1.0]], "1,1": [[1.0]]},
+}
 FLUID_SETS = [
     FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0),
     FluidParameters(r=2, mu=3, nu=1.5, eta=1, zeta=0.5),
@@ -395,14 +400,29 @@ class TestUniform:
                 assert got == pytest.approx(want, rel=1e-8)
 
     def test_balanced_certificate_negative_drift(self):
-        # the balanced P still certifies decay: P M + M^* P < 0
-        f = ensure_normalized(builtin_barotropic_fluid(FLUID))
-        for x in (1e-3, 0.1, 10.0):
-            M = assemble_M(f, f.reference_state, x * np.array([1.0, 0, 0]))
-            P, cond = balanced_lyapunov_certificate(M, float(rho_profile(x)))
-            drift = np.max(np.linalg.eigvalsh(P @ M + M.conj().T @ P))
-            assert drift < 0
-            assert cond < 1e7
+        # the balanced P still certifies decay at every folded point of the
+        # default grid: P M + M^* P < 0
+        from hypdiss.conditions import _decay_stack, _guarded_certify
+
+        for model, points in (
+            (builtin_barotropic_fluid(FLUID), 637),
+            (builtin_damped_wave(2.0, d=1), 49),
+            (builtin_damped_wave(2.0, d=2), 1568),
+            (builtin_damped_wave(2.0, d=3), 637),
+            (builtin_convected_damped_wave(0.5), 49),
+            (model_from_dict(README_MODEL), 49),
+        ):
+            _, keep, _, Ms, rho, w, V, _ = _decay_stack(model)
+            _, P, cond = _guarded_certify(Ms, rho, keep, w, V)
+            drift = np.linalg.eigvalsh(P @ Ms + _herm(Ms) @ P)[:, -1]
+            assert len(Ms) == points
+            assert np.all(drift < 0)
+            assert np.all(cond < 1e7)
+            # the one-point form gives the same certificate
+            for q in (0, len(Ms) // 2, len(Ms) - 1):
+                P1, cond1 = balanced_lyapunov_certificate(Ms[q], rho[q])
+                np.testing.assert_allclose(P1, P[q], rtol=0, atol=1e-12 * np.abs(P[q]).max())
+                assert cond1 == pytest.approx(cond[q], rel=1e-10)
 
 
 class TestOrchestration:

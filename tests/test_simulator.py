@@ -1040,19 +1040,19 @@ class TestLatticeGuard:
         (["--builtin", "fluid", "--n-grid", "16"], Lattice(d=3, N=16)),
     ])
     def test_cli_default_lattice_per_dimension(self, tmp_path, monkeypatch, argv, lattice):
-        # the largest power of two <= 128 that the guard accepts; run is
-        # replaced, so nothing is simulated
+        # the largest power of two <= 128 that the guard accepts; the run's
+        # LinearPart is replaced, so nothing is simulated
         import hypdiss.simulator as sim
         from hypdiss.cli import EXIT_ERROR, main
 
         seen = []
 
-        def fake_run(model, data_spec, config):
-            sim._require_lattice_fits(model, config.lattice)
-            seen.append(config.lattice)
+        def fake_linear_part(model, lattice):
+            sim._require_lattice_fits(model, lattice)
+            seen.append(lattice)
             raise RuntimeError("not simulated")
 
-        monkeypatch.setattr(sim, "run", fake_run)
+        monkeypatch.setattr(sim, "LinearPart", fake_linear_part)
         assert main(["simulate", *argv, "--output-dir", str(tmp_path)]) == EXIT_ERROR
         assert seen == [lattice]
 
@@ -1287,12 +1287,24 @@ class TestDissipationFold:
 
 
 def test_lattice_of_another_dimension_is_refused():
-    # SimConfig's default lattice has d = 1; the d = 3 fluid used to run on it
+    # the d = 3 fluid used to run on a d = 1 lattice
     fluid = readme_fluid()
     with pytest.raises(InvalidParameter, match="for a model with d = 3"):
         LinearPart(fluid, Lattice(d=1, N=16))
     with pytest.raises(InvalidParameter, match="for a model with d = 3"):
-        run(fluid, PeriodicBumpData(amplitude=1e-2), SimConfig(t_final=0.1, snapshots=2))
+        run(fluid, PeriodicBumpData(amplitude=1e-2),
+            SimConfig(lattice=Lattice(d=1, N=16), t_final=0.1, snapshots=2))
+
+
+def test_default_config_runs_on_the_model_lattice():
+    # SimConfig() leaves the lattice to default_lattice(model); it used to
+    # carry Lattice(d=1, N=128), which a d = 2 model refused
+    model = builtin_damped_wave(2.0, d=2)
+    data = PeriodicBumpData(amplitude=1e-2)
+    got = run(model, data, SimConfig(t_final=0.05, snapshots=2))
+    want = run(model, data, SimConfig(lattice=Lattice(d=2, N=128), t_final=0.05, snapshots=2))
+    assert np.array_equal(got.w_norm, want.w_norm)
+    assert got.w_norm[-1] > 0.0
 
 
 def test_zero_spectral_radius_is_refused(tmp_path, capsys):
