@@ -216,10 +216,17 @@ def cmd_dispersion(args):
 
 def cmd_decay(args):
     from .io import write_json_atomic
-    from .linear_spectral import GaussianData, decay_fit, decay_study, default_decay_times
+    from .linear_spectral import (
+        GaussianData,
+        check_fit_window,
+        decay_fit,
+        decay_study,
+        default_decay_times,
+    )
 
-    out = _outdir(args)
     window = (args.window_lo, args.window_hi)
+    check_fit_window(window)
+    out = _outdir(args)
 
     if args.self_test:
         times = default_decay_times(args.window_hi)

@@ -134,19 +134,26 @@ def antipodal_fold(points):
     negation (0.0 and -0.0 compare equal).  A symbol with real coefficients
     satisfies M(-xi) = conj M(xi), so a computation on a frequency stack can
     run on points[keep] and be expanded with [src].
+
+    Each row is signed so that its first nonzero entry is positive; a pair,
+    and every copy of either of its rows, then share one signed row, and one
+    stable lexicographic sort brings them together with the lowest row first.
     """
     pts = np.asarray(points, dtype=float)
-    first = {}
-    keep, src = [], np.empty(len(pts), dtype=int)
-    # adding or subtracting from +0.0 turns -0.0 into +0.0
-    for q, (p, neg) in enumerate(zip(map(tuple, (pts + 0.0).tolist()),
-                                     map(tuple, (0.0 - pts).tolist()))):
-        j = first.get(neg, first.get(p))
-        if j is None:
-            j = first[p] = len(keep)
-            keep.append(q)
-        src[q] = j
-    return np.array(keep, dtype=int), src
+    q = len(pts)
+    lead = pts[np.arange(q), np.argmax(pts != 0.0, axis=1)]
+    canon = np.where((lead < 0.0)[:, None], -pts, pts)
+    order = np.lexsort(canon.T[::-1])
+    ordered = canon[order]
+    new = np.ones(q, dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    heads = order[new]
+    head = np.zeros(q, dtype=bool)
+    head[heads] = True
+    # a head's count of heads up to itself, less one, is its place in keep
+    src = np.empty(q, dtype=int)
+    src[order] = (np.cumsum(head) - 1)[heads][np.cumsum(new) - 1]
+    return np.flatnonzero(head), src
 
 
 def antipodal_expand(values, points, keep, src, axis=0):

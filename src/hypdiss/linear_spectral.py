@@ -12,6 +12,7 @@ fitted exponent approaches -d/4 = -0.75.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,14 @@ class ModeEnsemble:
     weights: np.ndarray
     coefficients: np.ndarray
 
-    def brackets(self):
+    @cached_property
+    def _brackets(self):
         return np.sqrt(1.0 + np.sum(self.xi**2, axis=1))
+
+    def brackets(self):
+        """<xi> = sqrt(1 + |xi|^2) per mode; it depends only on `xi`, so it
+        is formed on the first call."""
+        return self._brackets
 
 
 def _transform_at(spec, xi, n):
@@ -112,14 +119,14 @@ class ModePropagator:
 
     Data are projected once onto the eigenbases (`project`, the modal
     coordinates V^{-1} coeff) and then propagated to any time with one
-    stacked product V (e^{dt w} * modal) (`propagate`).  `eig` lists per
-    mode the views (w, V, Vinv) into the stacked decomposition, or None for
-    a defective mode: one whose eigenbasis `eigenbasis_inverse` does not
-    trust (kappa_F(V) >= DEFECT_COND_LIMIT, or V singular).  A defective
-    mode's inverse block is the identity, so its modal coordinates are its
-    coefficients, which `propagate` advances with `expm_stack`.  A symbol
-    stack the stacked solvers refuse (non-finite entries) raises
-    EigensolverFailure.
+    stacked product V (e^{dt w} * modal) (`propagate`).  `eig`, formed on
+    first read, lists per mode the views (w, V, Vinv) into the stacked
+    decomposition, or None for a defective mode: one whose eigenbasis
+    `eigenbasis_inverse` does not trust (kappa_F(V) >= DEFECT_COND_LIMIT, or
+    V singular).  A defective mode's inverse block is the identity, so its
+    modal coordinates are its coefficients, which `propagate` advances with
+    `expm_stack`.  A symbol stack the stacked solvers refuse (non-finite
+    entries) raises EigensolverFailure.
     """
 
     def __init__(self, model, xi):
@@ -132,8 +139,11 @@ class ModePropagator:
             raise EigensolverFailure(f"eig failed on {len(self.xi)} frequencies: {e}") from e
         self.defective = ~trusted
         self._w, self._V, self._Vinv = w, V, Vinv
-        self.eig = [None if bad else dec
-                    for bad, dec in zip(self.defective, zip(w, V, Vinv))]
+
+    @cached_property
+    def eig(self):
+        return [None if bad else dec
+                for bad, dec in zip(self.defective, zip(self._w, self._V, self._Vinv))]
 
     def project(self, coeff):
         """Modal coordinates V^{-1} coeff (Q, 2n) of coefficients coeff (Q, 2n)."""
@@ -179,13 +189,24 @@ class DecayFit:
     reliable: bool
 
 
+def check_fit_window(fit_window):
+    """Refuse a fit window (lo, hi) whose ends are not finite, or that does
+    not have lo < hi and hi > 0, with InvalidParameter."""
+    t0, t1 = fit_window
+    if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1 and t1 > 0.0):
+        raise InvalidParameter(f"fit window ({t0!r}, {t1!r}) needs finite ends "
+                               f"with lo < hi and hi > 0")
+
+
 def decay_fit(times, norms, fit_window):
     """Least-squares line in log(norm) vs log(1+t) over the window.
 
+    A window that `check_fit_window` refuses raises InvalidParameter.
     Raises DegenerateFit, naming the first such time, when a norm in the
     window is not finite or not positive; a span below one decade only
     clears the `reliable` flag.
     """
+    check_fit_window(fit_window)
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
     t0, t1 = fit_window
@@ -238,7 +259,16 @@ def default_decay_times(t_max=200.0):
 
 def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     """Full pipeline: init ensemble, evolve to the end of the fit window
-    (`default_decay_times`), record norms, fit the decay rate."""
+    (`default_decay_times`), record norms, fit the decay rate.
+
+    A window that `check_fit_window` refuses raises InvalidParameter before
+    the ensemble is built.  Only the modes with nonzero (or NaN) data are
+    decomposed and propagated: a mode whose data are exactly zero stays
+    zero.  At each time the live rows of the ensemble are overwritten and
+    its other rows keep their zeros, so the norms sum the same terms in the
+    same order as a run over every mode.
+    """
+    check_fit_window(fit_window)
     if model.d < 3:
         warnings.warn(
             f"decay-rate assertion assumes d >= 3; d = {model.d} is informational only",
@@ -246,14 +276,14 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
         )
     times = default_decay_times(fit_window[1])
     ens = init_ensemble(model, data_spec)
-    prop = ModePropagator(model, ens.xi)
-    modal = prop.project(ens.coefficients)
+    live = np.any(ens.coefficients != 0.0, axis=1)
+    prop = ModePropagator(model, ens.xi[live])
+    modal = prop.project(ens.coefficients[live])
     nu = np.zeros(len(times))
     nut = np.zeros(len(times))
     for k, t in enumerate(times):
-        coeff = prop.propagate(modal, t)
-        cur = ModeEnsemble(ens.n, ens.d, ens.xi, ens.weights, coeff)
-        norms = sobolev_norm(cur, s)
+        ens.coefficients[live] = prop.propagate(modal, t)
+        norms = sobolev_norm(ens, s)
         nu[k] = norms.u
         nut[k] = norms.ut
     combined = nu + nut

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own code paths: dispersion
 roots come from determinant interpolation (or the scalar quadratic formula),
 spectra are compared as multisets via optimal assignment.  The UNIFORM oracle
 shares the library's frequency grid, symbol stack and report, and certifies
-one grid point at a time with scipy's solvers and a union-find linkage.
+one grid point at a time with scipy's solvers and a union-find linkage.  The
+antipodal fold is matched by a dictionary of rows, and the decay norms come
+from the library's propagator run on every mode of the ensemble.
 """
 
 from collections import namedtuple
@@ -224,6 +226,40 @@ def random_stable_model(rng, n=2, d=2, coupling=1.0):
     doc["A"] = A
     doc["B"] = B
     return model_from_dict(doc)
+
+
+def antipodal_fold_oracle(points):
+    """(keep, src) of `grids.antipodal_fold` by a dictionary from each kept
+    row to its index, looked up with the row's negation, then the row."""
+    pts = np.asarray(points, dtype=float)
+    first = {}
+    keep, src = [], np.empty(len(pts), dtype=int)
+    # adding or subtracting from +0.0 turns -0.0 into +0.0
+    for q, (p, neg) in enumerate(zip(map(tuple, (pts + 0.0).tolist()),
+                                     map(tuple, (0.0 - pts).tolist()))):
+        j = first.get(neg, first.get(p))
+        if j is None:
+            j = first[p] = len(keep)
+            keep.append(q)
+        src[q] = j
+    return np.array(keep, dtype=int), src
+
+
+def decay_norms_oracle(model, data_spec, s, times):
+    """(||u||_{H^s}, ||u_t||_{H^{s-1}}) of `decay_study`'s ensemble at each
+    time, with every mode decomposed and propagated, those whose data are
+    zero included."""
+    from hypdiss.linear_spectral import ModeEnsemble, ModePropagator, init_ensemble, sobolev_norm
+
+    ens = init_ensemble(model, data_spec)
+    prop = ModePropagator(model, ens.xi)
+    modal = prop.project(ens.coefficients)
+    nu, nut = np.zeros(len(times)), np.zeros(len(times))
+    for k, t in enumerate(times):
+        cur = ModeEnsemble(ens.n, ens.d, ens.xi, ens.weights, prop.propagate(modal, t))
+        norms = sobolev_norm(cur, s)
+        nu[k], nut[k] = norms.u, norms.ut
+    return nu, nut
 
 
 def physical_rhs_oracle(model, state):

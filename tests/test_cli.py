@@ -189,6 +189,22 @@ class TestInputGuards:
         assert code == 1
         assert "error: InvalidParameter:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [["--window-hi", "inf"], ["--window-hi", "-1"],
+                                        ["--window-hi", "nan"], ["--window-lo", "300"]],
+                             ids=["hi-inf", "hi-negative", "hi-nan", "lo-above-hi"])
+    def test_bad_fit_window_is_refused_before_the_study(self, tmp_path, capsys, window):
+        # these used to decompose every mode first, then raise DegenerateFit
+        # (and print RuntimeWarnings at --window-hi inf)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3", *window,
+                         "--output-dir", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: InvalidParameter: fit window" in capsys.readouterr().err
+        assert not (out / "decay_fit.json").exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_one_snapshot_at_t_final_zero_is_accepted(self, tmp_path):
         out = tmp_path / "out"
         assert main(self.SIM + ["--t-final", "0", "--snapshots", "1",

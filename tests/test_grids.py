@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hypdiss.grids import (
     antipodal_expand,
@@ -9,6 +11,7 @@ from hypdiss.grids import (
     radial_quadrature,
     unit_directions,
 )
+from oracles import antipodal_fold_oracle
 
 
 def _assert_fold(points, keep, src):
@@ -23,7 +26,43 @@ def _assert_fold(points, keep, src):
     assert np.array_equal(same, np.eye(len(keep), dtype=bool))
 
 
+@hst.composite
+def point_stacks(draw):
+    """Stacks of few distinct values: rows, copies and negations of some of
+    them (0.0 negates to -0.0), in any order."""
+    d = draw(hst.integers(1, 3))
+    entry = hst.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0])
+    rows = draw(hst.lists(hst.lists(entry, min_size=d, max_size=d), max_size=12))
+    pts = np.array(rows, dtype=float).reshape(-1, d)
+    if len(pts):
+        picks = draw(hst.lists(hst.integers(0, len(pts) - 1), max_size=8))
+        signs = draw(hst.lists(hst.sampled_from([1.0, -1.0]), min_size=len(picks),
+                               max_size=len(picks)))
+        pts = np.concatenate([pts, pts[picks] * np.array(signs).reshape(-1, 1)])
+        pts = pts[draw(hst.permutations(range(len(pts))))]
+    return pts
+
+
 class TestAntipodalFold:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(point_stacks())
+    def test_matches_the_dictionary_fold(self, pts):
+        keep, src = antipodal_fold(pts)
+        want_keep, want_src = antipodal_fold_oracle(pts)
+        assert np.array_equal(keep, want_keep) and np.array_equal(src, want_src)
+        assert keep.dtype == want_keep.dtype and src.dtype == want_src.dtype
+        _assert_fold(pts, keep, src)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_checker_and_decay_stacks_match_the_dictionary_fold(self, d):
+        from hypdiss.conditions import frequency_grid
+        from hypdiss.linear_spectral import SpectralGrid
+        from hypdiss.model import builtin_damped_wave
+
+        for xi in (SpectralGrid().build(d)[0], frequency_grid(builtin_damped_wave(2.0, d=d))[2]):
+            got, want = antipodal_fold(xi), antipodal_fold_oracle(xi)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     @pytest.mark.parametrize("d, kept", [(1, 1), (2, 32), (3, 13)])
     def test_default_direction_sets_fold_in_half(self, d, kept):
         om, _ = unit_directions(d)

@@ -1,8 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
+from hypdiss import linear_spectral
 from hypdiss.conditions import check_uniform_dissipativity, rho_profile
 from hypdiss.errors import DegenerateFit, InvalidParameter, UnsupportedDataSpec
 from hypdiss.linear_spectral import (
@@ -21,8 +25,10 @@ from hypdiss.model import (
     builtin_barotropic_fluid,
     builtin_damped_wave,
     ensure_normalized,
+    model_from_dict,
 )
 from hypdiss.symbols import assemble_Mbar
+from oracles import decay_norms_oracle, random_stable_model
 
 FLUID = FluidParameters(r=3, mu=2, nu=1, eta=1, zeta=0)
 
@@ -188,6 +194,16 @@ class TestDecayFit:
         with pytest.raises(DegenerateFit, match=re.escape(f"at t={t[12]:g} ")):
             decay_fit(t, norms, (0.0, 50.0))
 
+    @pytest.mark.parametrize("window", [(5.0, np.inf), (5.0, -1.0), (5.0, np.nan), (300.0, 200.0),
+                                        (-np.inf, 200.0), (0.0, 0.0)])
+    def test_bad_window_is_refused(self, window):
+        t = default_decay_times(200.0)
+        with pytest.raises(InvalidParameter, match=re.escape(f"fit window ({window[0]!r}, ")):
+            decay_fit(t, 3.0 * (1.0 + t) ** (-0.75), window)
+        with pytest.raises(InvalidParameter, match="fit window"):
+            decay_study(builtin_damped_wave(2.0, d=3), GaussianData(amplitude=1.0),
+                        fit_window=window)
+
     def test_small_window_rejected(self):
         with pytest.raises(DegenerateFit):
             decay_fit(np.array([1.0, 2.0]), np.array([1.0, 0.5]), (0.0, 3.0))
@@ -316,3 +332,94 @@ class TestModePropagator:
                 M, _ = weighted_symbol_oracle(m, m.reference_state, xi[q])
                 want = sla.expm(dt * M) @ coeff[q]
                 assert np.abs(got[q] - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
+
+    def test_eig_is_formed_on_first_read(self):
+        from hypdiss.symbols import eigenbasis_inverse
+
+        m = builtin_damped_wave(2.0, d=3)
+        ens = init_ensemble(m, GaussianData(amplitude=1.0))
+        prop = ModePropagator(m, ens.xi)
+        assert "eig" not in vars(prop)
+        w, V = np.linalg.eig(prop.mats)
+        Vinv, trusted = eigenbasis_inverse(V)
+        assert len(prop.eig) == len(ens.xi) and prop.eig is prop.eig
+        for q, e in enumerate(prop.eig):
+            assert (e is None) == (not trusted[q])
+            if e is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(e, (w[q], V[q], Vinv[q])))
+
+    def test_defective_modes_are_counted_from_eig(self):
+        # 13 directions of this model's grid cross its Jordan block
+        m = builtin_damped_wave(2.074450190814114, d=3)
+        prop = ModePropagator(m, init_ensemble(m, GaussianData(amplitude=1.0)).xi)
+        assert sum(e is None for e in prop.eig) == 13
+
+
+def _norms_without_fit(model, data, s=2.0):
+    # the fit refuses zero and non-finite norms; these tests read the norms
+    with mock.patch.object(linear_spectral, "decay_fit"):
+        return decay_study(model, data, s=s)
+
+
+class TestLiveModes:
+    """`decay_study` decomposes and propagates only the modes with nonzero data."""
+
+    @pytest.mark.filterwarnings("ignore:decay-rate assertion")
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(hst.integers(1, 3), hst.integers(1, 3), hst.integers(0, 2**32 - 1),
+           hst.floats(0.3, 6.0), hst.one_of(hst.just(0.0), hst.floats(1e-3, 10.0)),
+           hst.integers(0, 2), hst.sampled_from(["u0", "u1"]), hst.floats(0.5, 4.0))
+    def test_norms_match_every_mode_propagated(self, n, d, seed, sigma, amplitude,
+                                               component, target, s):
+        # a weak coupling leaves the damping dominant; a mode that overflows
+        # where the data vanish is the case below
+        m = random_stable_model(np.random.default_rng(seed), n=n, d=d, coupling=0.2)
+        data = GaussianData(amplitude=amplitude, sigma=sigma, component=component % n,
+                            target=target)
+        study = _norms_without_fit(m, data, s=s)
+        nu, nut = decay_norms_oracle(m, data, s, study.times)
+        assume(np.all(np.isfinite(nu)) and np.all(np.isfinite(nut)))
+        assert np.array_equal(study.norms_u, nu) and np.array_equal(study.norms_ut, nut)
+
+    def test_eig_sees_only_the_live_modes(self, monkeypatch):
+        # the README fluid at sigma = 3: the transform underflows to 0.0
+        # beyond |xi| ~ 12.9 and the grid runs to |xi| = 100
+        m = builtin_barotropic_fluid(FLUID)
+        data = [GaussianData(amplitude=1e-2, sigma=3.0, component=c) for c in range(m.n)]
+        ens = init_ensemble(m, data)
+        live = int(np.sum(np.any(ens.coefficients != 0.0, axis=1)))
+        assert 0 < live < len(ens.xi)
+        rows = []
+        eig = np.linalg.eig
+
+        def spy(a):
+            rows.append(len(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        study = decay_study(m, data)
+        assert rows == [live]
+        assert study.fit.reliable
+
+    def test_no_live_mode_gives_zero_norms(self):
+        m = builtin_damped_wave(2.0, d=3)
+        study = _norms_without_fit(m, GaussianData(amplitude=0.0))
+        assert np.all(study.norms_u == 0.0) and np.all(study.norms_ut == 0.0)
+        with pytest.raises(DegenerateFit, match="norm 0 at"):
+            decay_study(m, GaussianData(amplitude=0.0))
+
+    def test_growing_mode_where_the_data_vanish_stays_finite(self):
+        # lambda^2 + 2 lambda - |xi|^2 = 0 grows like e^{(|xi| - 1) t}: at
+        # t = 200 the modes beyond |xi| ~ 4.5 overflow, where Gaussian data of
+        # width 20 are exactly zero; propagating them gave inf * 0 = NaN
+        m = model_from_dict({"n": 1, "d": 3, "reference_state": [0.0],
+                             "A": {"0": [[2.0]]},
+                             "B": {"0,0": [[-1.0]], "1,1": [[-1.0]], "2,2": [[-1.0]],
+                                   "3,3": [[-1.0]]}})
+        data = GaussianData(amplitude=1e-2, sigma=20.0)
+        study = decay_study(m, data)
+        assert np.all(np.isfinite(study.combined)) and study.fit.exponent > 0.0
+        with np.errstate(all="ignore"):
+            nu, _ = decay_norms_oracle(m, data, 2.0, study.times)
+        assert np.isnan(nu[-1])
+        assert np.array_equal(study.norms_u[np.isfinite(nu)], nu[np.isfinite(nu)])
