@@ -79,7 +79,7 @@ def build_parser():
     p.add_argument("--window-lo", type=float, default=5.0)
     p.add_argument("--window-hi", type=float, default=200.0)
     p.add_argument("--band", type=float, default=0.1,
-                   help="accepted deviation of the exponent from -d/4")
+                   help="accepted deviation of the exponent from -d/4 (finite, >= 0)")
     p.add_argument("--self-test", action="store_true",
                    help="fit a synthetic exact power law instead of a model")
 
@@ -215,6 +215,7 @@ def cmd_dispersion(args):
 
 
 def cmd_decay(args):
+    from .errors import InvalidParameter
     from .io import write_json_atomic
     from .linear_spectral import (
         GaussianData,
@@ -226,6 +227,9 @@ def cmd_decay(args):
 
     window = (args.window_lo, args.window_hi)
     check_fit_window(window)
+    # a NaN band would be written as NaN, which is not JSON
+    if not 0.0 <= args.band < float("inf"):
+        raise InvalidParameter(f"--band must be finite and >= 0; got {args.band!r}")
     out = _outdir(args)
 
     if args.self_test:

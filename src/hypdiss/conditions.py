@@ -154,7 +154,9 @@ class SpectralStack:
     semi_simple: the right singular vectors for its mult smallest singular
     values (the identity for a cluster holding the whole spectrum).  That is
     its invariant subspace where it is semi-simple, and not where it is
-    defective; only real semi-simple spectra are read.
+    defective; only real semi-simple spectra are read.  The bases of point p
+    are bases[basis_index[p]]; they exist only at the points `spectral_stack`
+    was told would be read (basis_index -1 elsewhere).
     """
 
     lam: np.ndarray
@@ -165,21 +167,14 @@ class SpectralStack:
     mult: np.ndarray
     semi_simple: np.ndarray
     K: np.ndarray
+    basis_index: np.ndarray
+    bases: np.ndarray
 
     @cached_property
     def basis(self):
-        # one stacked SVD on first read, over this stack's clusters only
-        m = self.K.shape[-1]
-        basis = np.broadcast_to(np.eye(m, dtype=complex), self.K.shape).copy()
-        c = np.flatnonzero(self.mult < m)
-        pts, mult = self.point[c], self.mult[c]
-        Vh = _stacked(lambda A: np.linalg.svd(A)[2], self.K[pts] - self.value[c, None, None] * np.eye(m),
-                      pts, "svd", EigensolverFailure)
-        cols = _cluster_columns(self.point, self.mult, m)[c]
-        for k in np.unique(mult):
-            s = mult == k
-            basis[pts[s][:, None], :, cols[s][:, None] + np.arange(k)] = Vh[s, m - k:].conj()
-        return basis
+        if np.any(self.basis_index < 0):
+            raise ValueError("cluster bases were not formed at every point of this stack")
+        return self.bases[self.basis_index]
 
     def defective(self):
         """(P,) True where some cluster is not semi-simple."""
@@ -192,20 +187,22 @@ class SpectralStack:
         c = new[self.point] >= 0
         return SpectralStack(self.lam[pts], self.radius[pts], new[self.point[c]],
                              self.value[c], self.members[c], self.mult[c],
-                             self.semi_simple[c], self.K[pts])
+                             self.semi_simple[c], self.K[pts], self.basis_index[pts], self.bases)
 
 
-def spectral_stack(K, cluster_tolerance=1e-7):
+def spectral_stack(K, cluster_tolerance=1e-7, rows=None):
     """Cluster the spectrum of every matrix of a stack K (P, m, m).
 
     One stacked eigvals gives the eigenvalues.  Eigenvalues closer than
     thr = cluster_tolerance * (1 + spectral radius) are merged; clusters
     closer than 10 thr raise ClusterAmbiguity whose ``index`` is the first
     such point.  Semi-simplicity is decided by the numerical kernel
-    dimension of K - value I, from one stacked SVD of singular values; the
-    kernels themselves are the cluster bases, formed when `basis` is read.
-    A stack with non-finite entries raises EigensolverFailure whose
-    ``index`` is the first such point.
+    dimension of K - value I.  At the points rows (every point if None),
+    whose `basis` will be read, one stacked SVD with vectors gives both the
+    kernel dimension and the kernel, the cluster's basis; elsewhere, and for
+    clusters that hold the whole spectrum, one stacked SVD of singular values
+    gives the dimension.  A stack with non-finite entries raises
+    EigensolverFailure whose ``index`` is the first such point.
     """
     K = np.asarray(K, dtype=complex)
     bad = ~np.isfinite(K).all(axis=(1, 2))
@@ -224,10 +221,24 @@ def spectral_stack(K, cluster_tolerance=1e-7):
             f"{thr[q]:.3e}; refine cluster_tolerance", index=q,
         )
     mult = members.sum(axis=1)
-    sv = np.linalg.svd(K[point] - value[:, None, None] * np.eye(m), compute_uv=False)
+    read = np.ones(len(K), dtype=bool) if rows is None else np.isin(np.arange(len(K)), rows)
+    basis_index = np.where(read, np.cumsum(read) - 1, -1)
+    bases = np.broadcast_to(np.eye(m, dtype=complex), (int(read.sum()), m, m)).copy()
+    A = K[point] - value[:, None, None] * np.eye(m)
+    vec = read[point] & (mult < m)
+    sv = np.empty((len(point), m))
+    if not vec.all():
+        sv[~vec] = np.linalg.svd(A[~vec], compute_uv=False)
+    if vec.any():
+        pts, k_of = point[vec], mult[vec]
+        _, sv[vec], Vh = _stacked(np.linalg.svd, A[vec], pts, "svd", EigensolverFailure)
+        cols = _cluster_columns(point, mult, m)[vec]
+        for k in np.unique(k_of):
+            s = k_of == k
+            bases[basis_index[pts[s]][:, None], :, cols[s][:, None] + np.arange(k)] = Vh[s, m - k:].conj()
     semi_simple = np.sum(sv <= thr[point, None], axis=1) == mult
     return SpectralStack(np.take_along_axis(w, order, axis=1), radius, point, value, members, mult,
-                         semi_simple, K)
+                         semi_simple, K, basis_index, bases)
 
 
 def eigstructure(matrix, cluster_tolerance=1e-7):
@@ -390,14 +401,16 @@ def _structural_scan(name, us, ref, omegas, K, config):
     K (S', Q, m, m) at states x directions, whose first len(us) states are
     the samples us and whose state ref is the reference state.
 
-    One `spectral_stack` decomposes every symbol.  Every sample x direction
-    point is scored against the multiplicities of the first one; the
-    reference-state symbols give the symmetrizer of each direction.
+    One `spectral_stack` decomposes every symbol, and forms cluster bases at
+    the reference state only.  Every sample x direction point is scored
+    against the multiplicities of the first one; the reference-state symbols
+    give the symmetrizer of each direction.
     """
     ns, nq, m = K.shape[0], K.shape[1], K.shape[-1]
     K = K.swapaxes(0, 1).reshape(-1, m, m)
+    at_ref = np.arange(nq) * ns + ref
     try:
-        st = spectral_stack(K, config.cluster_tolerance)
+        st = spectral_stack(K, config.cluster_tolerance, at_ref)
     except (ClusterAmbiguity, EigensolverFailure) as e:
         i, s = divmod(e.index, ns)
         raise type(e)(f"{e} at {_state_label(s, us)}, omega index {i}") from e
@@ -405,7 +418,6 @@ def _structural_scan(name, us, ref, omegas, K, config):
     i, s = np.unravel_index(int(np.argmax(mg)), mg.shape)
     witness = {"u": us[s].tolist(), "omega": omegas[i].tolist(), "xi": None}
     first = np.flatnonzero(st.point == 0)
-    at_ref = np.arange(nq) * ns + ref
     spectra = st.take(at_ref)
     S, _, why = symmetrizer_stack(spectra, config.structural_tol)
     report = _report(
@@ -720,26 +732,48 @@ def lyapunov_certificate(M, rho):
     return P[0], float(_positive_cond(_eigvalsh(P, pts), "Lyapunov solution", pts)[0])
 
 
+def _mst_edges(lam):
+    """(T, m - 1): the edge lengths of a minimum spanning tree of each row of
+    lam (T, m) under |li - lj|, from one vectorized Prim's algorithm.  The
+    single-linkage clusters of a row at any threshold thr are joined by its
+    edges <= thr, and the smallest distance between two of them is its
+    smallest edge > thr (Gower and Ross 1969)."""
+    T, m = lam.shape
+    dist = np.abs(lam[:, :, None] - lam[:, None, :])
+    rows = np.arange(T)
+    inside = np.zeros((T, m), dtype=bool)
+    inside[:, 0] = True
+    near = dist[:, 0].copy()
+    edges = np.empty((T, m - 1))
+    for j in range(m - 1):
+        near[inside] = np.inf
+        v = np.argmin(near, axis=1)
+        edges[:, j] = near[rows, v]
+        inside[rows, v] = True
+        near = np.minimum(near, dist[rows, v])
+    return edges
+
+
 def _first_group(lam):
     """(mask, thr): the first single-linkage group of each row of lam (T, m) and thr.
 
     Eigenvalues at most thr apart are linked; thr starts at 3 min(-Re lam)
     and doubles until the groups are at least 3 thr apart.  The first group
     has the smallest mean (real part, then imaginary part).  A row that is a
-    single group is all True.
+    single group is all True.  Each row's final thr is read from its
+    `_mst_edges`, and one `_linkage` at those thresholds forms the groups.
     """
-    mask = np.empty(lam.shape, dtype=bool)
+    edges = _mst_edges(lam)
     thr = 3.0 * np.min(-lam.real, axis=1)
     pending = np.arange(len(lam))
     while pending.size:
-        order, gap, point, _, members = _linkage(lam[pending], thr[pending])
-        done = ~(gap < 3.0 * thr[pending])
-        first = members[np.unique(point, return_index=True)[1]][done]
-        rows = np.zeros_like(first)
-        np.put_along_axis(rows, order[done], first, axis=1)
-        mask[pending[done]] = rows
-        thr[pending[~done]] *= 2.0
-        pending = pending[~done]
+        e, t = edges[pending], thr[pending, None]
+        gap = np.min(np.where(e > t, e, np.inf), axis=1, initial=np.inf)
+        pending = pending[gap < 3.0 * t[:, 0]]
+        thr[pending] *= 2.0
+    order, _, point, _, members = _linkage(lam, thr)
+    mask = np.zeros(lam.shape, dtype=bool)
+    np.put_along_axis(mask, order, members[np.unique(point, return_index=True)[1]], axis=1)
     return mask, thr
 
 

@@ -169,13 +169,18 @@ def eigenbasis_trusted(V, Vinv):
 def eigenbasis_inverse(V):
     """(Vinv, trusted) for a stack of eigenvector matrices V (..., m, m).
 
-    An exactly singular V (det = 0) is screened out before the stacked inv;
-    a point is trusted by `eigenbasis_trusted`.  Vinv is inv(V) where
-    trusted and the identity elsewhere.  A failing inv raises LinAlgError.
+    One stacked inv runs first.  Only if it fails are the exactly singular
+    V (det = 0, from the same LU: a pivot is exactly zero) screened out and
+    the inv run again on the rest; a point is trusted by
+    `eigenbasis_trusted`.  Vinv is inv(V) where trusted and the identity
+    elsewhere.  A failing second inv raises LinAlgError.
     """
     eye = np.eye(V.shape[-1])
-    singular = np.linalg.det(V) == 0.0
-    Vinv = np.linalg.inv(np.where(singular[..., None, None], eye, V))
+    try:
+        Vinv, singular = np.linalg.inv(V), np.zeros(V.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(V) == 0.0
+        Vinv = np.linalg.inv(np.where(singular[..., None, None], eye, V))
     trusted = ~singular & eigenbasis_trusted(V, Vinv)
     Vinv[~trusted] = eye
     return Vinv, trusted

@@ -515,13 +515,24 @@ def _single_linkage(lam, thr):
 
 
 def _linkage_groups(lam, theta):
-    # single-linkage groups, merged until inter-group gaps are >= 3*theta
+    # single-linkage groups, merged until inter-group gaps are >= 3*thr, and
+    # thr: theta doubled until then
     thr = theta
     while True:
         groups, gap = _single_linkage(lam, thr)
         if gap >= 3.0 * thr:
-            return groups
+            return groups, thr
         thr *= 2.0
+
+
+def first_group_oracle(lam):
+    """(mask, thr) of `conditions._first_group` one row of lam (T, m) at a
+    time: the union-find linkage run again at each doubled threshold."""
+    mask, thr = np.zeros(lam.shape, dtype=bool), np.empty(len(lam))
+    for t, row in enumerate(lam):
+        groups, thr[t] = _linkage_groups(row, 3.0 * np.min(-row.real))
+        mask[t] = np.isin(row, groups[0])
+    return mask, thr
 
 
 def _balanced_adaptive(M, rho, P=None):
@@ -540,7 +551,7 @@ def _balanced_adaptive(M, rho, P=None):
         return P
     lam = np.linalg.eigvals(M)
     theta = 3.0 * float(np.min(-lam.real))
-    groups = _linkage_groups(lam, theta)
+    groups, _ = _linkage_groups(lam, theta)
     if len(groups) == 1:
         return P
     g = groups[0]

@@ -205,6 +205,17 @@ class TestInputGuards:
         assert not (out / "decay_fit.json").exists()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("band", ["nan", "inf", "-1"])
+    def test_bad_band_is_refused_before_the_study(self, tmp_path, capsys, band):
+        # --band nan used to write "band": NaN, which is not JSON, and --band
+        # inf to accept any exponent
+        out = tmp_path / "out"
+        code = main(["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3", "--band", band,
+                     "--output-dir", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: InvalidParameter: --band" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_snapshot_at_t_final_zero_is_accepted(self, tmp_path):
         out = tmp_path / "out"
         assert main(self.SIM + ["--t-final", "0", "--snapshots", "1",

@@ -290,6 +290,57 @@ def test_bases_are_formed_only_where_a_symmetrizer_reads_them(monkeypatch):
     assert sizes == want
 
 
+def _svd_calls(monkeypatch):
+    # (stack size, compute_uv) of every np.linalg.svd call
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, compute_uv=True, **kw: (
+        calls.append((len(a), compute_uv)) or svd(a, *args, compute_uv=compute_uv, **kw)))
+    return calls
+
+
+def test_one_svd_per_stack_on_the_constant_fluid(monkeypatch):
+    # a constant model's one state is the reference state, whose bases the
+    # symmetrizers read: HA's two stacks (A^0 for part (a), W0 for the scan)
+    # and HB's one each run one SVD with vectors and no values-only SVD
+    model = ensure_normalized(builtin_barotropic_fluid(FLUID_SETS[0]))
+    calls = _svd_calls(monkeypatch)
+    check_ha(model)
+    assert [uv for _, uv in calls] == [True, True]
+    calls.clear()
+    check_hb(model)
+    assert [uv for _, uv in calls] == [True]
+
+
+def test_values_only_svds_run_on_the_sample_rows(monkeypatch):
+    # the n = 2, d = 2 document of the test above: the scans' clusters at the
+    # 256 state samples take the values-only SVD, and every cluster at the
+    # reference state (which is not a sample) and of A^0 the SVD with vectors
+    model = ensure_normalized(model_from_dict({
+        "n": 2, "d": 2, "reference_state": [0.0, 0.0],
+        "A": {"0": [[1.0, 0.0], [0.0, [[2.0, 0, 0], [0.1, 1, 0]]]],
+              "1": [[[[0.3, 1, 0]], 0.2], [0.2, 0.0]], "2": [[0.0, 0.1], [0.1, [[0.5, 0, 1]]]]},
+        "B": {"0,0": [[-1.0, 0.0], [0.0, -1.0]], "1,1": [[1.0, 0.0], [0.0, 1.0]],
+              "2,2": [[1.0, 0.0], [0.0, 1.0]], "1,2": [[0.1, 0.0], [0.0, 0.1]]},
+    }))
+    omegas, _ = unit_directions(2)
+    A0 = directional_stack(model, model.state_samples(), omegas)[0]
+    a0 = spectral_stack(A0)
+    assert np.all(a0.mult < 2)
+    samples, ref = [], []
+    for u, ks in ((model.state_samples(), samples), (model.reference_state, ref)):
+        A0u, A, _, _ = directional_stack(model, u, omegas)
+        for K in (np.linalg.solve(A0u[..., None, :, :], A), 1j * assemble_calB_stack(model, u, omegas)):
+            st = spectral_stack(K.reshape(-1, *K.shape[-2:]))
+            assert ks is samples or np.all(st.mult < K.shape[-1])
+            ks.append(len(st.point))
+
+    calls = _svd_calls(monkeypatch)
+    check_ha(model)
+    check_hb(model)
+    assert [n for n, uv in calls if not uv] == samples
+    assert [n for n, uv in calls if uv] == [len(a0.point), *ref]
+
+
 @pytest.mark.parametrize("hi,extra", [(1.0, 0), (1.5, 1)])
 def test_reference_symbols_are_decomposed_once(monkeypatch, hi, extra):
     # HA (part (a) and the scan) and HB each run one stacked decomposition;

@@ -453,6 +453,25 @@ def test_eigenbasis_inverse_refuses_the_damped_wave_jordan_point():
     assert np.array_equal(Vinv[0], np.eye(2))
 
 
+def test_eigenbasis_inverse_screens_a_singular_basis_only_after_inv_fails(monkeypatch):
+    # the stacked inv runs first; only its failure at the zero column of V[2]
+    # runs det, which screens that point out to an untrusted identity, and
+    # the other points keep the bits of the first inv
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    singular = V.copy()
+    singular[2][:, 1] = 0.0
+    dets, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda A: dets.append(len(A)) or det(A))
+    Vinv, trusted = eigenbasis_inverse(V)
+    assert dets == [] and trusted.all()
+    got, got_trusted = eigenbasis_inverse(singular)
+    assert dets == [5]
+    assert got_trusted.tolist() == [True, True, False, True, True]
+    assert np.array_equal(got[2], np.eye(4))
+    assert np.array_equal(got[[0, 1, 3, 4]], Vinv[[0, 1, 3, 4]])
+
+
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_sign_lyapunov_and_expm_kernels_on_random_models(n, d, seed):
