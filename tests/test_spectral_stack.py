@@ -314,7 +314,8 @@ def test_one_svd_per_stack_on_the_constant_fluid(monkeypatch):
 def test_values_only_svds_run_on_the_sample_rows(monkeypatch):
     # the n = 2, d = 2 document of the test above: the scans' clusters at the
     # 256 state samples take the values-only SVD, and every cluster at the
-    # reference state (which is not a sample) and of A^0 the SVD with vectors
+    # reference state (which is not a sample) and of A^0, none of which holds
+    # the whole spectrum, the SVD with vectors
     model = ensure_normalized(model_from_dict({
         "n": 2, "d": 2, "reference_state": [0.0, 0.0],
         "A": {"0": [[1.0, 0.0], [0.0, [[2.0, 0, 0], [0.1, 1, 0]]]],
@@ -323,22 +324,17 @@ def test_values_only_svds_run_on_the_sample_rows(monkeypatch):
               "2,2": [[1.0, 0.0], [0.0, 1.0]], "1,2": [[0.1, 0.0], [0.0, 0.1]]},
     }))
     omegas, _ = unit_directions(2)
-    A0 = directional_stack(model, model.state_samples(), omegas)[0]
-    a0 = spectral_stack(A0)
-    assert np.all(a0.mult < 2)
-    samples, ref = [], []
-    for u, ks in ((model.state_samples(), samples), (model.reference_state, ref)):
-        A0u, A, _, _ = directional_stack(model, u, omegas)
-        for K in (np.linalg.solve(A0u[..., None, :, :], A), 1j * assemble_calB_stack(model, u, omegas)):
-            st = spectral_stack(K.reshape(-1, *K.shape[-2:]))
-            assert ks is samples or np.all(st.mult < K.shape[-1])
-            ks.append(len(st.point))
+    clusters = {}
+    for u, at in ((model.state_samples(), "samples"), (model.reference_state, "ref")):
+        A0, A, _, _ = directional_stack(model, u, omegas)
+        for K in (A0, np.linalg.solve(A0[..., None, :, :], A), 1j * assemble_calB_stack(model, u, omegas)):
+            clusters.setdefault(at, []).append(len(spectral_stack(K.reshape(-1, *K.shape[-2:])).point))
 
     calls = _svd_calls(monkeypatch)
     check_ha(model)
     check_hb(model)
-    assert [n for n, uv in calls if not uv] == samples
-    assert [n for n, uv in calls if uv] == [len(a0.point), *ref]
+    assert [n for n, uv in calls if not uv] == clusters["samples"][1:]
+    assert [n for n, uv in calls if uv] == [clusters["samples"][0], *clusters["ref"][1:]]
 
 
 @pytest.mark.parametrize("hi,extra", [(1.0, 0), (1.5, 1)])
