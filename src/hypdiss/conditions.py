@@ -54,6 +54,7 @@ from .symbols import (
     eigenbasis_inverse,
     eigenbasis_trusted,
     frequency_stack,
+    graded_eig,
     sign_stack,
 )
 
@@ -590,16 +591,17 @@ def frequency_grid(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()
 
 def _decay_stack(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
     """The one eigendecomposition M(ubar, xi) = V diag(w) V^{-1} that D3 and
-    UNIFORM read, on the folded `frequency_grid`: (grid, keep, src, Ms, rho, w,
-    V, margins) with Ms, rho(|xi|), w, V over the rows keep and each row's decay
-    margin max Re lambda / rho.  An eig failure names |xi| and the direction."""
+    UNIFORM read, from one `graded_eig` on the folded `frequency_grid`:
+    (grid, keep, src, Ms, rho, w, V, margins) with Ms, rho(|xi|), w, V over
+    the rows keep and each row's decay margin max Re lambda / rho.  An eig
+    failure names |xi| and the direction."""
     grid = frequency_grid(model, omega_grid, xi_loggrid, config)
     xi, idx, mags = grid[2:5]
     keep, src = antipodal_fold(xi)
     Ms = assemble_M_stack(model, model.reference_state, xi[keep])
     rho = rho_profile(mags[keep])
     try:
-        w, V = _stacked(np.linalg.eig, Ms, keep, "eig", EigensolverFailure)
+        w, V = _stacked(graded_eig, Ms, keep, "eig", EigensolverFailure)
     except EigensolverFailure as e:
         raise EigensolverFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}", index=e.index) from e
     return grid, keep, src, Ms, rho, w, V, (w.real.max(axis=1) / rho)[src]

@@ -20,7 +20,7 @@ from .errors import DegenerateFit, EigensolverFailure, InvalidParameter, Unsuppo
 from .grids import antipodal_fold, product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
 from .model import check_placement
-from .symbols import assemble_M_stack, eigenbasis_inverse, expm_stack
+from .symbols import assemble_M_stack, eigenbasis_inverse, expm_stack, graded_eig
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class GaussianData:
 
     Exact transform: amplitude * sigma^d * exp(-sigma^2 |xi|^2 / 2).  An
     infinite amplitude, or a sigma that is not finite and positive, raises
-    InvalidParameter; a NaN amplitude gives NaN norms, which `decay_fit`
-    refuses with DegenerateFit.
+    InvalidParameter, and so does a sigma whose sigma^d or sigma^2 overflows
+    when the ensemble is built; a NaN amplitude gives NaN norms, which
+    `decay_fit` refuses with DegenerateFit.
     """
 
     amplitude: float
@@ -85,8 +86,14 @@ def _transform_at(spec, xi, n):
             f"data spec {type(spec).__name__} has no closed-form transform"
         )
     check_placement(spec, n)
+    d = xi.shape[1]
+    try:
+        scale, spread = spec.sigma ** d, spec.sigma**2
+    except OverflowError:
+        raise InvalidParameter(f"GaussianData.sigma = {spec.sigma!r} in d = {d}: sigma**{d} "
+                               f"or sigma**2 is not a finite float") from None
     mags = np.linalg.norm(xi, axis=1)
-    return spec.amplitude * spec.sigma ** xi.shape[1] * np.exp(-0.5 * spec.sigma**2 * mags**2)
+    return spec.amplitude * scale * np.exp(-0.5 * spread * mags**2)
 
 
 def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
@@ -117,23 +124,24 @@ class ModePropagator:
     """Eigen-decompositions of the weighted symbol at a stack of modes, with an
     expm fallback wherever a mode is numerically defective.
 
-    Data are projected once onto the eigenbases (`project`, the modal
-    coordinates V^{-1} coeff) and then propagated to any time with one
-    stacked product V (e^{dt w} * modal) (`propagate`).  `eig`, formed on
-    first read, lists per mode the views (w, V, Vinv) into the stacked
-    decomposition, or None for a defective mode: one whose eigenbasis
-    `eigenbasis_inverse` does not trust (kappa_F(V) >= DEFECT_COND_LIMIT, or
-    V singular).  A defective mode's inverse block is the identity, so its
-    modal coordinates are its coefficients, which `propagate` advances with
-    `expm_stack`.  A symbol stack the stacked solvers refuse (non-finite
-    entries) raises EigensolverFailure.
+    One `graded_eig` decomposes the stack, in real arithmetic where a phase
+    grading makes it real.  Data are projected once onto the eigenbases
+    (`project`, the modal coordinates V^{-1} coeff) and then propagated to
+    any time with one stacked product V (e^{dt w} * modal) (`propagate`).
+    `eig`, formed on first read, lists per mode the views (w, V, Vinv) into
+    the stacked decomposition, or None for a defective mode: one whose
+    eigenbasis `eigenbasis_inverse` does not trust (kappa_F(V) >=
+    DEFECT_COND_LIMIT, or V singular).  A defective mode's inverse block is
+    the identity, so its modal coordinates are its coefficients, which
+    `propagate` advances with `expm_stack`.  A symbol stack the stacked
+    solvers refuse (non-finite entries) raises EigensolverFailure.
     """
 
     def __init__(self, model, xi):
         self.xi = np.asarray(xi, dtype=float)
         self.mats = assemble_M_stack(model, model.reference_state, self.xi)
         try:
-            w, V = np.linalg.eig(self.mats)
+            w, V = graded_eig(self.mats)
             Vinv, trusted = eigenbasis_inverse(V)
         except np.linalg.LinAlgError as e:
             raise EigensolverFailure(f"eig failed on {len(self.xi)} frequencies: {e}") from e
@@ -262,20 +270,21 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     (`default_decay_times`), record norms, fit the decay rate.
 
     A window that `check_fit_window` refuses raises InvalidParameter before
-    the ensemble is built.  Only the modes with nonzero (or NaN) data are
-    decomposed and propagated: a mode whose data are exactly zero stays
-    zero.  At each time the live rows of the ensemble are overwritten and
-    its other rows keep their zeros, so the norms sum the same terms in the
-    same order as a run over every mode.
+    the ensemble is built, and data the ensemble refuses raise before the
+    d < 3 warning and before any mode is decomposed.  Only the modes with
+    nonzero (or NaN) data are decomposed and propagated: a mode whose data
+    are exactly zero stays zero.  At each time the live rows of the
+    ensemble are overwritten and its other rows keep their zeros, so the
+    norms sum the same terms in the same order as a run over every mode.
     """
     check_fit_window(fit_window)
+    times = default_decay_times(fit_window[1])
+    ens = init_ensemble(model, data_spec)
     if model.d < 3:
         warnings.warn(
             f"decay-rate assertion assumes d >= 3; d = {model.d} is informational only",
             stacklevel=2,
         )
-    times = default_decay_times(fit_window[1])
-    ens = init_ensemble(model, data_spec)
     live = np.any(ens.coefficients != 0.0, axis=1)
     prop = ModePropagator(model, ens.xi[live])
     modal = prop.project(ens.coefficients[live])

@@ -156,6 +156,67 @@ def assemble_M_stack(model, u, xi):
     return _first_order(br, (-1j * A - B) / br[:, None, None], 1j * C - T.A0[..., None, :, :])
 
 
+def _phase_parities(X):
+    """Parities p (m,) in {0, 1} with diag(i^p) X diag(i^p)^{-1} real at every
+    point of the stack X (..., m, m), or None.
+
+    An entry with a nonzero imaginary part at any point is odd (it links two
+    indices of unequal phase), one with a nonzero real part is even (equal
+    phase).  None when no entry is odd (X is already real) or the links
+    admit no such parities: an entry that is both, an odd diagonal entry,
+    an odd cycle.  Each connected component's lowest index has parity 0.
+    """
+    lead = tuple(range(X.ndim - 2))
+    odd, even = np.any(X.imag != 0, axis=lead), np.any(X.real != 0, axis=lead)
+    odd, even = odd | odd.T, even | even.T
+    if not odd.any():
+        return None
+    linked = odd | even
+    p = np.full(len(odd), -1)
+    for root in range(len(p)):
+        if p[root] >= 0:
+            continue
+        p[root], todo = 0, [root]
+        while todo:
+            i = todo.pop()
+            for j in np.flatnonzero(linked[i] & (p < 0)):
+                p[j] = p[i] ^ odd[i, j]
+                todo.append(j)
+    differ = p[:, None] != p[None, :]
+    if np.any(odd & ~differ) or np.any(even & differ):
+        return None
+    return p
+
+
+def graded_eig(X, vectors=True):
+    """(w, V) of `numpy.linalg.eig` over a stack X (..., m, m), or w alone
+    (`eigvals`) without vectors, from the real eigensolver where a diagonal
+    phase similarity D = diag(i^p) makes the stack real (`_phase_parities`).
+
+    Xr = D X D^{-1} only multiplies entries by +-1 and +-i, so it is exact.
+    A point whose first nonzero odd entry of Xr is negative takes conj(D)
+    instead, and -0.0 is cleared: X and conj X, the symbols at xi and -xi of
+    a real-coefficient model, grade to the same real matrix bit for bit.
+    w is complex and V = D^{-1} Vr (D Vr at the points that took conj(D)).
+    A stack that cannot be graded, or is already real, returns eig's or
+    eigvals' own arrays.
+    """
+    p = _phase_parities(X)
+    if p is None:
+        return np.linalg.eig(X) if vectors else np.linalg.eigvals(X)
+    odd = p[:, None] != p[None, :]
+    Xr = np.where(odd, (p[None, :] - p[:, None]) * X.imag, X.real)
+    firsts = Xr[..., odd]
+    first = np.take_along_axis(firsts, np.argmax(firsts != 0, axis=-1)[..., None], axis=-1)
+    flip = first < 0
+    Xr = np.where(flip[..., None] & odd, -Xr, Xr) + 0.0
+    if not vectors:
+        return np.linalg.eigvals(Xr).astype(complex, copy=False)
+    w, Vr = np.linalg.eig(Xr)
+    phase = np.where(p == 1, np.where(flip, 1j, -1j), 1.0)
+    return w.astype(complex, copy=False), phase[..., :, None] * Vr
+
+
 def eigenbasis_trusted(V, Vinv):
     """(...,) True where an eigenbasis V (..., m, m) with inverse Vinv is
     trusted: kappa_F(V) = ||V||_F ||Vinv||_F below DEFECT_COND_LIMIT (read at
@@ -267,7 +328,7 @@ def dispersion_root_stack(model, u, xi):
     """Dispersion roots at every frequency of a stack xi (Q, d): (Q, 2n), the
     eigenvalues of the stacked Mbar."""
     try:
-        return np.linalg.eigvals(assemble_Mbar_stack(model, u, xi))
+        return graded_eig(assemble_Mbar_stack(model, u, xi), vectors=False)
     except np.linalg.LinAlgError as e:
         raise EigensolverFailure(f"eigvals failed on {len(xi)} frequencies: {e}") from e
 

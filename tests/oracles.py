@@ -168,12 +168,16 @@ def d3_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
     per_point.  The assembly itself is checked against
     `weighted_symbol_oracle` in test_symbols."""
     from hypdiss.conditions import CheckConfig, frequency_grid, rho_profile
-    from hypdiss.symbols import assemble_M
+    from hypdiss.symbols import assemble_M, graded_eig
 
     config = CheckConfig() if config is None else config
     omegas, xis = frequency_grid(model, omega_grid, xi_loggrid, config)[:2]
     u = model.reference_state
-    return [(float(x), i, float(np.linalg.eigvals(assemble_M(model, u, x * om)).real.max() / rho_profile(x)))
+
+    def abscissa(M):
+        return float(graded_eig(M[None], vectors=False)[0].real.max())
+
+    return [(float(x), i, abscissa(assemble_M(model, u, x * om)) / float(rho_profile(x)))
             for i, om in enumerate(omegas) for x in xis]
 
 
@@ -589,7 +593,7 @@ def uniform_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
     from hypdiss.errors import LyapunovSolveFailure
     from hypdiss.grids import direction_major_grid
     from hypdiss.model import ensure_normalized
-    from hypdiss.symbols import assemble_M_stack
+    from hypdiss.symbols import assemble_M_stack, graded_eig
 
     config = CheckConfig() if config is None else config
     model = ensure_normalized(model)
@@ -602,7 +606,7 @@ def uniform_oracle(model, omega_grid=None, xi_loggrid=None, config=None):
     conds = np.zeros((len(xis), len(omegas)))
     conds_raw = np.zeros((len(xis), len(omegas)))
     Ms = assemble_M_stack(model, ubar, direction_major_grid(omegas, xis)[0])
-    alphas = np.linalg.eigvals(Ms).real.max(axis=1)
+    alphas = graded_eig(Ms, vectors=False).real.max(axis=1)
     for i, om in enumerate(omegas):
         for k, x in enumerate(xis):
             q = i * len(xis) + k

@@ -332,6 +332,28 @@ class TestDecay:
         assert "error: DegenerateFit:" in capsys.readouterr().err
         assert not (out / "decay_fit.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "fluid", "--sigma", "1e300"],
+        ["--builtin", "damped-wave", "--d", "1", "--sigma", "1e200"],
+        ["--builtin", "damped-wave", "--d", "3", "--sigma", "1e150"],
+    ], ids=["fluid-1e300", "dw-d1-1e200", "dw-d3-1e150"])
+    def test_overflowing_sigma_is_refused(self, tmp_path, capsys, argv):
+        # a sigma**d or sigma**2 beyond the float range used to exit with a raw OverflowError
+        out = tmp_path / "out"
+        code = main(["decay", *argv, "--output-dir", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "error: InvalidParameter: GaussianData.sigma" in err and "d = " in err
+        assert not (out / "decay_fit.json").exists()
+
+    def test_underflowing_sigma_is_a_degenerate_fit(self, tmp_path, capsys):
+        # sigma**3 underflows to 0: every norm is 0, which the fit refuses
+        out = tmp_path / "out"
+        code = main(["decay", "--builtin", "fluid", "--sigma", "1e-300", "--output-dir", str(out)])
+        assert code == EXIT_ERROR
+        assert "error: DegenerateFit:" in capsys.readouterr().err
+        assert not (out / "decay_fit.json").exists()
+
     def test_fit_window_beyond_200_is_evolved_to_its_end(self, tmp_path):
         out = tmp_path / "out"
         main(["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3",

@@ -22,6 +22,7 @@ from hypdiss.symbols import (
     dispersion_roots,
     eigenbasis_inverse,
     expm_stack,
+    graded_eig,
     sign_stack,
     sorted_roots,
 )
@@ -500,3 +501,112 @@ def test_sign_lyapunov_and_expm_kernels_on_random_models(n, d, seed):
         want = np.array([sla.expm(t * M) for M in Ms])
         err = np.linalg.norm(expm_stack(t * Ms) - want, axis=(1, 2))
         assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=(1, 2)))
+
+
+def _gradable(X):
+    # brute force over every parity vector p: diag(i^p) X diag(i^-p) is real
+    # at every point; the phase products i^(p_i - p_j) in {1, i, -i} are exact
+    m = X.shape[-1]
+    for bits in range(2**m):
+        p = (bits >> np.arange(m)) & 1
+        phase = np.array([1, 1j, -1, -1j])[(p[:, None] - p[None, :]) % 4]
+        if not np.any((phase * X).imag):
+            return True
+    return False
+
+
+@st.composite
+def phase_graded_stacks(draw):
+    family = draw(st.sampled_from(["graded", "mixed", "odd-diagonal", "odd-cycle", "real"]))
+    m = draw(st.integers(3 if family == "odd-cycle" else 2, 8))
+    count = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.permutation(np.arange(m) % 2)
+    odd = p[:, None] != p[None, :]
+    base = rng.normal(size=(count, m, m)) * (rng.random((count, m, m)) > 0.15)
+    i, j = np.argwhere(odd)[rng.integers(odd.sum())]
+    base[0, i, j] = 1.0 + abs(base[0, i, j])
+    X = np.where(odd, 1j * base, base + 0j)
+    if family == "mixed":
+        X[-1, i, j] += 0.5
+    elif family == "odd-diagonal":
+        X[-1, i, i] += 0.5j
+    elif family == "odd-cycle":
+        # an odd link between two equal-parity indices a, b that an even path a-c-b also joins
+        a, b = np.argwhere(~odd & ~np.eye(m, dtype=bool))[rng.integers((~odd).sum() - m)]
+        c = next(k for k in range(m) if k not in (a, b))
+        kind = 1j if odd[a, c] else 1.0
+        X[:, a, c] = X[:, c, a] = X[:, c, b] = X[:, b, c] = kind
+        X[:, a, b] = X[:, b, a] = 1j
+    elif family == "real":
+        X = np.abs(X) + 0j
+    return X
+
+
+def _solver_inputs(fn, X):
+    # fn(X) and the dtypes of the arrays it passed to numpy's eig and eigvals
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("eig", "eigvals"):
+            real_fn = getattr(np.linalg, name)
+            mp.setattr(np.linalg, name, lambda A, _f=real_fn: seen.append(A.dtype) or _f(A))
+        return fn(X), seen
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(phase_graded_stacks())
+def test_graded_eig_solves_graded_stacks_in_real_arithmetic(X):
+    # a stack that some phases make real, and that is not real already, is
+    # solved by the real eigensolver, with a small residual and bit-equal
+    # eigenvalues for X and conj X; any other stack gets numpy's own arrays
+    eps = np.finfo(float).eps
+    graded = bool(np.any(X.imag)) and _gradable(X)
+    (w, V), seen = _solver_inputs(graded_eig, X)
+    wv, seen_v = _solver_inputs(lambda A: graded_eig(A, vectors=False), X)
+    if not graded:
+        want_w, want_V = np.linalg.eig(X)
+        assert seen == seen_v == [np.dtype(complex)]
+        assert np.array_equal(w, want_w) and np.array_equal(V, want_V)
+        assert np.array_equal(wv, np.linalg.eigvals(X))
+        return
+    assert seen == seen_v == [np.dtype(float)]
+    assert w.dtype == wv.dtype == np.dtype(complex)
+    residual = np.linalg.norm(X @ V - V * w[:, None, :], axis=(1, 2))
+    bound = 64 * eps * np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(V, axis=(1, 2))
+    assert np.all(residual <= bound)
+    assert np.array_equal(graded_eig(X.conj())[0], w)
+    assert np.array_equal(graded_eig(X.conj(), vectors=False), wv)
+
+
+def _admissible_fluids():
+    # 40 random fluids inside the admissible region mu > (4/3) eta + zeta
+    rng = np.random.default_rng(0)
+    fluids = []
+    for k in range(40):
+        r, eta = 1 + 4 * rng.random(), 0.1 + 2 * rng.random()
+        zeta = 2 * rng.random() * (k % 2)
+        mu = (4 / 3 * eta + zeta) * (1 + 10 ** rng.uniform(-3, 1))
+        fluids.append(FluidParameters(r=r, mu=mu, nu=10 ** rng.uniform(-2, 1), eta=eta, zeta=zeta))
+    return fluids
+
+
+def test_graded_abscissa_of_the_fluids_matches_complex_eig():
+    # on the folded default grid of D3 and UNIFORM, the graded spectral
+    # abscissa is within 16 eps ||M||_F of complex eig's at every point, and
+    # M(xi) and M(-xi) get bit-equal graded eigenvalues
+    from hypdiss.conditions import frequency_grid
+    from hypdiss.grids import antipodal_fold
+
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for params in [FLUID] + _admissible_fluids():
+        m = ensure_normalized(builtin_barotropic_fluid(params))
+        xi = frequency_grid(m)[2]
+        keep, src = antipodal_fold(xi)
+        Ms = assemble_M_stack(m, m.reference_state, xi)
+        w = graded_eig(Ms)[0]
+        assert np.array_equal(w[keep][src], w)
+        Ms, w = Ms[keep], w[keep]
+        gap = np.abs(w.real.max(axis=1) - np.linalg.eig(Ms)[0].real.max(axis=1))
+        worst = max(worst, float(np.max(gap / (eps * np.linalg.norm(Ms, axis=(1, 2))))))
+    assert worst <= 16.0
