@@ -47,14 +47,16 @@ from .errors import (
 from .grids import antipodal_fold, direction_major_grid, radial_loggrid, unit_directions
 from .model import ensure_normalized
 from .symbols import (
+    Eigenbasis,
+    _first_failure,
+    _stacked,
     assemble_calA_stack,
     assemble_calB_stack,
     assemble_M_stack,
     directional_stack,
-    eigenbasis_inverse,
+    eigenbasis,
     eigenbasis_trusted,
     frequency_stack,
-    graded_eig,
     sign_stack,
 )
 
@@ -232,7 +234,7 @@ def spectral_stack(K, cluster_tolerance=1e-7, rows=None):
         sv[~vec] = np.linalg.svd(A[~vec], compute_uv=False)
     if vec.any():
         pts, k_of = point[vec], mult[vec]
-        _, sv[vec], Vh = _stacked(np.linalg.svd, A[vec], pts, "svd", EigensolverFailure)
+        _, sv[vec], Vh = _stacked(np.linalg.svd, A[vec], pts, "svd")
         cols = _cluster_columns(point, mult, m)[vec]
         for k in np.unique(k_of):
             s = k_of == k
@@ -589,27 +591,41 @@ def frequency_grid(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()
     return omegas, xis, frequency_stack(xi, model.d), idx, mags, spec
 
 
+class DecayStack(NamedTuple):
+    """What D3 and UNIFORM read of one `frequency_grid` (grid, its return
+    value): the rows keep of its stack that are solved, one of each pair
+    {xi, -xi}, and src, which expands them to every row; their symbols Ms,
+    rho(|xi|) and `Eigenbasis` eb; and margins, each row's decay margin
+    max Re lambda / rho."""
+
+    grid: tuple
+    keep: np.ndarray
+    src: np.ndarray
+    Ms: np.ndarray
+    rho: np.ndarray
+    eb: Eigenbasis
+    margins: np.ndarray
+
+
 def _decay_stack(model, omega_grid=None, xi_loggrid=None, config=CheckConfig()):
-    """The one eigendecomposition M(ubar, xi) = V diag(w) V^{-1} that D3 and
-    UNIFORM read, from one `graded_eig` on the folded `frequency_grid`:
-    (grid, keep, src, Ms, rho, w, V, margins) with Ms, rho(|xi|), w, V over
-    the rows keep and each row's decay margin max Re lambda / rho.  An eig
-    failure names |xi| and the direction."""
+    """The one eigenbasis M(ubar, xi) = V diag(w) V^{-1} that D3 and UNIFORM
+    read, from one `symbols.eigenbasis` on the folded `frequency_grid`: a
+    `DecayStack`.  An eig or inv failure names |xi| and the direction."""
     grid = frequency_grid(model, omega_grid, xi_loggrid, config)
     xi, idx, mags = grid[2:5]
     keep, src = antipodal_fold(xi)
     Ms = assemble_M_stack(model, model.reference_state, xi[keep])
     rho = rho_profile(mags[keep])
     try:
-        w, V = _stacked(graded_eig, Ms, keep, "eig", EigensolverFailure)
+        eb = eigenbasis(Ms, keep)
     except EigensolverFailure as e:
         raise EigensolverFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}", index=e.index) from e
-    return grid, keep, src, Ms, rho, w, V, (w.real.max(axis=1) / rho)[src]
+    return DecayStack(grid, keep, src, Ms, rho, eb, (eb.w.real.max(axis=1) / rho)[src])
 
 
 def _decay_report(name, model, stack, config, margin=None, **extra):
-    """The report of a `_decay_stack`'s margins, at the largest unless margin is given."""
-    (omegas, _, _, idx, mags, spec), mg = stack[0], stack[-1]
+    """The report of a `DecayStack`'s margins, at the largest unless margin is given."""
+    (omegas, _, _, idx, mags, spec), mg = stack.grid, stack.margins
     q = int(np.argmax(mg))
     witness = {"u": model.reference_state.tolist(), "omega": omegas[idx[q]].tolist(), "xi": float(mags[q])}
     return _report(name, mg[q] if margin is None else margin, witness, spec, config,
@@ -626,25 +642,6 @@ def _herm(A):
     return A.conj().swapaxes(-1, -2)
 
 
-def _first_failure(fn, A):
-    """Index of the first point of a stack A on which fn raises LinAlgError (else 0)."""
-    for q in range(len(A)):
-        try:
-            fn(A[q:q + 1])
-        except np.linalg.LinAlgError:
-            return q
-    return 0
-
-
-def _stacked(fn, A, pts, what, error=LyapunovSolveFailure):
-    """fn(A) over a stack; a LinAlgError raises error naming the first point it fails on."""
-    try:
-        return fn(A)
-    except np.linalg.LinAlgError as e:
-        q = _first_failure(fn, A)
-        raise error(f"stacked {what} failed: {e}", index=int(pts[q])) from e
-
-
 def _sign(A, Q, pts):
     """`sign_stack(A, Q)`; a failing point raises LyapunovSolveFailure naming its entry of pts."""
     try:
@@ -655,7 +652,7 @@ def _sign(A, Q, pts):
 
 def _eigvalsh(P, pts):
     """Ascending eigenvalues of a hermitian stack."""
-    return _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh")
+    return _stacked(np.linalg.eigvalsh, P, pts, "eigvalsh", LyapunovSolveFailure)
 
 
 def _cond(w):
@@ -674,28 +671,6 @@ def _positive_cond(w, what, pts):
             f"{what} not positive definite (lambda_min = {w[q, 0]:.3e})", index=int(pts[q])
         )
     return cond
-
-
-class _Eigenbasis(NamedTuple):
-    """Eigendecompositions M = V diag(w) Vinv over a stack (T, m, m), trusted
-    where ok (Vinv is the identity elsewhere); scale (T,) is the Frobenius
-    norm of the matrices they were computed on, which sets their absolute
-    error."""
-
-    w: np.ndarray
-    V: np.ndarray
-    Vinv: np.ndarray
-    ok: np.ndarray
-    scale: np.ndarray
-
-    def take(self, rows):
-        return _Eigenbasis(*(x[rows] for x in self))
-
-
-def _guarded(Ms, w, V, pts):
-    """The `_Eigenbasis` of Ms from its eig (w, V), trusted by `eigenbasis_inverse`."""
-    return _Eigenbasis(w, V, *_stacked(eigenbasis_inverse, V, pts, "inv"),
-                      np.linalg.norm(Ms, axis=(1, 2)))
 
 
 def _eig_solve(Ms, rho, pts, eb):
@@ -726,11 +701,11 @@ def _eig_solve(Ms, rho, pts, eb):
 
 def lyapunov_certificate(M, rho):
     """Solve P M + M^* P = -rho I for hermitian P at one point: `_eig_solve`
-    on an `_Eigenbasis` that trusts no point, so the sign iteration solves
-    it; returns (P, cond)."""
+    on the `eigenbasis` of M, trusted at no point, so the sign iteration
+    solves it; returns (P, cond).  An M whose `eigenbasis` fails (non-finite
+    entries) raises EigensolverFailure."""
     Ms, pts = np.asarray(M, dtype=complex)[None], np.zeros(1, int)
-    eb = _Eigenbasis(_stacked(np.linalg.eigvals, Ms, pts, "eigvals"), None, None, np.zeros(1, bool), None)
-    P = _eig_solve(Ms, np.array([float(rho)]), pts, eb)
+    P = _eig_solve(Ms, np.array([float(rho)]), pts, eigenbasis(Ms)._replace(ok=np.zeros(1, bool)))
     return P[0], float(_positive_cond(_eigvalsh(P, pts), "Lyapunov solution", pts)[0])
 
 
@@ -781,7 +756,7 @@ def _first_group(lam):
 
 def _invariant_bases(Ms, eb, first, thr, pts):
     """Bases of the invariant subspaces of the first group (k eigenvalues at
-    every point) and of the rest, and the `_Eigenbasis` each block inherits.
+    every point) and of the rest, and the `Eigenbasis` each block inherits.
 
     Q1 (m, k) is orthonormal, Z2 (m, m - k) its orthogonal complement, and
     B2 = E2 (Z2^* E2)^{-1}, with E2 the eigenvectors of the rest, is the basis
@@ -796,7 +771,7 @@ def _invariant_bases(Ms, eb, first, thr, pts):
     Pi = (I - sign(M - sigma I)) / 2, sigma midway between the group's real
     parts and the rest's, and B2 = (I - Pi) Z2.  Returns (keep, Q1, B2, Z2,
     blocks); keep is False where those real parts are less than the linkage
-    threshold thr apart, and blocks holds the two blocks' `_Eigenbasis`.
+    threshold thr apart, and blocks holds the two blocks' `Eigenbasis`.
     """
     n_pts, m = first.shape
     k = int(first[0].sum())
@@ -810,7 +785,7 @@ def _invariant_bases(Ms, eb, first, thr, pts):
     if ok.any():
         E = np.take_along_axis(eb.V[ok], order[ok][:, None, :], axis=2)
         F = np.take_along_axis(eb.Vinv[ok], order[ok][:, :, None], axis=1)
-        Qf, Rf = _stacked(lambda A: np.linalg.qr(A, mode="complete"), E[:, :, :k], pts[ok], "qr")
+        Qf, Rf = _stacked(lambda A: np.linalg.qr(A, mode="complete"), E[:, :, :k], pts[ok], "qr", LyapunovSolveFailure)
         Q1[ok], Z2[ok] = Qf[:, :, :k], Qf[:, :, k:]
         R1[ok], R1inv[ok] = Rf[:, :k], F[:, :k] @ Q1[ok]
         G[ok], Ginv[ok] = _herm(Z2[ok]) @ E[:, :, k:], F[:, k:] @ Z2[ok]
@@ -821,28 +796,26 @@ def _invariant_bases(Ms, eb, first, thr, pts):
     if cut.size:
         shift = 0.5 * (hi + lo)[cut, None, None] * np.eye(m)
         Pi = 0.5 * (np.eye(m) - _sign(Ms[cut] - shift, None, pts[cut])[0])
-        U = _stacked(np.linalg.svd, Pi, pts[cut], "svd")[0]
+        U = _stacked(np.linalg.svd, Pi, pts[cut], "svd", LyapunovSolveFailure)[0]
         Q1[cut], Z2[cut] = U[:, :, :k], U[:, :, k:]
         B2[cut] = Z2[cut] - Pi @ Z2[cut]
     lam = np.take_along_axis(eb.w, order, axis=1)
-    blocks = (_Eigenbasis(lam[:, :k], R1, R1inv, ok & eigenbasis_trusted(R1, R1inv), eb.scale),
-              _Eigenbasis(lam[:, k:], G, Ginv, ok & eigenbasis_trusted(G, Ginv), eb.scale))
+    blocks = (Eigenbasis(lam[:, :k], R1, R1inv, ok & eigenbasis_trusted(R1, R1inv), eb.scale),
+              Eigenbasis(lam[:, k:], G, Ginv, ok & eigenbasis_trusted(G, Ginv), eb.scale))
     return keep, Q1, B2, Z2, blocks
 
 
 def _block_eigenbasis(T, eb, pts):
-    """The `_Eigenbasis` of the blocks T: the inherited eb, except where a
+    """The `Eigenbasis` of the blocks T: the inherited eb, except where a
     block's norm is below INHERIT_SCALE_MIN of eb.scale.  There the
     inherited pairs' absolute error is no longer small against the block's
-    own spectrum (the slow block near xi = 0), and one stacked eig
+    own spectrum (the slow block near xi = 0), and one `eigenbasis`
     decomposes the block again at its own scale."""
     fresh = np.linalg.norm(T, axis=(1, 2)) < INHERIT_SCALE_MIN * eb.scale
-    if not fresh.any():
-        return eb
-    w, V = _stacked(np.linalg.eig, T[fresh], pts[fresh], "eig")
-    eb = _Eigenbasis(*(x.copy() for x in eb))
-    for x, y in zip(eb, _guarded(T[fresh], w, V, pts[fresh])):
-        x[fresh] = y
+    if fresh.any():
+        eb = Eigenbasis(*(x.copy() for x in eb))
+        for x, y in zip(eb, eigenbasis(T[fresh], pts[fresh])):
+            x[fresh] = y
     return eb
 
 
@@ -862,10 +835,10 @@ BALANCE_COND_TARGET = 200.0
 INHERIT_SCALE_MIN = 1e-4
 
 
-def _balanced_stack(Ms, rho, P, ev, eb, pts):
-    """Balanced certificates of a stack of stable blocks from their direct
-    solutions P (with their eigenvalues ev, and the `_Eigenbasis` eb that
-    `_eig_solve` solved in).
+def _certify(Ms, rho, pts, eb):
+    """Balanced certificates of a stack of stable blocks with the
+    `Eigenbasis` eb, grown from their direct solutions P (`_eig_solve` in
+    eb).
 
     Each P is scaled to unit norm.  Where its conditioning exceeds
     BALANCE_COND_TARGET, the spectrum is split into its first single-linkage
@@ -874,9 +847,12 @@ def _balanced_stack(Ms, rho, P, ev, eb, pts):
     which inherit their eigenstructure from eb (`_invariant_bases`,
     `_block_eigenbasis`), and the blocks are joined as
     V^{-*} blockdiag(P1, P2) V^{-1} with V = [Q1, B2], whose inverse has the
-    rows Q1^* (I - B2 Z2^*) and Z2^*.  Returns (P, split) with split the
-    points whose certificate was joined from blocks.
+    rows Q1^* (I - B2 Z2^*) and Z2^*.  Returns (P, split, ev) with split the
+    points whose certificate was joined from blocks and ev the eigenvalues
+    of the direct solutions.
     """
+    P = _eig_solve(Ms, rho, pts, eb)
+    ev = _eigvalsh(P, pts)
     top = ev[:, -1]
     bad = ~(np.isfinite(top) & (top > 0.0))
     if bad.any():
@@ -885,7 +861,7 @@ def _balanced_stack(Ms, rho, P, ev, eb, pts):
     split = np.zeros(len(P), dtype=bool)
     todo = np.flatnonzero(~(_cond(ev) <= BALANCE_COND_TARGET))
     if todo.size == 0:
-        return P, split
+        return P, split, ev
     m = Ms.shape[-1]
     first, thr = _first_group(eb.w[todo])
     sizes = first.sum(axis=1)
@@ -901,24 +877,14 @@ def _balanced_stack(Ms, rho, P, ev, eb, pts):
         Pb = _herm(Y1) @ P1 @ Y1 + Z2 @ P2 @ _herm(Z2)
         P[at] = 0.5 * (Pb + _herm(Pb))
         split[at] = True
-    return P, split
+    return P, split, ev
 
 
-def _certify(Ms, rho, pts, eb):
-    """Balanced certificates of a stack of stable blocks with the
-    `_Eigenbasis` eb: (P, split, ev) with split as in `_balanced_stack` and ev
-    the eigenvalues of the direct solutions."""
-    P = _eig_solve(Ms, rho, pts, eb)
-    ev = _eigvalsh(P, pts)
-    return (*_balanced_stack(Ms, rho, P, ev, eb, pts), ev)
-
-
-def _guarded_certify(Ms, rho, pts, w, V):
-    """(cond_raw, P, cond) of `_certify` on the eigendecompositions (w, V) of
-    Ms, trusted by `eigenbasis_inverse`.  The balanced conditioning cond is
-    the raw one where the certificate was not split, and comes from a new
-    eigvalsh only where it was."""
-    P, split, ev = _certify(Ms, rho, pts, _guarded(Ms, w, V, pts))
+def _certificates(Ms, rho, pts, eb):
+    """(cond_raw, P, cond) of `_certify` on the `Eigenbasis` eb of Ms.  The
+    balanced conditioning cond is the raw one where the certificate was not
+    split, and comes from a new eigvalsh only where it was."""
+    P, split, ev = _certify(Ms, rho, pts, eb)
     cond_raw = _cond(ev)
     ev = ev / ev[:, -1:]
     ev[split] = _eigvalsh(P[split], pts[split])
@@ -935,12 +901,11 @@ def balanced_lyapunov_certificate(M, rho):
     solved per group, and each block is rescaled to unit norm.  The result P
     is hermitian positive definite with P M + M^* P negative definite, so
     |exp(tM)| <= sqrt(cond(P)) for t >= 0.  Returns (P, cond) with cond the
-    condition number of P; an unstable M raises LyapunovSolveFailure.
+    condition number of P; an unstable M raises LyapunovSolveFailure, and
+    one whose `eigenbasis` fails (non-finite entries) EigensolverFailure.
     """
     Ms = np.asarray(M, dtype=complex)[None]
-    pts = np.zeros(1, int)
-    w, V = _stacked(np.linalg.eig, Ms, pts, "eig")
-    _, P, cond = _guarded_certify(Ms, np.array([float(rho)]), pts, w, V)
+    _, P, cond = _certificates(Ms, np.array([float(rho)]), np.zeros(1, int), eigenbasis(Ms))
     return P[0], float(cond[0])
 
 
@@ -959,7 +924,7 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     positive definite.  One point of each pair {xi, -xi} is solved.
     """
     stack = stack or _decay_stack(model, omega_grid, xi_loggrid, config)
-    (omegas, xis, _, idx, mags, _), keep, src, Ms, rho, w, V, mg = stack
+    (omegas, xis, _, idx, mags, _), keep, src, Ms, rho, eb, mg = stack
     radii = len(np.unique(xis))
     if radii < 2:
         raise InvalidParameter(
@@ -970,12 +935,11 @@ def check_uniform_dissipativity(model, omega_grid=None, xi_loggrid=None, config=
     try:
         for at in np.array_split(np.arange(len(Ms)), max(1, Ms.nbytes // CERTIFICATE_CHUNK_BYTES)):
             # failures name the point of the full grid
-            cond_raw[at], _, cond[at] = _guarded_certify(Ms[at], rho[at], keep[at], w[at], V[at])
-    except LyapunovSolveFailure as e:
-        raise LyapunovSolveFailure(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
-    c_abs, cond_raw, cond = -float(mg.max()), cond_raw[src], cond[src]
-    raw_by_xi = cond_raw.reshape(len(omegas), len(xis)).max(axis=0)
-    cond_by_xi = cond.reshape(len(omegas), len(xis)).max(axis=0)
+            cond_raw[at], _, cond[at] = _certificates(Ms[at], rho[at], keep[at], eb.take(at))
+    except (LyapunovSolveFailure, EigensolverFailure) as e:
+        raise type(e)(f"{e} at xi={mags[e.index]:g}, omega index {idx[e.index]}") from e
+    c_abs = -float(mg.max())
+    raw_by_xi, cond_by_xi = (c[src].reshape(len(omegas), len(xis)).max(axis=0) for c in (cond_raw, cond))
     cond_max = float(cond_by_xi.max())
     log_xi, log_cond = np.log(xis), np.log(cond_by_xi)
     slope = float(np.polyfit(log_xi, log_cond, 1)[0])

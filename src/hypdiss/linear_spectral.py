@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFit, EigensolverFailure, InvalidParameter, UnsupportedDataSpec
+from .errors import DegenerateFit, InvalidParameter, UnsupportedDataSpec
 from .grids import antipodal_fold, product_grid, radial_quadrature, unit_directions
 from .io import write_csv_atomic
-from .model import check_placement
-from .symbols import assemble_M_stack, eigenbasis_inverse, expm_stack, graded_eig
+from .model import FiniteAmplitude, check_placement
+from .symbols import assemble_M_stack, eigenbasis
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SpectralGrid:
 
 
 @dataclass(frozen=True)
-class GaussianData:
+class GaussianData(FiniteAmplitude):
     """Gaussian bump amplitude * exp(-|x|^2 / (2 sigma^2)) in one component.
 
     Exact transform: amplitude * sigma^d * exp(-sigma^2 |xi|^2 / 2).  An
@@ -54,8 +54,7 @@ class GaussianData:
     target: str = "u0"
 
     def __post_init__(self):
-        if np.isinf(self.amplitude):
-            raise InvalidParameter(f"GaussianData.amplitude must be finite; got {self.amplitude!r}")
+        super().__post_init__()
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidParameter(f"GaussianData.sigma must be finite and > 0; got {self.sigma!r}")
 
@@ -107,32 +106,29 @@ def init_ensemble(model, data_spec, grid_spec=SpectralGrid()):
     specs = data_spec if isinstance(data_spec, (list, tuple)) else [data_spec]
     xi, w = grid_spec.build(model.d)
     keep, src = antipodal_fold(xi)
-    xi, w = xi[keep], np.bincount(src, weights=w)
     n = model.n
-    coeff = np.zeros((len(xi), 2 * n), dtype=complex)
-    br = np.sqrt(1.0 + np.sum(xi**2, axis=1))
+    ens = ModeEnsemble(n=n, d=model.d, xi=xi[keep], weights=np.bincount(src, weights=w),
+                       coefficients=np.zeros((len(keep), 2 * n), dtype=complex))
     for spec in specs:
-        vals = _transform_at(spec, xi, n)
+        vals = _transform_at(spec, ens.xi, n)
         if spec.target == "u0":
-            coeff[:, spec.component] += br * vals
+            ens.coefficients[:, spec.component] += ens.brackets() * vals
         else:
-            coeff[:, n + spec.component] += vals
-    return ModeEnsemble(n=n, d=model.d, xi=xi, weights=w, coefficients=coeff)
+            ens.coefficients[:, n + spec.component] += vals
+    return ens
 
 
 class ModePropagator:
-    """Eigen-decompositions of the weighted symbol at a stack of modes, with an
+    """The `Eigenbasis` of the weighted symbol at a stack of modes, with an
     expm fallback wherever a mode is numerically defective.
 
-    One `graded_eig` decomposes the stack, in real arithmetic where a phase
-    grading makes it real.  Data are projected once onto the eigenbases
-    (`project`, the modal coordinates V^{-1} coeff) and then propagated to
-    any time with one stacked product V (e^{dt w} * modal) (`propagate`).
-    `eig`, formed on first read, lists per mode the views (w, V, Vinv) into
-    the stacked decomposition, or None for a defective mode: one whose
-    eigenbasis `eigenbasis_inverse` does not trust (kappa_F(V) >=
-    DEFECT_COND_LIMIT, or V singular).  A defective mode's inverse block is
-    the identity, so its modal coordinates are its coefficients, which
+    `symbols.eigenbasis` decomposes the stack `mats` once, in real
+    arithmetic where a phase grading makes it real.  Data are projected once
+    onto the eigenbases (`project`, the modal coordinates V^{-1} coeff) and
+    then propagated to any time with one stacked product V (e^{dt w} * modal)
+    (`propagate`).  `eig`, formed on first read, lists per mode the views
+    (w, V, Vinv) into `basis`, or None for a defective mode: one outside
+    `basis.ok`, whose modal coordinates are its coefficients, which
     `propagate` advances with `expm_stack`.  A symbol stack the stacked
     solvers refuse (non-finite entries) raises EigensolverFailure.
     """
@@ -140,30 +136,19 @@ class ModePropagator:
     def __init__(self, model, xi):
         self.xi = np.asarray(xi, dtype=float)
         self.mats = assemble_M_stack(model, model.reference_state, self.xi)
-        try:
-            w, V = graded_eig(self.mats)
-            Vinv, trusted = eigenbasis_inverse(V)
-        except np.linalg.LinAlgError as e:
-            raise EigensolverFailure(f"eig failed on {len(self.xi)} frequencies: {e}") from e
-        self.defective = ~trusted
-        self._w, self._V, self._Vinv = w, V, Vinv
+        self.basis = eigenbasis(self.mats)
 
     @cached_property
     def eig(self):
-        return [None if bad else dec
-                for bad, dec in zip(self.defective, zip(self._w, self._V, self._Vinv))]
+        return [dec if ok else None for ok, dec in zip(self.basis.ok, zip(*self.basis[:3]))]
 
     def project(self, coeff):
         """Modal coordinates V^{-1} coeff (Q, 2n) of coefficients coeff (Q, 2n)."""
-        return (self._Vinv @ coeff[:, :, None])[:, :, 0]
+        return self.basis.project(coeff)
 
     def propagate(self, modal, dt):
         """Coefficients (Q, 2n) at time dt of the modal coordinates `project` formed."""
-        out = (self._V @ (np.exp(dt * self._w) * modal)[:, :, None])[:, :, 0]
-        bad = self.defective
-        if np.any(bad):
-            out[bad] = np.einsum("qij,qj->qi", expm_stack(dt * self.mats[bad]), modal[bad])
-        return out
+        return self.basis.propagate(self.mats, modal, dt)
 
 
 @dataclass(frozen=True)
@@ -270,8 +255,11 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     (`default_decay_times`), record norms, fit the decay rate.
 
     A window that `check_fit_window` refuses raises InvalidParameter before
-    the ensemble is built, and data the ensemble refuses raise before the
-    d < 3 warning and before any mode is decomposed.  Only the modes with
+    the ensemble is built; data the ensemble refuses, and an s whose weight
+    <xi>^{2(s-1)} (times the quadrature weights, as `sobolev_norm` forms it)
+    overflows on it (InvalidParameter), raise before the d < 3
+    warning and before any mode is decomposed; a NaN s gives NaN norms,
+    which `decay_fit` refuses with DegenerateFit.  Only the modes with
     nonzero (or NaN) data are decomposed and propagated: a mode whose data
     are exactly zero stays zero.  At each time the live rows of the
     ensemble are overwritten and its other rows keep their zeros, so the
@@ -280,6 +268,9 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     check_fit_window(fit_window)
     times = default_decay_times(fit_window[1])
     ens = init_ensemble(model, data_spec)
+    with np.errstate(over="ignore"):
+        if np.isinf(ens.weights * ens.brackets() ** (2.0 * (s - 1.0))).any():
+            raise InvalidParameter(f"s = {s!r}: the H^s weight <xi>^(2(s-1)) overflows on the ensemble")
     if model.d < 3:
         warnings.warn(
             f"decay-rate assertion assumes d >= 3; d = {model.d} is informational only",
@@ -288,13 +279,11 @@ def decay_study(model, data_spec, s=2.0, fit_window=(5.0, 200.0)):
     live = np.any(ens.coefficients != 0.0, axis=1)
     prop = ModePropagator(model, ens.xi[live])
     modal = prop.project(ens.coefficients[live])
-    nu = np.zeros(len(times))
-    nut = np.zeros(len(times))
-    for k, t in enumerate(times):
+    norms = []
+    for t in times:
         ens.coefficients[live] = prop.propagate(modal, t)
-        norms = sobolev_norm(ens, s)
-        nu[k] = norms.u
-        nut[k] = norms.ut
+        norms.append(sobolev_norm(ens, s))
+    nu, nut = np.array([(x.u, x.ut) for x in norms]).T
     combined = nu + nut
     fit = decay_fit(times, combined, fit_window)
     return DecayStudy(times=times, norms_u=nu, norms_ut=nut, combined=combined, fit=fit)

@@ -248,6 +248,15 @@ def evaluate_stack(model, family, *index, u):
     return m
 
 
+class FiniteAmplitude:
+    """Base of the initial-data specs: `__post_init__` refuses an infinite
+    amplitude with InvalidParameter (a NaN amplitude passes)."""
+
+    def __post_init__(self):
+        if np.isinf(self.amplitude):
+            raise InvalidParameter(f"{type(self).__name__}.amplitude must be finite; got {self.amplitude!r}")
+
+
 def check_placement(spec, n):
     """UnsupportedDataSpec unless initial data `spec` names a component in
     0..n-1 and the target "u0" (the state) or "u1" (its time derivative)."""

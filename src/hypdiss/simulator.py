@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BlowUp, CFLViolation, DomainExit, InvalidParameter, UnsupportedDataSpec
 from .grids import antipodal_expand, antipodal_fold
 from .io import write_csv_atomic
-from .model import check_placement, ensure_normalized, evaluate_stack
+from .model import FiniteAmplitude, check_placement, ensure_normalized, evaluate_stack
 from .paradiff import Lattice, make_cutoff
 from .profiles import ramp_down, ramp_up
 from .symbols import (assemble_M_stack, assemble_Mbar_stack, coefficient_tensors,
@@ -108,8 +108,9 @@ def two_thirds_mask(lattice, half=False):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrigData:
-    """amplitude * sin/cos(k . x) in one component (mean-free for k != 0)."""
+class TrigData(FiniteAmplitude):
+    """amplitude * sin/cos(k . x) in one component (mean-free for k != 0).
+    An infinite amplitude raises InvalidParameter."""
 
     amplitude: float
     wavenumber: tuple = (1,)
@@ -119,8 +120,9 @@ class TrigData:
 
 
 @dataclass(frozen=True)
-class PeriodicBumpData:
-    """Periodized Gaussian bump with its lattice mean removed."""
+class PeriodicBumpData(FiniteAmplitude):
+    """Periodized Gaussian bump with its lattice mean removed.  An infinite
+    amplitude raises InvalidParameter."""
 
     amplitude: float
     width: float = 0.6

@@ -28,9 +28,9 @@ from .errors import EigensolverFailure, InvalidParameter
 from .grids import check_unit
 from .model import ensure_normalized, evaluate_stack
 
-#: Eigenvector condition number from which a stacked eigen-decomposition is
-#: not trusted at a point (`eigenbasis_trusted`, in the Frobenius norm):
-#: `ModePropagator` propagates such a mode with `expm_stack`, and UNIFORM's
+#: Eigenvector condition number from which an `Eigenbasis` does not trust a
+#: point (`eigenbasis_trusted`, in the Frobenius norm): `decay` propagates
+#: such a mode with `expm_stack` (`Eigenbasis.propagate`), and UNIFORM's
 #: Lyapunov solves and splits take such a point through `sign_stack`.
 #: HA/HB read no eigenvectors: their cluster bases are SVD kernels.
 DEFECT_COND_LIMIT = 1e8
@@ -290,6 +290,69 @@ def expm_stack(A):
     return E
 
 
+def _first_failure(fn, A):
+    """Index of the first point of a stack A on which fn raises LinAlgError (else 0)."""
+    for q in range(len(A)):
+        try:
+            fn(A[q:q + 1])
+        except np.linalg.LinAlgError:
+            return q
+    return 0
+
+
+def _stacked(fn, A, pts, what, error=EigensolverFailure, of="points"):
+    """fn(A) over a stack of points (`of` names them); a LinAlgError raises
+    error whose ``index`` is the first point it fails on, as its entry of
+    pts (its row in A if None)."""
+    try:
+        return fn(A)
+    except np.linalg.LinAlgError as e:
+        q = _first_failure(fn, A)
+        raise error(f"stacked {what} failed on {len(A)} {of}: {e}", index=int(q if pts is None else pts[q])) from e
+
+
+class Eigenbasis(NamedTuple):
+    """Eigendecompositions M = V diag(w) Vinv over a symbol stack (T, m, m),
+    trusted where ok; scale (T,) is the Frobenius norm of the matrices they
+    were computed on, which sets their absolute error.  `eigenbasis` builds
+    one, trusted by `eigenbasis_inverse`, whose Vinv is the identity outside
+    ok."""
+
+    w: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+    ok: np.ndarray
+    scale: np.ndarray
+
+    def take(self, rows):
+        return Eigenbasis(*(x[rows] for x in self))
+
+    def project(self, coeff):
+        """Modal coordinates Vinv coeff (T, m) of coefficients coeff (T, m):
+        coeff itself at the points outside ok."""
+        return (self.Vinv @ coeff[:, :, None])[:, :, 0]
+
+    def propagate(self, M, modal, dt):
+        """exp(dt M) coeff (T, m) from the modal coordinates `project` formed
+        of coeff: V (e^{dt w} * modal), and `expm_stack` of the symbols M at
+        the points outside ok."""
+        out = (self.V @ (np.exp(dt * self.w) * modal)[:, :, None])[:, :, 0]
+        if not self.ok.all():
+            out[~self.ok] = np.einsum("qij,qj->qi", expm_stack(dt * M[~self.ok]), modal[~self.ok])
+        return out
+
+
+def eigenbasis(M, pts=None):
+    """The `Eigenbasis` of a symbol stack M (T, m, m): one `graded_eig`, the
+    inverse and trust mask of `eigenbasis_inverse`, and the Frobenius norms.
+    A stack that eig or inv refuses (non-finite entries) raises
+    EigensolverFailure whose ``index`` is the first failing point, as its
+    entry of pts (its row in M if None)."""
+    w, V = _stacked(graded_eig, M, pts, "eig", of="frequencies")
+    Vinv, ok = _stacked(eigenbasis_inverse, V, pts, "inv", of="frequencies")
+    return Eigenbasis(w, V, Vinv, ok, np.linalg.norm(M, axis=(1, 2)))
+
+
 def _one(xi_vec):
     return np.asarray(xi_vec, dtype=float).reshape(1, -1)
 
@@ -326,11 +389,10 @@ def sorted_roots(roots):
 
 def dispersion_root_stack(model, u, xi):
     """Dispersion roots at every frequency of a stack xi (Q, d): (Q, 2n), the
-    eigenvalues of the stacked Mbar."""
-    try:
-        return graded_eig(assemble_Mbar_stack(model, u, xi), vectors=False)
-    except np.linalg.LinAlgError as e:
-        raise EigensolverFailure(f"eigvals failed on {len(xi)} frequencies: {e}") from e
+    eigenvalues of the stacked Mbar; an eigvals failure names its first
+    failing frequency."""
+    return _stacked(lambda X: graded_eig(X, vectors=False), assemble_Mbar_stack(model, u, xi),
+                    None, "eigvals", of="frequencies")
 
 
 def dispersion_roots(model, u, xi_vec):

@@ -216,6 +216,27 @@ class TestInputGuards:
         assert "error: InvalidParameter: --band" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, error, written", [
+        (["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3", "--s", "inf"],
+         "InvalidParameter: s = inf", "decay_fit.json"),
+        (["decay", "--builtin", "damped-wave", "--a", "2", "--d", "3", "--s", "1e300"],
+         "InvalidParameter: s = 1e+300", "decay_fit.json"),
+        (SIM + ["--epsilon", "inf"], "InvalidParameter: PeriodicBumpData.amplitude", "simulate.json"),
+        (SIM + ["--epsilon=-inf"], "InvalidParameter: PeriodicBumpData.amplitude", "simulate.json"),
+    ], ids=["s-inf", "s-1e300", "epsilon-inf", "epsilon-minus-inf"])
+    def test_overflowing_input_is_refused_without_warnings(self, tmp_path, capsys, argv, error, written):
+        # --s inf and --s 1e300 used to print 2 and 3 RuntimeWarnings before
+        # DegenerateFit (the H^s weight <xi>^{2(s-1)} overflows), and
+        # --epsilon inf one before BlowUp
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--output-dir", str(out)])
+        assert code == EXIT_ERROR
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (out / written).exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_one_snapshot_at_t_final_zero_is_accepted(self, tmp_path):
         out = tmp_path / "out"
         assert main(self.SIM + ["--t-final", "0", "--snapshots", "1",

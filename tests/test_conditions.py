@@ -402,7 +402,7 @@ class TestUniform:
     def test_balanced_certificate_negative_drift(self):
         # the balanced P still certifies decay at every folded point of the
         # default grid: P M + M^* P < 0
-        from hypdiss.conditions import _decay_stack, _guarded_certify
+        from hypdiss.conditions import _certificates, _decay_stack
 
         for model, points in (
             (builtin_barotropic_fluid(FLUID), 637),
@@ -412,8 +412,9 @@ class TestUniform:
             (builtin_convected_damped_wave(0.5), 49),
             (model_from_dict(README_MODEL), 49),
         ):
-            _, keep, _, Ms, rho, w, V, _ = _decay_stack(model)
-            _, P, cond = _guarded_certify(Ms, rho, keep, w, V)
+            st = _decay_stack(model)
+            Ms, rho = st.Ms, st.rho
+            _, P, cond = _certificates(Ms, rho, st.keep, st.eb)
             drift = np.linalg.eigvalsh(P @ Ms + _herm(Ms) @ P)[:, -1]
             assert len(Ms) == points
             assert np.all(drift < 0)
@@ -626,15 +627,16 @@ class TestBatchedUniform:
         _assert_same_uniform(rep, uniform_oracle(model, xi_loggrid=xis))
 
     def test_split_blocks_inherit_the_eigendecomposition(self, monkeypatch):
-        # UNIFORM decomposes nothing D3's eig already has: one inv per
-        # certificate chunk and no det (no eigenbasis is exactly singular), and
-        # the eigvalsh of the re-balanced certificates only (decomposing each
-        # split block again takes 8 eigs over 858 points, 10 dets and 14 invs
-        # over 1495 and 1924, and 2132 eigvalsh points)
+        # UNIFORM decomposes nothing D3's eigenbasis already has: the stack's
+        # one eig and one inv cover all 637 folded points, with no det (no
+        # eigenbasis is exactly singular); UNIFORM then runs no eig, inv or
+        # det of its own, and the second eigvalsh on the re-balanced
+        # certificates only (decomposing each split block again takes 8 eigs
+        # over 858 points, 10 dets and 14 invs over 1495 and 1924, and 2132
+        # eigvalsh points)
         import hypdiss.conditions as cond
 
         model = ensure_normalized(builtin_barotropic_fluid(FLUID))
-        stack = cond._decay_stack(model)
         points = {}
         for name in ("eig", "det", "inv", "eigvalsh", "qr"):
             def counted(A, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -642,12 +644,13 @@ class TestBatchedUniform:
                 return _real(A, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        stack = cond._decay_stack(model)
+        assert points.pop("inv") == [len(stack.Ms)] == [637]
+        assert points.pop("eig") and not points
         check_uniform_dissipativity(model, stack=stack)
-        chunks = stack[3].nbytes // cond.CERTIFICATE_CHUNK_BYTES
+        assert stack.Ms.nbytes // cond.CERTIFICATE_CHUNK_BYTES == 2
         assert "eig" not in points and len(points["qr"]) > 0
-        assert "det" not in points
-        assert len(points["inv"]) == chunks == 2
-        assert sum(points["inv"]) == len(stack[3]) == 637
+        assert "det" not in points and "inv" not in points
         assert sum(points["eigvalsh"]) <= 1716
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -704,8 +707,9 @@ class TestBatchedUniform:
             return real(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, what, failing)
-        # the eig is the one D3 and UNIFORM share, an eigensolver failure
-        error = EigensolverFailure if what == "eig" else LyapunovSolveFailure
+        # eig and inv build the eigenbasis D3 and UNIFORM share: an
+        # eigensolver failure
+        error = EigensolverFailure if what in ("eig", "inv") else LyapunovSolveFailure
         with pytest.raises(error, match=r"at xi=\S+, omega index \d+$") as err:
             check_uniform_dissipativity(m, xi_loggrid=xis)
         causes = [err.value]

@@ -348,6 +348,46 @@ class TestModePropagator:
             if e is not None:
                 assert all(np.array_equal(a, b) for a, b in zip(e, (w[q], V[q], Vinv[q])))
 
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(n=hst.integers(1, 3), d=hst.integers(1, 3), seed=hst.integers(0, 2**32 - 1),
+           limit=hst.sampled_from([None, 1.2]))
+    def test_holds_the_checkers_eigenbasis(self, n, d, seed, limit):
+        # one constructor and one trust rule: on the folded frequencies of
+        # D3 and UNIFORM, the propagator's Eigenbasis is their stack's, bit
+        # for bit; kappa_F(V) >= 2n for the 2n x 2n symbols, so a
+        # DEFECT_COND_LIMIT of 1.2 x 2n distrusts some points of nearly
+        # every model
+        import hypdiss.conditions as cond
+        from hypdiss import symbols
+        from hypdiss.conditions import CheckConfig
+
+        model = random_stable_model(np.random.default_rng(seed), n=n, d=d)
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setattr(symbols, "DEFECT_COND_LIMIT", limit * 2 * n)
+            stack = cond._decay_stack(model, config=CheckConfig(xi_count=9, directions_2d=8))
+            prop = ModePropagator(model, stack.grid[2][stack.keep])
+        assert isinstance(prop.basis, symbols.Eigenbasis) and isinstance(stack.eb, symbols.Eigenbasis)
+        assert np.array_equal(prop.mats, stack.Ms)
+        for name, got, want in zip(symbols.Eigenbasis._fields, prop.basis, stack.eb):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert [e is None for e in prop.eig] == (~stack.eb.ok).tolist()
+
+    def test_distrusts_the_checkers_jordan_points(self):
+        # the 13 Jordan points of the d = 3 damped wave at |xi| = 1, which
+        # UNIFORM solves by the sign iteration, are the propagator's
+        # defective modes on the same frequencies
+        import hypdiss.conditions as cond
+
+        m = builtin_damped_wave(2.0, d=3)
+        stack = cond._decay_stack(m)
+        prop = ModePropagator(m, stack.grid[2][stack.keep])
+        assert np.array_equal(prop.basis.ok, stack.eb.ok)
+        bad = ~stack.eb.ok
+        assert bad.sum() == 13
+        assert np.allclose(stack.grid[4][stack.keep][bad], 1.0)
+        assert sum(e is None for e in prop.eig) == 13
+
     def test_defective_modes_are_counted_from_eig(self):
         # 13 directions of this model's grid cross its Jordan block
         m = builtin_damped_wave(2.074450190814114, d=3)
@@ -359,6 +399,15 @@ def _norms_without_fit(model, data, s=2.0):
     # the fit refuses zero and non-finite norms; these tests read the norms
     with mock.patch.object(linear_spectral, "decay_fit"):
         return decay_study(model, data, s=s)
+
+
+@pytest.mark.parametrize("s", [np.inf, 1e300, 400.0])
+def test_overflowing_sobolev_weight_is_refused_before_any_decomposition(s):
+    # <xi>^{2(s-1)} reaches inf on the grid, whose |xi| runs to 100
+    m = builtin_damped_wave(2.0, d=3)
+    with mock.patch.object(linear_spectral, "ModePropagator", side_effect=AssertionError), \
+            pytest.raises(InvalidParameter, match=r"^s = .*overflows"):
+        decay_study(m, GaussianData(amplitude=1.0), s=s)
 
 
 class TestLiveModes:

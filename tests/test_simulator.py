@@ -619,6 +619,21 @@ class TestRun:
         with pytest.raises(BlowUp):
             run(m, TrigData(amplitude=1e-2, wavenumber=(1,)), cfg)
 
+    @pytest.mark.parametrize("spec", [TrigData, PeriodicBumpData])
+    @pytest.mark.parametrize("amplitude", [np.inf, -np.inf])
+    def test_infinite_amplitude_is_refused(self, spec, amplitude):
+        # the run used to warn (inf - inf in the bump's mean) before BlowUp
+        with pytest.raises(InvalidParameter, match=f"{spec.__name__}.amplitude must be finite"):
+            spec(amplitude=amplitude)
+
+    @pytest.mark.parametrize("spec", [TrigData, PeriodicBumpData])
+    def test_nan_and_negative_amplitudes_are_data(self, spec):
+        assert np.isnan(spec(amplitude=np.nan).amplitude)
+        m = builtin_convected_damped_wave(0.5)
+        cfg = SimConfig(lattice=LAT, t_final=0.5, snapshots=3)
+        neg, pos = (run(m, spec(amplitude=a), cfg).w_norm for a in (-1e-2, 1e-2))
+        np.testing.assert_allclose(neg, pos, rtol=1e-2)
+
     @pytest.mark.parametrize("monitor", [False, True])
     def test_nan_amplitude_raises(self, monitor):
         m = builtin_convected_damped_wave(0.5)
